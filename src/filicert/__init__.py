@@ -26,8 +26,7 @@ from .invariants import (RationalAlgebra, center_dim, derivation_algebra,
                          is_nilpotent, is_solvable, lower_central_series)
 from .lie import (Cochain2, JacobiReport, StructureConstants, SubspaceSpec,
                   base_change, basis_column, cocycle_check, entries_equal,
-                  is_derivation, is_ideal, jacobi_check, lie_bracket_check,
-                  restrict)
+                  is_derivation, is_ideal, jacobi_check, restrict)
 from .linalg import RationalMatrix, ScalarMatrix, span_basis
 from .scalar import ALPHA, ONE, Rational, Scalar, T, UniPoly, ZERO, as_scalar
 

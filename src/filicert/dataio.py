@@ -322,10 +322,6 @@ def parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
 # -- rendering ---------------------------------------------------------------
 
 
-def render_scalar(scalar: Scalar) -> str:
-    return str(scalar)
-
-
 def render_column(column: Column, prefix: str) -> str:
     chunks = []
     for position, coeff in enumerate(column, start=1):
@@ -599,7 +595,11 @@ def _errata_target(target: str, dim: int, source: str) -> str:
 def load_algebra(path: str | Path) -> AlgebraFile:
     """Load and validate one algebra file."""
     path = Path(path)
-    return parse_algebra(path.read_text(encoding="utf-8"), source=path.name)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path.name}: not UTF-8 text (byte {exc.start})") from exc
+    return parse_algebra(text, source=path.name)
 
 
 def serialize_algebra(alg: AlgebraFile) -> str:

@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 
 from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
                      NotInvariant)
-from .lie import (Cochain2, StructureConstants, SubspaceSpec, cocycle_check,
-                  column_is_zero, entries_equal, is_derivation, is_ideal,
-                  jacobi_check, lie_bracket_check, restrict)
+from .lie import (Cochain2, StructureConstants, SubspaceSpec, column_is_zero,
+                  entries_equal, is_derivation, is_ideal, jacobi_check,
+                  restrict)
 from .linalg import Column, ScalarMatrix
 from .scalar import ONE, T, ZERO, Scalar, UniPoly
 
@@ -93,6 +93,14 @@ def _build_cocycle(spec: DeformationSpec) -> Cochain2:
     return Cochain2(dim, entries, params, f"{spec.base.name}_D")
 
 
+def _linear_deformation(mu: StructureConstants, ideal: SubspaceSpec,
+                        outside_index: int, derivation: ScalarMatrix):
+    """phi = mu_D, the family mu_t = mu + t*phi, and mu_1 = mu_t at t = 1."""
+    phi = _build_cocycle(DeformationSpec(mu, ideal, outside_index, derivation))
+    mu_t = deform(mu, phi)
+    return phi, mu_t, mu_t.eval_t(1)
+
+
 def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
     """The linear deformation mu + t*phi (exactly mu again at t = 0)."""
     if mu.dim != phi.dim:
@@ -148,15 +156,10 @@ def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
         raise DimensionMismatch("dimensions of brackets and matrix differ")
     if not entries_equal(mu_t.eval_t(1), mu1):
         raise InvalidSpec("mu1 must be the t = 1 specialization of mu_t")
-    family = mu_t.invert_t() if reciprocal else mu_t
     report = VerificationReport(mu_t.name)
-    failures = []
-    for i, j in mu_t.pairs():
-        lhs = mu1.bracket_eval(g.column(i - 1), g.column(j - 1))
-        rhs = g.apply(family.bracket(i, j))
-        residual = tuple(a - b for a, b in zip(lhs, rhs))
-        if not column_is_zero(residual):
-            failures.append(Failure((i, j), residual))
+    failures = [Failure(pair, residual)
+                for pair, residual in _eq1_residuals(mu1, mu_t, g, reciprocal)
+                if not column_is_zero(residual)]
     note = "certificate parametrized by 1/t" if reciprocal else ""
     report.stages["eq1"] = StageResult(not failures, tuple(failures), note)
     det = g.det()
@@ -167,6 +170,17 @@ def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
             False, (Failure((), None, f"det = {det}"),),
             "determinant is not a single term c*t^k")
     return report
+
+
+def _eq1_residuals(mu1: StructureConstants, mu_t: StructureConstants,
+                   g: ScalarMatrix, reciprocal: bool):
+    """(pair, mu_1(g e_i, g e_j) - g(mu_t(e_i, e_j))) on all basis pairs,
+    with mu_{1/t} in place of mu_t for a reciprocal certificate."""
+    family = mu_t.invert_t() if reciprocal else mu_t
+    for i, j in family.pairs():
+        lhs = mu1.bracket_eval(g.column(i - 1), g.column(j - 1))
+        rhs = g.apply(family.bracket(i, j))
+        yield (i, j), tuple(a - b for a, b in zip(lhs, rhs))
 
 
 def limit_check(mu_t: StructureConstants, mu: StructureConstants) -> bool:
@@ -222,22 +236,19 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     """Run the full verification pipeline for one algebra.
 
     Stage order: jacobi (mu, and the family mu_t once built), ideal,
-    derivation, cocycle, bracket, eq1, unit-det, limit, spectrum.  Failures
-    are collected, never raised, so a corrupted table yields a localized
-    report rather than an exception.
+    derivation, cocycle, bracket, eq1, unit-det, limit, spectrum.  The
+    jacobi, cocycle and bracket stages are read off one Jacobi expansion of
+    mu + t*phi.  Failures are collected, never raised, so a corrupted table
+    yields a localized report rather than an exception.
     """
     report = VerificationReport(name)
 
-    jac_mu = jacobi_check(mu)
-    jacobi_failures = [Failure(triple, residual, "bracket of the algebra")
-                       for triple, residual in jac_mu.failures]
-
-    ideal_ok = is_ideal(mu, ideal) and outside_index not in ideal
+    ideal_ok = (is_ideal(mu, ideal) and outside_index not in ideal
+                and len(ideal) == mu.dim - 1)
     report.stages["ideal"] = StageResult(
         ideal_ok, () if ideal_ok else (Failure(tuple(ideal.indices), None,
                                                "subspace is not a codimension-1 ideal"),))
 
-    spec = DeformationSpec(mu, ideal, outside_index, derivation)
     if ideal_ok:
         derivation_ok = (derivation.is_diagonal()
                          and is_derivation(restrict(mu, ideal), derivation))
@@ -245,22 +256,18 @@ def run_certificate_checks(name: str, mu: StructureConstants,
             derivation_ok,
             () if derivation_ok else (Failure((), None, "not a derivation of the ideal"),))
     else:
-        derivation_ok = False
         report.stages["derivation"] = StageResult(False, note="skipped: ideal stage failed")
 
-    phi = _build_cocycle(spec)
-    cocycle_ok = cocycle_check(mu, phi)
-    report.stages["cocycle"] = StageResult(cocycle_ok)
-    bracket_ok = lie_bracket_check(phi)
-    report.stages["bracket"] = StageResult(bracket_ok)
-
-    mu_t = deform(mu, phi)
-    jac_family = jacobi_check(mu_t)
+    phi, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+    expansion = jacobi_check(mu, phi)
+    jacobi_failures = [Failure(triple, residual, "bracket of the algebra")
+                       for triple, residual in expansion.coefficient(0)]
     jacobi_failures.extend(Failure(triple, residual, "bracket of the deformed family")
-                           for triple, residual in jac_family.failures)
+                           for triple, residual in expansion.failures)
     report.stages["jacobi"] = StageResult(not jacobi_failures, tuple(jacobi_failures))
+    report.stages["cocycle"] = StageResult(not expansion.coefficient(1))
+    report.stages["bracket"] = StageResult(not expansion.coefficient(2))
 
-    mu1 = mu_t.eval_t(1)
     eq1_report = verify_degeneration(mu1, mu_t, g, reciprocal=reciprocal)
     report.stages["eq1"] = eq1_report.stages["eq1"]
     report.stages["unit-det"] = eq1_report.stages["unit-det"]
@@ -297,24 +304,16 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     :class:`InvalidSpec` if the equations are inconsistent or leave the cell
     unconstrained, i.e. if a single-cell correction cannot exist.
     """
-    spec = DeformationSpec(mu, ideal, outside_index, derivation)
-    phi = _build_cocycle(spec)
-    mu_t = deform(mu, phi)
-    mu1 = mu_t.eval_t(1)
-    family = mu_t.invert_t() if reciprocal else mu_t
+    _, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
     row, col = cell
 
     def residuals(value: Scalar) -> dict[tuple[int, int, int], Scalar]:
         rows = [list(r) for r in g.rows]
         rows[row - 1][col - 1] = value
         candidate = ScalarMatrix(tuple(tuple(r) for r in rows))
-        out = {}
-        for i, j in mu_t.pairs():
-            lhs = mu1.bracket_eval(candidate.column(i - 1), candidate.column(j - 1))
-            rhs = candidate.apply(family.bracket(i, j))
-            for k in range(mu.dim):
-                out[(i, j, k + 1)] = lhs[k] - rhs[k]
-        return out
+        return {(i, j, k): component
+                for (i, j), residual in _eq1_residuals(mu1, mu_t, candidate, reciprocal)
+                for k, component in enumerate(residual, start=1)}
 
     offsets = residuals(ZERO)
     slopes = residuals(ONE)

@@ -207,20 +207,3 @@ def is_characteristically_nilpotent(algebra: RationalAlgebra) -> bool:
         if not current:
             return True
     return False
-
-
-def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:
-    """Re-verification that one matrix satisfies the derivation identity."""
-    n = algebra.dim
-    for i, j in combinations(range(1, n + 1), 2):
-        bracket_ij = algebra.bracket(i, j)
-        lhs = tuple(sum(matrix[k][m] * bracket_ij[m] for m in range(n)) for k in range(n))
-        col_i = tuple(matrix[k][i - 1] for k in range(n))
-        col_j = tuple(matrix[k][j - 1] for k in range(n))
-        e_i = tuple(Fraction(1 if k == i - 1 else 0) for k in range(n))
-        e_j = tuple(Fraction(1 if k == j - 1 else 0) for k in range(n))
-        rhs_first = algebra.bracket_vec(col_i, e_j)
-        rhs_second = algebra.bracket_vec(e_i, col_j)
-        if any(lhs[k] != rhs_first[k] + rhs_second[k] for k in range(n)):
-            return False
-    return True

@@ -161,20 +161,6 @@ class ScalarMatrix:
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
 
 
-def eval_poly_at_matrix(poly: UniPoly, matrix: ScalarMatrix) -> ScalarMatrix:
-    """Evaluate a UniPoly at a square matrix (x -> matrix)."""
-    n = matrix.n
-    result = ScalarMatrix.identity(n).map_entries(lambda s: s * ZERO)
-    power = ScalarMatrix.identity(n)
-    for coeff in poly.coeffs:
-        if not coeff.is_zero():
-            result = ScalarMatrix(tuple(
-                tuple(result.rows[i][j] + coeff * power.rows[i][j] for j in range(n))
-                for i in range(n)))
-        power = power @ matrix
-    return result
-
-
 # -- rational matrices ------------------------------------------------------
 
 
@@ -262,12 +248,6 @@ class RationalMatrix:
 
     def _integer_copy(self) -> list[list[int]]:
         return [_row_to_integers(row) for row in self.rows]
-
-    def rank(self) -> int:
-        if not self.rows or self.n_cols == 0:
-            return 0
-        m = self._integer_copy()
-        return len(_bareiss_echelon(m))
 
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right nullspace; empty iff full column rank.

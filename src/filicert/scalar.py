@@ -106,9 +106,6 @@ class Scalar:
     def max_t_exponent(self) -> int:
         return max((k[0] for k in self._terms), default=0)
 
-    def max_alpha_exponent(self) -> int:
-        return max((k[1] for k in self._terms), default=0)
-
     def has_negative_t_exponent(self) -> bool:
         return self.min_t_exponent() < 0
 
@@ -361,14 +358,6 @@ class UniPoly:
         self.coeffs = tuple(cs)
 
     @classmethod
-    def x(cls) -> "UniPoly":
-        return cls((ZERO, ONE))
-
-    @classmethod
-    def constant(cls, value: Scalar | int | Fraction) -> "UniPoly":
-        return cls((as_scalar(value),))
-
-    @classmethod
     def from_roots(cls, roots: Iterable[Scalar | int | Fraction]) -> "UniPoly":
         """The monic polynomial with the given roots: prod (x - r)."""
         result = cls((ONE,))
@@ -382,9 +371,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == ONE
 
     def coefficient(self, degree: int) -> Scalar:
         if 0 <= degree < len(self.coeffs):

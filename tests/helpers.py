@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
-from filicert import AlgebraFile, Scalar, ScalarMatrix
+from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
 from filicert.dataio import DeformationBlock, Erratum
+from filicert.invariants import Matrix, RationalAlgebra
+from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.scalar import ZERO
 
 
@@ -161,3 +164,82 @@ def random_algebra_file(rng: random.Random) -> AlgebraFile:
                        deformation=deformation, certificate=certificate,
                        certificate_parameter=parameter,
                        derivation_meta=derivation_meta, errata=tuple(errata))
+
+
+def eval_poly_at_matrix(poly: UniPoly, matrix: ScalarMatrix) -> ScalarMatrix:
+    """Evaluate a UniPoly at a square matrix (x -> matrix)."""
+    n = matrix.n
+    result = ScalarMatrix.identity(n).map_entries(lambda s: s * ZERO)
+    power = ScalarMatrix.identity(n)
+    for coeff in poly.coeffs:
+        if not coeff.is_zero():
+            result = ScalarMatrix(tuple(
+                tuple(result.rows[i][j] + coeff * power.rows[i][j] for j in range(n))
+                for i in range(n)))
+        power = power @ matrix
+    return result
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Rank by Gaussian elimination over Fraction: the oracle for the
+    fraction-free Bareiss routines."""
+    rows = [list(row) for row in matrix.rows]
+    found = 0
+    for c in range(matrix.n_cols):
+        pivot = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[found], rows[pivot] = rows[pivot], rows[found]
+        for i in range(found + 1, len(rows)):
+            factor = rows[i][c] / rows[found][c]
+            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[found])]
+        found += 1
+    return found
+
+
+def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:
+    """Re-verification that one matrix satisfies the derivation identity."""
+    n = algebra.dim
+    for i, j in combinations(range(1, n + 1), 2):
+        bracket_ij = algebra.bracket(i, j)
+        lhs = tuple(sum(matrix[k][m] * bracket_ij[m] for m in range(n)) for k in range(n))
+        col_i = tuple(matrix[k][i - 1] for k in range(n))
+        col_j = tuple(matrix[k][j - 1] for k in range(n))
+        e_i = tuple(Fraction(1 if k == i - 1 else 0) for k in range(n))
+        e_j = tuple(Fraction(1 if k == j - 1 else 0) for k in range(n))
+        rhs_first = algebra.bracket_vec(col_i, e_j)
+        rhs_second = algebra.bracket_vec(e_i, col_j)
+        if any(lhs[k] != rhs_first[k] + rhs_second[k] for k in range(n)):
+            return False
+    return True
+
+
+def reference_jacobi(mu: Cochain2) -> list:
+    """(triple, residual) wherever Jacobi fails, by bilinear evaluation on
+    basis columns: the oracle for the structure-constant contraction."""
+    failures = []
+    dim = mu.dim
+    for i, j, k in combinations(range(1, dim + 1), 3):
+        e_i, e_j, e_k = (basis_column(dim, a) for a in (i, j, k))
+        residual = tuple(x + y + z for x, y, z in zip(
+            mu.bracket_eval(mu.bracket(i, j), e_k),
+            mu.bracket_eval(mu.bracket(j, k), e_i),
+            mu.bracket_eval(mu.bracket(k, i), e_j)))
+        if not column_is_zero(residual):
+            failures.append(((i, j, k), residual))
+    return failures
+
+
+def reference_cocycle(mu: Cochain2, phi: Cochain2) -> bool:
+    """The mixed cyclic sum mu(phi(b_a,b_b), b_c) + phi(mu(b_a,b_b), b_c),
+    by bilinear evaluation on basis columns."""
+    dim = mu.dim
+    for i, j, k in combinations(range(1, dim + 1), 3):
+        total = [ZERO] * dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            e_c = basis_column(dim, c)
+            for x, y in ((mu, phi), (phi, mu)):
+                total = [s + u for s, u in zip(total, x.bracket_eval(y.bracket(a, b), e_c))]
+        if not column_is_zero(total):
+            return False
+    return True

@@ -152,6 +152,18 @@ def test_custom_data_directory(capsys, tmp_path, corpus):
     assert out.splitlines() == ["mu17: PASS"]
 
 
+def test_non_utf8_catalog_file_is_an_input_error(capsys, tmp_path, corpus):
+    from filicert.dataio import serialize_algebra
+
+    (tmp_path / "mu17").write_text(serialize_algebra(corpus["mu17"]))
+    (tmp_path / "mu99").write_bytes(b"\xff\xfe[algebra]\n")
+    code, out, err = run(capsys, "verify", "mu17", "--data", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: mu99: not UTF-8 text")
+    assert err.count("\n") == 1
+
+
 def test_missing_data_directory(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--data", str(tmp_path / "nope"))
     assert code == 2

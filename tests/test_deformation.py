@@ -50,7 +50,7 @@ def test_counterexample_cochain_is_valid(tables):
     spec = counterexample_spec(data.mu)
     phi = go_cocycle(spec)
     assert fc.cocycle_check(data.mu, phi)
-    assert fc.lie_bracket_check(phi)
+    assert fc.jacobi_check(phi).ok
     assert column_is_zero(phi.bracket_eval(basis_column(8, 1), basis_column(8, 2)))
 
 
@@ -139,6 +139,16 @@ def test_full_pipeline_stage_order(tables):
                                     data.derivation, data.g)
     assert tuple(report.stages) == STAGES
     assert report.passed
+
+
+def test_ideal_stage_requires_codimension_one(tables):
+    data = tables["mu17"]
+    report = run_certificate_checks("mu17", data.mu, SubspaceSpec(tuple(range(3, 9))),
+                                    1, ScalarMatrix.diagonal([0] * 6), data.g)
+    ideal = report.stages["ideal"]
+    assert not ideal.ok
+    assert [f.note for f in ideal.failures] == ["subspace is not a codimension-1 ideal"]
+    assert report.stages["derivation"].note == "skipped: ideal stage failed"
 
 
 def test_reciprocal_certificate_satisfies_literal_identity(tables):

@@ -9,11 +9,12 @@ import pytest
 from conftest import abelian
 from filicert import RationalAlgebra, ValidationError
 from filicert.invariants import (center_dim, derivation_algebra,
-                                 derivation_identity_holds, derived_series,
-                                 filiform_profile,
+                                 derived_series, filiform_profile,
                                  is_characteristically_nilpotent, is_filiform,
                                  is_nilpotent, is_solvable,
                                  lower_central_series)
+
+from helpers import derivation_identity_holds
 
 
 def rational(mu, t=None, alpha=None):

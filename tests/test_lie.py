@@ -11,13 +11,15 @@ import pytest
 import filicert as fc
 from filicert import (Cochain2, StructureConstants, SubspaceSpec, base_change,
                       cocycle_check, entries_equal, is_derivation, is_ideal,
-                      jacobi_check, lie_bracket_check, restrict)
+                      jacobi_check, restrict)
+from filicert.deformation import deform, run_certificate_checks
 from filicert.errors import ValidationError
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ZERO
 
-from helpers import monomial_diagonal, rand_scalar
+from helpers import (monomial_diagonal, rand_scalar, reference_cocycle,
+                     reference_jacobi)
 
 
 def column(dim, **components):
@@ -164,7 +166,7 @@ def test_zero_cochain_is_a_cocycle(tables):
     mu = tables["mu13"].mu
     zero = Cochain2(8, {}, frozenset(), "zero")
     assert cocycle_check(mu, zero)
-    assert lie_bracket_check(zero)
+    assert jacobi_check(zero).ok
 
 
 def test_bracket_is_a_cocycle_of_itself(tables):
@@ -175,7 +177,7 @@ def test_bracket_is_a_cocycle_of_itself(tables):
 def test_deformation_cochains_are_cocycles_and_brackets(tables):
     for name, data in tables.items():
         assert cocycle_check(data.mu, data.phi), name
-        assert lie_bracket_check(data.phi), name
+        assert jacobi_check(data.phi).ok, name
 
 
 def test_corrupted_cochain_is_not_a_bracket(tables):
@@ -183,7 +185,7 @@ def test_corrupted_cochain_is_not_a_bracket(tables):
     entries = dict(data.phi.entries)
     entries[(2, 3)] = column(8, Y2=1)
     corrupted = Cochain2(8, entries, data.phi.params, "corrupted")
-    assert not lie_bracket_check(corrupted)
+    assert not jacobi_check(corrupted).ok
 
 
 def test_deformed_bracket_satisfies_jacobi_at_samples(tables):
@@ -192,3 +194,52 @@ def test_deformed_bracket_satisfies_jacobi_at_samples(tables):
         for s in samples:
             specialized = data.mu_t.eval_t(s)
             assert jacobi_check(specialized).ok, f"{name} at s={s}"
+
+
+# -- one Jacobi expansion against the basis-column reference -------------------------
+
+def _corrupt(cochain, rng):
+    """The cochain with one structure constant changed by 1."""
+    i, j = rng.choice(list(cochain.pairs()))
+    k = rng.randrange(cochain.dim)
+    column = list(cochain.bracket(i, j))
+    column[k] = column[k] + 1
+    entries = dict(cochain.entries)
+    entries[(i, j)] = tuple(column)
+    return type(cochain)(cochain.dim, entries, cochain.params, cochain.name)
+
+
+def _rendered(failures):
+    return [(triple, [str(s) for s in residual]) for triple, residual in failures]
+
+
+def test_expansion_stages_match_reference_on_corrupted_brackets(tables):
+    rng = random.Random(41)
+    for name, data in tables.items():
+        for _ in range(4):
+            mu = _corrupt(data.mu, rng)
+            report = run_certificate_checks(name, mu, data.ideal, data.outside,
+                                            data.derivation, data.g, data.reciprocal)
+            expected = ([(t, r, "bracket of the algebra") for t, r in reference_jacobi(mu)]
+                        + [(t, r, "bracket of the deformed family")
+                           for t, r in reference_jacobi(deform(mu, data.phi))])
+            jacobi = report.stages["jacobi"]
+            assert [(f.indices, [str(s) for s in f.residual], f.note)
+                    for f in jacobi.failures] == \
+                [(t, [str(s) for s in r], note) for t, r, note in expected], name
+            assert jacobi.ok == (not expected)
+            assert report.stages["cocycle"].ok == reference_cocycle(mu, data.phi), name
+            assert report.stages["bracket"].ok == (not reference_jacobi(data.phi)), name
+
+
+def test_expansion_coefficients_match_reference_on_corrupted_cochains(tables):
+    rng = random.Random(43)
+    for name, data in tables.items():
+        phi = _corrupt(data.phi, rng)
+        expansion = jacobi_check(data.mu, phi)
+        assert _rendered(expansion.coefficient(0)) == _rendered(reference_jacobi(data.mu))
+        assert (not expansion.coefficient(1)) == reference_cocycle(data.mu, phi), name
+        assert _rendered(expansion.coefficient(2)) == _rendered(reference_jacobi(phi)), name
+        assert _rendered(expansion.failures) == \
+            _rendered(reference_jacobi(deform(data.mu, phi))), name
+        assert cocycle_check(data.mu, phi) == reference_cocycle(data.mu, phi), name
