@@ -26,8 +26,8 @@ from .deformation import (DeformationSpec, VerificationReport,
                           run_certificate_checks)
 from .errors import FilicertError
 from .invariants import (RationalAlgebra, center_dim, derivation_algebra,
-                         derived_series, is_characteristically_nilpotent,
-                         is_filiform, lower_central_series)
+                         derived_series, filiform_profile,
+                         is_characteristically_nilpotent, lower_central_series)
 from .lie import SubspaceSpec, column_is_zero, jacobi_check
 from .linalg import ScalarMatrix
 
@@ -169,7 +169,7 @@ def invariant_records(alg: AlgebraFile, cfg: RunConfig) -> list[InvariantRecord]
         algebra = RationalAlgebra.from_structure(mu, alpha=alpha)
         lcs = lower_central_series(algebra)
         ds = derived_series(algebra)
-        filiform = is_filiform(algebra)
+        filiform = lcs == filiform_profile(algebra.dim)
         center = center_dim(algebra)
         der_dim, _ = derivation_algebra(algebra)
         char_nilp = is_characteristically_nilpotent(algebra)
@@ -255,9 +255,9 @@ def counterexample_lines(corpus: dict[str, AlgebraFile], cfg: RunConfig) -> tupl
                      f"derived=({','.join(str(d) for d in ds)}) "
                      f"solvable={'yes' if ds[-1] == 0 else 'no'} "
                      f"nilpotent={'yes' if lcs[-1] == 0 else 'no'}")
-    base = RationalAlgebra.from_structure(mu)
-    lines.append(f"  base algebra: lcs=({','.join(str(d) for d in lower_central_series(base))}) "
-                 f"filiform={'yes' if is_filiform(base) else 'no'}")
+    base_lcs = lower_central_series(RationalAlgebra.from_structure(mu))
+    lines.append(f"  base algebra: lcs=({','.join(str(d) for d in base_lcs)}) "
+                 f"filiform={'yes' if base_lcs == filiform_profile(mu.dim) else 'no'}")
     return lines, valid
 
 

@@ -533,6 +533,10 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         if not outside_text.isdigit() or not 1 <= int(outside_text) <= dim:
             raise fail(("deformation", "outside"), "outside must be a basis index")
         outside = int(outside_text)
+        if outside in ideal:
+            raise fail(("deformation", "outside"),
+                       f"outside = {outside} lies inside the ideal "
+                       f"({' '.join(str(k) for k in ideal)})")
         diag_line = line_of[("deformation", "D")]
         diagonal = tuple(
             parse_scalar(p, (), diag_line).constant_value()

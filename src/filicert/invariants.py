@@ -11,6 +11,13 @@ the lower central and derived series guarantees stabilization within the
 dimension of the algebra.  A profile therefore either ends in 0 (nilpotent
 or solvable) or repeats its final nonzero value once as the stabilization
 witness.
+
+An algebra is characteristically nilpotent when every derivation is
+nilpotent (Dixmier-Lister).  By Engel's theorem that holds iff the flag
+V, Der.V, Der.(Der.V), ... reaches 0 within dim V steps, which is what is
+tested.  For a nilpotent algebra of dimension >= 2 it is equivalent to the
+nilpotency of Der as a Lie algebra (Leger-Togo); in dimension 1, Der = gl(1)
+is abelian but its identity derivation is not nilpotent.
 """
 
 from __future__ import annotations
@@ -166,44 +173,28 @@ def derivation_algebra(algebra: RationalAlgebra) -> tuple[int, list[Matrix]]:
                 if bracket_ij[m - 1]:
                     coeffs[slot(k, m)] -= bracket_ij[m - 1]
             rows.append(tuple(coeffs))
-    basis_vectors = RationalMatrix(tuple(rows)).nullspace()
+    # dim 1 has no pairs: one zero row gives the system its n^2 columns
+    basis_vectors = RationalMatrix(tuple(rows or [(Fraction(0),) * unknowns])).nullspace()
     matrices = [tuple(tuple(vec[(r - 1) * n + (c - 1)] for c in range(1, n + 1))
                       for r in range(1, n + 1))
                 for vec in basis_vectors]
     return len(matrices), matrices
 
 
-def _matrix_commutator(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
-
-
-def _flatten(matrix: Matrix) -> Vector:
-    return tuple(x for row in matrix for x in row)
-
-
-def _unflatten(vector: Sequence[Fraction], n: int) -> Matrix:
-    return tuple(tuple(vector[i * n + j] for j in range(n)) for i in range(n))
-
-
 def is_characteristically_nilpotent(algebra: RationalAlgebra) -> bool:
-    """True iff the derivation algebra is nilpotent as a Lie algebra.
+    """True iff every derivation of the algebra is nilpotent (Dixmier-Lister).
 
-    Iterates V_1 = Der, V_{m+1} = span{[A, B] : A in Der, B in V_m} with
-    matrix commutators; at most dim(Der) iterations are needed before the
-    lower central series of Der must have stabilized.
+    By Engel's theorem this holds iff the flag V, Der.V, Der.(Der.V), ...
+    reaches 0 within dim V steps; each step spans the images of the current
+    vectors under the basis derivations.  For a nilpotent algebra of
+    dimension >= 2 it is the same as "Der is nilpotent" (Leger-Togo); on a
+    non-nilpotent algebra both are false.
     """
-    n = algebra.dim
-    der_dim, der_basis = derivation_algebra(algebra)
-    if der_dim == 0:
-        return True
-    current = [_flatten(m) for m in der_basis]
-    for _ in range(der_dim):
-        products = [_flatten(_matrix_commutator(a, _unflatten(v, n)))
-                    for a in der_basis for v in current]
-        current = span_basis(products)
+    _, der_basis = derivation_algebra(algebra)
+    current = algebra.basis()
+    for _ in range(algebra.dim):
+        current = span_basis(tuple(sum(x * y for x, y in zip(row, v)) for row in matrix)
+                             for matrix in der_basis for v in current)
         if not current:
             return True
     return False

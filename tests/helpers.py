@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Sequence
 
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
 from filicert.dataio import DeformationBlock, Erratum
-from filicert.invariants import Matrix, RationalAlgebra
+from filicert.invariants import Matrix, RationalAlgebra, Vector, derivation_algebra
 from filicert.lie import Cochain2, basis_column, column_is_zero
+from filicert.linalg import span_basis
 from filicert.scalar import ZERO
 
 
@@ -243,3 +245,40 @@ def reference_cocycle(mu: Cochain2, phi: Cochain2) -> bool:
         if not column_is_zero(total):
             return False
     return True
+
+
+def _matrix_commutator(a: Matrix, b: Matrix) -> Matrix:
+    n = len(a)
+    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
+
+
+def _flatten(matrix: Matrix) -> Vector:
+    return tuple(x for row in matrix for x in row)
+
+
+def _unflatten(vector: Sequence[Fraction], n: int) -> Matrix:
+    return tuple(tuple(vector[i * n + j] for j in range(n)) for i in range(n))
+
+
+def der_is_nilpotent(algebra: RationalAlgebra) -> bool:
+    """True iff the derivation algebra is nilpotent as a Lie algebra.
+
+    Iterates V_1 = Der, V_{m+1} = span{[A, B] : A in Der, B in V_m} with
+    matrix commutators; at most dim(Der) iterations are needed before the
+    lower central series of Der must have stabilized.  The oracle for the
+    Engel-flag test of characteristic nilpotency.
+    """
+    n = algebra.dim
+    der_dim, der_basis = derivation_algebra(algebra)
+    if der_dim == 0:
+        return True
+    current = [_flatten(m) for m in der_basis]
+    for _ in range(der_dim):
+        products = [_flatten(_matrix_commutator(a, _unflatten(v, n)))
+                    for a in der_basis for v in current]
+        current = span_basis(products)
+        if not current:
+            return True
+    return False

@@ -168,3 +168,20 @@ def test_missing_data_directory(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--data", str(tmp_path / "nope"))
     assert code == 2
     assert "does not exist" in err
+
+
+@pytest.mark.parametrize("command", [["verify", "mu17"], ["invariants", "mu17"],
+                                     ["counterexample"], ["report", "mu17"]])
+def test_outside_index_inside_the_ideal_is_an_input_error(capsys, tmp_path, corpus, command):
+    from dataclasses import replace
+
+    from filicert.dataio import serialize_algebra
+
+    alg = corpus["mu17"]
+    broken = replace(alg, deformation=replace(alg.deformation, outside=2))
+    (tmp_path / "mu17").write_text(serialize_algebra(broken))
+    code, out, err = run(capsys, *command, "--data", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(r"error: mu17:\d+: outside = 2 lies inside the ideal "
+                        r"\(2 3 4 5 6 7 8\)\n", err)

@@ -1,4 +1,5 @@
-"""Whole-program checks: pinned stdout of the certify commands, and the demos."""
+"""Whole-program checks: pinned stdout of the certify and invariants commands,
+and the demos."""
 
 from __future__ import annotations
 
@@ -24,11 +25,14 @@ def test_certify_stdout_matches_the_pinned_digest(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS["certify"][command]
 
 
-# Demo 04 (the invariant tour) is left out: it spends about 10 s in the
-# invariant suite, which tests/test_invariants.py already covers.
-@pytest.mark.parametrize("demo", ["01_exact_scalars.py", "02_verify_certificate.py",
-                                  "03_localize_and_correct.py",
-                                  "05_deformation_without_certificate.py"])
+@pytest.mark.parametrize("command", sorted(PINS["invariants"]))
+def test_invariants_stdout_matches_the_pinned_digest(capsys, command):
+    main(command.split())
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS["invariants"][command]
+
+
+@pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

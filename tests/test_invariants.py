@@ -14,7 +14,7 @@ from filicert.invariants import (center_dim, derivation_algebra,
                                  is_nilpotent, is_solvable,
                                  lower_central_series)
 
-from helpers import derivation_identity_holds
+from helpers import der_is_nilpotent, derivation_identity_holds
 
 
 def rational(mu, t=None, alpha=None):
@@ -94,6 +94,12 @@ def test_derivations_of_abelian_plane():
     assert dim == 4
 
 
+def test_derivations_of_the_line_are_gl1():
+    dim, basis = derivation_algebra(rational(abelian(1)))
+    assert dim == 1
+    assert basis == [((Fraction(1),),)]
+
+
 def test_derivation_dimension_of_catalog_entry(tables):
     dim, basis = derivation_algebra(rational(tables["mu11"].mu))
     assert dim == 12
@@ -111,6 +117,29 @@ def test_derivation_basis_self_consistency(tables):
 
 def test_abelian_plane_is_not_characteristically_nilpotent():
     assert not is_characteristically_nilpotent(rational(abelian(2)))
+
+
+def test_the_line_is_not_characteristically_nilpotent():
+    """Its identity derivation is not nilpotent, though Der = gl(1) is abelian."""
+    assert not is_characteristically_nilpotent(rational(abelian(1)))
+
+
+def test_engel_flag_agrees_with_the_commutator_series_of_der(tables, heisenberg):
+    """The Engel flag on V against the lower central series of Der (oracle).
+    Dimension 1 is left out on purpose: there Der = gl(1) is nilpotent while
+    its identity derivation is not, so the two tests differ by definition."""
+    cases = {
+        "abelian2": (rational(abelian(2)), False),
+        "abelian3": (rational(abelian(3)), False),
+        "heisenberg": (rational(heisenberg), False),
+        "mu11": (rational(tables["mu11"].mu), True),
+        "mu06 alpha=-1": (rational(tables["mu06"].mu, alpha=-1), False),
+        "mu06 alpha=2": (rational(tables["mu06"].mu, alpha=2), True),
+        "mu15 t=1": (rational(tables["mu15"].mu_t, t=1), False),
+    }
+    for name, (algebra, expected) in cases.items():
+        assert der_is_nilpotent(algebra) is expected, name
+        assert is_characteristically_nilpotent(algebra) is expected, name
 
 
 def test_catalog_entry_is_characteristically_nilpotent(tables):
