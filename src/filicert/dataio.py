@@ -62,6 +62,13 @@ VERIFIED_NAMES = ("mu01", "mu02", "mu06", "mu08", "mu09", "mu10",
 SECTION_ORDER = ("algebra", "basis-change", "brackets", "deformation",
                  "certificate", "derivation", "errata")
 
+# Resource bounds on dim and on the degree in t or alpha and the coefficient
+# bits of a power, checked before the work is done; the bundled catalog has
+# dim 8, exponents up to 13, degree 16 and 15-bit coefficients.
+MAX_DIM = 16
+MAX_DEGREE = 64
+MAX_BITS = 4096
+
 
 def data_dir() -> Path:
     """Directory holding the bundled catalog."""
@@ -76,9 +83,9 @@ class Expression:
 
     __slots__ = ()
 
-    def to_scalar(self, params: Iterable[str] = ("t", "alpha")) -> Scalar:
+    def to_scalar(self, params: Iterable[str] = ("t", "alpha"), line: int = 0) -> Scalar:
         """Elaborate a pure-scalar expression to its canonical Scalar."""
-        scalar, vector = _evaluate(self, frozenset(params), None, 0)
+        scalar, vector = _evaluate(self, frozenset(params), None, 0, line)
         if vector:
             raise ValidationError("expression contains basis symbols")
         return scalar
@@ -130,14 +137,14 @@ def _tokenize(text: str, line: int) -> list[_Token]:
             pos += 1
             continue
         start = pos
-        if ch.isdigit():
-            while pos < length and text[pos].isdigit():
+        if ch.isdecimal():
+            while pos < length and text[pos].isdecimal():
                 pos += 1
             numerator = int(text[start:pos])
             if pos < length and text[pos] == "/":
                 den_start = pos + 1
                 pos += 1
-                while pos < length and text[pos].isdigit():
+                while pos < length and text[pos].isdecimal():
                     pos += 1
                 if pos == den_start:
                     raise ParseError("missing denominator", line, pos + 1,
@@ -249,8 +256,24 @@ def parse_expression(text: str, line: int = 0) -> Expression:
     return _Parser(_tokenize(text, line), line).parse()
 
 
+def _check_power(base: Scalar, exponent: int, line: int) -> None:
+    """Reject base^exponent before it is computed if its degree in t or alpha,
+    or the bit length of its coefficients (at most the exponent times the
+    base's largest coefficient bits plus those of its term count), would
+    exceed the bounds."""
+    degree = bits = 0
+    for (e_t, e_alpha), coeff in base.iter_terms():
+        degree = max(degree, abs(e_t), e_alpha)
+        bits = max(bits, coeff.numerator.bit_length(), coeff.denominator.bit_length())
+    degree, bits = abs(exponent) * degree, abs(exponent) * (bits + base.term_count().bit_length())
+    if degree > MAX_DEGREE or bits > MAX_BITS:
+        where = f" at line {line}" if line else ""
+        raise ValidationError(f"power{where} too large: degree {degree} (at most "
+                              f"{MAX_DEGREE}), {bits}-bit coefficients (at most {MAX_BITS})")
+
+
 def _evaluate(node: Expression, params: frozenset[str],
-              basis_prefix: str | None, dim: int):
+              basis_prefix: str | None, dim: int, line: int = 0):
     if isinstance(node, Number):
         return Scalar.from_rational(node.value), {}
     if isinstance(node, SymbolRef):
@@ -259,28 +282,29 @@ def _evaluate(node: Expression, params: frozenset[str],
             return T, {}
         if name == "alpha" and "alpha" in params:
             return ALPHA, {}
-        if basis_prefix and name.startswith(basis_prefix) and name[len(basis_prefix):].isdigit():
+        if basis_prefix and name.startswith(basis_prefix) and name[len(basis_prefix):].isdecimal():
             index = int(name[len(basis_prefix):])
             if not 1 <= index <= dim:
                 raise ValidationError(f"basis index {name} out of range 1..{dim}")
             return ZERO, {index: Scalar.from_rational(1)}
         raise ValidationError(f"undeclared symbol {name!r}")
     if isinstance(node, Negate):
-        scalar, vector = _evaluate(node.operand, params, basis_prefix, dim)
+        scalar, vector = _evaluate(node.operand, params, basis_prefix, dim, line)
         return -scalar, {k: -v for k, v in vector.items()}
     if isinstance(node, Power):
         if node.exponent < 0 and not (isinstance(node.base, SymbolRef)
                                       and node.base.name == "t"):
             raise ValidationError("negative exponents are allowed only on t")
-        scalar, vector = _evaluate(node.base, params, basis_prefix, dim)
+        scalar, vector = _evaluate(node.base, params, basis_prefix, dim, line)
         if vector:
             if node.exponent != 1:
                 raise ValidationError("basis symbols cannot be raised to a power")
             return scalar, vector
+        _check_power(scalar, node.exponent, line)
         return scalar ** node.exponent, {}
     if isinstance(node, BinaryOp):
-        left_s, left_v = _evaluate(node.left, params, basis_prefix, dim)
-        right_s, right_v = _evaluate(node.right, params, basis_prefix, dim)
+        left_s, left_v = _evaluate(node.left, params, basis_prefix, dim, line)
+        right_s, right_v = _evaluate(node.right, params, basis_prefix, dim, line)
         if node.op == "+":
             merged = dict(left_v)
             for k, v in right_v.items():
@@ -302,14 +326,14 @@ def _evaluate(node: Expression, params: frozenset[str],
 
 def parse_scalar(text: str, params: Iterable[str], line: int = 0) -> Scalar:
     """Parse and elaborate a scalar expression."""
-    return parse_expression(text, line).to_scalar(params)
+    return parse_expression(text, line).to_scalar(params, line)
 
 
 def parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
                  line: int = 0) -> Column:
     """Parse a linear combination of basis symbols into a coordinate column."""
     node = parse_expression(text, line)
-    scalar, vector = _evaluate(node, frozenset(params), prefix, dim)
+    scalar, vector = _evaluate(node, frozenset(params), prefix, dim, line)
     if not scalar.is_zero():
         raise ValidationError(
             f"value must be a combination of {prefix}-symbols, found scalar part {scalar}")
@@ -371,7 +395,7 @@ class AlgebraFile:
 
 def _int_fields(text: str, count: int, line: int, what: str) -> list[int]:
     parts = text.split()
-    if len(parts) != count or not all(p.lstrip("-").isdigit() for p in parts):
+    if len(parts) != count or not all(p.lstrip("-").isdecimal() for p in parts):
         raise ParseError(f"expected {count} integer(s) after {what!r}", line, 1)
     return [int(p) for p in parts]
 
@@ -380,11 +404,11 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     """Parse and fully validate one algebra definition."""
     header: dict[str, str] = {}
     basis_rows: dict[int, str] = {}
-    bracket_rows: dict[tuple[int, int], str] = {}
     deformation_rows: dict[str, str] = {}
-    certificate_rows: dict[tuple[int, int], str] = {}
     certificate_parameter = "t"
-    derivation_rows: dict[tuple[int, int], str] = {}
+    # "i j"-keyed sections: section -> the key's leading word, and its cells
+    words = {"brackets": "bracket", "certificate": "g", "derivation": "d"}
+    cells: dict[str, dict[tuple[int, int], str]] = {word: {} for word in words.values()}
     errata_groups: list[dict[str, str]] = []
     line_of: dict = {}
 
@@ -415,23 +439,15 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             if key in header:
                 raise ValidationError(f"{source}:{line_number}: duplicate header key {key!r}")
             header[key] = value
+            line_of[("algebra", key)] = line_number
         elif section == "basis-change":
-            if not (key.startswith("Y") and key[1:].isdigit()):
+            if not (key.startswith("Y") and key[1:].isdecimal()):
                 raise ValidationError(f"{source}:{line_number}: expected 'Y<i> = ...'")
             index = int(key[1:])
             if index in basis_rows:
                 raise ValidationError(f"{source}:{line_number}: duplicate row for {key}")
             basis_rows[index] = value
             line_of[("basis", index)] = line_number
-        elif section == "brackets":
-            parts = key.split()
-            if len(parts) != 3 or parts[0] != "bracket":
-                raise ValidationError(f"{source}:{line_number}: expected 'bracket i j = ...'")
-            i, j = _int_fields(" ".join(parts[1:]), 2, line_number, "bracket")
-            if (i, j) in bracket_rows:
-                raise ValidationError(f"{source}:{line_number}: duplicate bracket ({i}, {j})")
-            bracket_rows[(i, j)] = value
-            line_of[("bracket", i, j)] = line_number
         elif section == "deformation":
             if key not in ("ideal", "outside", "D"):
                 raise ValidationError(f"{source}:{line_number}: unknown deformation key {key!r}")
@@ -439,30 +455,21 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                 raise ValidationError(f"{source}:{line_number}: duplicate key {key!r}")
             deformation_rows[key] = value
             line_of[("deformation", key)] = line_number
-        elif section == "certificate":
-            if key == "parameter":
-                if value not in ("t", "1/t"):
-                    raise ValidationError(
-                        f"{source}:{line_number}: parameter must be 't' or '1/t'")
-                certificate_parameter = value
-                continue
+        elif section == "certificate" and key == "parameter":
+            if value not in ("t", "1/t"):
+                raise ValidationError(
+                    f"{source}:{line_number}: parameter must be 't' or '1/t'")
+            certificate_parameter = value
+        elif section in words:
+            word = words[section]
             parts = key.split()
-            if len(parts) != 3 or parts[0] != "g":
-                raise ValidationError(f"{source}:{line_number}: expected 'g i j = ...'")
-            i, j = _int_fields(" ".join(parts[1:]), 2, line_number, "g")
-            if (i, j) in certificate_rows:
-                raise ValidationError(f"{source}:{line_number}: duplicate entry g {i} {j}")
-            certificate_rows[(i, j)] = value
-            line_of[("g", i, j)] = line_number
-        elif section == "derivation":
-            parts = key.split()
-            if len(parts) != 3 or parts[0] != "d":
-                raise ValidationError(f"{source}:{line_number}: expected 'd i j = ...'")
-            i, j = _int_fields(" ".join(parts[1:]), 2, line_number, "d")
-            if (i, j) in derivation_rows:
-                raise ValidationError(f"{source}:{line_number}: duplicate entry d {i} {j}")
-            derivation_rows[(i, j)] = value
-            line_of[("d", i, j)] = line_number
+            if len(parts) != 3 or parts[0] != word:
+                raise ValidationError(f"{source}:{line_number}: expected '{word} i j = ...'")
+            i, j = _int_fields(" ".join(parts[1:]), 2, line_number, word)
+            if (i, j) in cells[word]:
+                raise ValidationError(f"{source}:{line_number}: duplicate entry {word} {i} {j}")
+            cells[word][(i, j)] = value
+            line_of[(word, i, j)] = line_number
         elif section == "errata":
             if key not in ("entry", "original", "corrected", "note"):
                 raise ValidationError(f"{source}:{line_number}: unknown errata key {key!r}")
@@ -476,6 +483,10 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                     raise ValidationError(f"{source}:{line_number}: duplicate {key!r}")
                 errata_groups[-1][key] = value
 
+    def fail(key, message):
+        line = line_of.get(key, 0)
+        return ValidationError(f"{source}:{line}: {message}")
+
     # -- header ------------------------------------------------------------
     if "algebra" not in seen_sections:
         raise ValidationError(f"{source}: missing [algebra] section")
@@ -485,16 +496,13 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     name = header["name"]
     if not name:
         raise ValidationError(f"{source}: empty algebra name")
-    if not header["dim"].isdigit() or int(header["dim"]) < 1:
-        raise ValidationError(f"{source}: dim must be a positive integer")
-    dim = int(header["dim"])
+    dim_text = header["dim"]
+    if not (dim_text.isdecimal() and len(dim_text) <= 4 and 1 <= int(dim_text) <= MAX_DIM):
+        raise fail(("algebra", "dim"), f"dim must be an integer from 1 to {MAX_DIM}")
+    dim = int(dim_text)
     params = tuple(header.get("params", "").split())
     if not set(params) <= {"alpha"}:
         raise ValidationError(f"{source}: params may only declare 'alpha'")
-
-    def fail(key, message):
-        line = line_of.get(key, 0)
-        return ValidationError(f"{source}:{line}: {message}")
 
     # -- basis change ------------------------------------------------------
     basis_change = None
@@ -511,7 +519,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     brackets = None
     if "brackets" in seen_sections:
         brackets = {}
-        for (i, j), value in bracket_rows.items():
+        for (i, j), value in cells["bracket"].items():
             if not 1 <= i < j <= dim:
                 raise fail(("bracket", i, j), f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
             brackets[(i, j)] = parse_column(value, dim, "Y", params,
@@ -524,13 +532,13 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             if required not in deformation_rows:
                 raise ValidationError(f"{source}: missing deformation key {required!r}")
         ideal_parts = deformation_rows["ideal"].split()
-        if not ideal_parts or not all(p.isdigit() for p in ideal_parts):
+        if not ideal_parts or not all(p.isdecimal() for p in ideal_parts):
             raise fail(("deformation", "ideal"), "ideal must list basis indices")
         ideal = tuple(int(p) for p in ideal_parts)
         if len(set(ideal)) != len(ideal) or not all(1 <= k <= dim for k in ideal):
             raise fail(("deformation", "ideal"), "ideal indices must be distinct and in range")
         outside_text = deformation_rows["outside"]
-        if not outside_text.isdigit() or not 1 <= int(outside_text) <= dim:
+        if not outside_text.isdecimal() or not 1 <= int(outside_text) <= dim:
             raise fail(("deformation", "outside"), "outside must be a basis index")
         outside = int(outside_text)
         if outside in ideal:
@@ -545,25 +553,20 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             raise fail(("deformation", "D"), "D must list one rational per ideal index")
         deformation = DeformationBlock(ideal, outside, diagonal)
 
-    # -- certificate -------------------------------------------------------
-    certificate = None
-    if "certificate" in seen_sections:
-        certificate = {}
-        for (i, j), value in certificate_rows.items():
+    def square_cells(word, what):
+        for (i, j), value in cells[word].items():
             if not (1 <= i <= dim and 1 <= j <= dim):
-                raise fail(("g", i, j), f"certificate indices ({i}, {j}) out of range")
-            certificate[(i, j)] = parse_scalar(value, params + ("t",),
-                                               line_of[("g", i, j)])
+                raise fail((word, i, j), f"{what} indices ({i}, {j}) out of range")
+            yield (i, j), value, line_of[(word, i, j)]
 
-    # -- inert derivation metadata ------------------------------------------
-    derivation_meta = None
+    # -- certificate and inert derivation metadata -------------------------
+    certificate = derivation_meta = None
+    if "certificate" in seen_sections:
+        certificate = {key: parse_scalar(value, params + ("t",), line)
+                       for key, value, line in square_cells("g", "certificate")}
     if "derivation" in seen_sections:
-        derivation_meta = {}
-        for (i, j), value in derivation_rows.items():
-            if not (1 <= i <= dim and 1 <= j <= dim):
-                raise fail(("d", i, j), f"derivation indices ({i}, {j}) out of range")
-            derivation_meta[(i, j)] = parse_scalar(
-                value, (), line_of[("d", i, j)]).constant_value()
+        derivation_meta = {key: parse_scalar(value, (), line).constant_value()
+                           for key, value, line in square_cells("d", "derivation")}
 
     # -- errata --------------------------------------------------------------
     errata = []
@@ -589,7 +592,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
 def _errata_target(target: str, dim: int, source: str) -> str:
     parts = target.split()
     if len(parts) == 3 and parts[0] in ("g", "bracket") \
-            and parts[1].isdigit() and parts[2].isdigit():
+            and parts[1].isdecimal() and parts[2].isdecimal():
         i, j = int(parts[1]), int(parts[2])
         if 1 <= i <= dim and 1 <= j <= dim:
             return parts[0]

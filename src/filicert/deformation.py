@@ -162,14 +162,16 @@ def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
                 if not column_is_zero(residual)]
     note = "certificate parametrized by 1/t" if reciprocal else ""
     report.stages["eq1"] = StageResult(not failures, tuple(failures), note)
+    report.stages["unit-det"] = _unit_det_stage(g)
+    return report
+
+
+def _unit_det_stage(g: ScalarMatrix) -> StageResult:
     det = g.det()
     if det.is_unit_monomial():
-        report.stages["unit-det"] = StageResult(True, note=f"det = {det}")
-    else:
-        report.stages["unit-det"] = StageResult(
-            False, (Failure((), None, f"det = {det}"),),
-            "determinant is not a single term c*t^k")
-    return report
+        return StageResult(True, note=f"det = {det}")
+    return StageResult(False, (Failure((), None, f"det = {det}"),),
+                       "determinant is not a single term c*t^k")
 
 
 def _eq1_residuals(mu1: StructureConstants, mu_t: StructureConstants,
@@ -239,12 +241,14 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     derivation, cocycle, bracket, eq1, unit-det, limit, spectrum.  The
     jacobi, cocycle and bracket stages are read off one Jacobi expansion of
     mu + t*phi.  Failures are collected, never raised, so a corrupted table
-    yields a localized report rather than an exception.
+    yields a localized report rather than an exception; an outside index in
+    the ideal or out of range fails the ideal stage, and the stages that
+    need mu_D are skipped.
     """
     report = VerificationReport(name)
 
-    ideal_ok = (is_ideal(mu, ideal) and outside_index not in ideal
-                and len(ideal) == mu.dim - 1)
+    complement_ok = 1 <= outside_index <= mu.dim and outside_index not in ideal
+    ideal_ok = complement_ok and is_ideal(mu, ideal) and len(ideal) == mu.dim - 1
     report.stages["ideal"] = StageResult(
         ideal_ok, () if ideal_ok else (Failure(tuple(ideal.indices), None,
                                                "subspace is not a codimension-1 ideal"),))
@@ -258,21 +262,24 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     else:
         report.stages["derivation"] = StageResult(False, note="skipped: ideal stage failed")
 
-    phi, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
-    expansion = jacobi_check(mu, phi)
+    if complement_ok:
+        phi, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+        expansion = jacobi_check(mu, phi)
+        report.stages["cocycle"] = StageResult(not expansion.coefficient(1))
+        report.stages["bracket"] = StageResult(not expansion.coefficient(2))
+        report.stages.update(verify_degeneration(mu1, mu_t, g, reciprocal=reciprocal).stages)
+        report.stages["limit"] = StageResult(limit_check(mu_t, mu))
+    else:
+        # without a complement vector there is no mu_D and no family mu_t
+        expansion = jacobi_check(mu)
+        for stage in ("cocycle", "bracket", "eq1", "limit"):
+            report.stages[stage] = StageResult(False, note="skipped: ideal stage failed")
+        report.stages["unit-det"] = _unit_det_stage(g)
     jacobi_failures = [Failure(triple, residual, "bracket of the algebra")
                        for triple, residual in expansion.coefficient(0)]
     jacobi_failures.extend(Failure(triple, residual, "bracket of the deformed family")
-                           for triple, residual in expansion.failures)
+                           for triple, residual in expansion.failures if complement_ok)
     report.stages["jacobi"] = StageResult(not jacobi_failures, tuple(jacobi_failures))
-    report.stages["cocycle"] = StageResult(not expansion.coefficient(1))
-    report.stages["bracket"] = StageResult(not expansion.coefficient(2))
-
-    eq1_report = verify_degeneration(mu1, mu_t, g, reciprocal=reciprocal)
-    report.stages["eq1"] = eq1_report.stages["eq1"]
-    report.stages["unit-det"] = eq1_report.stages["unit-det"]
-
-    report.stages["limit"] = StageResult(limit_check(mu_t, mu))
 
     try:
         spectrum_ok = block_spectrum_check(g, ideal, derivation)
@@ -280,8 +287,7 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     except NotInvariant as exc:
         report.stages["spectrum"] = StageResult(False, (Failure((), None, str(exc)),))
 
-    ordered = {stage: report.stages[stage] for stage in STAGES if stage in report.stages}
-    report.stages = ordered
+    report.stages = {stage: report.stages[stage] for stage in STAGES if stage in report.stages}
     return report
 
 

@@ -65,14 +65,9 @@ class RationalAlgebra:
         return cls(mu.dim, table, mu.name)
 
     def bracket(self, i: int, j: int) -> Vector:
-        if i == j:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        if i < j:
-            return self.table.get((i, j), tuple(Fraction(0) for _ in range(self.dim)))
-        column = self.table.get((j, i))
-        if column is None:
-            return tuple(Fraction(0) for _ in range(self.dim))
-        return tuple(-x for x in column)
+        if i <= j:  # the table holds only pairs i < j
+            return self.table.get((i, j), (Fraction(0),) * self.dim)
+        return tuple(-x for x in self.table.get((j, i), (Fraction(0),) * self.dim))
 
     def bracket_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
         out = [Fraction(0)] * self.dim
@@ -148,36 +143,33 @@ def derivation_algebra(algebra: RationalAlgebra) -> tuple[int, list[Matrix]]:
     """Exact basis of {E : E[x,y] = [Ex,y] + [x,Ey]}.
 
     Assembles the full linear system over all basis pairs (n^2 unknowns,
-    one equation per pair and component) and extracts its nullspace.
+    one equation per pair and component) and extracts its nullspace, so each
+    basis matrix, read row by row, is a primitive integer vector.
     """
     n = algebra.dim
     unknowns = n * n
-
-    def slot(row: int, col: int) -> int:  # 1-based matrix position -> unknown
-        return (row - 1) * n + (col - 1)
-
+    indices = range(1, n + 1)
+    brackets = {(a, b): algebra.bracket(a, b) for a in indices for b in indices}
     rows = []
-    for i, j in combinations(range(1, n + 1), 2):
-        bracket_ij = algebra.bracket(i, j)
-        for k in range(1, n + 1):
-            coeffs = [Fraction(0)] * unknowns
-            for a in range(1, n + 1):
-                value = algebra.bracket(a, j)[k - 1]
+    for i, j in combinations(indices, 2):
+        bracket_ij = brackets[i, j]
+        for k in range(n):
+            # unknown (r - 1) * n + (c - 1) is the matrix entry E[r][c], 1-based
+            coeffs = [0] * unknowns
+            for a in indices:
+                value = brackets[a, j][k]
                 if value:
-                    coeffs[slot(a, i)] += value
-            for b in range(1, n + 1):
-                value = algebra.bracket(i, b)[k - 1]
+                    coeffs[(a - 1) * n + i - 1] += value
+                value = brackets[i, a][k]
                 if value:
-                    coeffs[slot(b, j)] += value
-            for m in range(1, n + 1):
-                if bracket_ij[m - 1]:
-                    coeffs[slot(k, m)] -= bracket_ij[m - 1]
+                    coeffs[(a - 1) * n + j - 1] += value
+            for m, value in enumerate(bracket_ij):
+                if value:
+                    coeffs[k * n + m] -= value
             rows.append(tuple(coeffs))
     # dim 1 has no pairs: one zero row gives the system its n^2 columns
-    basis_vectors = RationalMatrix(tuple(rows or [(Fraction(0),) * unknowns])).nullspace()
-    matrices = [tuple(tuple(vec[(r - 1) * n + (c - 1)] for c in range(1, n + 1))
-                      for r in range(1, n + 1))
-                for vec in basis_vectors]
+    basis_vectors = RationalMatrix(tuple(rows or [(0,) * unknowns])).nullspace()
+    matrices = [tuple(vec[r * n:(r + 1) * n] for r in range(n)) for vec in basis_vectors]
     return len(matrices), matrices
 
 
@@ -188,13 +180,24 @@ def is_characteristically_nilpotent(algebra: RationalAlgebra) -> bool:
     reaches 0 within dim V steps; each step spans the images of the current
     vectors under the basis derivations.  For a nilpotent algebra of
     dimension >= 2 it is the same as "Der is nilpotent" (Leger-Togo); on a
-    non-nilpotent algebra both are false.
+    non-nilpotent algebra both are false.  Der and flag vectors are primitive
+    integer vectors: products run over ints and nonzero derivation entries.
     """
     _, der_basis = derivation_algebra(algebra)
+    derivations = [[[(c, _integer(x)) for c, x in enumerate(row) if x] for row in matrix]
+                   for matrix in der_basis]
     current = algebra.basis()
     for _ in range(algebra.dim):
-        current = span_basis(tuple(sum(x * y for x, y in zip(row, v)) for row in matrix)
-                             for matrix in der_basis for v in current)
+        vectors = [[_integer(x) for x in v] for v in current]
+        current = span_basis(tuple(sum(x * v[c] for c, x in row) for row in matrix)
+                             for matrix in derivations for v in vectors)
         if not current:
             return True
     return False
+
+
+def _integer(x: Fraction) -> int:
+    """An integral rational as an int; never truncates."""
+    if x.denominator != 1:
+        raise ValueError(f"{x} is not an integer")
+    return x.numerator

@@ -6,17 +6,19 @@ Laurent ring Q[alpha][t, 1/t].  Inverses require a unit determinant c*t^k and
 are obtained fraction-free (Bareiss/Montante form of Gauss-Jordan), so the
 only division ever performed on Scalars is exact.
 
-:class:`RationalMatrix` provides fraction-free (Bareiss) rank, row-space and
-right-nullspace computations over Q, with pivots chosen as the first nonzero
-entry in row-major order and results normalized at the end, so every output
-is deterministic.
+:class:`RationalMatrix` provides row-space and right-nullspace computations
+over Q by sparse Gauss-Jordan elimination on primitive integer rows.  Both
+are read off the reduced row echelon form, which is canonical, so every
+output is deterministic and independent of the order of the rows.  Their
+vectors are primitive integer vectors (all denominators 1) with positive
+leading entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, NotAUnit
@@ -164,68 +166,63 @@ class ScalarMatrix:
 # -- rational matrices ------------------------------------------------------
 
 
-def _row_to_integers(row: Sequence[Fraction]) -> list[int]:
-    denom_lcm = 1
-    for x in row:
-        d = x.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    return [int(x * denom_lcm) for x in row]
+def _normalize(row: dict[int, int]) -> None:
+    """Divide an integer row by its content, signed so that its leading
+    entry becomes positive, in place."""
+    if row:
+        content = gcd(*row.values())
+        if row[min(row)] < 0:
+            content = -content
+        if content != 1:
+            for c in row:
+                row[c] //= content
 
 
-def _bareiss_echelon(m: list[list[int]]) -> list[tuple[int, int]]:
-    """In-place fraction-free row echelon; returns the pivot positions.
+def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
+    """Clear column c of `row` with `pivot_row` (pivot_row[c] > 0), in place,
+    touching only the nonzero columns of the two rows."""
+    common = gcd(pivot_row[c], row[c])
+    scale, factor = pivot_row[c] // common, row[c] // common
+    for k in row:
+        row[k] *= scale
+    for k, value in pivot_row.items():
+        entry = row.get(k, 0) - factor * value
+        if entry:
+            row[k] = entry
+        else:
+            del row[k]
+    _normalize(row)
 
-    Pivot choice is the first nonzero entry in row-major order, which makes
-    every downstream basis deterministic.
+
+def _rref(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, int]]:
+    """Sparse Gauss-Jordan over the integers: pivot column -> RREF row.
+
+    Rows are {column: int}, primitive, positive in their pivot (leading)
+    column.  Each incoming row is reduced against the pivot rows so far; a
+    nonzero remainder becomes a pivot row and is eliminated from the others.
+    The RREF of a row space is unique, so the result depends neither on the
+    order of the rows nor on repeated or zero rows.
     """
-    n_rows = len(m)
-    n_cols = len(m[0]) if m else 0
-    pivots: list[tuple[int, int]] = []
-    previous = 1
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            m[r], m[pivot_row] = m[pivot_row], m[r]
-        pivot = m[r][c]
-        for i in range(r + 1, n_rows):
-            factor = m[i][c]
-            row = m[i]
-            top = m[r]
-            for j in range(c + 1, n_cols):
-                row[j] = (pivot * row[j] - factor * top[j]) // previous
-            row[c] = 0
-        previous = pivot
-        pivots.append((r, c))
-        r += 1
+    pivots: dict[int, dict[int, int]] = {}
+    for values in rows:
+        entries = {c: x for c, x in enumerate(values) if x}
+        scale = lcm(*(x.denominator for x in entries.values()))
+        row = {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
+        for c in [c for c in row if c in pivots]:
+            _eliminate(row, pivots[c], c)
+        if row:
+            _normalize(row)
+            lead = min(row)
+            for other in pivots.values():
+                if lead in other:
+                    _eliminate(other, row, lead)
+            pivots[lead] = row
     return pivots
-
-
-def _primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to a primitive integer vector with positive leading entry."""
-    denom_lcm = 1
-    for x in vector:
-        d = x.denominator
-        denom_lcm = denom_lcm * d // gcd(denom_lcm, d)
-    ints = [int(x * denom_lcm) for x in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in ints)
-    lead = next(v for v in ints if v)
-    if lead < 0:
-        g = -g
-    return tuple(Fraction(v, g) for v in ints)
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Rectangular matrix of exact rationals."""
+    """Rectangular matrix of exact rationals (Fractions or ints)."""
 
     rows: tuple[tuple[Fraction, ...], ...]
 
@@ -246,49 +243,37 @@ class RationalMatrix:
     def n_cols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def _integer_copy(self) -> list[list[int]]:
-        return [_row_to_integers(row) for row in self.rows]
-
     def nullspace(self) -> list[tuple[Fraction, ...]]:
         """Basis of the right nullspace; empty iff full column rank.
 
-        One basis vector per free column, each normalized to a primitive
-        integer vector with positive leading entry.
+        One vector per free column f of the RREF, in increasing order of f:
+        vec[f] = 1, vec[c] = -row[f]/row[c] for the pivot row of each pivot
+        column c, 0 elsewhere.  Postcondition: every vector is a primitive
+        integer vector (all denominators 1) with positive leading entry.
         """
         n_cols = self.n_cols
-        if not self.rows or n_cols == 0:
-            return [tuple(Fraction(1) if j == f else Fraction(0) for j in range(n_cols))
-                    for f in range(n_cols)]
-        m = self._integer_copy()
-        pivots = _bareiss_echelon(m)
-        pivot_cols = [c for _, c in pivots]
-        free_cols = [c for c in range(n_cols) if c not in pivot_cols]
+        pivots = _rref(self.rows)
         basis = []
-        for free in free_cols:
-            vec = [Fraction(0)] * n_cols
-            vec[free] = Fraction(1)
-            for r, c in reversed(pivots):
-                if c > free:
-                    continue
-                total = sum((Fraction(m[r][j]) * vec[j] for j in range(c + 1, n_cols)),
-                            Fraction(0))
-                vec[c] = -total / m[r][c]
-            basis.append(_primitive(vec))
+        for free in (f for f in range(n_cols) if f not in pivots):
+            hits = [(c, row) for c, row in pivots.items() if free in row]
+            vec = [0] * n_cols
+            vec[free] = lcm(*(row[c] for c, row in hits))
+            for c, row in hits:
+                vec[c] = -row[free] * (vec[free] // row[c])
+            content = gcd(*vec) if next(v for v in vec if v) > 0 else -gcd(*vec)
+            basis.append(tuple(Fraction(v // content) for v in vec))
         return basis
 
     def row_space_basis(self) -> list[tuple[Fraction, ...]]:
-        """Deterministic basis of the row space (normalized echelon rows)."""
-        if not self.rows or self.n_cols == 0:
-            return []
-        m = self._integer_copy()
-        pivots = _bareiss_echelon(m)
-        return [_primitive([Fraction(x) for x in m[r]]) for r, _ in pivots]
+        """Basis of the row space: the RREF rows in pivot order, each scaled
+        to a primitive integer vector with positive leading entry."""
+        n_cols = self.n_cols
+        return [tuple(Fraction(row.get(c, 0)) for c in range(n_cols))
+                for _, row in sorted(_rref(self.rows).items())]
 
 
 def span_basis(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Basis of the span of the given rational vectors (deterministic)."""
-    rows = [tuple(Fraction(x) for x in v) for v in vectors]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return []
-    return RationalMatrix(tuple(rows)).row_space_basis()
+    """Basis of the span of rational vectors: the primitive RREF rows, so
+    the same for any order or repetition of the vectors.  Postcondition as
+    for :meth:`RationalMatrix.nullspace`: integral and primitive."""
+    return RationalMatrix(tuple(tuple(v) for v in vectors)).row_space_basis()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
@@ -182,21 +183,56 @@ def eval_poly_at_matrix(poly: UniPoly, matrix: ScalarMatrix) -> ScalarMatrix:
     return result
 
 
-def rank(matrix: RationalMatrix) -> int:
-    """Rank by Gaussian elimination over Fraction: the oracle for the
-    fraction-free Bareiss routines."""
-    rows = [list(row) for row in matrix.rows]
-    found = 0
-    for c in range(matrix.n_cols):
-        pivot = next((i for i in range(found, len(rows)) if rows[i][c]), None)
+def reference_rref(rows: Sequence[Sequence[Fraction]]) -> list[tuple[int, list[Fraction]]]:
+    """Reduced row echelon form by Gauss-Jordan elimination over Fraction:
+    the oracle for the sparse integer kernel of `linalg`.  Returns
+    (pivot column, row) with row[pivot] == 1, in pivot order."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    n_cols = len(work[0]) if work else 0
+    found = []
+    for c in range(n_cols):
+        r = len(found)
+        pivot = next((i for i in range(r, len(work)) if work[i][c]), None)
         if pivot is None:
             continue
-        rows[found], rows[pivot] = rows[pivot], rows[found]
-        for i in range(found + 1, len(rows)):
-            factor = rows[i][c] / rows[found][c]
-            rows[i] = [x - factor * y for x, y in zip(rows[i], rows[found])]
-        found += 1
-    return found
+        work[r], work[pivot] = work[pivot], work[r]
+        work[r] = [x / work[r][c] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][c]:
+                factor = work[i][c]
+                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        found.append(c)
+    return [(c, work[r]) for r, c in enumerate(found)]
+
+
+def primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """The primitive integer multiple of a nonzero rational vector with
+    positive leading entry."""
+    scale = lcm(*(x.denominator for x in vector))
+    ints = [int(x * scale) for x in vector]
+    content = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        content = -content
+    return tuple(Fraction(v, content) for v in ints)
+
+
+def reference_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list[tuple[Fraction, ...]]:
+    """One primitive nullspace vector per free column of the reference RREF."""
+    echelon = reference_rref(rows)
+    pivots = [c for c, _ in echelon]
+    basis = []
+    for free in (c for c in range(n_cols) if c not in pivots):
+        vec = [Fraction(0)] * n_cols
+        vec[free] = Fraction(1)
+        for c, row in echelon:
+            vec[c] = -row[free]
+        basis.append(primitive(vec))
+    return basis
+
+
+def rank(matrix: RationalMatrix) -> int:
+    """Rank from the reference RREF."""
+    return len(reference_rref(matrix.rows))
 
 
 def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:

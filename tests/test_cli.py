@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import time
 
 import pytest
 
@@ -185,3 +186,44 @@ def test_outside_index_inside_the_ideal_is_an_input_error(capsys, tmp_path, corp
     assert out == ""
     assert re.fullmatch(r"error: mu17:\d+: outside = 2 lies inside the ideal "
                         r"\(2 3 4 5 6 7 8\)\n", err)
+
+
+@pytest.mark.parametrize("cell", ["(1+t)^4000", "((1+t)^64)^64", "t^-65",
+                                  "((((7^64)^64)^64)^64)"])
+def test_oversized_expressions_are_rejected_at_parse_time(capsys, tmp_path, cell):
+    from filicert.dataio import data_dir
+
+    text = (data_dir() / "mu11").read_text(encoding="utf-8")
+    line = next(n for n, row in enumerate(text.splitlines(), start=1)
+                if row.startswith("g 3 1 ="))
+    lines = text.splitlines()
+    lines[line - 1] = f"g 3 1 = {cell}"
+    (tmp_path / "mu11").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(rf"error: power at line {line} too large: .*\n", err)
+
+
+def test_dimension_is_bounded(capsys, tmp_path):
+    (tmp_path / "big").write_text("[algebra]\nname = big\n\ndim = 100000000\n")
+    code, out, err = run(capsys, "invariants", "big", "--data", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: big:4: dim must be an integer from 1 to 16\n"
+
+
+@pytest.mark.parametrize("old, new", [("dim = 8", "dim = ²"),
+                                      ("bracket 1 3 = -Y5", "bracket 1 3 = -²*Y5"),
+                                      ("bracket 1 3 =", "bracket 1 ³ ="),
+                                      ("outside = 1", "outside = ¹")])
+def test_non_ascii_digits_are_an_input_error(capsys, tmp_path, old, new):
+    from filicert.dataio import data_dir
+
+    text = (data_dir() / "mu11").read_text(encoding="utf-8")
+    assert old in text
+    (tmp_path / "mu11").write_text(text.replace(old, new, 1), encoding="utf-8")
+    code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

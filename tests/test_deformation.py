@@ -151,6 +151,24 @@ def test_ideal_stage_requires_codimension_one(tables):
     assert report.stages["derivation"].note == "skipped: ideal stage failed"
 
 
+@pytest.mark.parametrize("outside", [2, 9, 0])
+def test_complement_index_in_the_ideal_or_out_of_range_is_reported(tables, outside):
+    data = tables["mu17"]
+    report = run_certificate_checks("mu17", data.mu, data.ideal, outside,
+                                    data.derivation, data.g)
+    assert tuple(report.stages) == STAGES
+    ideal = report.stages["ideal"]
+    assert not ideal.ok
+    assert [(f.indices, f.note) for f in ideal.failures] == [
+        ((2, 3, 4, 5, 6, 7, 8), "subspace is not a codimension-1 ideal")]
+    for stage in ("derivation", "cocycle", "bracket", "eq1", "limit"):
+        assert report.stages[stage].note == "skipped: ideal stage failed"
+        assert not report.stages[stage].ok
+    assert report.stages["jacobi"].ok
+    assert report.stages["unit-det"].ok
+    assert report.stages["spectrum"].ok
+
+
 def test_reciprocal_certificate_satisfies_literal_identity(tables):
     data = tables["mu08"]
     assert data.reciprocal

@@ -1,5 +1,5 @@
 """Whole-program checks: pinned stdout of the certify and invariants commands,
-and the demos."""
+pinned derivation algebras, and the demos."""
 
 from __future__ import annotations
 
@@ -12,10 +12,20 @@ from pathlib import Path
 
 import pytest
 
-from filicert.cli import main
+from filicert import VERIFIED_NAMES, RationalAlgebra, structure_constants
+from filicert.cli import DEFAULT_ALPHA_SAMPLES, main
+from filicert.invariants import derivation_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = json.loads((ROOT / "bench" / "stdout_sha256.json").read_text(encoding="utf-8"))
+# sha256 of the stdout of the whole-catalog invariant suite, and of the Der
+# bases of the 26 base specializations serialized as in the test below.
+CATALOG_INVARIANTS = {
+    "invariants": "a42882a20e8b845ca72cd20a59be84c9044e724cdd26625ae225a44078424617",
+    "invariants --format machine":
+        "3d661ffd90dcbafb9adcb01ab50abe2b2f166f856e307a6452f3c8e9584d2a61",
+}
+DER_BASES = "263b2031c38c6828c17c494702461810cd91e3921630f79b4432fabeb7f8c1c2"
 
 
 @pytest.mark.parametrize("command", sorted(PINS["certify"]))
@@ -30,6 +40,30 @@ def test_invariants_stdout_matches_the_pinned_digest(capsys, command):
     main(command.split())
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS["invariants"][command]
+
+
+@pytest.mark.parametrize("command", sorted(CATALOG_INVARIANTS))
+def test_catalog_invariants_stdout_matches_the_pinned_digest(capsys, command):
+    assert main(command.split()) == 1  # criterion 5: mu06 at alpha = -1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_INVARIANTS[command]
+
+
+def der_bases_digest(corpus) -> str:
+    digest = hashlib.sha256()
+    for name in VERIFIED_NAMES:
+        alg = corpus[name]
+        mu = structure_constants(alg, corrected=True)
+        for alpha in DEFAULT_ALPHA_SAMPLES if "alpha" in alg.params else (None,):
+            dim, basis = derivation_algebra(RationalAlgebra.from_structure(mu, alpha=alpha))
+            matrices = ";".join(" ".join(str(x) for row in matrix for x in row)
+                                for matrix in basis)
+            digest.update(f"{name} alpha={alpha} dim={dim}: {matrices}\n".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def test_der_bases_match_the_pinned_digest(corpus):
+    assert der_bases_digest(corpus) == DER_BASES
 
 
 @pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from conftest import abelian
 from filicert import RationalAlgebra, ValidationError
-from filicert.invariants import (center_dim, derivation_algebra,
+from filicert.invariants import (_integer, center_dim, derivation_algebra,
                                  derived_series, filiform_profile,
                                  is_characteristically_nilpotent, is_filiform,
                                  is_nilpotent, is_solvable,
@@ -111,6 +112,27 @@ def test_derivation_basis_self_consistency(tables):
         _, basis = derivation_algebra(algebra)
         for matrix in basis:
             assert derivation_identity_holds(algebra, matrix)
+
+
+def test_derivation_bases_are_primitive_integer_vectors(tables):
+    for name in ("mu06", "mu11", "mu15"):
+        data = tables[name]
+        alphas = (Fraction(-1), Fraction(2)) if name == "mu06" else (None,)
+        for algebra in [rational(data.mu, alpha=a) for a in alphas] + \
+                [rational(data.mu_t, t=2, alpha=a) for a in alphas]:
+            _, basis = derivation_algebra(algebra)
+            assert basis
+            for matrix in basis:
+                entries = [x for row in matrix for x in row]
+                assert all(x.denominator == 1 for x in entries)
+                assert gcd(*(x.numerator for x in entries)) == 1
+                assert next(x for x in entries if x) > 0
+
+
+def test_engel_flag_never_truncates_a_fraction():
+    assert _integer(Fraction(-6, 1)) == -6
+    with pytest.raises(ValueError):
+        _integer(Fraction(7, 2))
 
 
 # -- characteristic nilpotency -------------------------------------------------------------

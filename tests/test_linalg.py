@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,8 +13,9 @@ from filicert import NotAUnit, RationalMatrix, ScalarMatrix, Scalar, UniPoly
 from filicert.linalg import span_basis
 from filicert.scalar import ONE, T, ZERO
 
-from helpers import (eval_poly_at_matrix, laplace_det, rand_scalar,
-                     rand_scalar_matrix, rand_unit_triangular, rank)
+from helpers import (eval_poly_at_matrix, laplace_det, primitive, rand_scalar,
+                     rand_scalar_matrix, rand_unit_triangular, rank,
+                     reference_nullspace, reference_rref)
 
 
 def basis_column(n, i):
@@ -211,3 +213,79 @@ def test_derived_algebra_span_of_catalog_entry(tables):
         column = mu.bracket(i, j)
         vectors.append(tuple(entry.constant_value() for entry in column))
     assert len(span_basis(vectors)) == 6
+
+
+# -- the sparse integer kernel against the Fraction Gauss-Jordan oracle -------------
+
+def sparse_rows(rng, n_rows, n_cols, density=0.3):
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density
+             else Fraction(0) for _ in range(n_cols)] for _ in range(n_rows)]
+
+
+def awkward_rows(rng, rows):
+    """The rows with zero rows, duplicates and rescaled copies mixed in."""
+    n_cols = len(rows[0])
+    out = list(rows)
+    for _ in range(rng.randint(1, 3)):
+        out.insert(rng.randrange(len(out) + 1), [Fraction(0)] * n_cols)
+        source = rng.choice(rows)
+        factor = Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+        out.insert(rng.randrange(len(out) + 1), list(source))
+        out.insert(rng.randrange(len(out) + 1), [factor * x for x in source])
+    return out
+
+
+def random_shapes(seed):
+    """(rows, n_cols): single rows, wide, tall and square shapes, some with
+    zero columns, all with zero, duplicate and rescaled rows."""
+    rng = random.Random(seed)
+    for n_rows, n_cols in [(1, 1), (1, 6), (2, 9), (3, 12), (5, 5), (8, 8),
+                           (12, 4), (20, 6), (30, 16), (40, 25)] * 3:
+        rows = sparse_rows(rng, n_rows, n_cols, rng.choice([0.15, 0.3, 0.6]))
+        for c in rng.sample(range(n_cols), rng.randint(0, n_cols // 3)):
+            for row in rows:
+                row[c] = Fraction(0)
+        yield awkward_rows(rng, rows), n_cols
+
+
+def is_primitive_integral(vector):
+    ints = [x.numerator for x in vector]
+    content = 0
+    for v in ints:
+        content = gcd(content, v)
+    return (all(x.denominator == 1 for x in vector) and content == 1
+            and next(v for v in ints if v) > 0)
+
+
+def test_nullspace_equals_the_reference_basis():
+    for rows, n_cols in random_shapes(31):
+        assert RationalMatrix.from_rows(rows).nullspace() == reference_nullspace(rows, n_cols)
+
+
+def test_row_space_basis_is_the_primitive_reference_rref():
+    for rows, _ in random_shapes(37):
+        expected = [primitive(row) for _, row in reference_rref(rows)]
+        assert RationalMatrix.from_rows(rows).row_space_basis() == expected
+
+
+def test_span_basis_ignores_row_order_and_repetition():
+    rng = random.Random(41)
+    for rows, _ in random_shapes(43):
+        basis = span_basis(rows)
+        shuffled = rows + rng.sample(rows, len(rows) // 2)
+        rng.shuffle(shuffled)
+        assert span_basis(shuffled) == basis
+        assert span_basis(tuple(row) for row in reversed(rows)) == basis
+
+
+def test_kernel_outputs_are_primitive_integer_vectors():
+    for rows, _ in random_shapes(47):
+        matrix = RationalMatrix.from_rows(rows)
+        for vector in matrix.nullspace() + matrix.row_space_basis() + span_basis(rows):
+            assert is_primitive_integral(vector), vector
+
+
+def test_kernel_accepts_integer_rows():
+    rows = [(2, 4, 0), (1, 2, 1), (0, 0, 3)]
+    assert span_basis(rows) == [(1, 2, 0), (0, 0, 1)]
+    assert RationalMatrix(tuple(rows)).nullspace() == [(2, -1, 0)]
