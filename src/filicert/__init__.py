@@ -28,6 +28,6 @@ from .lie import (Cochain2, JacobiReport, StructureConstants, SubspaceSpec,
                   base_change, basis_column, cocycle_check, entries_equal,
                   is_derivation, is_ideal, jacobi_check, restrict)
 from .linalg import RationalMatrix, ScalarMatrix, span_basis
-from .scalar import ALPHA, ONE, Rational, Scalar, T, UniPoly, ZERO, as_scalar
+from .scalar import ALPHA, ONE, Scalar, T, UniPoly, ZERO, as_scalar
 
 __version__ = "0.1.0"

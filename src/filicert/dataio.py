@@ -68,6 +68,14 @@ SECTION_ORDER = ("algebra", "basis-change", "brackets", "deformation",
 MAX_DIM = 16
 MAX_DEGREE = 64
 MAX_BITS = 4096
+# A longer run of digits is a number of more than MAX_BITS bits; rejecting it
+# before int() also keeps clear of Python's 4,300-digit conversion limit.
+MAX_DIGITS = len(str(1 << MAX_BITS))  # 1234
+
+
+def _is_digits(text: str) -> bool:
+    """True iff text is a run of at most MAX_DIGITS decimal digits."""
+    return text.isdecimal() and len(text) <= MAX_DIGITS
 
 
 def data_dir() -> Path:
@@ -140,7 +148,7 @@ def _tokenize(text: str, line: int) -> list[_Token]:
         if ch.isdecimal():
             while pos < length and text[pos].isdecimal():
                 pos += 1
-            numerator = int(text[start:pos])
+            numerator, denominator = text[start:pos], "1"
             if pos < length and text[pos] == "/":
                 den_start = pos + 1
                 pos += 1
@@ -149,12 +157,12 @@ def _tokenize(text: str, line: int) -> list[_Token]:
                 if pos == den_start:
                     raise ParseError("missing denominator", line, pos + 1,
                                      ("digit",))
-                denominator = int(text[den_start:pos])
-                if denominator == 0:
-                    raise ParseError("zero denominator", line, start + 1)
-                value = Fraction(numerator, denominator)
-            else:
-                value = Fraction(numerator)
+                denominator = text[den_start:pos]
+            if not (_is_digits(numerator) and _is_digits(denominator)):
+                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, start + 1)
+            if int(denominator) == 0:
+                raise ParseError("zero denominator", line, start + 1)
+            value = Fraction(int(numerator), int(denominator))
             tokens.append(_Token("number", text[start:pos], start + 1, value))
         elif ch.isalpha():
             while pos < length and (text[pos].isalnum() or text[pos] == "_"):
@@ -283,10 +291,10 @@ def _evaluate(node: Expression, params: frozenset[str],
         if name == "alpha" and "alpha" in params:
             return ALPHA, {}
         if basis_prefix and name.startswith(basis_prefix) and name[len(basis_prefix):].isdecimal():
-            index = int(name[len(basis_prefix):])
-            if not 1 <= index <= dim:
+            digits = name[len(basis_prefix):]
+            if not (_is_digits(digits) and 1 <= int(digits) <= dim):
                 raise ValidationError(f"basis index {name} out of range 1..{dim}")
-            return ZERO, {index: Scalar.from_rational(1)}
+            return ZERO, {int(digits): Scalar.from_rational(1)}
         raise ValidationError(f"undeclared symbol {name!r}")
     if isinstance(node, Negate):
         scalar, vector = _evaluate(node.operand, params, basis_prefix, dim, line)
@@ -395,7 +403,7 @@ class AlgebraFile:
 
 def _int_fields(text: str, count: int, line: int, what: str) -> list[int]:
     parts = text.split()
-    if len(parts) != count or not all(p.lstrip("-").isdecimal() for p in parts):
+    if len(parts) != count or not all(_is_digits(p.lstrip("-")) for p in parts):
         raise ParseError(f"expected {count} integer(s) after {what!r}", line, 1)
     return [int(p) for p in parts]
 
@@ -441,7 +449,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             header[key] = value
             line_of[("algebra", key)] = line_number
         elif section == "basis-change":
-            if not (key.startswith("Y") and key[1:].isdecimal()):
+            if not (key.startswith("Y") and _is_digits(key[1:])):
                 raise ValidationError(f"{source}:{line_number}: expected 'Y<i> = ...'")
             index = int(key[1:])
             if index in basis_rows:
@@ -532,13 +540,13 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             if required not in deformation_rows:
                 raise ValidationError(f"{source}: missing deformation key {required!r}")
         ideal_parts = deformation_rows["ideal"].split()
-        if not ideal_parts or not all(p.isdecimal() for p in ideal_parts):
+        if not ideal_parts or not all(_is_digits(p) for p in ideal_parts):
             raise fail(("deformation", "ideal"), "ideal must list basis indices")
         ideal = tuple(int(p) for p in ideal_parts)
         if len(set(ideal)) != len(ideal) or not all(1 <= k <= dim for k in ideal):
             raise fail(("deformation", "ideal"), "ideal indices must be distinct and in range")
         outside_text = deformation_rows["outside"]
-        if not outside_text.isdecimal() or not 1 <= int(outside_text) <= dim:
+        if not _is_digits(outside_text) or not 1 <= int(outside_text) <= dim:
             raise fail(("deformation", "outside"), "outside must be a basis index")
         outside = int(outside_text)
         if outside in ideal:
@@ -592,7 +600,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
 def _errata_target(target: str, dim: int, source: str) -> str:
     parts = target.split()
     if len(parts) == 3 and parts[0] in ("g", "bracket") \
-            and parts[1].isdecimal() and parts[2].isdecimal():
+            and _is_digits(parts[1]) and _is_digits(parts[2]):
         i, j = int(parts[1]), int(parts[2])
         if 1 <= i <= dim and 1 <= j <= dim:
             return parts[0]

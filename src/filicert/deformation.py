@@ -157,8 +157,8 @@ def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
     if not entries_equal(mu_t.eval_t(1), mu1):
         raise InvalidSpec("mu1 must be the t = 1 specialization of mu_t")
     report = VerificationReport(mu_t.name)
-    failures = [Failure(pair, residual)
-                for pair, residual in _eq1_residuals(mu1, mu_t, g, reciprocal)
+    family = mu_t.invert_t() if reciprocal else mu_t
+    failures = [Failure(pair, residual) for pair, residual in _eq1_residuals(mu1, family, g)
                 if not column_is_zero(residual)]
     note = "certificate parametrized by 1/t" if reciprocal else ""
     report.stages["eq1"] = StageResult(not failures, tuple(failures), note)
@@ -174,11 +174,10 @@ def _unit_det_stage(g: ScalarMatrix) -> StageResult:
                        "determinant is not a single term c*t^k")
 
 
-def _eq1_residuals(mu1: StructureConstants, mu_t: StructureConstants,
-                   g: ScalarMatrix, reciprocal: bool):
-    """(pair, mu_1(g e_i, g e_j) - g(mu_t(e_i, e_j))) on all basis pairs,
-    with mu_{1/t} in place of mu_t for a reciprocal certificate."""
-    family = mu_t.invert_t() if reciprocal else mu_t
+def _eq1_residuals(mu1: StructureConstants, family: StructureConstants,
+                   g: ScalarMatrix):
+    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs;
+    the family is mu_t, or mu_{1/t} for a reciprocal certificate."""
     for i, j in family.pairs():
         lhs = mu1.bracket_eval(g.column(i - 1), g.column(j - 1))
         rhs = g.apply(family.bracket(i, j))
@@ -303,44 +302,58 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
                            reciprocal: bool = False) -> Scalar:
     """Derive one certificate entry from the residual equations.
 
-    Treats the entry at ``cell`` (1-based) as an unknown and every other
-    entry as correct.  Each residual component of (*) is affine in the
-    unknown, so two evaluations determine every equation; the unique common
-    solution is returned, found by exact division.  Raises
-    :class:`InvalidSpec` if the equations are inconsistent or leave the cell
-    unconstrained, i.e. if a single-cell correction cannot exist.
+    Treats the entry x at ``cell`` = (row, col) (1-based) as an unknown and
+    every other entry as correct.  Each residual component of (*) is affine
+    in x, so one evaluation with x = 0 (the matrix g_0) gives every offset,
+    and the slope at the pair (i, j) is exact:
+
+        [i == col] mu_1(e_row, g_0 e_j) + [j == col] mu_1(g_0 e_i, e_row)
+            - family(e_i, e_j)[col] e_row
+
+    with family = mu_t (mu_{1/t} if ``reciprocal``); x^2 would need
+    i == j == col.  The unique common solution is returned,
+    found by exact division.  Raises :class:`InvalidSpec` if the equations
+    are inconsistent or leave the cell unconstrained, i.e. if a single-cell
+    correction cannot exist.
     """
     _, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+    family = mu_t.invert_t() if reciprocal else mu_t
     row, col = cell
-
-    def residuals(value: Scalar) -> dict[tuple[int, int, int], Scalar]:
-        rows = [list(r) for r in g.rows]
-        rows[row - 1][col - 1] = value
-        candidate = ScalarMatrix(tuple(tuple(r) for r in rows))
-        return {(i, j, k): component
-                for (i, j), residual in _eq1_residuals(mu1, mu_t, candidate, reciprocal)
-                for k, component in enumerate(residual, start=1)}
-
-    offsets = residuals(ZERO)
-    slopes = residuals(ONE)
+    if not (1 <= row <= g.n and 1 <= col <= g.n):
+        raise InvalidSpec(f"cell {cell} is outside the {g.n}x{g.n} certificate")
+    rows = [list(r) for r in g.rows]
+    rows[row - 1][col - 1] = ZERO
+    g0 = ScalarMatrix(tuple(tuple(r) for r in rows))
+    e_row = tuple(ONE if k == row - 1 else ZERO for k in range(g.n))
+    # mu_1(e_row, g_0 e_m) for every basis index m other than col
+    cross = {m: mu1.bracket_eval(e_row, g0.column(m - 1))
+             for m in range(1, g.n + 1) if m != col}
     solution = None
-    for key, offset in offsets.items():
-        slope = slopes[key] - offset
-        if slope.is_zero():
-            if not offset.is_zero():
-                raise InvalidSpec(
-                    f"residual at {key} does not involve cell {cell}; "
-                    "no single-cell correction exists")
-            continue
-        try:
-            candidate = (-offset).exact_div(slope)
-        except ValueError as exc:
-            raise InvalidSpec(f"residual at {key} has no Laurent solution") from exc
-        if solution is None:
-            solution = candidate
-        elif solution != candidate:
-            raise InvalidSpec("residual equations are inconsistent; "
-                              "no single-cell correction exists")
+    for (i, j), offsets in _eq1_residuals(mu1, family, g0):
+        if i == col:
+            slopes = list(cross[j])
+        elif j == col:
+            slopes = [-s for s in cross[i]]
+        else:
+            slopes = [ZERO] * g.n
+        slopes[row - 1] -= family.bracket(i, j)[col - 1]
+        for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
+            key = (i, j, k)
+            if slope.is_zero():
+                if not offset.is_zero():
+                    raise InvalidSpec(
+                        f"residual at {key} does not involve cell {cell}; "
+                        "no single-cell correction exists")
+                continue
+            try:
+                candidate = (-offset).exact_div(slope)
+            except ValueError as exc:
+                raise InvalidSpec(f"residual at {key} has no Laurent solution") from exc
+            if solution is None:
+                solution = candidate
+            elif solution != candidate:
+                raise InvalidSpec("residual equations are inconsistent; "
+                                  "no single-cell correction exists")
     if solution is None:
         raise InvalidSpec(f"cell {cell} is unconstrained by the residual equations")
     return solution

@@ -2,11 +2,16 @@
 
 A :class:`Scalar` is a sparse Laurent polynomial in ``t`` with polynomial
 dependence on ``alpha`` over the rationals: a finite map from exponent pairs
-``(e_t, e_alpha)`` to nonzero :class:`fractions.Fraction` coefficients.
-``e_t`` may be negative (certificate matrices contain ``1/t`` entries);
-``alpha`` is never inverted, so ``e_alpha >= 0``.  The zero scalar is the
-empty map, and no stored coefficient is zero, so structural equality of the
-term maps is exact equality of scalars.
+``(e_t, e_alpha)`` to nonzero exact coefficients, each a Python ``int`` or a
+:class:`fractions.Fraction`, never a float.  ``e_t`` may be negative
+(certificate matrices contain ``1/t`` entries); ``alpha`` is never inverted,
+so ``e_alpha >= 0``.  The zero scalar is the empty map, and no stored
+coefficient is zero, so structural equality of the term maps is exact
+equality of scalars (an integral Fraction equals, and hashes like, its int).
+Integral coefficients are stored as ints where they enter: the constructor,
+exact quotients, unit inverses and substitutions; the ring operations do no
+normalization.  Every division goes through ``Fraction``, because
+``int / int`` and ``int ** -k`` are floats.
 
 Scalars are immutable values; every operation returns a fresh canonical
 scalar, so they are safe to share between concurrent tasks.
@@ -19,16 +24,18 @@ from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import NotAUnit, ZeroSpecialization
 
-Rational = Fraction
-
 _Coercible = Union["Scalar", int, Fraction]
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _exact(value) -> int | Fraction:
+    """A rational as a coefficient: an int when it is integral (a bool
+    becomes an int), otherwise a Fraction."""
+    if type(value) is int:
         return value
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
     raise TypeError(f"exact coefficient expected, got {type(value).__name__}")
 
 
@@ -38,12 +45,12 @@ class Scalar:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, int], Fraction | int] | None = None):
-        canonical: dict[tuple[int, int], Fraction] = {}
+        canonical: dict[tuple[int, int], int | Fraction] = {}
         if terms:
             for (e_t, e_alpha), coeff in terms.items():
                 if e_alpha < 0:
                     raise ValueError("alpha exponent must be non-negative")
-                coeff = _as_fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     canonical[(int(e_t), int(e_alpha))] = coeff
         self._terms = canonical
@@ -52,19 +59,19 @@ class Scalar:
 
     @classmethod
     def from_rational(cls, value: int | Fraction) -> "Scalar":
-        return cls({(0, 0): _as_fraction(value)})
+        return cls({(0, 0): value})
 
     @classmethod
     def t_power(cls, exponent: int) -> "Scalar":
-        return cls({(exponent, 0): Fraction(1)})
+        return cls({(exponent, 0): 1})
 
     @classmethod
     def alpha_power(cls, exponent: int) -> "Scalar":
-        return cls({(0, exponent): Fraction(1)})
+        return cls({(0, exponent): 1})
 
     @classmethod
     def term(cls, coeff: int | Fraction, e_t: int = 0, e_alpha: int = 0) -> "Scalar":
-        return cls({(e_t, e_alpha): _as_fraction(coeff)})
+        return cls({(e_t, e_alpha): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -76,13 +83,11 @@ class Scalar:
 
     def constant_value(self) -> Fraction:
         """The value of a constant scalar, as an exact rational."""
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"not a constant: {self}")
-        return self._terms[(0, 0)]
+        return Fraction(self._terms.get((0, 0), 0))
 
-    def iter_terms(self) -> Iterator[tuple[tuple[int, int], Fraction]]:
+    def iter_terms(self) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
         """Terms in the canonical order: descending (e_t, e_alpha)."""
         for key in sorted(self._terms, reverse=True):
             yield key, self._terms[key]
@@ -113,7 +118,7 @@ class Scalar:
         """True iff the scalar is c*t^k with c a nonzero rational."""
         return len(self._terms) == 1 and next(iter(self._terms))[1] == 0
 
-    def unit_parts(self) -> tuple[Fraction, int]:
+    def unit_parts(self) -> tuple[int | Fraction, int]:
         """Decompose a unit monomial as (c, k) with value c*t^k."""
         if not self.is_unit_monomial():
             raise NotAUnit(f"not of the form c*t^k: {self}")
@@ -135,7 +140,7 @@ class Scalar:
             return NotImplemented
         terms = dict(self._terms)
         for key, coeff in rhs._terms.items():
-            new = terms.get(key, Fraction(0)) + coeff
+            new = terms.get(key, 0) + coeff
             if new:
                 terms[key] = new
             else:
@@ -155,23 +160,32 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self + (-rhs)
+        terms = dict(self._terms)
+        for key, coeff in rhs._terms.items():
+            new = terms.get(key, 0) - coeff
+            if new:
+                terms[key] = new
+            else:
+                terms.pop(key, None)
+        result = Scalar.__new__(Scalar)
+        result._terms = terms
+        return result
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs + (-self)
+        return rhs - self
 
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (a_t, a_alpha), a_coeff in self._terms.items():
             for (b_t, b_alpha), b_coeff in rhs._terms.items():
                 key = (a_t + b_t, a_alpha + b_alpha)
-                new = terms.get(key, Fraction(0)) + a_coeff * b_coeff
+                new = terms.get(key, 0) + a_coeff * b_coeff
                 if new:
                     terms[key] = new
                 else:
@@ -214,7 +228,7 @@ class Scalar:
     def inverse_unit(self) -> "Scalar":
         """Invert a unit monomial c*t^k; raises :class:`NotAUnit` otherwise."""
         coeff, e_t = self.unit_parts()
-        return Scalar({(-e_t, 0): 1 / coeff})
+        return Scalar({(-e_t, 0): Fraction(1, coeff)})
 
     def exact_div(self, divisor: "Scalar") -> "Scalar":
         """Exact quotient self/divisor; raises ValueError if not divisible."""
@@ -225,7 +239,7 @@ class Scalar:
         lead_key = max(divisor._terms)
         lead_coeff = divisor._terms[lead_key]
         remainder = dict(self._terms)
-        quotient: dict[tuple[int, int], Fraction] = {}
+        quotient: dict[tuple[int, int], int | Fraction] = {}
         steps = 0
         limit = 16 * (len(self._terms) + len(divisor._terms) + 4) ** 2
         while remainder:
@@ -237,11 +251,11 @@ class Scalar:
             if q_alpha < 0:
                 raise ValueError("not exactly divisible")
             q_key = (r_key[0] - lead_key[0], q_alpha)
-            q_coeff = remainder[r_key] / lead_coeff
-            quotient[q_key] = quotient.get(q_key, Fraction(0)) + q_coeff
+            q_coeff = _exact(Fraction(remainder[r_key], lead_coeff))
+            quotient[q_key] = quotient.get(q_key, 0) + q_coeff
             for (d_t, d_alpha), d_coeff in divisor._terms.items():
                 key = (q_key[0] + d_t, q_key[1] + d_alpha)
-                new = remainder.get(key, Fraction(0)) - q_coeff * d_coeff
+                new = remainder.get(key, 0) - q_coeff * d_coeff
                 if new:
                     remainder[key] = new
                 else:
@@ -257,8 +271,8 @@ class Scalar:
         Raises :class:`ZeroSpecialization` when t_value = 0 meets a negative
         t-exponent.
         """
-        t_value = _as_fraction(t_value)
-        alpha_value = _as_fraction(alpha_value)
+        t_value = Fraction(_exact(t_value))
+        alpha_value = Fraction(_exact(alpha_value))
         if t_value == 0 and self.has_negative_t_exponent():
             raise ZeroSpecialization(f"pole at t = 0 in {self}")
         total = Fraction(0)
@@ -268,35 +282,24 @@ class Scalar:
 
     def eval_t(self, t_value: int | Fraction) -> "Scalar":
         """Substitute a rational for t, keeping alpha symbolic."""
-        t_value = _as_fraction(t_value)
+        t_value = _exact(t_value)
         if t_value == 0 and self.has_negative_t_exponent():
             raise ZeroSpecialization(f"pole at t = 0 in {self}")
-        terms: dict[tuple[int, int], Fraction] = {}
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (e_t, e_alpha), coeff in self._terms.items():
             key = (0, e_alpha)
-            new = terms.get(key, Fraction(0)) + coeff * t_value ** e_t
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        result = Scalar.__new__(Scalar)
-        result._terms = terms
-        return result
+            power = t_value ** e_t if e_t >= 0 else Fraction(1) / t_value ** -e_t
+            terms[key] = terms.get(key, 0) + coeff * power
+        return Scalar(terms)
 
     def eval_alpha(self, alpha_value: int | Fraction) -> "Scalar":
         """Substitute a rational for alpha, keeping t symbolic."""
-        alpha_value = _as_fraction(alpha_value)
-        terms: dict[tuple[int, int], Fraction] = {}
+        alpha_value = _exact(alpha_value)
+        terms: dict[tuple[int, int], int | Fraction] = {}
         for (e_t, e_alpha), coeff in self._terms.items():
             key = (e_t, 0)
-            new = terms.get(key, Fraction(0)) + coeff * alpha_value ** e_alpha
-            if new:
-                terms[key] = new
-            else:
-                terms.pop(key, None)
-        result = Scalar.__new__(Scalar)
-        result._terms = terms
-        return result
+            terms[key] = terms.get(key, 0) + coeff * alpha_value ** e_alpha
+        return Scalar(terms)
 
     def invert_t(self) -> "Scalar":
         """The substitution t -> 1/t (negate every t-exponent)."""
@@ -338,7 +341,7 @@ def as_scalar(value: _Coercible) -> Scalar:
     """Coerce an int, Fraction, or Scalar to a Scalar."""
     if isinstance(value, Scalar):
         return value
-    return Scalar.from_rational(_as_fraction(value))
+    return Scalar.from_rational(value)
 
 
 class UniPoly:

@@ -10,10 +10,12 @@ from typing import Sequence
 
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
 from filicert.dataio import DeformationBlock, Erratum
-from filicert.invariants import Matrix, RationalAlgebra, Vector, derivation_algebra
+from filicert.deformation import _eq1_residuals, _linear_deformation
+from filicert.errors import InvalidSpec
+from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
 from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.linalg import span_basis
-from filicert.scalar import ZERO
+from filicert.scalar import ONE, ZERO
 
 
 def rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:
@@ -66,6 +68,78 @@ def monomial_diagonal(rng: random.Random, n: int) -> ScalarMatrix:
     return ScalarMatrix.diagonal(
         [Scalar.term(rand_nonzero_fraction(rng), rng.randint(-2, 3))
          for _ in range(n)])
+
+
+class ReferenceScalar:
+    """Laurent polynomials with Fraction coefficients only: the oracle for
+    the int-or-Fraction coefficients of Scalar.  ``terms`` maps
+    (e_t, e_alpha) to nonzero Fractions; every operation converts first."""
+
+    def __init__(self, terms):
+        self.terms = {key: Fraction(c) for key, c in terms.items() if c}
+
+    @classmethod
+    def of(cls, scalar: Scalar) -> "ReferenceScalar":
+        return cls(dict(scalar.iter_terms()))
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, Fraction(0)) + c
+        return ReferenceScalar(terms)
+
+    def __neg__(self):
+        return ReferenceScalar({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        terms = {}
+        for (a_t, a_alpha), a in self.terms.items():
+            for (b_t, b_alpha), b in other.terms.items():
+                key = (a_t + b_t, a_alpha + b_alpha)
+                terms[key] = terms.get(key, Fraction(0)) + a * b
+        return ReferenceScalar(terms)
+
+    def __pow__(self, k: int):
+        result = ReferenceScalar({(0, 0): 1})
+        for _ in range(k):
+            result = result * self
+        return result
+
+    def eval_t(self, value) -> "ReferenceScalar":
+        terms = {}
+        for (e_t, e_alpha), c in self.terms.items():
+            terms[(0, e_alpha)] = terms.get((0, e_alpha), Fraction(0)) + c * Fraction(value) ** e_t
+        return ReferenceScalar(terms)
+
+    def eval_alpha(self, value) -> "ReferenceScalar":
+        terms = {}
+        for (e_t, e_alpha), c in self.terms.items():
+            terms[(e_t, 0)] = terms.get((e_t, 0), Fraction(0)) + c * Fraction(value) ** e_alpha
+        return ReferenceScalar(terms)
+
+    def specialize(self, t_value, alpha_value) -> Fraction:
+        return sum((c * Fraction(t_value) ** e_t * Fraction(alpha_value) ** e_alpha
+                    for (e_t, e_alpha), c in self.terms.items()), Fraction(0))
+
+    def __str__(self):
+        chunks = []
+        for (e_t, e_alpha), c in sorted(self.terms.items(), reverse=True):
+            factors = []
+            if e_t:
+                factors.append("t" if e_t == 1 else f"t^{e_t}")
+            if e_alpha:
+                factors.append("alpha" if e_alpha == 1 else f"alpha^{e_alpha}")
+            if not factors or abs(c) != 1:
+                factors.insert(0, str(abs(c)))
+            body = "*".join(factors)
+            if chunks:
+                chunks.append(f"- {body}" if c < 0 else f"+ {body}")
+            else:
+                chunks.append(f"-{body}" if c < 0 else body)
+        return " ".join(chunks) or "0"
 
 
 def laplace_det(matrix: ScalarMatrix) -> Scalar:
@@ -283,19 +357,30 @@ def reference_cocycle(mu: Cochain2, phi: Cochain2) -> bool:
     return True
 
 
-def _matrix_commutator(a: Matrix, b: Matrix) -> Matrix:
+def _ints(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """The entries of an integral rational vector as ints; a non-integral
+    entry is refused, never truncated."""
+    if any(Fraction(x).denominator != 1 for x in values):
+        raise ValueError(f"non-integral entry in {values}")
+    return tuple(int(x) for x in values)
+
+
+def _matrix_product(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     n = len(a)
-    ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    ba = [[sum(b[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-    return tuple(tuple(ab[i][j] - ba[i][j] for j in range(n)) for i in range(n))
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(a):
+        for k, x in enumerate(row):
+            if x:
+                for j, y in enumerate(b[k]):
+                    if y:
+                        out[i][j] += x * y
+    return out
 
 
-def _flatten(matrix: Matrix) -> Vector:
-    return tuple(x for row in matrix for x in row)
-
-
-def _unflatten(vector: Sequence[Fraction], n: int) -> Matrix:
-    return tuple(tuple(vector[i * n + j] for j in range(n)) for i in range(n))
+def _commutator(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """[a, b] = ab - ba of two integer matrices, flattened row by row."""
+    ab, ba = _matrix_product(a, b), _matrix_product(b, a)
+    return tuple(x - y for row_ab, row_ba in zip(ab, ba) for x, y in zip(row_ab, row_ba))
 
 
 def der_is_nilpotent(algebra: RationalAlgebra) -> bool:
@@ -304,17 +389,61 @@ def der_is_nilpotent(algebra: RationalAlgebra) -> bool:
     Iterates V_1 = Der, V_{m+1} = span{[A, B] : A in Der, B in V_m} with
     matrix commutators; at most dim(Der) iterations are needed before the
     lower central series of Der must have stabilized.  The oracle for the
-    Engel-flag test of characteristic nilpotency.
+    Engel-flag test of characteristic nilpotency.  Der bases and span bases
+    are integral by postcondition, so the products run over ints.
     """
     n = algebra.dim
     der_dim, der_basis = derivation_algebra(algebra)
     if der_dim == 0:
         return True
-    current = [_flatten(m) for m in der_basis]
+    der = [[_ints(row) for row in matrix] for matrix in der_basis]
+    current = [_ints([x for row in matrix for x in row]) for matrix in der]
     for _ in range(der_dim):
-        products = [_flatten(_matrix_commutator(a, _unflatten(v, n)))
-                    for a in der_basis for v in current]
-        current = span_basis(products)
+        products = [_commutator(a, [v[i * n:(i + 1) * n] for i in range(n)])
+                    for a in der for v in current]
+        current = [_ints(v) for v in span_basis(products)]
         if not current:
             return True
     return False
+
+
+def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
+                         cell: tuple[int, int], reciprocal: bool = False) -> Scalar:
+    """One certificate entry from two full evaluations of the residuals, at
+    the cell set to 0 and to 1: the oracle for the exact-slope solve of
+    `solve_certificate_cell`, with the same results and messages."""
+    _, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+    row, col = cell
+
+    def residuals(value: Scalar) -> dict[tuple[int, int, int], Scalar]:
+        rows = [list(r) for r in g.rows]
+        rows[row - 1][col - 1] = value
+        candidate = ScalarMatrix(tuple(tuple(r) for r in rows))
+        return {(i, j, k): component
+                for (i, j), residual in _eq1_residuals(
+                    mu1, mu_t.invert_t() if reciprocal else mu_t, candidate)
+                for k, component in enumerate(residual, start=1)}
+
+    offsets = residuals(ZERO)
+    slopes = residuals(ONE)
+    solution = None
+    for key, offset in offsets.items():
+        slope = slopes[key] - offset
+        if slope.is_zero():
+            if not offset.is_zero():
+                raise InvalidSpec(
+                    f"residual at {key} does not involve cell {cell}; "
+                    "no single-cell correction exists")
+            continue
+        try:
+            candidate = (-offset).exact_div(slope)
+        except ValueError as exc:
+            raise InvalidSpec(f"residual at {key} has no Laurent solution") from exc
+        if solution is None:
+            solution = candidate
+        elif solution != candidate:
+            raise InvalidSpec("residual equations are inconsistent; "
+                              "no single-cell correction exists")
+    if solution is None:
+        raise InvalidSpec(f"cell {cell} is unconstrained by the residual equations")
+    return solution

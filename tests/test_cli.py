@@ -227,3 +227,32 @@ def test_non_ascii_digits_are_an_input_error(capsys, tmp_path, old, new):
     code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+LONG_LITERAL = "9" * 5000  # more digits than Python converts to int by default
+
+
+@pytest.mark.parametrize("table, prefix, line", [
+    ("mu11", "g 3 1 =", f"g 3 1 = {LONG_LITERAL}"),
+    ("mu11", "g 3 1 =", f"g 3 1 = 1/{LONG_LITERAL}"),
+    ("mu11", "bracket 1 2 =", f"bracket 1 2 = {LONG_LITERAL}*Y3"),
+    ("mu11", "bracket 1 2 =", f"bracket 1 2 = Y{LONG_LITERAL}"),
+    ("mu11", "ideal =", f"ideal = 2 3 4 5 6 7 {LONG_LITERAL}"),
+    ("mu11", "outside =", f"outside = {LONG_LITERAL}"),
+    ("mu11", "Y1 =", f"Y{LONG_LITERAL} = X8"),
+    ("mu11", "g 3 1 =", f"g 3 {LONG_LITERAL} = 1"),
+    ("mu08", "entry =", f"entry = g 2 {LONG_LITERAL}"),
+], ids=["g-cell", "g-denominator", "bracket-coefficient", "basis-symbol", "ideal",
+        "outside", "basis-change-key", "g-index", "errata-entry"])
+def test_overlong_digit_runs_are_an_input_error(capsys, tmp_path, table, prefix, line):
+    from filicert.dataio import data_dir
+
+    lines = (data_dir() / table).read_text(encoding="utf-8").splitlines()
+    target = next(k for k, row in enumerate(lines) if row.startswith(prefix))
+    lines[target] = line
+    (tmp_path / table).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", table, "--data", str(tmp_path))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1

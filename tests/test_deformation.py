@@ -17,6 +17,8 @@ from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ONE, T, ZERO, Scalar
 
+from helpers import reference_solve_cell
+
 
 def column(dim, **components):
     out = [ZERO] * dim
@@ -275,3 +277,65 @@ def test_solver_rejects_unfixable_cell(tables):
     bad = ScalarMatrix(tuple(tuple(r) for r in rows))
     with pytest.raises(InvalidSpec):
         solve_certificate_cell(data.mu, data.ideal, 1, data.derivation, bad, (7, 3))
+
+
+@pytest.mark.parametrize("cell", [(0, 3), (9, 1), (2, 0), (2, 9)])
+def test_solver_rejects_a_cell_outside_the_matrix(tables, cell):
+    data = tables["mu17"]
+    with pytest.raises(InvalidSpec, match="outside the 8x8 certificate"):
+        solve_certificate_cell(data.mu, data.ideal, 1, data.derivation, data.g, cell)
+
+
+def with_cells(g: ScalarMatrix, changes: dict) -> ScalarMatrix:
+    rows = [list(r) for r in g.rows]
+    for (row, col), value in changes.items():
+        rows[row - 1][col - 1] = value
+    return ScalarMatrix(tuple(tuple(r) for r in rows))
+
+
+def solve_outcomes(data, g, cell):
+    """(kind, value or message) of the slope solve and of the two-evaluation
+    oracle on the same input."""
+    outcomes = []
+    for solve in (solve_certificate_cell, reference_solve_cell):
+        try:
+            value = solve(data.mu, data.ideal, data.outside, data.derivation, g, cell,
+                          reciprocal=data.reciprocal)
+            outcomes.append(("value", value))
+        except InvalidSpec as exc:
+            outcomes.append(("InvalidSpec", str(exc)))
+    return outcomes
+
+
+SLOPE_OFFSETS = ((1, 0, 0), (-1, 2, 1), (2, 1, 0), (Fraction(1, 2), 3, 1),
+                 (Fraction(-5, 7), -1, 0), (3, -1, 1), (-3, 0, 1), (7, 1, 1))
+
+
+def test_slope_solve_agrees_with_two_evaluations(tables):
+    """On one seeded permutation of cells per certified table, each cell
+    corrupted by a fixed offset (mu08 in its reciprocal parametrization),
+    plus an unconstrained cell and two-cell corruptions."""
+    rng = random.Random(6)
+    seen = []
+    for name, data in tables.items():
+        g = data.g
+        columns = list(range(1, g.n + 1))
+        rng.shuffle(columns)
+        cases = []
+        for row, col in enumerate(columns, start=1):
+            coeff, e_t, e_alpha = SLOPE_OFFSETS[(row + col) % len(SLOPE_OFFSETS)]
+            offset = Scalar.term(coeff, e_t, e_alpha if data.alg.params else 0)
+            cases.append(({(row, col): offset}, (row, col)))
+        cases.append(({}, (8, 1)))  # (8, 1) appears in no residual of the catalog
+        cases.append(({(2, 2): T, (7, 3): ONE}, (7, 3)))
+        if name == "mu17":
+            cases.append(({(6, 1): ONE, (7, 3): T}, (7, 3)))
+        for offsets, cell in cases:
+            corrupted = with_cells(g, {(r, c): g.rows[r - 1][c - 1] + offset
+                                       for (r, c), offset in offsets.items()})
+            new, reference = solve_outcomes(data, corrupted, cell)
+            assert new == reference, (name, offsets, cell)
+            seen.append(new[0] if new[0] == "value" else new[1])
+    assert seen.count("value") == 8 * len(tables)
+    for fragment in ("is unconstrained", "does not involve cell", "are inconsistent"):
+        assert any(fragment in outcome for outcome in seen), fragment

@@ -1,5 +1,5 @@
-"""Whole-program checks: pinned stdout of the certify and invariants commands,
-pinned derivation algebras, and the demos."""
+"""Whole-program checks: pinned stdout of the certify and invariants commands
+and of residual rendering, pinned derivation algebras, and the demos."""
 
 from __future__ import annotations
 
@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
-from filicert import VERIFIED_NAMES, RationalAlgebra, structure_constants
+from dataclasses import replace
+
+from filicert import VERIFIED_NAMES, RationalAlgebra, Scalar, structure_constants
 from filicert.cli import DEFAULT_ALPHA_SAMPLES, main
+from filicert.dataio import apply_errata, parse_scalar, serialize_algebra
 from filicert.invariants import derivation_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,6 +29,18 @@ CATALOG_INVARIANTS = {
         "3d661ffd90dcbafb9adcb01ab50abe2b2f166f856e307a6452f3c8e9584d2a61",
 }
 DER_BASES = "263b2031c38c6828c17c494702461810cd91e3921630f79b4432fabeb7f8c1c2"
+# Single-cell offsets of corrected certificates, (table, row, column, offset),
+# and the sha256 of `verify --format machine` over them: the rendering of
+# residuals whose coefficients mix ints and fractions.
+RESIDUAL_CORRUPTIONS = (
+    ("mu01", 2, 1, "1/2"),
+    ("mu06", 4, 2, "3*t^-1*alpha"),
+    ("mu08", 3, 3, "-5/7"),
+    ("mu09", 5, 5, "1/2*t^2*alpha"),
+    ("mu13", 6, 4, "-5/7*t"),
+    ("mu17", 7, 3, "3*t^-1"),
+)
+RESIDUAL_RENDERING = "ecfe0c4101b4c2a1593fa19705d337f16f249c86243a3426aa1a2c860364788e"
 
 
 @pytest.mark.parametrize("command", sorted(PINS["certify"]))
@@ -47,6 +62,26 @@ def test_catalog_invariants_stdout_matches_the_pinned_digest(capsys, command):
     assert main(command.split()) == 1  # criterion 5: mu06 at alpha = -1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_INVARIANTS[command]
+
+
+def residual_rendering_stdout(corpus, directory: Path) -> tuple[int, str]:
+    tables = []
+    for name, row, col, offset in RESIDUAL_CORRUPTIONS:
+        alg = apply_errata(corpus[name])
+        certificate = dict(alg.certificate)
+        certificate[(row, col)] = (certificate.get((row, col), Scalar())
+                                   + parse_scalar(offset, ("t", "alpha")))
+        table = f"{name}-g{row}{col}"
+        corrupted = replace(alg, name=table, certificate=certificate, errata=())
+        (directory / table).write_text(serialize_algebra(corrupted), encoding="utf-8")
+        tables.append(table)
+    return main(["verify", "--data", str(directory), "--format", "machine", *tables])
+
+
+def test_residual_rendering_matches_the_pinned_digest(capsys, tmp_path, corpus):
+    assert residual_rendering_stdout(corpus, tmp_path) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RESIDUAL_RENDERING
 
 
 def der_bases_digest(corpus) -> str:

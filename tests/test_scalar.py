@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from filicert import Scalar, UniPoly, ZeroSpecialization
 from filicert.scalar import ALPHA, ONE, T, ZERO
 
-from helpers import rand_scalar
+from helpers import ReferenceScalar, rand_scalar
 
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 keys_st = st.tuples(st.integers(-3, 5), st.integers(0, 2))
@@ -189,6 +189,71 @@ def test_exact_division_roundtrip():
 def test_exact_division_failure():
     with pytest.raises(ValueError):
         (T + 1).exact_div(ALPHA)
+
+
+# -- int-or-Fraction coefficients against the Fraction-only reference ---------------
+
+# int, Fraction and bool coefficients; a bool or an integral value is stored as an int
+mixed_coeffs_st = st.one_of(st.integers(-8, 8), fractions_st, st.booleans()).filter(bool)
+mixed_scalars_st = st.dictionaries(keys_st, mixed_coeffs_st, max_size=4).map(Scalar)
+evaluation_points = (1, 2, -1, Fraction(1, 3))
+
+
+def assert_exact(scalar: Scalar) -> None:
+    for _, coeff in scalar.iter_terms():
+        assert type(coeff) in (int, Fraction), f"{type(coeff).__name__} in {scalar!r}"
+
+
+def assert_matches(scalar: Scalar, reference: ReferenceScalar) -> None:
+    assert_exact(scalar)
+    assert dict(scalar.iter_terms()) == reference.terms
+    rebuilt = Scalar(reference.terms)
+    assert scalar == rebuilt and hash(scalar) == hash(rebuilt)
+    assert str(scalar) == str(reference)
+
+
+@given(mixed_scalars_st, mixed_scalars_st, st.integers(0, 3))
+def test_ring_ops_agree_with_the_fraction_reference(a, b, k):
+    ra, rb = ReferenceScalar.of(a), ReferenceScalar.of(b)
+    assert_matches(a, ra)
+    assert_matches(a + b, ra + rb)
+    assert_matches(a - b, ra - rb)
+    assert_matches(a * b, ra * rb)
+    assert_matches(-a, -ra)
+    assert_matches(a ** k, ra ** k)
+    assert_matches(3 - a, ReferenceScalar({(0, 0): 3}) - ra)
+
+
+@given(mixed_scalars_st, mixed_scalars_st.filter(bool))
+def test_exact_division_of_a_product_returns_the_factor(a, b):
+    quotient = (a * b).exact_div(b)
+    assert_matches(quotient, ReferenceScalar.of(a))
+
+
+@pytest.mark.parametrize("coeff", [2, -3, Fraction(1, 2)])
+@pytest.mark.parametrize("e_t", [-2, 0, 3])
+def test_unit_inverse_is_exact(coeff, e_t):
+    inverse = Scalar.term(coeff, e_t).inverse_unit()
+    assert_matches(inverse, ReferenceScalar({(-e_t, 0): 1 / Fraction(coeff)}))
+    assert_matches(Scalar.term(coeff, e_t) ** -2,
+                   ReferenceScalar({(-2 * e_t, 0): Fraction(coeff) ** -2}))
+
+
+@given(mixed_scalars_st, fractions_st)
+def test_substitutions_agree_with_the_fraction_reference(a, alpha0):
+    ra = ReferenceScalar.of(a)
+    for t0 in evaluation_points:
+        assert_matches(a.eval_t(t0), ra.eval_t(t0))
+        value = a.specialize(t0, alpha0)
+        assert type(value) is Fraction and value == ra.specialize(t0, alpha0)
+    for value in (0, 2, -1, Fraction(1, 3), alpha0):
+        assert_matches(a.eval_alpha(value), ra.eval_alpha(value))
+
+
+def test_bool_coefficients_are_stored_as_ints():
+    for scalar in (Scalar({(1, 0): True}), Scalar.term(True, 2), Scalar.from_rational(True)):
+        assert [type(c) for _, c in scalar.iter_terms()] == [int]
+    assert Scalar({(0, 0): False}).is_zero()
 
 
 # -- UniPoly -------------------------------------------------------------------------
