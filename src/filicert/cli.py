@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .dataio import (AlgebraFile, VERIFIED_NAMES, certificate_matrix, compact,
-                     load_corpus, structure_constants)
+from .dataio import (AlgebraFile, MAX_DIGITS, VERIFIED_NAMES, certificate_matrix,
+                     compact, load_corpus, structure_constants)
 from .deformation import (DeformationSpec, VerificationReport,
                           counterexample_spec, deform, go_cocycle,
                           run_certificate_checks)
@@ -59,10 +59,25 @@ class UsageError(FilicertError):
 
 
 def _fraction(text: str) -> Fraction:
+    """A rational in any form `Fraction` reads, with a numerator and a
+    denominator of at most MAX_DIGITS digits, like the catalog literals.  An
+    exponent is what can make a number far longer than its text, so it is
+    bounded before the number is built."""
+    _, e, exponent = text.lower().rpartition("e")
     try:
-        return Fraction(text)
+        value = Fraction(text) if not e or abs(int(exponent)) <= MAX_DIGITS else None
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
+    if value is None or max(abs(value.numerator), value.denominator) >= 10 ** MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"number with more than {MAX_DIGITS} digits: {text!r}")
+    return value
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error in one line, like every other input error."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
 
 
 def _resolve_names(corpus: dict[str, AlgebraFile], requested: list[str],
@@ -341,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--output", type=Path, default=None, metavar="PATH",
                         help="write the report to a file instead of stdout")
 
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="filicert",
         description="Exact verification of filiform degeneration certificates.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -63,8 +63,8 @@ SECTION_ORDER = ("algebra", "basis-change", "brackets", "deformation",
                  "certificate", "derivation", "errata")
 
 # Resource bounds on dim and on the degree in t or alpha and the coefficient
-# bits of a power, checked before the work is done; the bundled catalog has
-# dim 8, exponents up to 13, degree 16 and 15-bit coefficients.
+# bits of a power or product, checked before the work is done; the bundled
+# catalog has dim 8, exponents up to 13, degree 16 and 15-bit coefficients.
 MAX_DIM = 16
 MAX_DEGREE = 64
 MAX_BITS = 4096
@@ -264,20 +264,34 @@ def parse_expression(text: str, line: int = 0) -> Expression:
     return _Parser(_tokenize(text, line), line).parse()
 
 
-def _check_power(base: Scalar, exponent: int, line: int) -> None:
-    """Reject base^exponent before it is computed if its degree in t or alpha,
-    or the bit length of its coefficients (at most the exponent times the
-    base's largest coefficient bits plus those of its term count), would
-    exceed the bounds."""
+def _size(scalar: Scalar) -> tuple[int, int]:
+    """The degree in t or alpha, and the bit length of the coefficients plus
+    that of the term count: what the resource bounds are checked on."""
     degree = bits = 0
-    for (e_t, e_alpha), coeff in base.iter_terms():
+    for (e_t, e_alpha), coeff in scalar.iter_terms():
         degree = max(degree, abs(e_t), e_alpha)
         bits = max(bits, coeff.numerator.bit_length(), coeff.denominator.bit_length())
-    degree, bits = abs(exponent) * degree, abs(exponent) * (bits + base.term_count().bit_length())
+    return degree, bits + scalar.term_count().bit_length()
+
+
+def _check_size(kind: str, degree: int, bits: int, line: int) -> None:
+    """Reject a power or a product before it is computed if the bound on its
+    degree or coefficient bits exceeds the limits: the base's `_size` times
+    the exponent, or the sum of the factors' sizes."""
     if degree > MAX_DEGREE or bits > MAX_BITS:
         where = f" at line {line}" if line else ""
-        raise ValidationError(f"power{where} too large: degree {degree} (at most "
+        raise ValidationError(f"{kind}{where} too large: degree {degree} (at most "
                               f"{MAX_DEGREE}), {bits}-bit coefficients (at most {MAX_BITS})")
+
+
+def _product(a: Scalar, b: Scalar, line: int) -> Scalar:
+    """a * b, after `_check_size` when both factors have two or more terms; a
+    product with a monomial factor grows at most by that monomial, so only
+    linearly in the length of the line."""
+    if a.term_count() > 1 and b.term_count() > 1:
+        (degree_a, bits_a), (degree_b, bits_b) = _size(a), _size(b)
+        _check_size("product", degree_a + degree_b, bits_a + bits_b, line)
+    return a * b
 
 
 def _evaluate(node: Expression, params: frozenset[str],
@@ -308,7 +322,8 @@ def _evaluate(node: Expression, params: frozenset[str],
             if node.exponent != 1:
                 raise ValidationError("basis symbols cannot be raised to a power")
             return scalar, vector
-        _check_power(scalar, node.exponent, line)
+        degree, bits = _size(scalar)
+        _check_size("power", abs(node.exponent) * degree, abs(node.exponent) * bits, line)
         return scalar ** node.exponent, {}
     if isinstance(node, BinaryOp):
         left_s, left_v = _evaluate(node.left, params, basis_prefix, dim, line)
@@ -327,8 +342,10 @@ def _evaluate(node: Expression, params: frozenset[str],
             if left_v and right_v:
                 raise ValidationError("product of basis symbols is not linear")
             if left_v:
-                return left_s * right_s, {k: v * right_s for k, v in left_v.items()}
-            return left_s * right_s, {k: left_s * v for k, v in right_v.items()}
+                return (_product(left_s, right_s, line),
+                        {k: _product(v, right_s, line) for k, v in left_v.items()})
+            return (_product(left_s, right_s, line),
+                    {k: _product(left_s, v, line) for k, v in right_v.items()})
     raise TypeError(f"unknown expression node {node!r}")
 
 

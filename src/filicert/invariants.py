@@ -1,10 +1,13 @@
 """Exact isomorphism invariants of rational specializations.
 
 All invariants here are computed over Q after substituting rational values
-for t and alpha, never over the rational-function field: exact rank
-computations then reduce to fraction-free elimination over the integers.
-Ranks can drop at unsampled special parameter values, so reports always
-carry the sampled points alongside the verdicts.
+for t and alpha, never over the rational-function field.  The series, the
+center and the derivation algebra are cut out by equations homogeneous in
+the structure constants, so scaling every constant by one nonzero number
+changes no span, kernel or reduced row echelon form: the common denominator
+of a specialization is cleared once, when it is built, and everything below
+runs on ints.  Ranks can drop at unsampled special parameter values, so
+reports always carry the sampled points alongside the verdicts.
 
 Series computations stop at the first repeated dimension; monotonicity of
 the lower central and derived series guarantees stabilization within the
@@ -23,91 +26,92 @@ is abelian but its identity derivation is not nilpotent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import combinations
-from typing import Mapping, Sequence
+from itertools import combinations, product
+from math import lcm
+from numbers import Rational
+from typing import Mapping
 
 from .errors import ValidationError
 from .lie import Cochain2
 from .linalg import RationalMatrix, span_basis
 
-Vector = tuple[Fraction, ...]
-Matrix = tuple[Vector, ...]
+Matrix = tuple[tuple[Rational, ...], ...]
 
 SeriesProfile = tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class RationalAlgebra:
-    """A bracket with plain rational structure constants."""
+    """A rational bracket scaled to int structure constants."""
 
     dim: int
-    table: Mapping[tuple[int, int], Vector]
+    table: Mapping[tuple[int, int], tuple[int, ...]]
     name: str = ""
 
     @classmethod
     def from_structure(cls, mu: Cochain2, t=None, alpha=None) -> "RationalAlgebra":
-        """Specialize a symbolic bracket at rational parameter values."""
+        """Specialize a symbolic bracket at rational parameter values, then
+        multiply it by the lcm of its denominators: every structure constant
+        becomes an int, and no invariant here changes."""
         specialized = mu
         if t is not None:
             specialized = specialized.eval_t(t)
         if alpha is not None:
             specialized = specialized.eval_alpha(alpha)
-        table: dict[tuple[int, int], Vector] = {}
+        table = {}
         for key, column in specialized.entries.items():
-            values = []
             for entry in column:
                 if not entry.is_constant():
                     raise ValidationError(
                         f"entry {key} still symbolic after specialization: {entry}")
-                values.append(entry.constant_value())
-            table[key] = tuple(values)
-        return cls(mu.dim, table, mu.name)
+            table[key] = [entry.constant_value() for entry in column]
+        scale = lcm(*(x.denominator for column in table.values() for x in column))
+        return cls(mu.dim, {key: tuple(x.numerator * (scale // x.denominator) for x in column)
+                            for key, column in table.items()}, mu.name)
 
-    def bracket(self, i: int, j: int) -> Vector:
+    def bracket(self, i: int, j: int) -> tuple[int, ...]:
         if i <= j:  # the table holds only pairs i < j
-            return self.table.get((i, j), (Fraction(0),) * self.dim)
-        return tuple(-x for x in self.table.get((j, i), (Fraction(0),) * self.dim))
+            return self.table.get((i, j), (0,) * self.dim)
+        return tuple(-x for x in self.table.get((j, i), (0,) * self.dim))
 
-    def bracket_vec(self, x: Sequence[Fraction], y: Sequence[Fraction]) -> Vector:
-        out = [Fraction(0)] * self.dim
-        for (i, j), column in self.table.items():
-            coeff = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-            if coeff == 0:
-                continue
-            for k, value in enumerate(column):
-                if value:
-                    out[k] += coeff * value
-        return tuple(out)
 
-    def basis(self) -> list[Vector]:
-        return [tuple(Fraction(1 if k == i else 0) for k in range(self.dim))
-                for i in range(self.dim)]
+def _series(algebra: RationalAlgebra, pairs) -> SeriesProfile:
+    """Dimensions of V_0 = g, V_1, ... with V_{m+1} the span of [u, v] over
+    (u, v) in pairs(g, V_m), until stabilization.  Vectors are sparse
+    (0-based index, int) pairs; the nonzero entries of every bracket column
+    are read once."""
+    columns = {}
+    for (i, j), column in algebra.table.items():
+        entries = [(k, x) for k, x in enumerate(column) if x]
+        columns[i - 1, j - 1] = entries
+        columns[j - 1, i - 1] = [(k, -x) for k, x in entries]
+    full = [[(i, 1)] for i in range(algebra.dim)]
+    current = full
+    dims = [algebra.dim]
+    while True:
+        products = []
+        for u, v in pairs(full, current):
+            out = [0] * algebra.dim
+            for a, x in u:
+                for b, y in v:
+                    for k, z in columns.get((a, b), ()):
+                        out[k] += x * y * z
+            products.append(out)
+        current = [[(k, x) for k, x in enumerate(vector) if x]
+                   for vector in span_basis(products)]
+        dims.append(len(current))
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
+            return tuple(dims)
 
 
 def lower_central_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [g,[g,g]], ... until stabilization."""
-    full = algebra.basis()
-    dims = [algebra.dim]
-    current = full
-    while True:
-        products = [algebra.bracket_vec(e, v) for e in full for v in current]
-        current = span_basis(products)
-        dims.append(len(current))
-        if dims[-1] == 0 or dims[-1] == dims[-2]:
-            return tuple(dims)
+    return _series(algebra, product)
 
 
 def derived_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    dims = [algebra.dim]
-    current = algebra.basis()
-    while True:
-        products = [algebra.bracket_vec(u, v) for u, v in combinations(current, 2)]
-        current = span_basis(products)
-        dims.append(len(current))
-        if dims[-1] == 0 or dims[-1] == dims[-2]:
-            return tuple(dims)
+    return _series(algebra, lambda full, current: combinations(current, 2))
 
 
 def is_nilpotent(algebra: RationalAlgebra) -> bool:
@@ -181,23 +185,16 @@ def is_characteristically_nilpotent(algebra: RationalAlgebra) -> bool:
     vectors under the basis derivations.  For a nilpotent algebra of
     dimension >= 2 it is the same as "Der is nilpotent" (Leger-Togo); on a
     non-nilpotent algebra both are false.  Der and flag vectors are primitive
-    integer vectors: products run over ints and nonzero derivation entries.
+    integer vectors (the kernel's postcondition), read as ints: products run
+    over ints and nonzero derivation entries.
     """
     _, der_basis = derivation_algebra(algebra)
-    derivations = [[[(c, _integer(x)) for c, x in enumerate(row) if x] for row in matrix]
+    derivations = [[[(c, x.numerator) for c, x in enumerate(row) if x] for row in matrix]
                    for matrix in der_basis]
-    current = algebra.basis()
+    current = [[int(k == i) for k in range(algebra.dim)] for i in range(algebra.dim)]
     for _ in range(algebra.dim):
-        vectors = [[_integer(x) for x in v] for v in current]
         current = span_basis(tuple(sum(x * v[c] for c, x in row) for row in matrix)
-                             for matrix in derivations for v in vectors)
+                             for matrix in derivations for v in current)
         if not current:
             return True
     return False
-
-
-def _integer(x: Fraction) -> int:
-    """An integral rational as an int; never truncates."""
-    if x.denominator != 1:
-        raise ValueError(f"{x} is not an integer")
-    return x.numerator

@@ -10,8 +10,8 @@ only division ever performed on Scalars is exact.
 over Q by sparse Gauss-Jordan elimination on primitive integer rows.  Both
 are read off the reduced row echelon form, which is canonical, so every
 output is deterministic and independent of the order of the rows.  Their
-vectors are primitive integer vectors (all denominators 1) with positive
-leading entry.
+vectors are primitive integer vectors with positive leading entry: tuples of
+ints for row spaces, of integral Fractions for nullspaces.
 """
 
 from __future__ import annotations
@@ -264,16 +264,15 @@ class RationalMatrix:
             basis.append(tuple(Fraction(v // content) for v in vec))
         return basis
 
-    def row_space_basis(self) -> list[tuple[Fraction, ...]]:
+    def row_space_basis(self) -> list[tuple[int, ...]]:
         """Basis of the row space: the RREF rows in pivot order, each scaled
-        to a primitive integer vector with positive leading entry."""
+        to a primitive int vector with positive leading entry."""
         n_cols = self.n_cols
-        return [tuple(Fraction(row.get(c, 0)) for c in range(n_cols))
+        return [tuple(row.get(c, 0) for c in range(n_cols))
                 for _, row in sorted(_rref(self.rows).items())]
 
 
-def span_basis(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[Fraction, ...]]:
-    """Basis of the span of rational vectors: the primitive RREF rows, so
-    the same for any order or repetition of the vectors.  Postcondition as
-    for :meth:`RationalMatrix.nullspace`: integral and primitive."""
+def span_basis(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[int, ...]]:
+    """Basis of the span of rational vectors: the primitive RREF rows as
+    int tuples, so the same for any order or repetition of the vectors."""
     return RationalMatrix(tuple(tuple(v) for v in vectors)).row_space_basis()

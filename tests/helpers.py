@@ -309,6 +309,76 @@ def rank(matrix: RationalMatrix) -> int:
     return len(reference_rref(matrix.rows))
 
 
+def reference_algebra(mu: Cochain2, t=None, alpha=None) -> RationalAlgebra:
+    """A specialization with its plain Fraction structure constants, unscaled:
+    the oracle table for the int tables of `RationalAlgebra.from_structure`."""
+    specialized = mu
+    if t is not None:
+        specialized = specialized.eval_t(t)
+    if alpha is not None:
+        specialized = specialized.eval_alpha(alpha)
+    table = {key: tuple(entry.constant_value() for entry in column)
+             for key, column in specialized.entries.items()}
+    return RationalAlgebra(mu.dim, table, mu.name)
+
+
+def bracket_vec(algebra: RationalAlgebra, x: Sequence[Fraction],
+                y: Sequence[Fraction]) -> tuple[Fraction, ...]:
+    """[x, y] by dense Fraction arithmetic over every table pair."""
+    out = [Fraction(0)] * algebra.dim
+    for (i, j), column in algebra.table.items():
+        coeff = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+        if coeff == 0:
+            continue
+        for k, value in enumerate(column):
+            if value:
+                out[k] += coeff * value
+    return tuple(out)
+
+
+def basis(algebra: RationalAlgebra) -> list[tuple[Fraction, ...]]:
+    return [tuple(Fraction(1 if k == i else 0) for k in range(algebra.dim))
+            for i in range(algebra.dim)]
+
+
+def reference_lower_central_series(algebra: RationalAlgebra) -> tuple[int, ...]:
+    """Dimensions of g, [g,g], [g,[g,g]], ... until stabilization, from dense
+    Fraction brackets: the oracle for the sparse int series."""
+    full = basis(algebra)
+    dims = [algebra.dim]
+    current = full
+    while True:
+        products = [bracket_vec(algebra, e, v) for e in full for v in current]
+        current = span_basis(products)
+        dims.append(len(current))
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
+            return tuple(dims)
+
+
+def reference_derived_series(algebra: RationalAlgebra) -> tuple[int, ...]:
+    """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization, from
+    dense Fraction brackets."""
+    dims = [algebra.dim]
+    current = basis(algebra)
+    while True:
+        products = [bracket_vec(algebra, u, v) for u, v in combinations(current, 2)]
+        current = span_basis(products)
+        dims.append(len(current))
+        if dims[-1] == 0 or dims[-1] == dims[-2]:
+            return tuple(dims)
+
+
+def reference_center_dim(algebra: RationalAlgebra) -> int:
+    """n minus the rank of the system [x, e_i] = 0 (all i), by the Fraction
+    RREF."""
+    n = algebra.dim
+    rows = []
+    for i in range(1, n + 1):
+        columns = [algebra.bracket(j, i) for j in range(1, n + 1)]
+        rows.extend(tuple(column[k] for column in columns) for k in range(n))
+    return n - len(reference_rref(rows))
+
+
 def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:
     """Re-verification that one matrix satisfies the derivation identity."""
     n = algebra.dim
@@ -319,8 +389,8 @@ def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:
         col_j = tuple(matrix[k][j - 1] for k in range(n))
         e_i = tuple(Fraction(1 if k == i - 1 else 0) for k in range(n))
         e_j = tuple(Fraction(1 if k == j - 1 else 0) for k in range(n))
-        rhs_first = algebra.bracket_vec(col_i, e_j)
-        rhs_second = algebra.bracket_vec(e_i, col_j)
+        rhs_first = bracket_vec(algebra, col_i, e_j)
+        rhs_second = bracket_vec(algebra, e_i, col_j)
         if any(lhs[k] != rhs_first[k] + rhs_second[k] for k in range(n)):
             return False
     return True

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import re
 import time
+from fractions import Fraction
 
 import pytest
 
-from filicert.cli import main
+from filicert.cli import build_parser, main
 
 MACHINE_LINE = re.compile(
     r"^algebra=\S+ stage=\S+ verdict=(pass|fail) detail=\S.*$")
@@ -110,6 +111,24 @@ def test_invariants_rejects_non_rational_sample(capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("option, value", [("--alpha", "1e100000000"), ("--t", "1/1e5000")])
+def test_rational_samples_are_bounded_like_catalog_literals(capsys, option, value):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as info:
+        main(["invariants", "mu06", option, value])
+    assert time.perf_counter() - start < 1.0
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_rational_samples_in_every_form_still_parse():
+    parse = build_parser().parse_args
+    assert parse(["invariants", "--alpha", "1e3"]).alpha == [Fraction(1000)]
+    assert parse(["invariants", "--alpha=-1/3"]).alpha == [Fraction(-1, 3)]
+    assert parse(["invariants", "--t", "2"]).t == [Fraction(2)]
+
+
 # -- counterexample -----------------------------------------------------------------
 
 def test_counterexample_statement(capsys):
@@ -191,6 +210,16 @@ def test_outside_index_inside_the_ideal_is_an_input_error(capsys, tmp_path, corp
 @pytest.mark.parametrize("cell", ["(1+t)^4000", "((1+t)^64)^64", "t^-65",
                                   "((((7^64)^64)^64)^64)"])
 def test_oversized_expressions_are_rejected_at_parse_time(capsys, tmp_path, cell):
+    assert_cell_rejected(capsys, tmp_path, cell, "power")
+
+
+def test_oversized_products_are_rejected_at_parse_time(capsys, tmp_path):
+    assert_cell_rejected(capsys, tmp_path, "*".join(["(1+t)^64"] * 12), "product")
+
+
+def assert_cell_rejected(capsys, tmp_path, cell, kind):
+    """verify mu11 with cell (3, 1) set to `cell` exits 2 within 1 s, with
+    one line naming the oversized `kind` of expression."""
     from filicert.dataio import data_dir
 
     text = (data_dir() / "mu11").read_text(encoding="utf-8")
@@ -204,7 +233,7 @@ def test_oversized_expressions_are_rejected_at_parse_time(capsys, tmp_path, cell
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert re.fullmatch(rf"error: power at line {line} too large: .*\n", err)
+    assert re.fullmatch(rf"error: {kind} at line {line} too large: .*\n", err)
 
 
 def test_dimension_is_bounded(capsys, tmp_path):

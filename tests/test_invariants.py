@@ -2,20 +2,24 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
 from conftest import abelian
-from filicert import RationalAlgebra, ValidationError
-from filicert.invariants import (_integer, center_dim, derivation_algebra,
+from filicert import RationalAlgebra, Scalar, ScalarMatrix, ValidationError, base_change
+from filicert.cli import DEFAULT_ALPHA_SAMPLES
+from filicert.invariants import (center_dim, derivation_algebra,
                                  derived_series, filiform_profile,
                                  is_characteristically_nilpotent, is_filiform,
                                  is_nilpotent, is_solvable,
                                  lower_central_series)
 
-from helpers import der_is_nilpotent, derivation_identity_holds
+from helpers import (der_is_nilpotent, derivation_identity_holds, rand_fraction,
+                     reference_algebra, reference_center_dim, reference_derived_series,
+                     reference_lower_central_series)
 
 
 def rational(mu, t=None, alpha=None):
@@ -129,10 +133,78 @@ def test_derivation_bases_are_primitive_integer_vectors(tables):
                 assert next(x for x in entries if x) > 0
 
 
-def test_engel_flag_never_truncates_a_fraction():
-    assert _integer(Fraction(-6, 1)) == -6
-    with pytest.raises(ValueError):
-        _integer(Fraction(7, 2))
+ALPHAS = DEFAULT_ALPHA_SAMPLES + (Fraction(-5, 7),)  # 1/3 is a default sample
+T_SAMPLES = (Fraction(1, 2), Fraction(-2, 3))
+
+
+def specializations(tables):
+    """(label, mu, t, alpha): every base specialization of the catalog at the
+    alpha samples, and its t-deformation at the fractional t samples."""
+    for name, data in tables.items():
+        for alpha in ALPHAS if "alpha" in data.mu.params else (None,):
+            yield f"{name} alpha={alpha}", data.mu, None, alpha
+            for t in T_SAMPLES:
+                yield f"{name} t={t} alpha={alpha}", data.mu_t, t, alpha
+
+
+def test_series_and_center_equal_the_fraction_oracle(tables):
+    for label, mu, t, alpha in specializations(tables):
+        algebra, oracle = rational(mu, t=t, alpha=alpha), reference_algebra(mu, t, alpha)
+        assert lower_central_series(algebra) == reference_lower_central_series(oracle), label
+        assert derived_series(algebra) == reference_derived_series(oracle), label
+        assert center_dim(algebra) == reference_center_dim(oracle), label
+
+
+def test_series_and_center_in_a_dense_basis(tables):
+    """After a dense basis change of determinant 1 most brackets are sums over
+    many pairs, both orders of a pair included: the series and the center
+    still equal the oracle's and the original basis's."""
+    rng = random.Random(53)
+    for name, t, alpha in (("mu11", None, None), ("mu06", None, Fraction(-1)),
+                           ("mu15", Fraction(1, 2), None), ("mu13", Fraction(-2, 3),
+                                                            Fraction(1, 3))):
+        mu = tables[name].mu if t is None else tables[name].mu_t.eval_t(t)
+        lower = [[1 if i == j else rand_fraction(rng) if j < i else 0 for j in range(8)]
+                 for i in range(8)]
+        upper = [[lower[j][i] for j in range(8)] for i in range(8)]
+        dense = base_change(mu, ScalarMatrix.from_rows(lower) @ ScalarMatrix.from_rows(upper))
+        algebra, oracle = rational(dense, alpha=alpha), reference_algebra(dense, alpha=alpha)
+        original = rational(mu, alpha=alpha)
+        for invariant, reference in ((lower_central_series, reference_lower_central_series),
+                                     (derived_series, reference_derived_series),
+                                     (center_dim, reference_center_dim)):
+            assert invariant(algebra) == reference(oracle) == invariant(original), \
+                (name, invariant.__name__)
+
+
+def test_table_is_a_positive_int_multiple_of_the_fraction_constants(tables):
+    for label, mu, t, alpha in specializations(tables):
+        table = rational(mu, t=t, alpha=alpha).table
+        constants = reference_algebra(mu, t, alpha).table
+        assert table.keys() == constants.keys(), label
+        assert all(type(x) is int for column in table.values() for x in column), label
+        ratios = {Fraction(x) / c for key, column in table.items()
+                  for x, c in zip(column, constants[key]) if c}
+        assert len(ratios) == 1 and ratios.pop() > 0, label
+        assert all(x == 0 for key, column in table.items()
+                   for x, c in zip(column, constants[key]) if not c), label
+
+
+@pytest.mark.parametrize("factor", [Fraction(1, 6), Fraction(-4)])
+def test_invariants_ignore_a_common_factor_of_the_constants(tables, factor):
+    def invariants(algebra):
+        return (lower_central_series(algebra), derived_series(algebra),
+                center_dim(algebra), derivation_algebra(algebra),
+                is_characteristically_nilpotent(algebra))
+
+    scalar = Scalar.from_rational(factor)
+    for name, alpha in (("mu06", Fraction(-1)), ("mu06", Fraction(1, 3)), ("mu11", None),
+                        ("mu15", None)):
+        mu = tables[name].mu
+        for t, family in ((None, mu), (Fraction(1, 2), tables[name].mu_t)):
+            scaled = family.map_entries(lambda s: s * scalar)
+            assert invariants(rational(scaled, t=t, alpha=alpha)) == \
+                invariants(rational(family, t=t, alpha=alpha)), (name, t, alpha)
 
 
 # -- characteristic nilpotency -------------------------------------------------------------
