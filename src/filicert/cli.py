@@ -14,6 +14,7 @@ with the detail field last so the records stay grep- and diff-friendly.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -74,7 +75,17 @@ def _fraction(text: str) -> Fraction:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reports a usage error in one line, like every other input error."""
+    """Reports a usage error in one line, like every other input error.
+
+    argparse takes an argument that starts with '-' for an option unless it
+    is a plain negative integer or decimal, so `--alpha -1/3` would lack its
+    value.  No option here starts with '-' and a digit, so an argument that
+    does (after an optional '.') is read as a value: -1/3, -.5, -2e-3.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         self.exit(2, f"error: {message}\n")

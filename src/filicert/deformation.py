@@ -144,13 +144,15 @@ class VerificationReport:
 
 
 def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
-                        g: ScalarMatrix, reciprocal: bool = False) -> VerificationReport:
+                        g: ScalarMatrix, reciprocal: bool = False, *,
+                        det: Scalar | None = None) -> VerificationReport:
     """Check the degeneration identity (*) on all basis pairs, symbolically.
 
     Fills the ``eq1`` and ``unit-det`` stages of the report: every residual
     column mu_1(g e_i, g e_j) - g(mu_t(e_i, e_j)) must vanish identically in
     t (and alpha, when present), and det(g) must be a Laurent unit.  With
-    ``reciprocal=True`` the right-hand side uses mu_{1/t}.
+    ``reciprocal=True`` the right-hand side uses mu_{1/t}.  A caller that
+    already knows det(g) passes it as ``det``; otherwise it is computed.
     """
     if mu1.dim != mu_t.dim or g.n != mu_t.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
@@ -162,12 +164,13 @@ def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
                 if not column_is_zero(residual)]
     note = "certificate parametrized by 1/t" if reciprocal else ""
     report.stages["eq1"] = StageResult(not failures, tuple(failures), note)
-    report.stages["unit-det"] = _unit_det_stage(g)
+    report.stages["unit-det"] = _unit_det_stage(g, det)
     return report
 
 
-def _unit_det_stage(g: ScalarMatrix) -> StageResult:
-    det = g.det()
+def _unit_det_stage(g: ScalarMatrix, det: Scalar | None = None) -> StageResult:
+    if det is None:
+        det = g.det()
     if det.is_unit_monomial():
         return StageResult(True, note=f"det = {det}")
     return StageResult(False, (Failure((), None, f"det = {det}"),),
@@ -199,17 +202,9 @@ def limit_check(mu_t: StructureConstants, mu: StructureConstants) -> bool:
     return entries_equal(mu_t.eval_t(0), mu)
 
 
-def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
-                         derivation: ScalarMatrix) -> bool:
-    """Check that g acts on the ideal block with eigenvalues t^(d_i).
-
-    The ideal's coordinate subspace must be invariant under g (otherwise
-    :class:`NotInvariant`); the characteristic polynomial of the restricted
-    block is then compared, as an exact polynomial identity, against
-    prod_i (x - t^(d_i)) with d_i the diagonal entries of the derivation.
-    """
-    if not derivation.is_diagonal():
-        raise InvalidSpec("derivation is not diagonal")
+def _ideal_block(g: ScalarMatrix, ideal: SubspaceSpec) -> ScalarMatrix:
+    """The block of g on the ideal's coordinate subspace, which g must map
+    into itself (otherwise :class:`NotInvariant`)."""
     inside = [k - 1 for k in sorted(ideal.indices)]
     outside = [k for k in range(g.n) if k + 1 not in ideal]
     for c in inside:
@@ -217,8 +212,24 @@ def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
             if not g.rows[r][c].is_zero():
                 raise NotInvariant(
                     f"entry ({r + 1}, {c + 1}) maps the ideal outside itself")
-    block = g.submatrix(inside, inside)
-    actual = block.char_poly()
+    return g.submatrix(inside, inside)
+
+
+def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
+                         derivation: ScalarMatrix, *,
+                         block_poly: UniPoly | None = None) -> bool:
+    """Check that g acts on the ideal block with eigenvalues t^(d_i).
+
+    The ideal's coordinate subspace must be invariant under g (otherwise
+    :class:`NotInvariant`); the characteristic polynomial of the restricted
+    block is then compared, as an exact polynomial identity, against
+    prod_i (x - t^(d_i)) with d_i the diagonal entries of the derivation.
+    A caller that has already checked the invariance and computed that
+    polynomial passes it as ``block_poly``.
+    """
+    if not derivation.is_diagonal():
+        raise InvalidSpec("derivation is not diagonal")
+    actual = _ideal_block(g, ideal).char_poly() if block_poly is None else block_poly
     exponents = [derivation.rows[k][k] for k in range(derivation.n)]
     roots = []
     for entry in exponents:
@@ -242,7 +253,16 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     mu + t*phi.  Failures are collected, never raised, so a corrupted table
     yields a localized report rather than an exception; an outside index in
     the ideal or out of range fails the ideal stage, and the stages that
-    need mu_D are skipped.
+    need mu_D are skipped; a g that does not preserve the ideal, or a
+    derivation with a non-integral eigenvalue, fails the spectrum stage.
+
+    One Berkowitz run serves both ``unit-det`` and ``spectrum``.  When g maps
+    the codimension-1 ideal into itself, g is block triangular with the
+    diagonal blocks B (on the ideal) and g_xx (x the complement index), so
+    det g = g_xx * det B = g_xx * (-1)^(n-1) * chi_B(0), read off the block
+    characteristic polynomial chi_B that the spectrum stage compares.  Only
+    a g that does not preserve the ideal, or a spec without a valid
+    complement, has its full determinant computed.
     """
     report = VerificationReport(name)
 
@@ -261,12 +281,23 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     else:
         report.stages["derivation"] = StageResult(False, note="skipped: ideal stage failed")
 
+    try:
+        block_poly = _ideal_block(g, ideal).char_poly()
+    except NotInvariant:
+        block_poly = None
+
     if complement_ok:
         phi, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
         expansion = jacobi_check(mu, phi)
         report.stages["cocycle"] = StageResult(not expansion.coefficient(1))
         report.stages["bracket"] = StageResult(not expansion.coefficient(2))
-        report.stages.update(verify_degeneration(mu1, mu_t, g, reciprocal=reciprocal).stages)
+        det = None
+        if block_poly is not None and len(ideal) == g.n - 1:
+            det = g.rows[outside_index - 1][outside_index - 1] * block_poly.coefficient(0)
+            if g.n % 2 == 0:
+                det = -det
+        report.stages.update(
+            verify_degeneration(mu1, mu_t, g, reciprocal=reciprocal, det=det).stages)
         report.stages["limit"] = StageResult(limit_check(mu_t, mu))
     else:
         # without a complement vector there is no mu_D and no family mu_t
@@ -281,9 +312,9 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     report.stages["jacobi"] = StageResult(not jacobi_failures, tuple(jacobi_failures))
 
     try:
-        spectrum_ok = block_spectrum_check(g, ideal, derivation)
+        spectrum_ok = block_spectrum_check(g, ideal, derivation, block_poly=block_poly)
         report.stages["spectrum"] = StageResult(spectrum_ok)
-    except NotInvariant as exc:
+    except (NotInvariant, InvalidSpec) as exc:
         report.stages["spectrum"] = StageResult(False, (Failure((), None, str(exc)),))
 
     report.stages = {stage: report.stages[stage] for stage in STAGES if stage in report.stages}

@@ -99,12 +99,23 @@ class Cochain2:
         return tuple(-x for x in column)
 
     def bracket_eval(self, x: Column, y: Column) -> Column:
-        """Bilinear evaluation on arbitrary coordinate columns."""
+        """Bilinear evaluation on arbitrary coordinate columns.
+
+        The coefficient x_i y_j - x_j y_i of each pair is formed only from
+        the products whose two factors are both nonzero; certificate
+        columns are sparse, so most pairs are skipped without a product.
+        """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match the bracket dimension")
         out = list(zero_column(self.dim))
         for (i, j), column in self.entries.items():
-            coeff = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+            xi, yj, xj, yi = x[i - 1], y[j - 1], x[j - 1], y[i - 1]
+            if xi and yj:
+                coeff = xi * yj - xj * yi if xj and yi else xi * yj
+            elif xj and yi:
+                coeff = -(xj * yi)
+            else:
+                continue
             if coeff.is_zero():
                 continue
             for k, s in enumerate(column):

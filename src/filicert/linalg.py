@@ -4,7 +4,11 @@ Determinants and characteristic polynomials of :class:`ScalarMatrix` use the
 Berkowitz algorithm, which is division-free and therefore valid over the
 Laurent ring Q[alpha][t, 1/t].  Inverses require a unit determinant c*t^k and
 are obtained fraction-free (Bareiss/Montante form of Gauss-Jordan), so the
-only division ever performed on Scalars is exact.
+only division ever performed on Scalars is exact.  The ``unit-det`` stage of
+the certificate check takes det g from one Berkowitz run on g's block on the
+ideal, which the ``spectrum`` stage needs anyway (see
+:func:`filicert.deformation.run_certificate_checks`); it calls
+:meth:`ScalarMatrix.det` only for a g that does not preserve its ideal.
 
 :class:`RationalMatrix` provides row-space and right-nullspace computations
 over Q by sparse Gauss-Jordan elimination on primitive integer rows.  Both

@@ -13,8 +13,15 @@ exact quotients, unit inverses and substitutions; the ring operations do no
 normalization.  Every division goes through ``Fraction``, because
 ``int / int`` and ``int ** -k`` are floats.
 
-Scalars are immutable values; every operation returns a fresh canonical
-scalar, so they are safe to share between concurrent tasks.
+The certificate contractions multiply and subtract mostly zeros, so the ring
+operations short-circuit the zero scalar: a product with zero is ``ZERO``,
+and adding or subtracting zero returns the other operand (or its negation)
+without copying it.  A term new to an accumulated sum stores its
+coefficient as it is, with no addition to 0.
+
+Scalars are immutable values: an operation returns a canonical scalar that
+may share an operand's term map, and nothing mutates a term map once a
+Scalar holds it, so scalars are safe to share between concurrent tasks.
 """
 
 from __future__ import annotations
@@ -138,13 +145,21 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        if not rhs._terms:
+            return self
+        if not self._terms:
+            return rhs
         terms = dict(self._terms)
         for key, coeff in rhs._terms.items():
-            new = terms.get(key, 0) + coeff
+            old = terms.get(key)
+            if old is None:
+                terms[key] = coeff
+                continue
+            new = old + coeff
             if new:
                 terms[key] = new
             else:
-                terms.pop(key, None)
+                del terms[key]
         result = Scalar.__new__(Scalar)
         result._terms = terms
         return result
@@ -152,6 +167,8 @@ class Scalar:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self._terms:
+            return self
         result = Scalar.__new__(Scalar)
         result._terms = {key: -coeff for key, coeff in self._terms.items()}
         return result
@@ -160,13 +177,21 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        if not rhs._terms:
+            return self
+        if not self._terms:
+            return -rhs
         terms = dict(self._terms)
         for key, coeff in rhs._terms.items():
-            new = terms.get(key, 0) - coeff
+            old = terms.get(key)
+            if old is None:
+                terms[key] = -coeff
+                continue
+            new = old - coeff
             if new:
                 terms[key] = new
             else:
-                terms.pop(key, None)
+                del terms[key]
         result = Scalar.__new__(Scalar)
         result._terms = terms
         return result
@@ -181,15 +206,21 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
+        if not (self._terms and rhs._terms):
+            return ZERO
         terms: dict[tuple[int, int], int | Fraction] = {}
         for (a_t, a_alpha), a_coeff in self._terms.items():
             for (b_t, b_alpha), b_coeff in rhs._terms.items():
                 key = (a_t + b_t, a_alpha + b_alpha)
-                new = terms.get(key, 0) + a_coeff * b_coeff
+                old = terms.get(key)
+                if old is None:
+                    terms[key] = a_coeff * b_coeff
+                    continue
+                new = old + a_coeff * b_coeff
                 if new:
                     terms[key] = new
                 else:
-                    terms.pop(key, None)
+                    del terms[key]
         result = Scalar.__new__(Scalar)
         result._terms = terms
         return result

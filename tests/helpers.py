@@ -396,6 +396,20 @@ def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:
     return True
 
 
+def dense_bracket_eval(mu: Cochain2, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """sum_{i,j} x_i y_j mu(b_i, b_j) over all ordered basis pairs, in
+    ReferenceScalar arithmetic: the oracle for Cochain2.bracket_eval, with
+    no sparsity shortcut and no pairing of (i, j) with (j, i)."""
+    dim = mu.dim
+    out = [ReferenceScalar({}) for _ in range(dim)]
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            coeff = ReferenceScalar.of(x[i - 1]) * ReferenceScalar.of(y[j - 1])
+            for k, s in enumerate(mu.bracket(i, j)):
+                out[k] = out[k] + coeff * ReferenceScalar.of(s)
+    return tuple(Scalar(value.terms) for value in out)
+
+
 def reference_jacobi(mu: Cochain2) -> list:
     """(triple, residual) wherever Jacobi fails, by bilinear evaluation on
     basis columns: the oracle for the structure-constant contraction."""

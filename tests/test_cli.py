@@ -127,6 +127,22 @@ def test_rational_samples_in_every_form_still_parse():
     assert parse(["invariants", "--alpha", "1e3"]).alpha == [Fraction(1000)]
     assert parse(["invariants", "--alpha=-1/3"]).alpha == [Fraction(-1, 3)]
     assert parse(["invariants", "--t", "2"]).t == [Fraction(2)]
+    # a negative value after a space is a value, not an option
+    assert parse(["invariants", "--alpha", "-1/3"]).alpha == [Fraction(-1, 3)]
+    assert parse(["invariants", "--t", "-2/3"]).t == [Fraction(-2, 3)]
+    assert parse(["invariants", "--alpha", "-.5", "--alpha", "-2e-3"]).alpha == [
+        Fraction(-1, 2), Fraction(-1, 500)]
+    args = parse(["invariants", "mu06", "--alpha", "-1", "--t", "-2/3"])
+    assert (args.names, args.alpha, args.t) == (["mu06"], [Fraction(-1)], [Fraction(-2, 3)])
+
+
+def test_an_option_is_still_not_a_sample_value(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["invariants", "mu06", "--alpha", "--format", "machine"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --alpha: expected one argument\n"
 
 
 # -- counterexample -----------------------------------------------------------------
@@ -182,6 +198,25 @@ def test_non_utf8_catalog_file_is_an_input_error(capsys, tmp_path, corpus):
     assert out == ""
     assert err.startswith("error: mu99: not UTF-8 text")
     assert err.count("\n") == 1
+
+
+def test_non_integral_derivation_fails_the_spectrum_stage(capsys, tmp_path):
+    """A D with a non-integral eigenvalue is a localized spectrum failure of
+    its own table; the other tables are still verified."""
+    from filicert.dataio import data_dir
+
+    (tmp_path / "mu06").write_text((data_dir() / "mu06").read_text(encoding="utf-8"))
+    text = (data_dir() / "mu11").read_text(encoding="utf-8")
+    assert "D = 1 2 3 4 5 6 7\n" in text
+    (tmp_path / "mu11").write_text(text.replace("D = 1 2 3 4 5 6 7\n",
+                                                "D = 1/2 2 3 4 5 6 7\n"))
+    code, out, err = run(capsys, "verify", "mu06", "mu11", "--data", str(tmp_path))
+    assert code == 1
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[0] == "mu06: PASS"
+    assert lines[1].startswith("mu11: FAIL [") and "spectrum" in lines[1]
+    assert "  spectrum: (): derivation eigenvalues must be integers" in lines
 
 
 def test_missing_data_directory(capsys, tmp_path):

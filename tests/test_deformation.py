@@ -12,7 +12,8 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       NotInvariant, SubspaceSpec, block_spectrum_check,
                       counterexample_spec, deform, entries_equal, go_cocycle,
                       limit_check, reciprocal_certificate, verify_degeneration)
-from filicert.deformation import STAGES, run_certificate_checks, solve_certificate_cell
+from filicert.deformation import (STAGES, _unit_det_stage, run_certificate_checks,
+                                  solve_certificate_cell)
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ONE, T, ZERO, Scalar
@@ -222,6 +223,63 @@ def test_limit_rejects_poles(tables):
     with_pole = fc.StructureConstants(8, entries, data.mu_t.params, "pole")
     with pytest.raises(NegativeExponent):
         limit_check(with_pole, data.mu)
+
+
+# -- det g from the block polynomial ---------------------------------------------------
+
+def with_cell(g: ScalarMatrix, row: int, col: int, value: Scalar) -> ScalarMatrix:
+    rows = [list(r) for r in g.rows]
+    rows[row - 1][col - 1] = value
+    return ScalarMatrix(tuple(tuple(r) for r in rows))
+
+
+def outside_row_corruptions(g: ScalarMatrix, x: int) -> list[ScalarMatrix]:
+    """g with one cell of row x changed: g_xx set to zero, times (1 + t) and
+    plus an offset, which keep the ideal invariant; every other cell plus the
+    offset, which maps the ideal outside itself."""
+    offset = Scalar({(-1, 0): Fraction(1, 2), (2, 0): 3})
+    g_xx = g.rows[x - 1][x - 1]
+    return ([with_cell(g, x, x, ZERO), with_cell(g, x, x, g_xx * (1 + T))]
+            + [with_cell(g, x, col, g.rows[x - 1][col - 1] + offset)
+               for col in range(1, g.n + 1)])
+
+
+def certificate_cases(corpus):
+    """(table, errata mode, certificate): the bundled ones in both modes, and
+    the outside-row corruptions of the corrected ones."""
+    for name in fc.VERIFIED_NAMES:
+        for corrected in (False, True):
+            yield name, corrected, fc.certificate_matrix(corpus[name], corrected=corrected)
+        g = fc.certificate_matrix(corpus[name], corrected=True)
+        for h in outside_row_corruptions(g, corpus[name].deformation.outside):
+            yield name, True, h
+
+
+def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypatch):
+    """The unit-det stage equals the one computed from ScalarMatrix.det;
+    det runs only where g does not map the ideal into itself."""
+    calls = []
+    full_det = ScalarMatrix.det
+
+    def counted_det(matrix):
+        calls.append(matrix)
+        return full_det(matrix)
+
+    for name, corrected, h in certificate_cases(corpus):
+        alg = corpus[name]
+        block = alg.deformation
+        expected = _unit_det_stage(h)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ScalarMatrix, "det", counted_det)
+            report = run_certificate_checks(
+                name, fc.structure_constants(alg, corrected=corrected),
+                SubspaceSpec(block.ideal), block.outside,
+                ScalarMatrix.diagonal(block.diagonal), h,
+                reciprocal=alg.certificate_parameter == "1/t")
+        assert report.stages["unit-det"] == expected, (name, str(h))
+        preserves = all(h.rows[block.outside - 1][k - 1].is_zero() for k in block.ideal)
+        assert len(calls) == (0 if preserves else 1), (name, str(h))
 
 
 # -- the spectrum of the ideal block -------------------------------------------------

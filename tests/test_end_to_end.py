@@ -41,6 +41,22 @@ RESIDUAL_CORRUPTIONS = (
     ("mu17", 7, 3, "3*t^-1"),
 )
 RESIDUAL_RENDERING = "ecfe0c4101b4c2a1593fa19705d337f16f249c86243a3426aa1a2c860364788e"
+# Offsets in the outside row (row 1) of corrected certificates, and the sha256
+# of `verify --format machine` over them.  An offset at (1, k), k in the
+# ideal, maps the ideal outside itself, so det g is the full determinant; at
+# (1, 1) = g_xx the ideal stays invariant and det g comes from the block's
+# characteristic polynomial: a unit (mu17, mu08) or not (mu01, mu13).
+OUTSIDE_ROW_CORRUPTIONS = (
+    ("mu01", 1, 1, "t^2"),
+    ("mu06", 1, 3, "alpha"),
+    ("mu08", 1, 1, "t^-1"),
+    ("mu08", 1, 8, "-2/3*t^-1"),
+    ("mu10", 1, 2, "1/2*t"),
+    ("mu13", 1, 1, "-1/3*t^-1*alpha"),
+    ("mu15", 1, 5, "3"),
+    ("mu17", 1, 1, "t"),
+)
+OUTSIDE_ROW_RENDERING = "80ec20f69dbe963dfd2d3fc0553d37b905daa10abd68382eae82fff0400b2557"
 
 
 @pytest.mark.parametrize("command", sorted(PINS["certify"]))
@@ -64,9 +80,11 @@ def test_catalog_invariants_stdout_matches_the_pinned_digest(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_INVARIANTS[command]
 
 
-def residual_rendering_stdout(corpus, directory: Path) -> tuple[int, str]:
+def corrupted_verify_stdout(corpus, directory: Path, corruptions) -> int:
+    """`verify --format machine` over corrected certificates with the given
+    (table, row, column, offset) corruptions; returns the exit code."""
     tables = []
-    for name, row, col, offset in RESIDUAL_CORRUPTIONS:
+    for name, row, col, offset in corruptions:
         alg = apply_errata(corpus[name])
         certificate = dict(alg.certificate)
         certificate[(row, col)] = (certificate.get((row, col), Scalar())
@@ -79,9 +97,15 @@ def residual_rendering_stdout(corpus, directory: Path) -> tuple[int, str]:
 
 
 def test_residual_rendering_matches_the_pinned_digest(capsys, tmp_path, corpus):
-    assert residual_rendering_stdout(corpus, tmp_path) == 1
+    assert corrupted_verify_stdout(corpus, tmp_path, RESIDUAL_CORRUPTIONS) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == RESIDUAL_RENDERING
+
+
+def test_outside_row_rendering_matches_the_pinned_digest(capsys, tmp_path, corpus):
+    assert corrupted_verify_stdout(corpus, tmp_path, OUTSIDE_ROW_CORRUPTIONS) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTSIDE_ROW_RENDERING
 
 
 def der_bases_digest(corpus) -> str:

@@ -16,10 +16,10 @@ from filicert.deformation import deform, run_certificate_checks
 from filicert.errors import ValidationError
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
-from filicert.scalar import ALPHA, ZERO
+from filicert.scalar import ALPHA, ONE, ZERO
 
-from helpers import (monomial_diagonal, rand_scalar, reference_cocycle,
-                     reference_jacobi)
+from helpers import (dense_bracket_eval, monomial_diagonal, rand_scalar,
+                     reference_cocycle, reference_jacobi)
 
 
 def column(dim, **components):
@@ -49,6 +49,25 @@ def test_bracket_with_family_parameter(tables):
     mu = tables["mu06"].mu
     value = mu.bracket_eval(basis_column(8, 1), basis_column(8, 6))
     assert value == column(8, Y8=-ALPHA)
+
+
+def mixed_column(rng: random.Random, dim: int, symbols: frozenset) -> tuple:
+    """A column whose entries are zero, a monomial or several terms, in about
+    equal shares, in the parameters the bracket declares."""
+    kinds = (lambda: ZERO,
+             lambda: rand_scalar(rng, max_terms=1, allow_alpha="alpha" in symbols) or ONE,
+             lambda: rand_scalar(rng, max_terms=4, allow_alpha="alpha" in symbols))
+    return tuple(rng.choice(kinds)() for _ in range(dim))
+
+
+def test_bracket_eval_matches_the_dense_double_sum(tables):
+    rng = random.Random(13)
+    for name, data in tables.items():
+        for mu in (data.mu, data.mu_t):
+            for _ in range(4):
+                x = mixed_column(rng, mu.dim, mu.params)
+                y = mixed_column(rng, mu.dim, mu.params)
+                assert mu.bracket_eval(x, y) == dense_bracket_eval(mu, x, y), mu.name
 
 
 def test_bracket_index_order_antisymmetry(tables):

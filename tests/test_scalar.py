@@ -224,6 +224,34 @@ def test_ring_ops_agree_with_the_fraction_reference(a, b, k):
     assert_matches(3 - a, ReferenceScalar({(0, 0): 3}) - ra)
 
 
+# the zero scalar in about a third of the draws: the shared ZERO or a fresh empty map
+zero_or_mixed_st = st.one_of(st.sampled_from([ZERO, Scalar()]), mixed_scalars_st,
+                             mixed_scalars_st)
+
+
+def snapshot(scalar: Scalar) -> tuple:
+    return tuple((key, type(coeff), coeff) for key, coeff in scalar.iter_terms())
+
+
+@given(zero_or_mixed_st, zero_or_mixed_st, zero_or_mixed_st)
+def test_zero_short_circuits_agree_with_the_fraction_reference(a, b, c):
+    """Ring ops with a zero operand on either side give the reference value
+    with int-or-Fraction coefficients.  A result may share an operand's term
+    map, so no later op on it may change an operand."""
+    before = (snapshot(a), snapshot(b), snapshot(c))
+    ra, rb = ReferenceScalar.of(a), ReferenceScalar.of(b)
+    zero = ReferenceScalar({})
+    cases = [(a + b, ra + rb), (a - b, ra - rb), (a * b, ra * rb), (-a, -ra),
+             (a + 0, ra), (0 + a, ra), (a - 0, ra), (0 - a, -ra),
+             (a * 0, zero), (0 * a, zero), (a * ZERO, zero), (ZERO - a, -ra)]
+    for result, reference in cases:
+        assert_matches(result, reference)
+        for follow_up in (result + c, result - c, c - result, result * c, -result):
+            assert_exact(follow_up)
+    assert (snapshot(a), snapshot(b), snapshot(c)) == before
+    assert ZERO.is_zero()
+
+
 @given(mixed_scalars_st, mixed_scalars_st.filter(bool))
 def test_exact_division_of_a_product_returns_the_factor(a, b):
     quotient = (a * b).exact_div(b)
