@@ -10,8 +10,8 @@ over exact rationals; there is no floating point and no tolerance anywhere.
 
 from .dataio import (AlgebraFile, DeformationBlock, Erratum, VERIFIED_NAMES,
                      apply_errata, certificate_matrix, data_dir, load_algebra,
-                     load_corpus, parse_algebra, parse_expression,
-                     serialize_algebra, structure_constants)
+                     load_corpus, parse_algebra, serialize_algebra,
+                     structure_constants)
 from .deformation import (DeformationSpec, Failure, STAGES, StageResult,
                           VerificationReport, block_spectrum_check,
                           counterexample_spec, deform, go_cocycle, limit_check,

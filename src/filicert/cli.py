@@ -252,6 +252,8 @@ def render_invariants_machine(records: list[InvariantRecord]) -> list[str]:
 
 
 def counterexample_lines(corpus: dict[str, AlgebraFile], cfg: RunConfig) -> tuple[list[str], bool]:
+    if "mu17" not in corpus:
+        raise UsageError("unknown algebra 'mu17'")
     alg = corpus["mu17"]
     mu = structure_constants(alg, corrected=cfg.errata_mode == "corrected")
     spec = counterexample_spec(mu)

@@ -39,13 +39,24 @@ are linear combinations of basis symbols ``Y1..Yn`` (resp. ``X1..Xn``) with
 expression coefficients.  Every expression may use only the parameters
 declared in the header; ``t`` is additionally allowed in certificate entries.
 
-Loading elaborates all expressions to canonical Scalars and validates every
-structural invariant; errata are stored but applied only when the corrected
-variant is requested explicitly.
+The parser evaluates an expression while it reads it: each grammar rule
+returns the value of its text, a canonical Scalar and the basis coordinates,
+and no syntax tree is built.  Errors come in a fixed order.  A syntax error
+(:class:`ParseError`, with line and column) anywhere on a line wins over a
+semantic one (:class:`ValidationError`: an undeclared symbol, a basis index
+out of range, a nonlinear term, an oversized power or product), so the first
+semantic error is held until the whole line has parsed.  Among semantic
+errors the first in evaluation order is reported, where a negative exponent
+on anything but a bare ``t`` counts before any error inside its base;
+parentheses do not matter, so ``(t)^-1`` is bare and ``(1*t)^-1`` is not.
+
+Loading validates every structural invariant; errata are stored but applied
+only when the corrected variant is requested explicitly.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
@@ -54,7 +65,7 @@ from typing import Iterable, Mapping
 from .errors import ParseError, ValidationError
 from .lie import Column, StructureConstants
 from .linalg import ScalarMatrix
-from .scalar import ALPHA, T, ZERO, Scalar
+from .scalar import ALPHA, ONE, T, ZERO, Scalar
 
 VERIFIED_NAMES = ("mu01", "mu02", "mu06", "mu08", "mu09", "mu10",
                   "mu11", "mu13", "mu15", "mu17")
@@ -83,185 +94,44 @@ def data_dir() -> Path:
     return Path(__file__).parent / "data"
 
 
-# -- expression grammar ------------------------------------------------------
+# -- expressions ---------------------------------------------------------------
+
+# One token per match: a number p or p/q (an empty q is an error), a word, or
+# any other character but a space; finditer passes over the spaces, which
+# nothing matches.  ``\s``, ``\d`` and ``\w`` are exactly str.isspace,
+# str.isdecimal and (str.isalnum or "_"); a word must still start with a
+# letter, because ``\w`` also matches digits such as "²".
+_TOKEN = re.compile(r"(\d+)(/(\d*))?|(\w+)|(\S)")
+_OPERATORS = "+-*^()"
 
 
-class Expression:
-    """Abstract syntax tree over rationals, symbols, and + - * ^."""
-
-    __slots__ = ()
-
-    def to_scalar(self, params: Iterable[str] = ("t", "alpha"), line: int = 0) -> Scalar:
-        """Elaborate a pure-scalar expression to its canonical Scalar."""
-        scalar, vector = _evaluate(self, frozenset(params), None, 0, line)
-        if vector:
-            raise ValidationError("expression contains basis symbols")
-        return scalar
-
-
-@dataclass(frozen=True)
-class Number(Expression):
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class SymbolRef(Expression):
-    name: str
-
-
-@dataclass(frozen=True)
-class Negate(Expression):
-    operand: Expression
-
-
-@dataclass(frozen=True)
-class BinaryOp(Expression):
-    op: str
-    left: Expression
-    right: Expression
-
-
-@dataclass(frozen=True)
-class Power(Expression):
-    base: Expression
-    exponent: int
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | one of "+-*^()" | "end"
-    text: str
-    column: int
-    value: Fraction | None = None
-
-
-def _tokenize(text: str, line: int) -> list[_Token]:
+def _tokenize(text: str, line: int) -> list[tuple]:
+    """The tokens of a line as (kind, text, column, value) tuples; kind is
+    "number" (value an int, or a Fraction for p/q), "name", an operator
+    character or "end"."""
     tokens = []
-    pos = 0
-    length = len(text)
-    while pos < length:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        start = pos
-        if ch.isdecimal():
-            while pos < length and text[pos].isdecimal():
-                pos += 1
-            numerator, denominator = text[start:pos], "1"
-            if pos < length and text[pos] == "/":
-                den_start = pos + 1
-                pos += 1
-                while pos < length and text[pos].isdecimal():
-                    pos += 1
-                if pos == den_start:
-                    raise ParseError("missing denominator", line, pos + 1,
-                                     ("digit",))
-                denominator = text[den_start:pos]
-            if not (_is_digits(numerator) and _is_digits(denominator)):
-                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, start + 1)
-            if int(denominator) == 0:
-                raise ParseError("zero denominator", line, start + 1)
-            value = Fraction(int(numerator), int(denominator))
-            tokens.append(_Token("number", text[start:pos], start + 1, value))
-        elif ch.isalpha():
-            while pos < length and (text[pos].isalnum() or text[pos] == "_"):
-                pos += 1
-            tokens.append(_Token("name", text[start:pos], start + 1))
-        elif ch in "+-*^()":
-            tokens.append(_Token(ch, ch, start + 1))
-            pos += 1
+    for match in _TOKEN.finditer(text):
+        numerator, fraction, denominator, name, char = match.groups()
+        column = match.start() + 1
+        if numerator:
+            if fraction and not denominator:
+                raise ParseError("missing denominator", line, match.end() + 1, ("digit",))
+            if len(numerator) > MAX_DIGITS or (fraction and len(denominator) > MAX_DIGITS):
+                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, column)
+            value = int(numerator)
+            if fraction:
+                if int(denominator) == 0:
+                    raise ParseError("zero denominator", line, column)
+                value = Fraction(value, int(denominator))
+            tokens.append(("number", match.group(), column, value))
+        elif name and name[0].isalpha():
+            tokens.append(("name", name, column, None))
+        elif char and char in _OPERATORS:
+            tokens.append((char, char, column, None))
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, pos + 1)
-    tokens.append(_Token("end", "", length + 1))
+            raise ParseError(f"unexpected character {(char or name[0])!r}", line, column)
+    tokens.append(("end", "", len(text) + 1, None))
     return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[_Token], line: int):
-        self.tokens = tokens
-        self.pos = 0
-        self.line = line
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> _Token:
-        token = self.tokens[self.pos]
-        self.pos += 1
-        return token
-
-    def expect(self, kind: str) -> _Token:
-        token = self.peek()
-        if token.kind != kind:
-            raise ParseError(f"unexpected token {token.text or 'end of input'!r}",
-                             self.line, token.column, (kind,))
-        return self.take()
-
-    def parse(self) -> Expression:
-        node = self.expr()
-        tail = self.peek()
-        if tail.kind != "end":
-            raise ParseError(f"unexpected trailing token {tail.text!r}",
-                             self.line, tail.column, ("end of input",))
-        return node
-
-    def expr(self) -> Expression:
-        node = self.term()
-        while self.peek().kind in ("+", "-"):
-            op = self.take().kind
-            node = BinaryOp(op, node, self.term())
-        return node
-
-    def term(self) -> Expression:
-        negations = 0
-        while self.peek().kind == "-":
-            self.take()
-            negations += 1
-        node = self.factor()
-        while self.peek().kind == "*":
-            self.take()
-            node = BinaryOp("*", node, self.factor())
-        for _ in range(negations):
-            node = Negate(node)
-        return node
-
-    def factor(self) -> Expression:
-        node = self.base()
-        if self.peek().kind == "^":
-            self.take()
-            sign = 1
-            if self.peek().kind == "-":
-                self.take()
-                sign = -1
-            token = self.expect("number")
-            if token.value is None or token.value.denominator != 1:
-                raise ParseError("exponent must be an integer literal",
-                                 self.line, token.column, ("integer",))
-            node = Power(node, sign * int(token.value))
-        return node
-
-    def base(self) -> Expression:
-        token = self.peek()
-        if token.kind == "number":
-            self.take()
-            return Number(token.value)
-        if token.kind == "name":
-            self.take()
-            return SymbolRef(token.text)
-        if token.kind == "(":
-            self.take()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {token.text or 'end of input'!r}",
-                         self.line, token.column,
-                         ("number", "symbol", "'('"))
-
-
-def parse_expression(text: str, line: int = 0) -> Expression:
-    """Parse an expression into its AST (no symbol resolution yet)."""
-    return _Parser(_tokenize(text, line), line).parse()
 
 
 def _size(scalar: Scalar) -> tuple[int, int]:
@@ -294,71 +164,171 @@ def _product(a: Scalar, b: Scalar, line: int) -> Scalar:
     return a * b
 
 
-def _evaluate(node: Expression, params: frozenset[str],
-              basis_prefix: str | None, dim: int, line: int = 0):
-    if isinstance(node, Number):
-        return Scalar.from_rational(node.value), {}
-    if isinstance(node, SymbolRef):
-        name = node.name
-        if name == "t" and "t" in params:
-            return T, {}
-        if name == "alpha" and "alpha" in params:
-            return ALPHA, {}
-        if basis_prefix and name.startswith(basis_prefix) and name[len(basis_prefix):].isdecimal():
-            digits = name[len(basis_prefix):]
-            if not (_is_digits(digits) and 1 <= int(digits) <= dim):
-                raise ValidationError(f"basis index {name} out of range 1..{dim}")
-            return ZERO, {int(digits): Scalar.from_rational(1)}
-        raise ValidationError(f"undeclared symbol {name!r}")
-    if isinstance(node, Negate):
-        scalar, vector = _evaluate(node.operand, params, basis_prefix, dim, line)
-        return -scalar, {k: -v for k, v in vector.items()}
-    if isinstance(node, Power):
-        if node.exponent < 0 and not (isinstance(node.base, SymbolRef)
-                                      and node.base.name == "t"):
-            raise ValidationError("negative exponents are allowed only on t")
-        scalar, vector = _evaluate(node.base, params, basis_prefix, dim, line)
+# The value of an expression: its scalar part and its basis coordinates.
+_Value = tuple[Scalar, dict[int, Scalar]]
+_NOTHING: _Value = (ZERO, {})
+
+
+class _Parser:
+    """Recursive descent over the tokens of one line.  Each rule returns the
+    value of the text it read; the first semantic error is held, and the
+    rules go on reading (on a placeholder value) so that a later syntax
+    error still wins."""
+
+    def __init__(self, text: str, line: int, params: frozenset[str],
+                 prefix: str | None, dim: int):
+        self.tokens = _tokenize(text, line)
+        self.pos = 0
+        self.line = line
+        self.params = params
+        self.prefix = prefix
+        self.dim = dim
+        self.error: str | None = None
+
+    def hold(self, message: str) -> _Value:
+        if self.error is None:
+            self.error = message
+        return _NOTHING
+
+    def kind(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def expect(self, kind: str) -> tuple:
+        token = self.tokens[self.pos]
+        if token[0] != kind:
+            raise ParseError(f"unexpected token {token[1] or 'end of input'!r}",
+                             self.line, token[2], (kind,))
+        self.pos += 1
+        return token
+
+    def parse(self) -> _Value:
+        value = self.expr()
+        kind, text, column, _ = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"unexpected trailing token {text!r}",
+                             self.line, column, ("end of input",))
+        if self.error is not None:
+            raise ValidationError(self.error)
+        return value
+
+    def expr(self) -> _Value:
+        scalar, vector = self.term()
+        while (op := self.kind()) in ("+", "-"):
+            self.pos += 1
+            right_s, right_v = self.term()
+            merged = dict(vector)
+            if op == "+":
+                for k, v in right_v.items():
+                    merged[k] = merged.get(k, ZERO) + v
+                scalar, vector = scalar + right_s, merged
+            else:
+                for k, v in right_v.items():
+                    merged[k] = merged.get(k, ZERO) - v
+                scalar, vector = scalar - right_s, merged
+        return scalar, vector
+
+    def term(self) -> _Value:
+        negations = 0
+        while self.kind() == "-":
+            self.pos += 1
+            negations += 1
+        scalar, vector = self.factor()
+        while self.kind() == "*":
+            self.pos += 1
+            right_s, right_v = self.factor()
+            if self.error is not None:
+                continue
+            if vector and right_v:
+                scalar, vector = self.hold("product of basis symbols is not linear")
+                continue
+            try:
+                product = _product(scalar, right_s, self.line)
+                if vector:
+                    vector = {k: _product(v, right_s, self.line) for k, v in vector.items()}
+                else:
+                    vector = {k: _product(scalar, v, self.line) for k, v in right_v.items()}
+                scalar = product
+            except ValidationError as exc:
+                scalar, vector = self.hold(str(exc))
+        if negations & 1:
+            return -scalar, {k: -v for k, v in vector.items()}
+        return scalar, vector
+
+    def factor(self) -> _Value:
+        start, error = self.pos, self.error
+        scalar, vector = self.base()
+        if self.kind() != "^":
+            return scalar, vector
+        end = self.pos
+        self.pos += 1
+        sign = 1
+        if self.kind() == "-":
+            self.pos += 1
+            sign = -1
+        token = self.expect("number")
+        value = token[3]
+        if type(value) is not int and value.denominator != 1:
+            raise ParseError("exponent must be an integer literal",
+                             self.line, token[2], ("integer",))
+        exponent = sign * int(value)
+        if exponent < 0 and [tok[1] for tok in self.tokens[start:end]
+                             if tok[0] not in "()"] != ["t"]:
+            # checked before anything inside the base: (t) and ((t)) are bare
+            if error is None:
+                self.error = "negative exponents are allowed only on t"
+            return _NOTHING
+        if self.error is not None:
+            return _NOTHING
         if vector:
-            if node.exponent != 1:
-                raise ValidationError("basis symbols cannot be raised to a power")
+            if exponent != 1:
+                return self.hold("basis symbols cannot be raised to a power")
             return scalar, vector
         degree, bits = _size(scalar)
-        _check_size("power", abs(node.exponent) * degree, abs(node.exponent) * bits, line)
-        return scalar ** node.exponent, {}
-    if isinstance(node, BinaryOp):
-        left_s, left_v = _evaluate(node.left, params, basis_prefix, dim, line)
-        right_s, right_v = _evaluate(node.right, params, basis_prefix, dim, line)
-        if node.op == "+":
-            merged = dict(left_v)
-            for k, v in right_v.items():
-                merged[k] = merged.get(k, ZERO) + v
-            return left_s + right_s, merged
-        if node.op == "-":
-            merged = dict(left_v)
-            for k, v in right_v.items():
-                merged[k] = merged.get(k, ZERO) - v
-            return left_s - right_s, merged
-        if node.op == "*":
-            if left_v and right_v:
-                raise ValidationError("product of basis symbols is not linear")
-            if left_v:
-                return (_product(left_s, right_s, line),
-                        {k: _product(v, right_s, line) for k, v in left_v.items()})
-            return (_product(left_s, right_s, line),
-                    {k: _product(left_s, v, line) for k, v in right_v.items()})
-    raise TypeError(f"unknown expression node {node!r}")
+        try:
+            _check_size("power", abs(exponent) * degree, abs(exponent) * bits, self.line)
+        except ValidationError as exc:
+            return self.hold(str(exc))
+        return scalar ** exponent, {}
+
+    def base(self) -> _Value:
+        kind, text, column, value = self.tokens[self.pos]
+        self.pos += 1
+        if kind == "number":
+            return Scalar.from_rational(value), {}
+        if kind == "name":
+            if text == "t" and "t" in self.params:
+                return T, {}
+            if text == "alpha" and "alpha" in self.params:
+                return ALPHA, {}
+            prefix = self.prefix
+            if prefix and text.startswith(prefix) and text[len(prefix):].isdecimal():
+                digits = text[len(prefix):]
+                if not (_is_digits(digits) and 1 <= int(digits) <= self.dim):
+                    return self.hold(f"basis index {text} out of range 1..{self.dim}")
+                return ZERO, {int(digits): ONE}
+            return self.hold(f"undeclared symbol {text!r}")
+        if kind == "(":
+            value = self.expr()
+            self.expect(")")
+            return value
+        raise ParseError(f"unexpected token {text or 'end of input'!r}", self.line, column,
+                         ("number", "symbol", "'('"))
+
+
+def _parse(text: str, params: Iterable[str], prefix: str | None, dim: int,
+           line: int) -> _Value:
+    return _Parser(text, line, frozenset(params), prefix, dim).parse()
 
 
 def parse_scalar(text: str, params: Iterable[str], line: int = 0) -> Scalar:
-    """Parse and elaborate a scalar expression."""
-    return parse_expression(text, line).to_scalar(params, line)
+    """Parse and evaluate a scalar expression."""
+    return _parse(text, params, None, 0, line)[0]
 
 
 def parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
                  line: int = 0) -> Column:
     """Parse a linear combination of basis symbols into a coordinate column."""
-    node = parse_expression(text, line)
-    scalar, vector = _evaluate(node, frozenset(params), prefix, dim, line)
+    scalar, vector = _parse(text, params, prefix, dim, line)
     if not scalar.is_zero():
         raise ValidationError(
             f"value must be a combination of {prefix}-symbols, found scalar part {scalar}")

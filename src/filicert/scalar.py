@@ -9,8 +9,8 @@ so ``e_alpha >= 0``.  The zero scalar is the empty map, and no stored
 coefficient is zero, so structural equality of the term maps is exact
 equality of scalars (an integral Fraction equals, and hashes like, its int).
 Integral coefficients are stored as ints where they enter: the constructor,
-exact quotients, unit inverses and substitutions; the ring operations do no
-normalization.  Every division goes through ``Fraction``, because
+exact quotients, unit inverses, powers of a monomial and substitutions; the
+ring operations do no normalization.  Every division goes through ``Fraction``, because
 ``int / int`` and ``int ** -k`` are floats.
 
 The certificate contractions multiply and subtract mostly zeros, so the ring
@@ -232,6 +232,11 @@ class Scalar:
             return NotImplemented
         if exponent < 0:
             return self.inverse_unit() ** (-exponent)
+        if len(self._terms) == 1:
+            ((e_t, e_alpha), coeff), = self._terms.items()
+            result = Scalar.__new__(Scalar)
+            result._terms = {(exponent * e_t, exponent * e_alpha): _exact(coeff ** exponent)}
+            return result
         result = ONE
         base = self
         k = exponent

@@ -4,18 +4,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
-from filicert.dataio import DeformationBlock, Erratum
+from filicert.dataio import MAX_BITS, MAX_DEGREE, MAX_DIGITS, DeformationBlock, Erratum
 from filicert.deformation import _eq1_residuals, _linear_deformation
-from filicert.errors import InvalidSpec
+from filicert.errors import InvalidSpec, ParseError, ValidationError
 from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
 from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.linalg import span_basis
-from filicert.scalar import ONE, ZERO
+from filicert.scalar import ALPHA, ONE, T, ZERO
 
 
 def rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:
@@ -531,3 +532,297 @@ def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
     if solution is None:
         raise InvalidSpec(f"cell {cell} is unconstrained by the residual equations")
     return solution
+
+# -- the AST expression parser: the oracle for dataio's evaluating parser ------
+#
+# The expression parser as it was before dataio evaluated while parsing: a
+# tokenizer, a recursive-descent parser that builds an Expression tree, and
+# `_evaluate`, which walks the tree once.  Kept as it was, resource bounds
+# included, so that the differential tests compare values and errors.
+
+
+def _is_digits(text: str) -> bool:
+    """True iff text is a run of at most MAX_DIGITS decimal digits."""
+    return text.isdecimal() and len(text) <= MAX_DIGITS
+
+
+class Expression:
+    """Abstract syntax tree over rationals, symbols, and + - * ^."""
+
+    __slots__ = ()
+
+    def to_scalar(self, params: Iterable[str] = ("t", "alpha"), line: int = 0) -> Scalar:
+        """Elaborate a pure-scalar expression to its canonical Scalar."""
+        scalar, vector = _evaluate(self, frozenset(params), None, 0, line)
+        if vector:
+            raise ValidationError("expression contains basis symbols")
+        return scalar
+
+
+@dataclass(frozen=True)
+class Number(Expression):
+    value: Fraction
+
+
+@dataclass(frozen=True)
+class SymbolRef(Expression):
+    name: str
+
+
+@dataclass(frozen=True)
+class Negate(Expression):
+    operand: Expression
+
+
+@dataclass(frozen=True)
+class BinaryOp(Expression):
+    op: str
+    left: Expression
+    right: Expression
+
+
+@dataclass(frozen=True)
+class Power(Expression):
+    base: Expression
+    exponent: int
+
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # "number" | "name" | one of "+-*^()" | "end"
+    text: str
+    column: int
+    value: Fraction | None = None
+
+
+def _tokenize(text: str, line: int) -> list[_Token]:
+    tokens = []
+    pos = 0
+    length = len(text)
+    while pos < length:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        start = pos
+        if ch.isdecimal():
+            while pos < length and text[pos].isdecimal():
+                pos += 1
+            numerator, denominator = text[start:pos], "1"
+            if pos < length and text[pos] == "/":
+                den_start = pos + 1
+                pos += 1
+                while pos < length and text[pos].isdecimal():
+                    pos += 1
+                if pos == den_start:
+                    raise ParseError("missing denominator", line, pos + 1,
+                                     ("digit",))
+                denominator = text[den_start:pos]
+            if not (_is_digits(numerator) and _is_digits(denominator)):
+                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, start + 1)
+            if int(denominator) == 0:
+                raise ParseError("zero denominator", line, start + 1)
+            value = Fraction(int(numerator), int(denominator))
+            tokens.append(_Token("number", text[start:pos], start + 1, value))
+        elif ch.isalpha():
+            while pos < length and (text[pos].isalnum() or text[pos] == "_"):
+                pos += 1
+            tokens.append(_Token("name", text[start:pos], start + 1))
+        elif ch in "+-*^()":
+            tokens.append(_Token(ch, ch, start + 1))
+            pos += 1
+        else:
+            raise ParseError(f"unexpected character {ch!r}", line, pos + 1)
+    tokens.append(_Token("end", "", length + 1))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token], line: int):
+        self.tokens = tokens
+        self.pos = 0
+        self.line = line
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self) -> _Token:
+        token = self.tokens[self.pos]
+        self.pos += 1
+        return token
+
+    def expect(self, kind: str) -> _Token:
+        token = self.peek()
+        if token.kind != kind:
+            raise ParseError(f"unexpected token {token.text or 'end of input'!r}",
+                             self.line, token.column, (kind,))
+        return self.take()
+
+    def parse(self) -> Expression:
+        node = self.expr()
+        tail = self.peek()
+        if tail.kind != "end":
+            raise ParseError(f"unexpected trailing token {tail.text!r}",
+                             self.line, tail.column, ("end of input",))
+        return node
+
+    def expr(self) -> Expression:
+        node = self.term()
+        while self.peek().kind in ("+", "-"):
+            op = self.take().kind
+            node = BinaryOp(op, node, self.term())
+        return node
+
+    def term(self) -> Expression:
+        negations = 0
+        while self.peek().kind == "-":
+            self.take()
+            negations += 1
+        node = self.factor()
+        while self.peek().kind == "*":
+            self.take()
+            node = BinaryOp("*", node, self.factor())
+        for _ in range(negations):
+            node = Negate(node)
+        return node
+
+    def factor(self) -> Expression:
+        node = self.base()
+        if self.peek().kind == "^":
+            self.take()
+            sign = 1
+            if self.peek().kind == "-":
+                self.take()
+                sign = -1
+            token = self.expect("number")
+            if token.value is None or token.value.denominator != 1:
+                raise ParseError("exponent must be an integer literal",
+                                 self.line, token.column, ("integer",))
+            node = Power(node, sign * int(token.value))
+        return node
+
+    def base(self) -> Expression:
+        token = self.peek()
+        if token.kind == "number":
+            self.take()
+            return Number(token.value)
+        if token.kind == "name":
+            self.take()
+            return SymbolRef(token.text)
+        if token.kind == "(":
+            self.take()
+            node = self.expr()
+            self.expect(")")
+            return node
+        raise ParseError(f"unexpected token {token.text or 'end of input'!r}",
+                         self.line, token.column,
+                         ("number", "symbol", "'('"))
+
+
+def reference_parse_expression(text: str, line: int = 0) -> Expression:
+    """Parse an expression into its AST (no symbol resolution yet)."""
+    return _Parser(_tokenize(text, line), line).parse()
+
+
+def _size(scalar: Scalar) -> tuple[int, int]:
+    """The degree in t or alpha, and the bit length of the coefficients plus
+    that of the term count: what the resource bounds are checked on."""
+    degree = bits = 0
+    for (e_t, e_alpha), coeff in scalar.iter_terms():
+        degree = max(degree, abs(e_t), e_alpha)
+        bits = max(bits, coeff.numerator.bit_length(), coeff.denominator.bit_length())
+    return degree, bits + scalar.term_count().bit_length()
+
+
+def _check_size(kind: str, degree: int, bits: int, line: int) -> None:
+    """Reject a power or a product before it is computed if the bound on its
+    degree or coefficient bits exceeds the limits: the base's `_size` times
+    the exponent, or the sum of the factors' sizes."""
+    if degree > MAX_DEGREE or bits > MAX_BITS:
+        where = f" at line {line}" if line else ""
+        raise ValidationError(f"{kind}{where} too large: degree {degree} (at most "
+                              f"{MAX_DEGREE}), {bits}-bit coefficients (at most {MAX_BITS})")
+
+
+def _product(a: Scalar, b: Scalar, line: int) -> Scalar:
+    """a * b, after `_check_size` when both factors have two or more terms; a
+    product with a monomial factor grows at most by that monomial, so only
+    linearly in the length of the line."""
+    if a.term_count() > 1 and b.term_count() > 1:
+        (degree_a, bits_a), (degree_b, bits_b) = _size(a), _size(b)
+        _check_size("product", degree_a + degree_b, bits_a + bits_b, line)
+    return a * b
+
+
+def _evaluate(node: Expression, params: frozenset[str],
+              basis_prefix: str | None, dim: int, line: int = 0):
+    if isinstance(node, Number):
+        return Scalar.from_rational(node.value), {}
+    if isinstance(node, SymbolRef):
+        name = node.name
+        if name == "t" and "t" in params:
+            return T, {}
+        if name == "alpha" and "alpha" in params:
+            return ALPHA, {}
+        if basis_prefix and name.startswith(basis_prefix) and name[len(basis_prefix):].isdecimal():
+            digits = name[len(basis_prefix):]
+            if not (_is_digits(digits) and 1 <= int(digits) <= dim):
+                raise ValidationError(f"basis index {name} out of range 1..{dim}")
+            return ZERO, {int(digits): Scalar.from_rational(1)}
+        raise ValidationError(f"undeclared symbol {name!r}")
+    if isinstance(node, Negate):
+        scalar, vector = _evaluate(node.operand, params, basis_prefix, dim, line)
+        return -scalar, {k: -v for k, v in vector.items()}
+    if isinstance(node, Power):
+        if node.exponent < 0 and not (isinstance(node.base, SymbolRef)
+                                      and node.base.name == "t"):
+            raise ValidationError("negative exponents are allowed only on t")
+        scalar, vector = _evaluate(node.base, params, basis_prefix, dim, line)
+        if vector:
+            if node.exponent != 1:
+                raise ValidationError("basis symbols cannot be raised to a power")
+            return scalar, vector
+        degree, bits = _size(scalar)
+        _check_size("power", abs(node.exponent) * degree, abs(node.exponent) * bits, line)
+        return scalar ** node.exponent, {}
+    if isinstance(node, BinaryOp):
+        left_s, left_v = _evaluate(node.left, params, basis_prefix, dim, line)
+        right_s, right_v = _evaluate(node.right, params, basis_prefix, dim, line)
+        if node.op == "+":
+            merged = dict(left_v)
+            for k, v in right_v.items():
+                merged[k] = merged.get(k, ZERO) + v
+            return left_s + right_s, merged
+        if node.op == "-":
+            merged = dict(left_v)
+            for k, v in right_v.items():
+                merged[k] = merged.get(k, ZERO) - v
+            return left_s - right_s, merged
+        if node.op == "*":
+            if left_v and right_v:
+                raise ValidationError("product of basis symbols is not linear")
+            if left_v:
+                return (_product(left_s, right_s, line),
+                        {k: _product(v, right_s, line) for k, v in left_v.items()})
+            return (_product(left_s, right_s, line),
+                    {k: _product(left_s, v, line) for k, v in right_v.items()})
+    raise TypeError(f"unknown expression node {node!r}")
+
+
+def reference_parse_scalar(text: str, params: Iterable[str], line: int = 0) -> Scalar:
+    """The AST parser's value of a scalar expression."""
+    return reference_parse_expression(text, line).to_scalar(params, line)
+
+
+def reference_parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
+                           line: int = 0) -> tuple[Scalar, ...]:
+    """The AST parser's coordinate column of a linear combination."""
+    node = reference_parse_expression(text, line)
+    scalar, vector = _evaluate(node, frozenset(params), prefix, dim, line)
+    if not scalar.is_zero():
+        raise ValidationError(
+            f"value must be a combination of {prefix}-symbols, found scalar part {scalar}")
+    out = [ZERO] * dim
+    for index, coeff in vector.items():
+        out[index - 1] = coeff
+    return tuple(out)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import io
 import re
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filicert.cli import build_parser, main
 
@@ -225,7 +230,15 @@ def test_missing_data_directory(capsys, tmp_path):
     assert "does not exist" in err
 
 
-@pytest.mark.parametrize("command", [["verify", "mu17"], ["invariants", "mu17"],
+def test_counterexample_without_mu17_is_an_input_error(capsys, tmp_path):
+    from filicert.dataio import data_dir
+
+    (tmp_path / "mu06").write_text((data_dir() / "mu06").read_text(encoding="utf-8"))
+    code, out, err = run(capsys, "counterexample", "--data", str(tmp_path))
+    assert (code, out, err) == (2, "", "error: unknown algebra 'mu17'\n")
+
+
+@pytest.mark.parametrize("command",[["verify", "mu17"], ["invariants", "mu17"],
                                      ["counterexample"], ["report", "mu17"]])
 def test_outside_index_inside_the_ideal_is_an_input_error(capsys, tmp_path, corpus, command):
     from dataclasses import replace
@@ -320,3 +333,52 @@ def test_overlong_digit_runs_are_an_input_error(capsys, tmp_path, table, prefix,
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# -- the exit-code contract under single-line mutations of the catalog -----------
+
+PIECES = [b"$", b"#", b"=", b"[", b"]", b"/0", b"^-", b"(", b")", b"-", b"0", b"alpha",
+          b"t^-1", b"*Y1", b"Y9", b"^4097", b"*(1+t)^64*(1+t)^64", b"9" * 1300,
+          "٣".encode(), "²".encode(), b"\t", b"\r", b"\xff", b"[brackets]",
+          b"bracket 1 2 = Y3", b"g 9 9 = 1", b"dim = 99", b"D = 1/2 2 3 4 5 6 7"]
+
+
+@st.composite
+def single_line_mutations(draw):
+    """A certified table's file with one line's byte range [start, end)
+    replaced by a piece: an insertion, a deletion or a replacement."""
+    from filicert.dataio import VERIFIED_NAMES, data_dir
+
+    name = draw(st.sampled_from(VERIFIED_NAMES))
+    lines = (data_dir() / name).read_bytes().split(b"\n")
+    index = draw(st.integers(0, len(lines) - 1))
+    line = lines[index]
+    start = draw(st.integers(0, len(line)))
+    end = draw(st.integers(start, len(line)))
+    piece = draw(st.one_of(st.sampled_from(PIECES), st.binary(max_size=6)))
+    lines[index] = line[:start] + piece + line[end:]
+    return name, b"\n".join(lines)
+
+
+@settings(max_examples=60, deadline=timedelta(seconds=3))
+@given(single_line_mutations())
+def test_a_mutated_catalog_file_exits_0_1_or_2_with_one_error_line(tmp_path_factory, mutation):
+    from filicert.dataio import data_dir
+
+    name, data = mutation
+    directory = tmp_path_factory.mktemp("catalog")
+    (directory / name).write_bytes(data)
+    if name != "mu17":
+        (directory / "mu17").write_bytes((data_dir() / "mu17").read_bytes())
+    for argv in (["verify", name], ["invariants", name, "--alpha", "2", "--t", "1"],
+                 ["counterexample"]):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv + ["--data", str(directory)])
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+            assert err.getvalue().endswith("\n") and out.getvalue() == ""
+        else:
+            assert err.getvalue() == "", argv

@@ -3,36 +3,41 @@
 from __future__ import annotations
 
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import filicert as fc
 from filicert import ParseError, Scalar, ValidationError
-from filicert.dataio import (VERIFIED_NAMES, apply_errata, data_dir,
+from filicert.dataio import (MAX_DIGITS, VERIFIED_NAMES, apply_errata, data_dir,
                              load_algebra, load_corpus, parse_algebra,
-                             parse_column, parse_expression, parse_scalar,
+                             parse_column, parse_scalar,
                              render_column, serialize_algebra)
 from filicert.scalar import ONE
 
-from helpers import random_algebra_file
+from helpers import (random_algebra_file, reference_parse_column,
+                     reference_parse_scalar)
 
 
 # -- expression grammar --------------------------------------------------------
 
 def test_parse_certificate_polynomial():
-    value = parse_expression("-(8/5)*t*(t^4-1)").to_scalar()
+    value = parse_scalar("-(8/5)*t*(t^4-1)", ("t", "alpha"))
     expected = Scalar.term(Fraction(-8, 5), 5) + Scalar.term(Fraction(8, 5), 1)
     assert value == expected
 
 
 def test_parse_zero():
-    assert parse_expression("0").to_scalar().is_zero()
+    assert parse_scalar("0", ("t", "alpha")).is_zero()
 
 
 def test_parse_dangling_exponent():
     with pytest.raises(ParseError) as info:
-        parse_expression("t^")
+        parse_scalar("t^", ("t",))
     assert info.value.expected
 
 
@@ -55,7 +60,7 @@ def test_parse_rational_literals():
 
 def test_parse_error_positions():
     with pytest.raises(ParseError) as info:
-        parse_expression("t + $", line=3)
+        parse_scalar("t + $", ("t",), line=3)
     assert info.value.line == 3
     assert info.value.column == 5
 
@@ -88,6 +93,157 @@ def test_render_column_round_trips():
     column = parse_column("(-alpha - 2)*Y5 - Y6", 8, "Y", ("alpha",))
     text = render_column(column, "Y")
     assert parse_column(text, 8, "Y", ("alpha",)) == column
+
+
+# -- the evaluating parser against the AST parser ----------------------------------
+
+# Numbers (zero and missing denominators among them, non-ASCII decimal digits,
+# a run one digit too long), names (declared or not, basis symbols in and out
+# of range, non-ASCII letters, words that start with a non-letter) and the
+# bare-t forms that a negative exponent accepts.
+ATOMS = ["0", "1", "7", "12", "3/4", "4/2", "0/5", "1/0", "٣", "٣/٤", "9" * (MAX_DIGITS + 1),
+         "t", "alpha", "Y1", "Y3", "Y8", "Y0", "Y9", "Y٣", "X2", "q", "λ", "é2", "a_b",
+         "²", "½", "_x", "(t)", "((t))", "(t+0)", "(1*t)", "(1+t)^33", "(2+alpha)^40",
+         "(1+t)^33*(1-t)^33", "(t)^-2", "((t))^-1"]
+EXPONENTS = ["0", "1", "2", "3", "5", "65", "4097", "2/2", "1/2"]
+MUTATIONS = ["$", "/0", "^", "(", ")", "7/", "²", "\t", "\u3000"]
+
+atoms_st = st.one_of(st.sampled_from(ATOMS), st.integers(0, 99).map(str))
+
+
+def _compound(inner):
+    return st.one_of(
+        inner.map(lambda e: f"({e})"),
+        st.tuples(inner, st.sampled_from(["^", "^-", "^ -"]),
+                  st.sampled_from(EXPONENTS)).map("".join),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " + ", " - ", " * "]),
+                  inner).map("".join))
+
+
+expressions_st = st.recursive(atoms_st, _compound, max_leaves=10)
+BASIS = ["Y1", "Y2", "Y5", "Y8", "Y0", "Y9", "Y٣", "(Y3)", "X2"]
+# linear combinations, whose coefficients are expressions
+combinations_st = st.lists(
+    st.tuples(st.sampled_from([" + ", " - ", "-"]), expressions_st,
+              st.sampled_from(["*", " * "]), st.sampled_from(BASIS)).map("".join),
+    min_size=1, max_size=4).map(lambda terms: "".join(terms).removeprefix(" + "))
+
+
+def mutated(texts):
+    """A text, and in half the draws one character position of it replaced
+    by, or preceded by, a piece that is often a syntax error."""
+    @st.composite
+    def draw_text(draw):
+        text = draw(texts)
+        if draw(st.booleans()):
+            position = draw(st.integers(0, len(text)))
+            piece = draw(st.sampled_from(MUTATIONS))
+            text = text[:position] + piece + text[position + draw(st.integers(0, 1)):]
+        return text
+    return draw_text()
+
+
+def outcome(parse, *args):
+    """The value, or the exception's type and message."""
+    try:
+        return parse(*args)
+    except Exception as exc:  # every exception must be the reference's
+        return type(exc).__name__, str(exc)
+
+
+PARAMS = [(), ("t",), ("alpha",), ("t", "alpha")]
+
+
+@example("q + )", ("t",), 3)               # a held semantic error loses to a syntax error
+@example("(q*t)^2 - (", ("t",), 3)
+@example("((t))^-2", ("t",), 0)            # parentheses keep t bare
+@example("(t)^-1 + (t+0)^-1", ("t",), 0)
+@example("1 + 3/0", (), 5)                 # a fraction's column is where it starts
+@example("12/ + 1", (), 5)
+@example("q^-1", (), 0)                    # the exponent's sign is checked first
+@settings(max_examples=250)
+@given(mutated(expressions_st), st.sampled_from(PARAMS), st.sampled_from([0, 7]))
+def test_scalar_parser_agrees_with_the_ast_parser(text, params, line):
+    assert outcome(parse_scalar, text, params, line) == \
+        outcome(reference_parse_scalar, text, params, line)
+
+
+@example("Y1 + q + )", ("t",), 3)
+@example("(Y1)^-1", (), 0)
+@example("2*Y1*Y2", (), 0)
+@example("(1+t)^64*(1+t)^64*Y2", ("t",), 4)
+@settings(max_examples=250)
+@given(mutated(st.one_of(combinations_st, expressions_st)), st.sampled_from(PARAMS),
+       st.sampled_from([0, 7]))
+def test_column_parser_agrees_with_the_ast_parser(text, params, line):
+    assert outcome(parse_column, text, 8, "Y", params, line) == \
+        outcome(reference_parse_column, text, 8, "Y", params, line)
+
+
+def test_character_classes_are_those_of_the_str_methods():
+    """The tokenizer's regex classes match exactly where str.isspace,
+    str.isdecimal and str.isalnum (or "_") are true, over all of Unicode,
+    and no space is a word character."""
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", everything) == [c for c in everything if c.isspace()]
+    assert re.findall(r"\d", everything) == [c for c in everything if c.isdecimal()]
+    words = re.findall(r"\w", everything)
+    assert words == [c for c in everything if c.isalnum() or c == "_"]
+    assert not any(c.isspace() for c in words)
+
+
+def catalog_expressions():
+    """Every bracket column, certificate cell and corrected erratum of the
+    bundled catalog, read from the raw text: (file, kind, text, params)."""
+    for path in sorted(data_dir().iterdir()):
+        section, params, kind = None, (), None
+        for raw in path.read_text(encoding="utf-8").splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("["):
+                section = line[1:-1]
+                continue
+            key, _, value = (part.strip() for part in line.partition("="))
+            if section == "algebra" and key == "params":
+                params = tuple(value.split())
+            elif section == "brackets":
+                yield path.name, "column", value, params
+            elif section == "certificate" and key.startswith("g "):
+                yield path.name, "scalar", value, params + ("t",)
+            elif section == "errata" and key == "entry":
+                kind = "column" if value.startswith("bracket") else "scalar"
+            elif section == "errata" and key == "corrected":
+                yield path.name, kind, value, params + (("t",) if kind == "scalar" else ())
+
+
+def test_catalog_expressions_expand_like_sympy(corpus):
+    """sympy reads each catalog expression, with ^ as **, and expands it to
+    the polynomial that parse_scalar or parse_column returns."""
+    sympy = pytest.importorskip("sympy")
+    t, alpha = sympy.symbols("t alpha")
+    basis = sympy.symbols("Y1:9")
+    names = {"t": t, "alpha": alpha, **{str(y): y for y in basis}}
+
+    def as_sympy(scalar):
+        return sum((sympy.Rational(c.numerator, c.denominator) * t ** e_t * alpha ** e_alpha
+                    for (e_t, e_alpha), c in scalar.iter_terms()), sympy.Integer(0))
+
+    counts = {"column": 0, "scalar": 0}
+    for name, kind, text, params in catalog_expressions():
+        expected = sympy.expand(sympy.sympify(text.replace("^", "**"), locals=names))
+        if kind == "column":
+            value = sum(as_sympy(c) * y for c, y in zip(parse_column(text, 8, "Y", params), basis))
+        else:
+            value = as_sympy(parse_scalar(text, params))
+        assert sympy.expand(value - expected) == 0, (name, text)
+        counts[kind] += 1
+    algebras = corpus.values()
+    assert counts == {
+        "column": sum(len(alg.brackets or ()) for alg in algebras),
+        "scalar": sum(len(alg.certificate or ()) for alg in algebras)
+        + sum(1 for alg in algebras for e in alg.errata if e.corrected is not None)}
 
 
 # -- loading the catalog -----------------------------------------------------------

@@ -267,6 +267,50 @@ def test_unit_inverse_is_exact(coeff, e_t):
                    ReferenceScalar({(-2 * e_t, 0): Fraction(coeff) ** -2}))
 
 
+# c*t^a*alpha^b; an integral c is drawn either as an int or as the integral
+# Fraction that a sum of two halves leaves in the term map
+monomials_st = st.one_of(
+    st.builds(Scalar.term, mixed_coeffs_st, st.integers(-3, 5), st.integers(0, 2)),
+    st.builds(lambda c, e_t, e_alpha: Scalar.term(Fraction(c, 2), e_t, e_alpha)
+              + Scalar.term(Fraction(c, 2), e_t, e_alpha),
+              st.integers(-8, 8).filter(bool), st.integers(-3, 5), st.integers(0, 2)))
+unit_monomials_st = st.builds(lambda c, e_t: Scalar.term(c, e_t),
+                              mixed_coeffs_st, st.integers(-3, 5))
+
+
+def assert_int_when_integral(scalar: Scalar) -> None:
+    for _, coeff in scalar.iter_terms():
+        assert type(coeff) is (int if coeff.denominator == 1 else Fraction), repr(scalar)
+
+
+@given(st.one_of(monomials_st, mixed_scalars_st), st.integers(0, 6))
+def test_power_is_repeated_multiplication(base, k):
+    before = snapshot(base)
+    power = base ** k
+    repeated = ONE
+    for _ in range(k):
+        repeated = repeated * base
+    assert power == repeated
+    assert dict(power.iter_terms()) == (ReferenceScalar.of(base) ** k).terms
+    if base.term_count() == 1:
+        assert_int_when_integral(power)
+    else:
+        assert_exact(power)
+    assert_exact(power * base - base)
+    assert snapshot(base) == before
+
+
+@given(unit_monomials_st, st.integers(1, 6))
+def test_negative_power_of_a_unit_is_the_power_of_its_inverse(base, k):
+    before = snapshot(base)
+    coeff, e_t = base.unit_parts()
+    power = base ** -k
+    assert power == base.inverse_unit() ** k
+    assert dict(power.iter_terms()) == (ReferenceScalar({(-e_t, 0): 1 / Fraction(coeff)}) ** k).terms
+    assert_int_when_integral(power)
+    assert snapshot(base) == before
+
+
 @given(mixed_scalars_st, fractions_st)
 def test_substitutions_agree_with_the_fraction_reference(a, alpha0):
     ra = ReferenceScalar.of(a)
