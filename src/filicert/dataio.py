@@ -49,6 +49,7 @@ semantic error is held until the whole line has parsed.  Among semantic
 errors the first in evaluation order is reported, where a negative exponent
 on anything but a bare ``t`` counts before any error inside its base;
 parentheses do not matter, so ``(t)^-1`` is bare and ``(1*t)^-1`` is not.
+Parentheses nested more than ``MAX_NESTING`` deep are a syntax error.
 
 Loading validates every structural invariant; errata are stored but applied
 only when the corrected variant is requested explicitly.
@@ -82,6 +83,8 @@ MAX_BITS = 4096
 # A longer run of digits is a number of more than MAX_BITS bits; rejecting it
 # before int() also keeps clear of Python's 4,300-digit conversion limit.
 MAX_DIGITS = len(str(1 << MAX_BITS))  # 1234
+# Each parenthesis level is four recursive parser calls; the catalog nests 2 deep.
+MAX_NESTING = 64
 
 
 def _is_digits(text: str) -> bool:
@@ -183,6 +186,7 @@ class _Parser:
         self.params = params
         self.prefix = prefix
         self.dim = dim
+        self.depth = 0
         self.error: str | None = None
 
     def hold(self, message: str) -> _Value:
@@ -308,8 +312,13 @@ class _Parser:
                 return ZERO, {int(digits): ONE}
             return self.hold(f"undeclared symbol {text!r}")
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
+                                 self.line, column)
+            self.depth += 1
             value = self.expr()
             self.expect(")")
+            self.depth -= 1
             return value
         raise ParseError(f"unexpected token {text or 'end of input'!r}", self.line, column,
                          ("number", "symbol", "'('"))

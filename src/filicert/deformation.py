@@ -181,10 +181,11 @@ def _eq1_residuals(mu1: StructureConstants, family: StructureConstants,
                    g: ScalarMatrix):
     """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs;
     the family is mu_t, or mu_{1/t} for a reciprocal certificate."""
+    columns = [g.column(k) for k in range(g.n)]
     for i, j in family.pairs():
-        lhs = mu1.bracket_eval(g.column(i - 1), g.column(j - 1))
+        lhs = mu1.bracket_eval(columns[i - 1], columns[j - 1])
         rhs = g.apply(family.bracket(i, j))
-        yield (i, j), tuple(a - b for a, b in zip(lhs, rhs))
+        yield (i, j), tuple(a - b if b._terms else a for a, b in zip(lhs, rhs))
 
 
 def limit_check(mu_t: StructureConstants, mu: StructureConstants) -> bool:

@@ -11,6 +11,13 @@ Identities such as Jacobi or the degeneration equation are bilinear or
 trilinear, so checking them on basis tuples is complete; no sampling of
 random vectors is ever needed for verification.
 
+The contractions (bracket_eval, Jacobi, derivations) read one sparse table
+per cochain, :attr:`Cochain2.table`: (i, j) and (j, i) map to the nonzero
+entries of the column, negated for (j, i).  It is built on first use and
+cached outside the dataclass fields, so == and repr are unchanged, and it
+forms exactly the nonzero products of the dense contraction, so every value
+is the dense one.
+
 The Jacobi residual of a linear deformation mu + t*phi expands as
 J(mu) + t*dphi + t^2*J(phi): the Jacobi identity of mu, the cocycle
 condition on phi and the Jacobi identity of phi are the t^0, t^1 and t^2
@@ -21,6 +28,7 @@ contraction of the structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Mapping
 
@@ -41,7 +49,7 @@ def basis_column(dim: int, index: int) -> Column:
 
 
 def column_is_zero(column: Column) -> bool:
-    return all(x.is_zero() for x in column)
+    return not any(x._terms for x in column)
 
 
 @dataclass(frozen=True)
@@ -79,47 +87,63 @@ class Cochain2:
                 raise ValidationError(f"bracket indices ({i}, {j}) out of range")
             if len(column) != self.dim:
                 raise DimensionMismatch(f"column for ({i}, {j}) has wrong length")
-            used = frozenset().union(*(s.symbols() for s in column))
+            nonzero = [s for s in column if s._terms]
+            if not nonzero:
+                continue
+            used = frozenset().union(*(s.symbols() for s in nonzero))
             if not used <= self.params:
                 raise ValidationError(
                     f"entry ({i}, {j}) uses undeclared parameter(s) {set(used - self.params)}")
-            if not column_is_zero(column):
-                clean[(i, j)] = tuple(column)
+            clean[(i, j)] = tuple(column)
         object.__setattr__(self, "entries", clean)
+
+    @cached_property
+    def table(self) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
+        """(i, j) and (j, i) -> the nonzero entries ((k, value), ...) of the
+        value on (b_i, b_j), 0-based k; the (j, i) values are negated."""
+        table = {}
+        for (i, j), column in self.entries.items():
+            nonzero = tuple((k, s) for k, s in enumerate(column) if s._terms)
+            table[(i, j)] = nonzero
+            table[(j, i)] = tuple((k, -s) for k, s in nonzero)
+        return table
 
     def bracket(self, i: int, j: int) -> Column:
         """Value on (b_i, b_j), antisymmetrized for any index order."""
-        if i == j:
-            return zero_column(self.dim)
         if i < j:
-            return self.entries.get((i, j), zero_column(self.dim))
-        column = self.entries.get((j, i))
-        if column is None:
-            return zero_column(self.dim)
-        return tuple(-x for x in column)
+            return self.entries.get((i, j)) or zero_column(self.dim)
+        out = list(zero_column(self.dim))
+        for k, s in self.table.get((i, j), ()):
+            out[k] = s
+        return tuple(out)
 
     def bracket_eval(self, x: Column, y: Column) -> Column:
         """Bilinear evaluation on arbitrary coordinate columns.
 
-        The coefficient x_i y_j - x_j y_i of each pair is formed only from
-        the products whose two factors are both nonzero; certificate
-        columns are sparse, so most pairs are skipped without a product.
+        The coefficient x_a y_b - x_b y_a of each stored pair a < b is
+        gathered from the nonzero coordinates, then added times its column.
         """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match the bracket dimension")
+        table = self.table
+        y_nonzero = [(b, yb) for b, yb in enumerate(y, start=1) if yb._terms]
+        coeffs: dict[tuple[int, int], Scalar] = {}
+        for a, xa in enumerate(x, start=1):
+            if not xa._terms:
+                continue
+            for b, yb in y_nonzero:
+                if (a, b) not in table:
+                    continue
+                # a ascends, so x_a y_b (a < b) comes before x_b y_a
+                if a < b:
+                    coeffs[(a, b)] = xa * yb
+                else:
+                    old = coeffs.get((b, a))
+                    coeffs[(b, a)] = -(xa * yb) if old is None else old - xa * yb
         out = list(zero_column(self.dim))
-        for (i, j), column in self.entries.items():
-            xi, yj, xj, yi = x[i - 1], y[j - 1], x[j - 1], y[i - 1]
-            if xi and yj:
-                coeff = xi * yj - xj * yi if xj and yi else xi * yj
-            elif xj and yi:
-                coeff = -(xj * yi)
-            else:
-                continue
-            if coeff.is_zero():
-                continue
-            for k, s in enumerate(column):
-                if not s.is_zero():
+        for pair, coeff in coeffs.items():
+            if coeff._terms:
+                for k, s in table[pair]:
                     out[k] = out[k] + coeff * s
         return tuple(out)
 
@@ -155,41 +179,30 @@ class StructureConstants(Cochain2):
 
 
 def entries_equal(a: Cochain2, b: Cochain2) -> bool:
-    """Entry-by-entry equality of two brackets (ignores names and params)."""
-    if a.dim != b.dim:
-        return False
-    for key in set(a.entries) | set(b.entries):
-        if a.bracket(*key) != b.bracket(*key):
-            return False
-    return True
+    """Entry-by-entry equality of two brackets (ignores names and params);
+    the stored columns are the nonzero ones on i < j, so compare them."""
+    return a.dim == b.dim and a.entries == b.entries
 
 
 Triple = tuple[int, int, int]
-
-
-def _add_multiple(total: list[Scalar], coeff: Scalar, column: Column) -> None:
-    """total += coeff * column, in place."""
-    if coeff.is_zero():
-        return
-    for n, s in enumerate(column):
-        if not s.is_zero():
-            total[n] = total[n] + coeff * s
 
 
 def _jacobi_terms(mu: Cochain2, phi: Cochain2, triple: Triple) -> tuple[Column, ...]:
     """The t^0, t^1, t^2 coefficients of J(mu + t*phi) at one triple.
 
     Each is a cyclic sum of a(b(e_p, e_q), e_r) with a, b in {mu, phi}, where
-    a(x, e_r) = sum_m x_m a(e_m, e_r) is read off the structure constants.
+    a(x, e_r) = sum_m x_m a(e_m, e_r) is read off the sparse tables.
     """
     i, j, k = triple
+    tables = (mu.table, phi.table)
     totals = [[ZERO] * mu.dim for _ in range(3)]
     for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-        for d_b, b in enumerate((mu, phi)):
-            for m, coeff in enumerate(b.bracket(p, q), start=1):
-                if not coeff.is_zero():
-                    for d_a, a in enumerate((mu, phi)):
-                        _add_multiple(totals[d_a + d_b], coeff, a.bracket(m, r))
+        for d_b, b in enumerate(tables):
+            for m, coeff in b.get((p, q), ()):
+                for d_a, a in enumerate(tables):
+                    total = totals[d_a + d_b]
+                    for n, s in a.get((m + 1, r), ()):
+                        total[n] = total[n] + coeff * s
     return tuple(tuple(total) for total in totals)
 
 
@@ -266,11 +279,9 @@ def base_change(mu: Cochain2, g: ScalarMatrix) -> StructureConstants:
 def is_ideal(mu: Cochain2, subspace: SubspaceSpec) -> bool:
     """True iff [g, h] lies in h coordinate-wise."""
     outside = [k for k in range(1, mu.dim + 1) if k not in subspace]
-    for i in range(1, mu.dim + 1):
-        for j in subspace.indices:
-            column = mu.bracket(i, j)
-            if any(not column[k - 1].is_zero() for k in outside):
-                return False
+    for (i, j), column in mu.entries.items():
+        if (i in subspace or j in subspace) and any(column[k - 1]._terms for k in outside):
+            return False
     return True
 
 
@@ -282,7 +293,7 @@ def restrict(mu: Cochain2, subspace: SubspaceSpec) -> Cochain2:
     entries = {}
     for (i, j), column in mu.entries.items():
         if i in subspace and j in subspace:
-            if any(not column[k - 1].is_zero() for k in outside):
+            if any(column[k - 1]._terms for k in outside):
                 raise ValidationError(
                     f"subspace is not closed under the bracket at ({i}, {j})")
             entries[(position[i], position[j])] = tuple(column[k - 1] for k in order)
@@ -290,15 +301,19 @@ def restrict(mu: Cochain2, subspace: SubspaceSpec) -> Cochain2:
 
 
 def is_derivation(mu: Cochain2, matrix: ScalarMatrix) -> bool:
-    """True iff matrix D satisfies D[x,y] = [Dx,y] + [x,Dy] on all basis pairs."""
+    """True iff matrix D satisfies D[x,y] = [Dx,y] + [x,Dy] on all basis
+    pairs; [D b_i, b_j] is read off the nonzero entries of D's column i."""
     if matrix.n != mu.dim:
         raise DimensionMismatch("matrix size does not match the bracket dimension")
+    table, columns = mu.table, matrix.nonzero_columns
     for i, j in mu.pairs():
         residual = list(matrix.apply(mu.bracket(i, j)))
-        for m in range(1, mu.dim + 1):
-            row = matrix.rows[m - 1]
-            _add_multiple(residual, -row[i - 1], mu.bracket(m, j))
-            _add_multiple(residual, -row[j - 1], mu.bracket(i, m))
+        for m, d in columns[i - 1]:
+            for n, s in table.get((m + 1, j), ()):
+                residual[n] = residual[n] - d * s
+        for m, d in columns[j - 1]:
+            for n, s in table.get((i, m + 1), ()):
+                residual[n] = residual[n] - d * s
         if not column_is_zero(residual):
             return False
     return True

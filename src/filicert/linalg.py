@@ -9,6 +9,10 @@ the certificate check takes det g from one Berkowitz run on g's block on the
 ideal, which the ``spectrum`` stage needs anyway (see
 :func:`filicert.deformation.run_certificate_checks`); it calls
 :meth:`ScalarMatrix.det` only for a g that does not preserve its ideal.
+:meth:`ScalarMatrix.apply` adds v_m times column m for the nonzero v_m only,
+from the nonzero entries of each column, cached on first use outside the
+dataclass fields; it forms the dense product's nonzero products in the same
+order, so its values are the dense ones.
 
 :class:`RationalMatrix` provides row-space and right-nullspace computations
 over Q by sparse Gauss-Jordan elimination on primitive integer rows.  Both
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -34,7 +39,7 @@ Column = tuple[Scalar, ...]
 def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
     total = ZERO
     for x, y in zip(a, b):
-        if not (x.is_zero() or y.is_zero()):
+        if x._terms and y._terms:
             total = total + x * y
     return total
 
@@ -73,12 +78,24 @@ class ScalarMatrix:
     def column(self, j: int) -> Column:
         return tuple(row[j] for row in self.rows)
 
+    @cached_property
+    def nonzero_columns(self) -> tuple[tuple[tuple[int, Scalar], ...], ...]:
+        """For each column, its nonzero entries ((row, value), ...), 0-based."""
+        return tuple(tuple((r, row[c]) for r, row in enumerate(self.rows) if row[c]._terms)
+                     for c in range(self.n))
+
     def apply(self, vector: Sequence[Scalar]) -> Column:
-        """Matrix-vector product, exact."""
+        """Matrix-vector product, exact: the sum of v_m times column m over
+        the nonzero v_m."""
         if len(vector) != self.n:
             raise DimensionMismatch(
                 f"matrix of size {self.n} applied to vector of length {len(vector)}")
-        return tuple(_dot(row, vector) for row in self.rows)
+        out = [ZERO] * self.n
+        for v, column in zip(vector, self.nonzero_columns):
+            if v._terms:
+                for r, entry in column:
+                    out[r] = out[r] + entry * v
+        return tuple(out)
 
     def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
         if self.n != other.n:

@@ -9,12 +9,14 @@ from itertools import combinations
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
+from hypothesis import strategies as st
+
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
 from filicert.dataio import MAX_BITS, MAX_DEGREE, MAX_DIGITS, DeformationBlock, Erratum
 from filicert.deformation import _eq1_residuals, _linear_deformation
 from filicert.errors import InvalidSpec, ParseError, ValidationError
 from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
-from filicert.lie import Cochain2, basis_column, column_is_zero
+from filicert.lie import Cochain2, column_is_zero
 from filicert.linalg import span_basis
 from filicert.scalar import ALPHA, ONE, T, ZERO
 
@@ -397,6 +399,17 @@ def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:
     return True
 
 
+def dense_bracket(mu: Cochain2, i: int, j: int) -> tuple[Scalar, ...]:
+    """mu(b_i, b_j) read off the stored columns on i < j alone, negated here
+    for i > j: the oracle for the kernel's antisymmetrized sparse table."""
+    zero = (ZERO,) * mu.dim
+    if i < j:
+        return mu.entries.get((i, j), zero)
+    if i > j:
+        return tuple(-s for s in mu.entries.get((j, i), zero))
+    return zero
+
+
 def dense_bracket_eval(mu: Cochain2, x: Sequence[Scalar], y: Sequence[Scalar]) -> tuple[Scalar, ...]:
     """sum_{i,j} x_i y_j mu(b_i, b_j) over all ordered basis pairs, in
     ReferenceScalar arithmetic: the oracle for Cochain2.bracket_eval, with
@@ -406,22 +419,30 @@ def dense_bracket_eval(mu: Cochain2, x: Sequence[Scalar], y: Sequence[Scalar]) -
     for i in range(1, dim + 1):
         for j in range(1, dim + 1):
             coeff = ReferenceScalar.of(x[i - 1]) * ReferenceScalar.of(y[j - 1])
-            for k, s in enumerate(mu.bracket(i, j)):
+            for k, s in enumerate(dense_bracket(mu, i, j)):
                 out[k] = out[k] + coeff * ReferenceScalar.of(s)
     return tuple(Scalar(value.terms) for value in out)
 
 
+def _dense_with_basis(mu: Cochain2, x: Sequence[Scalar], r: int) -> list[Scalar]:
+    """mu(x, b_r) = sum_m x_m mu(b_m, b_r) over every m, with no skipping."""
+    out = [ZERO] * mu.dim
+    for m in range(1, mu.dim + 1):
+        out = [o + x[m - 1] * s for o, s in zip(out, dense_bracket(mu, m, r))]
+    return out
+
+
+def _sum_columns(columns) -> list[Scalar]:
+    return [sum(values, ZERO) for values in zip(*columns)]
+
+
 def reference_jacobi(mu: Cochain2) -> list:
-    """(triple, residual) wherever Jacobi fails, by bilinear evaluation on
-    basis columns: the oracle for the structure-constant contraction."""
+    """(triple, residual) wherever Jacobi fails, by dense bilinear evaluation
+    on basis columns: the oracle for the structure-constant contraction."""
     failures = []
-    dim = mu.dim
-    for i, j, k in combinations(range(1, dim + 1), 3):
-        e_i, e_j, e_k = (basis_column(dim, a) for a in (i, j, k))
-        residual = tuple(x + y + z for x, y, z in zip(
-            mu.bracket_eval(mu.bracket(i, j), e_k),
-            mu.bracket_eval(mu.bracket(j, k), e_i),
-            mu.bracket_eval(mu.bracket(k, i), e_j)))
+    for i, j, k in combinations(range(1, mu.dim + 1), 3):
+        residual = tuple(_sum_columns(_dense_with_basis(mu, dense_bracket(mu, a, b), c)
+                                     for a, b, c in ((i, j, k), (j, k, i), (k, i, j))))
         if not column_is_zero(residual):
             failures.append(((i, j, k), residual))
     return failures
@@ -429,17 +450,77 @@ def reference_jacobi(mu: Cochain2) -> list:
 
 def reference_cocycle(mu: Cochain2, phi: Cochain2) -> bool:
     """The mixed cyclic sum mu(phi(b_a,b_b), b_c) + phi(mu(b_a,b_b), b_c),
-    by bilinear evaluation on basis columns."""
-    dim = mu.dim
-    for i, j, k in combinations(range(1, dim + 1), 3):
-        total = [ZERO] * dim
-        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-            e_c = basis_column(dim, c)
-            for x, y in ((mu, phi), (phi, mu)):
-                total = [s + u for s, u in zip(total, x.bracket_eval(y.bracket(a, b), e_c))]
+    by dense bilinear evaluation on basis columns."""
+    for i, j, k in combinations(range(1, mu.dim + 1), 3):
+        total = _sum_columns(_dense_with_basis(x, dense_bracket(y, a, b), c)
+                            for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                            for x, y in ((mu, phi), (phi, mu)))
         if not column_is_zero(total):
             return False
     return True
+
+
+def reference_is_derivation(mu: Cochain2, matrix: ScalarMatrix) -> bool:
+    """D mu(b_i, b_j) == mu(D b_i, b_j) + mu(b_i, D b_j) on every basis pair,
+    by dense sums over all indices: the oracle for lie.is_derivation."""
+    n, rows = mu.dim, matrix.rows
+    for i, j in combinations(range(1, n + 1), 2):
+        lhs = dense_apply(matrix, dense_bracket(mu, i, j))
+        rhs = _sum_columns([
+            _dense_with_basis(mu, [row[i - 1] for row in rows], j),
+            [-s for s in _dense_with_basis(mu, [row[j - 1] for row in rows], i)]])
+        if any(a != b for a, b in zip(lhs, rhs)):
+            return False
+    return True
+
+
+def dense_apply(matrix: ScalarMatrix, vector: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """Row-by-vector dot products over every entry, in ReferenceScalar
+    arithmetic: the oracle for ScalarMatrix.apply."""
+    return tuple(Scalar(sum((ReferenceScalar.of(a) * ReferenceScalar.of(v)
+                             for a, v in zip(row, vector)), ReferenceScalar({})).terms)
+                 for row in matrix.rows)
+
+
+# -- hypothesis strategies for sparse exact data -------------------------------------
+
+# Laurent monomials and short polynomials in t (negative exponents too) and
+# alpha, with int and Fraction coefficients.
+_coefficients = st.one_of(st.integers(-3, 3),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=4))
+nonzero_scalars = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 2)),
+                                  _coefficients, min_size=1, max_size=3).map(Scalar) \
+    .filter(lambda s: not s.is_zero())
+
+
+def sparse_columns(dim: int):
+    """Columns of length dim with up to three nonzero entries; the zero
+    column among them."""
+    return st.dictionaries(st.integers(0, dim - 1), nonzero_scalars, max_size=3).map(
+        lambda entries: tuple(entries.get(k, ZERO) for k in range(dim)))
+
+
+def vectors(dim: int):
+    """Sparse columns, and columns with any entry nonzero."""
+    return st.one_of(sparse_columns(dim),
+                     st.lists(st.one_of(st.just(ZERO), nonzero_scalars),
+                              min_size=dim, max_size=dim).map(tuple))
+
+
+@st.composite
+def cochains(draw, dim: int) -> Cochain2:
+    """A Cochain2 over t and alpha on a random set of pairs i < j, some of
+    whose columns are zero."""
+    pairs = list(combinations(range(1, dim + 1), 2))
+    keys = draw(st.sets(st.sampled_from(pairs))) if pairs else ()
+    return Cochain2(dim, {key: draw(sparse_columns(dim)) for key in keys},
+                    frozenset({"t", "alpha"}))
+
+
+def matrices(n: int):
+    """Square ScalarMatrices with sparse rows, in general not diagonal."""
+    return st.lists(sparse_columns(n), min_size=n, max_size=n).map(
+        lambda rows: ScalarMatrix(tuple(rows)))
 
 
 def _ints(values: Sequence[Fraction]) -> tuple[int, ...]:

@@ -284,6 +284,27 @@ def assert_cell_rejected(capsys, tmp_path, cell, kind):
     assert re.fullmatch(rf"error: {kind} at line {line} too large: .*\n", err)
 
 
+@pytest.mark.parametrize("command", [("verify", "mu11"), ("invariants", "mu11"),
+                                     ("report", "mu11"), ("counterexample",)])
+def test_deeply_nested_parentheses_are_an_input_error(capsys, tmp_path, command):
+    """400 nested parentheses in a certificate cell exit 2 with one line
+    naming the line, and the column in the cell's expression, of the first
+    one too many."""
+    from filicert.dataio import MAX_NESTING, data_dir
+
+    for name in ("mu11", "mu17"):
+        (tmp_path / name).write_text((data_dir() / name).read_text(encoding="utf-8"),
+                                     encoding="utf-8")
+    lines = (tmp_path / "mu11").read_text(encoding="utf-8").splitlines()
+    line = next(n for n, row in enumerate(lines, start=1) if row.startswith("g 3 3 ="))
+    lines[line - 1] = "g 3 3 = " + "(" * 400 + "t" + ")" * 400
+    (tmp_path / "mu11").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, *command, "--data", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == (f"error: parentheses nested more than {MAX_NESTING} deep "
+                   f"at line {line}, column {1 + MAX_NESTING}\n")
+
+
 def test_dimension_is_bounded(capsys, tmp_path):
     (tmp_path / "big").write_text("[algebra]\nname = big\n\ndim = 100000000\n")
     code, out, err = run(capsys, "invariants", "big", "--data", str(tmp_path))

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import filicert as fc
 from filicert import ParseError, Scalar, ValidationError
-from filicert.dataio import (MAX_DIGITS, VERIFIED_NAMES, apply_errata, data_dir,
-                             load_algebra, load_corpus, parse_algebra,
+from filicert.dataio import (MAX_DIGITS, MAX_NESTING, VERIFIED_NAMES, apply_errata,
+                             data_dir, load_algebra, load_corpus, parse_algebra,
                              parse_column, parse_scalar,
                              render_column, serialize_algebra)
 from filicert.scalar import ONE
@@ -63,6 +63,22 @@ def test_parse_error_positions():
         parse_scalar("t + $", ("t",), line=3)
     assert info.value.line == 3
     assert info.value.column == 5
+
+
+def test_parentheses_nest_at_most_max_nesting_deep():
+    """MAX_NESTING levels parse; one more is a ParseError at the first '('
+    too many, raised before the parser recurses into it, so 400 levels end
+    the same way instead of in a RecursionError."""
+    deepest = "(" * MAX_NESTING + "t" + ")" * MAX_NESTING
+    assert parse_scalar(f"2*{deepest}", ("t",)) == 2 * fc.Scalar.t_power(1)
+    assert parse_column(f"{deepest}*Y2", 8, "Y", ("t",))[1] == fc.Scalar.t_power(1)
+    for depth in (MAX_NESTING + 1, 400):
+        text = "1 + " + "(" * depth + "t" + ")" * depth
+        with pytest.raises(ParseError) as info:
+            parse_scalar(text, ("t",), line=3)
+        assert (info.value.line, info.value.column) == (3, 5 + MAX_NESTING)
+        assert str(info.value) == \
+            f"parentheses nested more than {MAX_NESTING} deep at line 3, column {5 + MAX_NESTING}"
 
 
 def test_undeclared_symbol_rejected():
@@ -121,6 +137,8 @@ def _compound(inner):
                   inner).map("".join))
 
 
+# The AST oracle has no nesting bound; max_leaves=10 composes _compound at
+# most four deep, so the texts stay far below MAX_NESTING (asserted below).
 expressions_st = st.recursive(atoms_st, _compound, max_leaves=10)
 BASIS = ["Y1", "Y2", "Y5", "Y8", "Y0", "Y9", "Y٣", "(Y3)", "X2"]
 # linear combinations, whose coefficients are expressions
@@ -165,6 +183,7 @@ PARAMS = [(), ("t",), ("alpha",), ("t", "alpha")]
 @settings(max_examples=250)
 @given(mutated(expressions_st), st.sampled_from(PARAMS), st.sampled_from([0, 7]))
 def test_scalar_parser_agrees_with_the_ast_parser(text, params, line):
+    assert text.count("(") < MAX_NESTING
     assert outcome(parse_scalar, text, params, line) == \
         outcome(reference_parse_scalar, text, params, line)
 
@@ -177,6 +196,7 @@ def test_scalar_parser_agrees_with_the_ast_parser(text, params, line):
 @given(mutated(st.one_of(combinations_st, expressions_st)), st.sampled_from(PARAMS),
        st.sampled_from([0, 7]))
 def test_column_parser_agrees_with_the_ast_parser(text, params, line):
+    assert text.count("(") < MAX_NESTING
     assert outcome(parse_column, text, 8, "Y", params, line) == \
         outcome(reference_parse_column, text, 8, "Y", params, line)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -12,7 +13,8 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       NotInvariant, SubspaceSpec, block_spectrum_check,
                       counterexample_spec, deform, entries_equal, go_cocycle,
                       limit_check, reciprocal_certificate, verify_degeneration)
-from filicert.deformation import (STAGES, _unit_det_stage, run_certificate_checks,
+from filicert.deformation import (STAGES, _eq1_residuals, _linear_deformation,
+                                  _unit_det_stage, run_certificate_checks,
                                   solve_certificate_cell)
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
@@ -128,6 +130,61 @@ def test_corrupted_certificate_fails_localized(tables):
         components = [k + 1 for k, s in enumerate(failure.residual) if not s.is_zero()]
         touched = set(failure.indices) | set(components)
         assert touched & {3, 7}
+
+
+def test_eq1_residuals_expand_like_sympy(corpus):
+    """sympy re-expands mu_1(g e_i, g e_j) - g(family(e_i, e_j)) for every
+    certified table in both errata modes, from the loaded brackets, the
+    diagonal D and the certificate alone (mu_D, mu_t, mu_1 and the family
+    mu_t, or mu_{1/t}, are rebuilt in sympy), and gets each component of
+    _eq1_residuals; verbatim mu08 has exactly three nonzero components."""
+    sympy = pytest.importorskip("sympy")
+    t, alpha = sympy.symbols("t alpha")
+
+    def as_sympy(scalar):
+        return sum((sympy.Rational(c.numerator, c.denominator) * t ** e_t * alpha ** e_alpha
+                    for (e_t, e_alpha), c in scalar.iter_terms()), sympy.Integer(0))
+
+    nonzero = {}
+    for name in fc.VERIFIED_NAMES:
+        alg = corpus[name]
+        block, reciprocal = alg.deformation, alg.certificate_parameter == "1/t"
+        for corrected in (False, True):
+            mu = fc.structure_constants(alg, corrected=corrected)
+            g = fc.certificate_matrix(alg, corrected=corrected)
+            dim = mu.dim
+            G = [[as_sympy(x) for x in row] for row in g.rows]
+            weight = dict(zip(sorted(block.ideal), block.diagonal))
+            family_t = 1 / t if reciprocal else t
+
+            def value(i, j, s):
+                """mu(b_i, b_j) + s*mu_D(b_i, b_j), i < j, as sympy."""
+                out = [as_sympy(x) for x in mu.entries.get((i, j), (ZERO,) * dim)]
+                for x, z, sign in ((i, j, 1), (j, i, -1)):
+                    if x == block.outside and z in weight:
+                        out[z - 1] += sign * s * sympy.Rational(weight[z])
+                return out
+
+            mu1 = {pair: value(*pair, 1) for pair in combinations(range(1, dim + 1), 2)}
+            _, mu_t, kernel_mu1 = _linear_deformation(
+                mu, SubspaceSpec(block.ideal), block.outside,
+                ScalarMatrix.diagonal(block.diagonal))
+            family = mu_t.invert_t() if reciprocal else mu_t
+            for (i, j), residual in _eq1_residuals(kernel_mu1, family, g):
+                rhs = value(i, j, family_t)
+                for k in range(dim):
+                    expected = -sum((G[k][m] * rhs[m] for m in range(dim)), sympy.Integer(0))
+                    for (a, b), column in mu1.items():
+                        if column[k] != 0:
+                            expected += (G[a - 1][i - 1] * G[b - 1][j - 1]
+                                         - G[b - 1][i - 1] * G[a - 1][j - 1]) * column[k]
+                    expected = sympy.expand(expected)
+                    assert sympy.expand(expected - as_sympy(residual[k])) == 0, \
+                        (name, corrected, (i, j, k + 1))
+                    if expected != 0:
+                        nonzero.setdefault((name, corrected), []).append((i, j, k + 1))
+    assert list(nonzero) == [("mu08", False)]
+    assert len(nonzero["mu08", False]) == 3
 
 
 def test_precondition_rejects_wrong_base(tables):

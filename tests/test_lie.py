@@ -5,21 +5,26 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filicert as fc
 from filicert import (Cochain2, StructureConstants, SubspaceSpec, base_change,
                       cocycle_check, entries_equal, is_derivation, is_ideal,
                       jacobi_check, restrict)
-from filicert.deformation import deform, run_certificate_checks
-from filicert.errors import ValidationError
+from filicert.deformation import deform, run_certificate_checks, verify_degeneration
+from filicert.errors import DimensionMismatch, InvalidSpec, ValidationError
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, ZERO
 
-from helpers import (dense_bracket_eval, monomial_diagonal, rand_scalar,
-                     reference_cocycle, reference_jacobi)
+from helpers import (cochains, dense_bracket, dense_bracket_eval, matrices,
+                     monomial_diagonal, nonzero_scalars, rand_scalar, reference_algebra,
+                     reference_cocycle, reference_is_derivation, reference_jacobi,
+                     vectors)
 
 
 def column(dim, **components):
@@ -262,3 +267,158 @@ def test_expansion_coefficients_match_reference_on_corrupted_cochains(tables):
         assert _rendered(expansion.failures) == \
             _rendered(reference_jacobi(deform(data.mu, phi))), name
         assert cocycle_check(data.mu, phi) == reference_cocycle(data.mu, phi), name
+
+
+# -- the sparse kernel against dense oracles on random cochains ----------------------
+#
+# Mutation checks: storing the (j, i) table entry without negating it is killed
+# by test_bracket_is_antisymmetric_in_its_indices,
+# test_jacobi_expansion_matches_the_dense_oracles and
+# test_the_derivation_basis_of_a_specialization_passes_the_kernel (a random
+# matrix is almost never a derivation, so the random is_derivation test sees
+# False on both sides); gathering only x_a*y_b for each pair (dropping
+# -x_b*y_a) is killed by
+# test_bracket_eval_matches_the_dense_oracle_on_random_cochains.
+
+dims = st.integers(1, 6)
+
+
+@settings(max_examples=60)
+@given(st.data(), dims)
+def test_bracket_eval_matches_the_dense_oracle_on_random_cochains(data, dim):
+    mu = data.draw(cochains(dim))
+    x, y = data.draw(vectors(dim)), data.draw(vectors(dim))
+    assert mu.bracket_eval(x, y) == dense_bracket_eval(mu, x, y)
+
+
+@settings(max_examples=50)
+@given(st.data(), dims)
+def test_bracket_is_antisymmetric_in_its_indices(data, dim):
+    mu = data.draw(cochains(dim))
+    for i in range(1, dim + 1):
+        for j in range(1, dim + 1):
+            assert mu.bracket(i, j) == dense_bracket(mu, i, j)
+            assert mu.bracket(j, i) == tuple(-s for s in mu.bracket(i, j))
+
+
+@settings(max_examples=40)
+@given(st.data(), st.integers(3, 6))
+def test_jacobi_expansion_matches_the_dense_oracles(data, dim):
+    mu, phi = data.draw(cochains(dim)), data.draw(cochains(dim))
+    expansion = jacobi_check(mu, phi)
+    assert _rendered(expansion.coefficient(0)) == _rendered(reference_jacobi(mu))
+    assert (not expansion.coefficient(1)) == reference_cocycle(mu, phi)
+    assert _rendered(expansion.coefficient(2)) == _rendered(reference_jacobi(phi))
+    assert _rendered(expansion.failures) == _rendered(reference_jacobi(deform(mu, phi)))
+    assert _rendered(jacobi_check(mu).failures) == _rendered(reference_jacobi(mu))
+
+
+@settings(max_examples=40)
+@given(st.data(), dims)
+def test_is_derivation_matches_the_dense_oracle(data, dim):
+    mu, matrix = data.draw(cochains(dim)), data.draw(matrices(dim))
+    assert is_derivation(mu, matrix) == reference_is_derivation(mu, matrix)
+
+
+@st.composite
+def graded_cochains(draw, dim):
+    """mu(b_i, b_j) a multiple of b_(i+j): diag(c, 2c, ..., dim*c) is a
+    derivation for every scalar c."""
+    entries = {(i, j): tuple(draw(nonzero_scalars) if k == i + j else ZERO
+                             for k in range(1, dim + 1))
+               for i, j in combinations(range(1, dim + 1), 2) if i + j <= dim}
+    return Cochain2(dim, entries, frozenset({"t", "alpha"}))
+
+
+@settings(max_examples=40)
+@given(st.data(), st.integers(3, 6))
+def test_graded_weights_are_derivations_and_a_perturbation_is_judged_like_the_oracle(
+        data, dim):
+    mu = data.draw(graded_cochains(dim))
+    c = data.draw(nonzero_scalars)
+    weights = ScalarMatrix.diagonal([c * k for k in range(1, dim + 1)])
+    assert is_derivation(mu, weights) and reference_is_derivation(mu, weights)
+    r, col = data.draw(st.integers(0, dim - 1)), data.draw(st.integers(0, dim - 1))
+    rows = [list(row) for row in weights.rows]
+    rows[r][col] = rows[r][col] + data.draw(nonzero_scalars)
+    perturbed = ScalarMatrix(tuple(tuple(row) for row in rows))
+    assert is_derivation(mu, perturbed) == reference_is_derivation(mu, perturbed)
+
+
+def test_the_derivation_basis_of_a_specialization_passes_the_kernel(tables):
+    """Every matrix of the rational Der basis of mu06 at alpha = -1 and 2, most
+    of them not diagonal, is a derivation; adding 1 to an off-diagonal entry
+    is judged as the dense oracle judges it."""
+    from filicert.invariants import derivation_algebra
+
+    mu06 = tables["mu06"].mu
+    for alpha in (-1, 2):
+        mu = mu06.eval_alpha(alpha)
+        _, basis = derivation_algebra(reference_algebra(mu06, alpha=alpha))
+        assert any(m[r][c] for m in basis for r in range(8) for c in range(8) if r != c)
+        for matrix in basis:
+            d = ScalarMatrix.from_rows(matrix)
+            assert is_derivation(mu, d) and reference_is_derivation(mu, d)
+            rows = [list(row) for row in d.rows]
+            rows[0][7] = rows[0][7] + 1
+            perturbed = ScalarMatrix(tuple(tuple(row) for row in rows))
+            assert is_derivation(mu, perturbed) == reference_is_derivation(mu, perturbed)
+
+
+def test_the_table_is_a_cache_outside_the_fields(tables):
+    """Building the sparse table changes neither == nor repr, and comparing
+    brackets does not build it."""
+    data = tables["mu11"]
+    fresh = data.mu_t.eval_t(1)
+    assert entries_equal(fresh, data.mu1)
+    assert "table" not in vars(fresh)
+    before = repr(fresh)
+    fresh.bracket_eval(basis_column(8, 1), basis_column(8, 2))
+    assert "table" in vars(fresh)
+    assert repr(fresh) == before
+    assert fresh == data.mu_t.eval_t(1)
+
+
+# -- validation at the lie level ------------------------------------------------------
+
+@pytest.mark.parametrize("value, declared, undeclared", [
+    (ALPHA, {"t"}, {"alpha"}), (fc.Scalar.t_power(-1), {"alpha"}, {"t"}),
+    (ALPHA * fc.Scalar.t_power(2), set(), {"alpha", "t"})])
+def test_a_column_with_an_undeclared_parameter_is_rejected(value, declared, undeclared):
+    entries = {(1, 2): column(3), (1, 3): column(3, Y2=1), (2, 3): (ZERO, ZERO, value)}
+    with pytest.raises(ValidationError) as info:
+        Cochain2(3, entries, frozenset(declared))
+    assert str(info.value) == f"entry (2, 3) uses undeclared parameter(s) {undeclared}"
+
+
+def test_zero_columns_are_dropped_whatever_their_params():
+    mu = Cochain2(3, {(1, 2): column(3), (1, 3): column(3, Y2=2)}, frozenset())
+    assert mu.entries == {(1, 3): column(3, Y2=2)}
+
+
+@pytest.mark.parametrize("entries, error, message", [
+    ({(2, 1): column(3, Y3=1)}, ValidationError, r"bracket indices \(2, 1\) out of range"),
+    ({(1, 4): column(3, Y3=1)}, ValidationError, r"bracket indices \(1, 4\) out of range"),
+    ({(1, 2): (ONE, ZERO)}, DimensionMismatch, r"column for \(1, 2\) has wrong length")])
+def test_structural_errors_keep_their_types_and_messages(entries, error, message):
+    with pytest.raises(error, match=rf"^{message}$"):
+        Cochain2(3, entries, frozenset())
+
+
+def test_specializations_carry_the_reduced_params(tables):
+    mu_t = tables["mu06"].mu_t
+    assert mu_t.params == frozenset({"t", "alpha"})
+    assert mu_t.eval_t(1).params == frozenset({"alpha"})
+    assert mu_t.eval_alpha(2).params == frozenset({"t"})
+    assert mu_t.eval_t(1).eval_alpha(2).params == frozenset()
+    assert mu_t.invert_t().params == mu_t.params
+    doubled = mu_t.map_entries(lambda s: s + s, frozenset({"t", "alpha", "x"}))
+    assert doubled.params == frozenset({"t", "alpha", "x"})
+    with pytest.raises(ValidationError, match="undeclared parameter"):
+        mu_t.map_entries(lambda s: s, frozenset({"t"}))
+
+
+def test_verify_degeneration_rejects_a_mu1_that_is_not_mu_t_at_one(tables):
+    data = tables["mu11"]
+    with pytest.raises(InvalidSpec, match="^mu1 must be the t = 1 specialization of mu_t$"):
+        verify_degeneration(data.mu, data.mu_t, data.g)

@@ -8,14 +8,16 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filicert import NotAUnit, RationalMatrix, ScalarMatrix, Scalar, UniPoly
 from filicert.linalg import span_basis
 from filicert.scalar import ONE, T, ZERO
 
-from helpers import (eval_poly_at_matrix, laplace_det, primitive, rand_scalar,
-                     rand_scalar_matrix, rand_unit_triangular, rank,
-                     reference_nullspace, reference_rref)
+from helpers import (dense_apply, eval_poly_at_matrix, laplace_det, matrices, primitive,
+                     rand_scalar, rand_scalar_matrix, rand_unit_triangular, rank,
+                     reference_nullspace, reference_rref, vectors)
 
 
 def basis_column(n, i):
@@ -52,6 +54,29 @@ def test_apply_distributes_over_addition():
         left = m.apply(tuple(a + b for a, b in zip(u, v)))
         right = tuple(a + b for a, b in zip(m.apply(u), m.apply(v)))
         assert left == right
+
+
+@settings(max_examples=50)
+@given(st.data(), st.integers(1, 8))
+def test_apply_matches_the_dense_product(data, n):
+    """The sparse column sum equals the dense row-by-vector products, for
+    matrices that are in general not diagonal; so does the matrix product."""
+    m, v = data.draw(matrices(n)), data.draw(vectors(n))
+    assert m.apply(v) == dense_apply(m, v)
+    other = data.draw(matrices(n))
+    assert (m @ other).rows == tuple(zip(*(dense_apply(m, other.column(c))
+                                           for c in range(n))))
+
+
+def test_nonzero_columns_are_a_cache_outside_the_fields(tables):
+    g = tables["mu08"].g
+    fresh = ScalarMatrix(g.rows)
+    before = repr(fresh)
+    assert "nonzero_columns" not in vars(fresh)
+    fresh.apply(basis_column(8, 1))
+    assert fresh.nonzero_columns[0] == tuple((r, g.rows[r][0]) for r in range(8)
+                                             if not g.rows[r][0].is_zero())
+    assert (repr(fresh), fresh) == (before, g)
 
 
 # -- determinants ----------------------------------------------------------------
