@@ -21,11 +21,21 @@ the same degeneration because t -> 1/t permutes the punctured line (the
 family g_{1/t} then satisfies (*) literally).  Such certificates carry the
 marker ``parameter = 1/t`` in their data files and are verified against the
 reciprocal deformation.
+
+The residuals are computed on int coefficients.  With L and M the lcms of
+the coefficient denominators of g and of the family (which holds those of
+mu and of phi = mu_D, so also those of mu_1), the kernel evaluates (*) for
+L*g, M*mu_1 and the family times M*L.  Every residual is then exactly
+M*L^2 times the true one, so zero-ness is unchanged, and only the nonzero
+ones are divided back.  The cell solver reads its offsets (M*L^2 times the
+true ones) and its slopes (M*L times) off the same scaled objects, so it
+solves for L times the cell and divides by L once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
                      NotInvariant)
@@ -98,7 +108,7 @@ def _linear_deformation(mu: StructureConstants, ideal: SubspaceSpec,
     """phi = mu_D, the family mu_t = mu + t*phi, and mu_1 = mu_t at t = 1."""
     phi = _build_cocycle(DeformationSpec(mu, ideal, outside_index, derivation))
     mu_t = deform(mu, phi)
-    return phi, mu_t, mu_t.eval_t(1)
+    return phi, mu_t, mu_t.at_t_one
 
 
 def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
@@ -107,7 +117,8 @@ def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
         raise DimensionMismatch("cochain dimension does not match the bracket")
     entries = {}
     for key in set(mu.entries) | set(phi.entries):
-        entries[key] = tuple(a + T * b for a, b in zip(mu.bracket(*key), phi.bracket(*key)))
+        entries[key] = tuple(a + T * b if b._terms else a
+                             for a, b in zip(mu.bracket(*key), phi.bracket(*key)))
     return StructureConstants(mu.dim, entries, mu.params | phi.params | {"t"},
                               f"{mu.name}_t" if mu.name else "mu_t")
 
@@ -156,7 +167,7 @@ def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
     """
     if mu1.dim != mu_t.dim or g.n != mu_t.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
-    if not entries_equal(mu_t.eval_t(1), mu1):
+    if not entries_equal(mu_t.at_t_one, mu1):
         raise InvalidSpec("mu1 must be the t = 1 specialization of mu_t")
     report = VerificationReport(mu_t.name)
     family = mu_t.invert_t() if reciprocal else mu_t
@@ -177,15 +188,38 @@ def _unit_det_stage(g: ScalarMatrix, det: Scalar | None = None) -> StageResult:
                        "determinant is not a single term c*t^k")
 
 
-def _eq1_residuals(mu1: StructureConstants, family: StructureConstants,
-                   g: ScalarMatrix):
-    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs;
-    the family is mu_t, or mu_{1/t} for a reciprocal certificate."""
+def _cleared(mu1: StructureConstants, family: StructureConstants, g: ScalarMatrix):
+    """(L, M, M*mu_1, M*L*family, L*g) with L and M the lcms of the
+    coefficient denominators of g and of the family.  mu_1's coefficients
+    are sums of the family's, so all three scaled objects have int
+    coefficients."""
+    scale_g, scale_mu = g.denominator(), family.denominator()
+    return (scale_g, scale_mu, mu1.scaled(scale_mu), family.scaled(scale_mu * scale_g),
+            g.map_entries(lambda s: s.scaled(scale_g)))
+
+
+def _residual_columns(mu1: StructureConstants, family: StructureConstants,
+                      g: ScalarMatrix):
+    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs."""
     columns = [g.column(k) for k in range(g.n)]
     for i, j in family.pairs():
         lhs = mu1.bracket_eval(columns[i - 1], columns[j - 1])
         rhs = g.apply(family.bracket(i, j))
         yield (i, j), tuple(a - b if b._terms else a for a, b in zip(lhs, rhs))
+
+
+def _eq1_residuals(mu1: StructureConstants, family: StructureConstants,
+                   g: ScalarMatrix):
+    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs;
+    the family is mu_t, or mu_{1/t} for a reciprocal certificate.
+
+    Computed on the cleared objects of :func:`_cleared`, where each residual
+    is M*L^2 times the true one, and divided back.
+    """
+    scale_g, scale_mu, *cleared = _cleared(mu1, family, g)
+    back = Fraction(1, scale_mu * scale_g ** 2)
+    for pair, residual in _residual_columns(*cleared):
+        yield pair, tuple(s.scaled(back) if s._terms else s for s in residual)
 
 
 def limit_check(mu_t: StructureConstants, mu: StructureConstants) -> bool:
@@ -355,13 +389,14 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
         raise InvalidSpec(f"cell {cell} is outside the {g.n}x{g.n} certificate")
     rows = [list(r) for r in g.rows]
     rows[row - 1][col - 1] = ZERO
-    g0 = ScalarMatrix(tuple(tuple(r) for r in rows))
+    # on the cleared objects, offsets are M*L^2 and slopes M*L times the true ones
+    scale_g, _, mu1, family, g0 = _cleared(mu1, family, ScalarMatrix(tuple(map(tuple, rows))))
     e_row = tuple(ONE if k == row - 1 else ZERO for k in range(g.n))
     # mu_1(e_row, g_0 e_m) for every basis index m other than col
     cross = {m: mu1.bracket_eval(e_row, g0.column(m - 1))
              for m in range(1, g.n + 1) if m != col}
     solution = None
-    for (i, j), offsets in _eq1_residuals(mu1, family, g0):
+    for (i, j), offsets in _residual_columns(mu1, family, g0):
         if i == col:
             slopes = list(cross[j])
         elif j == col:
@@ -371,8 +406,8 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
         slopes[row - 1] -= family.bracket(i, j)[col - 1]
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
             key = (i, j, k)
-            if slope.is_zero():
-                if not offset.is_zero():
+            if not slope._terms:
+                if offset._terms:
                     raise InvalidSpec(
                         f"residual at {key} does not involve cell {cell}; "
                         "no single-cell correction exists")
@@ -388,7 +423,7 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
                                   "no single-cell correction exists")
     if solution is None:
         raise InvalidSpec(f"cell {cell} is unconstrained by the residual equations")
-    return solution
+    return solution.scaled(Fraction(1, scale_g))
 
 
 def counterexample_spec(mu: StructureConstants) -> DeformationSpec:

@@ -28,8 +28,10 @@ contraction of the structure constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import DimensionMismatch, ValidationError
@@ -157,16 +159,42 @@ class Cochain2:
         new_params = self.params if params is None else params
         return type(self)(self.dim, new_entries, new_params, self.name)
 
+    def _substitute(self, func, params: frozenset[str]) -> "Cochain2":
+        """A substitution into every nonzero entry; zeros stay zero."""
+        return self.map_entries(lambda s: func(s) if s._terms else s, params)
+
     def eval_t(self, t_value) -> "Cochain2":
-        return self.map_entries(lambda s: s.eval_t(t_value),
-                                self.params - {"t"})
+        return self._substitute(lambda s: s.eval_t(t_value), self.params - {"t"})
+
+    @cached_property
+    def at_t_one(self) -> "Cochain2":
+        """eval_t(1), built on first use and cached like :attr:`table`."""
+        return self.eval_t(1)
 
     def eval_alpha(self, alpha_value) -> "Cochain2":
-        return self.map_entries(lambda s: s.eval_alpha(alpha_value),
+        return self._substitute(lambda s: s.eval_alpha(alpha_value),
                                 self.params - {"alpha"})
 
     def invert_t(self) -> "Cochain2":
-        return self.map_entries(lambda s: s.invert_t())
+        return self._substitute(lambda s: s.invert_t(), self.params)
+
+    def denominator(self) -> int:
+        """The lcm of the coefficient denominators of all entries."""
+        return lcm(*(coeff.denominator for column in self.entries.values()
+                     for s in column for coeff in s._terms.values()))
+
+    def scaled(self, factor: int | Fraction) -> "Cochain2":
+        """factor times this cochain, for a nonzero rational factor.
+
+        Unlike :meth:`map_entries`, the result, a valid cochain times a
+        nonzero constant, is not validated again.
+        """
+        entries = {key: tuple(s.scaled(factor) if s._terms else s for s in column)
+                   for key, column in self.entries.items()}
+        result = object.__new__(type(self))
+        result.__dict__.update(dim=self.dim, entries=entries, params=self.params,
+                               name=self.name)
+        return result
 
 
 class StructureConstants(Cochain2):

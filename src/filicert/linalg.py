@@ -2,7 +2,10 @@
 
 Determinants and characteristic polynomials of :class:`ScalarMatrix` use the
 Berkowitz algorithm, which is division-free and therefore valid over the
-Laurent ring Q[alpha][t, 1/t].  Inverses require a unit determinant c*t^k and
+Laurent ring Q[alpha][t, 1/t].  It runs on L*A, with L the lcm of the
+coefficient denominators of A, so on int coefficients; since
+chi_{L*A}(x) = L^n chi_A(x/L), the coefficient of x^k is L^(n-k) times that
+of chi_A, and is divided back.  Inverses require a unit determinant c*t^k and
 are obtained fraction-free (Bareiss/Montante form of Gauss-Jordan), so the
 only division ever performed on Scalars is exact.  The ``unit-det`` stage of
 the certificate check takes det g from one Berkowitz run on g's block on the
@@ -42,6 +45,29 @@ def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
         if x._terms and y._terms:
             total = total + x * y
     return total
+
+
+def _berkowitz(rows: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    """The coefficients of det(x*I - A), leading first, of the square matrix
+    with the given rows, by Berkowitz's division-free algorithm."""
+    n = len(rows)
+    vec = [ONE]
+    for r in range(1, n + 1):
+        a = rows[r - 1][r - 1]
+        toeplitz_col = [ONE, -a]
+        if r >= 2:
+            row_part = rows[r - 1][: r - 1]
+            work = [rows[i][r - 1] for i in range(r - 1)]
+            toeplitz_col.append(-_dot(row_part, work))
+            for _ in range(r - 2):
+                work = [_dot(rows[i][: r - 1], work) for i in range(r - 1)]
+                toeplitz_col.append(-_dot(row_part, work))
+        vec = [
+            sum((toeplitz_col[i - j] * vec[j] for j in range(max(0, i - r), min(i + 1, r))),
+                ZERO)
+            for i in range(r + 1)
+        ]
+    return vec
 
 
 @dataclass(frozen=True)
@@ -116,29 +142,21 @@ class ScalarMatrix:
         return all(self.rows[i][j].is_zero()
                    for i in range(self.n) for j in range(self.n) if i != j)
 
+    def denominator(self) -> int:
+        """The lcm of the coefficient denominators of all entries."""
+        return lcm(*(coeff.denominator for row in self.rows for entry in row
+                     for coeff in entry._terms.values()))
+
     def char_poly(self) -> UniPoly:
         """Monic characteristic polynomial det(x*I - A), by Berkowitz.
 
-        Division-free: only ring additions and multiplications are used.
+        Division-free: only ring additions and multiplications are used, on
+        the int coefficients of L*A, L = :meth:`denominator`; the coefficient
+        of x^k is then divided by L^(n-k).
         """
-        n = self.n
-        vec = [ONE]
-        for r in range(1, n + 1):
-            a = self.rows[r - 1][r - 1]
-            toeplitz_col = [ONE, -a]
-            if r >= 2:
-                row_part = self.rows[r - 1][: r - 1]
-                work = [self.rows[i][r - 1] for i in range(r - 1)]
-                toeplitz_col.append(-_dot(row_part, work))
-                for _ in range(r - 2):
-                    work = [_dot(self.rows[i][: r - 1], work) for i in range(r - 1)]
-                    toeplitz_col.append(-_dot(row_part, work))
-            vec = [
-                sum((toeplitz_col[i - j] * vec[j] for j in range(max(0, i - r), min(i + 1, r))),
-                    ZERO)
-                for i in range(r + 1)
-            ]
-        return UniPoly(reversed(vec))
+        scale = self.denominator()
+        vec = _berkowitz(self.map_entries(lambda s: s.scaled(scale)).rows)
+        return UniPoly(reversed([c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]))
 
     def det(self) -> Scalar:
         """Exact determinant, division-free."""

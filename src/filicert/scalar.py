@@ -9,9 +9,10 @@ so ``e_alpha >= 0``.  The zero scalar is the empty map, and no stored
 coefficient is zero, so structural equality of the term maps is exact
 equality of scalars (an integral Fraction equals, and hashes like, its int).
 Integral coefficients are stored as ints where they enter: the constructor,
-exact quotients, unit inverses, powers of a monomial and substitutions; the
-ring operations do no normalization.  Every division goes through ``Fraction``, because
-``int / int`` and ``int ** -k`` are floats.
+exact quotients, unit inverses, powers of a monomial, substitutions and
+scaling by a constant; the ring operations do no normalization.  Every
+division goes through ``Fraction``, because ``int / int`` and ``int ** -k``
+are floats.
 
 The certificate contractions multiply and subtract mostly zeros, so the ring
 operations short-circuit the zero scalar: a product with zero is ``ZERO``,
@@ -27,6 +28,7 @@ Scalar holds it, so scalars are safe to share between concurrent tasks.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import NotAUnit, ZeroSpecialization
@@ -226,6 +228,25 @@ class Scalar:
         return result
 
     __rmul__ = __mul__
+
+    def scaled(self, factor: int | Fraction) -> "Scalar":
+        """factor * self for a nonzero rational factor, each coefficient
+        stored as an int where it is integral; an int factor that the
+        denominators divide gives int coefficients only.  Works on
+        numerators and denominators, with no Fraction arithmetic."""
+        if not self._terms:
+            return self
+        top, bottom = factor.numerator, factor.denominator
+        terms = {}
+        for key, coeff in self._terms.items():
+            num, den = coeff.numerator * top, coeff.denominator * bottom
+            if den != 1:
+                common = gcd(num, den)
+                num, den = num // common, den // common
+            terms[key] = num if den == 1 else Fraction(num, den)
+        result = Scalar.__new__(Scalar)
+        result._terms = terms
+        return result
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
 from filicert.dataio import MAX_BITS, MAX_DEGREE, MAX_DIGITS, DeformationBlock, Erratum
-from filicert.deformation import _eq1_residuals, _linear_deformation
+from filicert.deformation import _linear_deformation
 from filicert.errors import InvalidSpec, ParseError, ValidationError
 from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
 from filicert.lie import Cochain2, column_is_zero
@@ -573,6 +573,41 @@ def der_is_nilpotent(algebra: RationalAlgebra) -> bool:
     return False
 
 
+def reference_char_poly(matrix: ScalarMatrix) -> UniPoly:
+    """det(x*I - A) by Berkowitz on the entries as they are, with no clearing
+    of denominators: the oracle for ScalarMatrix.char_poly."""
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b) if x._terms and y._terms), ZERO)
+
+    rows, n = matrix.rows, matrix.n
+    vec = [ONE]
+    for r in range(1, n + 1):
+        toeplitz_col = [ONE, -rows[r - 1][r - 1]]
+        if r >= 2:
+            row_part = rows[r - 1][: r - 1]
+            work = [rows[i][r - 1] for i in range(r - 1)]
+            toeplitz_col.append(-dot(row_part, work))
+            for _ in range(r - 2):
+                work = [dot(rows[i][: r - 1], work) for i in range(r - 1)]
+                toeplitz_col.append(-dot(row_part, work))
+        vec = [sum((toeplitz_col[i - j] * vec[j] for j in range(max(0, i - r), min(i + 1, r))),
+                   ZERO)
+               for i in range(r + 1)]
+    return UniPoly(reversed(vec))
+
+
+def reference_eq1_residuals(mu1: Cochain2, family: Cochain2, g: ScalarMatrix):
+    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs,
+    on the objects as they are, with no clearing of denominators: the oracle
+    for deformation._eq1_residuals."""
+    columns = [g.column(k) for k in range(g.n)]
+    for i, j in family.pairs():
+        lhs = mu1.bracket_eval(columns[i - 1], columns[j - 1])
+        rhs = g.apply(family.bracket(i, j))
+        yield (i, j), tuple(a - b for a, b in zip(lhs, rhs))
+
+
 def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
                          cell: tuple[int, int], reciprocal: bool = False) -> Scalar:
     """One certificate entry from two full evaluations of the residuals, at
@@ -586,7 +621,7 @@ def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
         rows[row - 1][col - 1] = value
         candidate = ScalarMatrix(tuple(tuple(r) for r in rows))
         return {(i, j, k): component
-                for (i, j), residual in _eq1_residuals(
+                for (i, j), residual in reference_eq1_residuals(
                     mu1, mu_t.invert_t() if reciprocal else mu_t, candidate)
                 for k, component in enumerate(residual, start=1)}
 

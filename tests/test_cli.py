@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import re
 import time
@@ -207,7 +208,9 @@ def test_non_utf8_catalog_file_is_an_input_error(capsys, tmp_path, corpus):
 
 def test_non_integral_derivation_fails_the_spectrum_stage(capsys, tmp_path):
     """A D with a non-integral eigenvalue is a localized spectrum failure of
-    its own table; the other tables are still verified."""
+    its own table; the other tables are still verified.  The whole stdout is
+    pinned: its eq1 residuals carry denominators that come from phi = mu_D,
+    and the cleared eq1 kernel must divide them back exactly."""
     from filicert.dataio import data_dir
 
     (tmp_path / "mu06").write_text((data_dir() / "mu06").read_text(encoding="utf-8"))
@@ -222,6 +225,9 @@ def test_non_integral_derivation_fails_the_spectrum_stage(capsys, tmp_path):
     assert lines[0] == "mu06: PASS"
     assert lines[1].startswith("mu11: FAIL [") and "spectrum" in lines[1]
     assert "  spectrum: (): derivation eigenvalues must be integers" in lines
+    assert "  eq1: (1, 2) component 5: 1/16*t^4 - 1/8*t^3 + 1/16*t^2" in lines
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == \
+        "10b05dacab74f8824f834abb23a490d41f3d648d559a1d8ec46a7edcde6c0533"
 
 
 def test_missing_data_directory(capsys, tmp_path):

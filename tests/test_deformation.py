@@ -13,14 +13,16 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       NotInvariant, SubspaceSpec, block_spectrum_check,
                       counterexample_spec, deform, entries_equal, go_cocycle,
                       limit_check, reciprocal_certificate, verify_degeneration)
-from filicert.deformation import (STAGES, _eq1_residuals, _linear_deformation,
+from filicert.dataio import parse_scalar
+from filicert.deformation import (STAGES, _cleared, _eq1_residuals, _linear_deformation,
                                   _unit_det_stage, run_certificate_checks,
                                   solve_certificate_cell)
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ONE, T, ZERO, Scalar
 
-from helpers import reference_solve_cell
+from helpers import reference_eq1_residuals, reference_solve_cell
+from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
 def column(dim, **components):
@@ -185,6 +187,60 @@ def test_eq1_residuals_expand_like_sympy(corpus):
                         nonzero.setdefault((name, corrected), []).append((i, j, k + 1))
     assert list(nonzero) == [("mu08", False)]
     assert len(nonzero["mu08", False]) == 3
+
+
+def eq1_cases(corpus):
+    """(label, mu_1, family, g): every certified table in both errata modes,
+    the single-cell corruptions of the residual-rendering pin, and mu11 with
+    the non-integral D = diag(1/2, 2, ..., 7), whose phi has denominators."""
+    def case(name, corrected, diagonal=None, cell=None):
+        alg = corpus[name]
+        block = alg.deformation
+        _, mu_t, mu1 = _linear_deformation(
+            fc.structure_constants(alg, corrected=corrected), SubspaceSpec(block.ideal),
+            block.outside, ScalarMatrix.diagonal(diagonal or block.diagonal))
+        family = mu_t.invert_t() if alg.certificate_parameter == "1/t" else mu_t
+        g = fc.certificate_matrix(alg, corrected=corrected)
+        if cell:
+            row, col, offset = cell
+            g = with_cells(g, {(row, col): g.rows[row - 1][col - 1]
+                                           + parse_scalar(offset, ("t", "alpha"))})
+        return (name, corrected, diagonal, cell), mu1, family, g
+
+    cases = [case(name, corrected) for name in fc.VERIFIED_NAMES for corrected in (False, True)]
+    cases += [case(name, True, cell=(row, col, offset))
+              for name, row, col, offset in RESIDUAL_CORRUPTIONS]
+    cases.append(case("mu11", True, diagonal=(Fraction(1, 2), 2, 3, 4, 5, 6, 7)))
+    return cases
+
+
+def test_eq1_residuals_match_the_unscaled_oracle(corpus):
+    """The eq1 kernel runs on M*mu_1, M*L*family and L*g and divides the
+    nonzero residuals by M*L^2; the oracle runs on the objects as they are."""
+    nonzero = 0
+    for label, mu1, family, g in eq1_cases(corpus):
+        residuals = list(_eq1_residuals(mu1, family, g))
+        assert residuals == list(reference_eq1_residuals(mu1, family, g)), label
+        nonzero += sum(not column_is_zero(residual) for _, residual in residuals)
+    assert nonzero > len(RESIDUAL_CORRUPTIONS)
+
+
+def test_cleared_certificates_have_int_coefficients(corpus):
+    """Every coefficient of L*g, M*mu_1 and M*L*family is an int, also where
+    g, mu or phi = mu_D has Fraction coefficients: an integral Fraction would
+    keep the cost of Fraction arithmetic."""
+    def coefficients(columns):
+        return [c for column in columns for s in column for c in s._terms.values()]
+
+    fractions, cases = 0, eq1_cases(corpus)
+    for label, mu1, family, g in cases:
+        _, _, mu1_c, family_c, g_c = _cleared(mu1, family, g)
+        originals = coefficients([*g.rows, *mu1.entries.values(), *family.entries.values()])
+        fractions += any(type(c) is not int for c in originals)
+        cleared = coefficients([*g_c.rows, *mu1_c.entries.values(), *family_c.entries.values()])
+        assert len(cleared) == len(originals), label
+        assert all(type(c) is int for c in cleared), label
+    assert fractions == len(cases)
 
 
 def test_precondition_rejects_wrong_base(tables):

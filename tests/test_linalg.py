@@ -12,12 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from filicert import NotAUnit, RationalMatrix, ScalarMatrix, Scalar, UniPoly
+from filicert import linalg
 from filicert.linalg import span_basis
 from filicert.scalar import ONE, T, ZERO
 
 from helpers import (dense_apply, eval_poly_at_matrix, laplace_det, matrices, primitive,
                      rand_scalar, rand_scalar_matrix, rand_unit_triangular, rank,
-                     reference_nullspace, reference_rref, vectors)
+                     reference_char_poly, reference_nullspace, reference_rref, vectors)
 
 
 def basis_column(n, i):
@@ -128,6 +129,42 @@ def test_char_poly_of_dense_certificate_block(tables):
     block = data.g.submatrix(range(1, 8), range(1, 8))
     expected = UniPoly.from_roots([T ** d for d in (2, 3, 4, 5, 6, 7, 10)])
     assert block.char_poly() == expected
+
+
+@settings(max_examples=60)
+@given(st.data(), st.integers(1, 6))
+def test_char_poly_matches_the_berkowitz_run_on_unscaled_entries(data, n):
+    """char_poly runs Berkowitz on L*A, L the lcm of the denominators, and
+    divides the coefficient of x^k by L^(n-k); the oracle runs it on A.
+    Entries mix int and Fraction coefficients, alpha and negative t-powers,
+    in sparse and in dense matrices."""
+    dense = st.lists(vectors(n), min_size=n, max_size=n).map(
+        lambda rows: ScalarMatrix(tuple(rows)))
+    m = data.draw(st.one_of(matrices(n), dense))
+    assert m.char_poly() == reference_char_poly(m)
+
+
+def test_berkowitz_runs_on_int_coefficients(tables, monkeypatch):
+    """Every coefficient of the Berkowitz input inside char_poly is an int,
+    also for the certificates' Fraction entries: an integral Fraction would
+    keep the cost of Fraction arithmetic."""
+    inputs = []
+    berkowitz = linalg._berkowitz
+
+    def recorded(rows):
+        inputs.append(rows)
+        return berkowitz(rows)
+
+    monkeypatch.setattr(linalg, "_berkowitz", recorded)
+    matrices_seen = [data.g for data in tables.values()]
+    matrices_seen += [ScalarMatrix.from_rows([[Fraction(1, 2), Fraction(3, 8)], [T, 5]])]
+    for m in matrices_seen:
+        assert m.char_poly() == reference_char_poly(m)
+    assert len(inputs) == len(matrices_seen)
+    assert any(type(c) is not int for m in matrices_seen
+               for row in m.rows for s in row for c in s._terms.values())
+    assert all(type(c) is int for rows in inputs
+               for row in rows for s in row for c in s._terms.values())
 
 
 def test_cayley_hamilton_on_random_rational_matrices():
