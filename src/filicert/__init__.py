@@ -15,7 +15,7 @@ from .dataio import (AlgebraFile, DeformationBlock, Erratum, VERIFIED_NAMES,
 from .deformation import (DeformationSpec, Failure, STAGES, StageResult,
                           VerificationReport, block_spectrum_check,
                           counterexample_spec, deform, go_cocycle, limit_check,
-                          reciprocal_certificate, run_certificate_checks,
+                          run_certificate_checks,
                           verify_degeneration)
 from .errors import (DimensionMismatch, FilicertError, InvalidSpec,
                      NegativeExponent, NotAUnit, NotInvariant, ParseError,
@@ -25,7 +25,7 @@ from .invariants import (RationalAlgebra, center_dim, derivation_algebra,
                          is_characteristically_nilpotent, is_filiform,
                          is_nilpotent, is_solvable, lower_central_series)
 from .lie import (Cochain2, JacobiReport, StructureConstants, SubspaceSpec,
-                  base_change, basis_column, cocycle_check, entries_equal,
+                  basis_column, cocycle_check, entries_equal,
                   is_derivation, is_ideal, jacobi_check, restrict)
 from .linalg import RationalMatrix, ScalarMatrix, span_basis
 from .scalar import ALPHA, ONE, Scalar, T, UniPoly, ZERO, as_scalar

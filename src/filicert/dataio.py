@@ -40,8 +40,11 @@ expression coefficients.  Every expression may use only the parameters
 declared in the header; ``t`` is additionally allowed in certificate entries.
 
 The parser evaluates an expression while it reads it: each grammar rule
-returns the value of its text, a canonical Scalar and the basis coordinates,
-and no syntax tree is built.  Errors come in a fixed order.  A syntax error
+returns the value of its text as one monomial map ``{(k, e_t, e_alpha):
+coeff}`` (k = 0 the scalar part, k = 1..dim a basis symbol, kept where it
+cancels, so ``Y1*0*Y2`` is still nonlinear), and no syntax tree is built.
+The map becomes one Scalar per output cell, so an integral coefficient is an
+int.  Errors come in a fixed order.  A syntax error
 (:class:`ParseError`, with line and column) anywhere on a line wins over a
 semantic one (:class:`ValidationError`: an undeclared symbol, a basis index
 out of range, a nonlinear term, an oversized power or product), so the first
@@ -60,13 +63,15 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import ParseError, ValidationError
 from .lie import Column, StructureConstants
 from .linalg import ScalarMatrix
-from .scalar import ALPHA, ONE, T, ZERO, Scalar
+from .scalar import ZERO, Scalar
 
 VERIFIED_NAMES = ("mu01", "mu02", "mu06", "mu08", "mu09", "mu10",
                   "mu11", "mu13", "mu15", "mu17")
@@ -99,252 +104,269 @@ def data_dir() -> Path:
 
 # -- expressions ---------------------------------------------------------------
 
-# One token per match: a number p or p/q (an empty q is an error), a word, or
-# any other character but a space; finditer passes over the spaces, which
-# nothing matches.  ``\s``, ``\d`` and ``\w`` are exactly str.isspace,
-# str.isdecimal and (str.isalnum or "_"); a word must still start with a
-# letter, because ``\w`` also matches digits such as "²".
-_TOKEN = re.compile(r"(\d+)(/(\d*))?|(\w+)|(\S)")
-_OPERATORS = "+-*^()"
+# One token per match: an operator, a number p or p/q (an empty q is an error),
+# a word, or any other character but a space (an error).  ``\s``, ``\d`` and
+# ``\w`` are exactly str.isspace, str.isdecimal and (str.isalnum or "_"); a word
+# must still start with a letter, because ``\w`` also matches digits such as "²".
+_TOKEN = re.compile(r"[-+*^()]|\d+(?:/\d*)?|\w+|\S")
+_OPERATORS = frozenset("+-*^()")
 
 
-def _tokenize(text: str, line: int) -> list[tuple]:
-    """The tokens of a line as (kind, text, column, value) tuples; kind is
-    "number" (value an int, or a Fraction for p/q), "name", an operator
-    character or "end"."""
-    tokens = []
-    for match in _TOKEN.finditer(text):
-        numerator, fraction, denominator, name, char = match.groups()
-        column = match.start() + 1
-        if numerator:
-            if fraction and not denominator:
-                raise ParseError("missing denominator", line, match.end() + 1, ("digit",))
-            if len(numerator) > MAX_DIGITS or (fraction and len(denominator) > MAX_DIGITS):
-                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, column)
-            value = int(numerator)
-            if fraction:
-                if int(denominator) == 0:
-                    raise ParseError("zero denominator", line, column)
-                value = Fraction(value, int(denominator))
-            tokens.append(("number", match.group(), column, value))
-        elif name and name[0].isalpha():
-            tokens.append(("name", name, column, None))
-        elif char and char in _OPERATORS:
-            tokens.append((char, char, column, None))
+def _column(text: str, index: int) -> int:
+    """The column of token `index` of a line (past the last, the end of
+    input); only errors need it, so tokens do not carry it."""
+    match = next(islice(_TOKEN.finditer(text), index, None), None)
+    return match.start() + 1 if match else len(text) + 1
+
+
+def _tokenize(text: str, line: int) -> tuple[list[str], list]:
+    """The texts of the tokens of a line, then "" for the end of input; and
+    at the index of each number its value, an int or a Fraction for p/q."""
+    tokens = _TOKEN.findall(text)
+    values = [None] * (len(tokens) + 1)
+    for index, token in enumerate(tokens):
+        if token in _OPERATORS or token[0].isalpha():
+            continue
+        numerator, slash, denominator = token.partition("/")
+        if not token[0].isdecimal():
+            error = f"unexpected character {token[0]!r}"
+        elif slash and not denominator:
+            raise ParseError("missing denominator", line, _column(text, index) + len(token),
+                             ("digit",))
+        elif len(numerator) > MAX_DIGITS or len(denominator) > MAX_DIGITS:
+            error = f"number with more than {MAX_DIGITS} digits"
+        elif slash and not int(denominator):
+            error = "zero denominator"
         else:
-            raise ParseError(f"unexpected character {(char or name[0])!r}", line, column)
-    tokens.append(("end", "", len(text) + 1, None))
-    return tokens
+            values[index] = Fraction(int(numerator), int(denominator)) if slash else int(numerator)
+            continue
+        raise ParseError(error, line, _column(text, index))
+    tokens.append("")
+    return tokens, values
 
 
-def _size(scalar: Scalar) -> tuple[int, int]:
-    """The degree in t or alpha, and the bit length of the coefficients plus
-    that of the term count: what the resource bounds are checked on."""
-    degree = bits = 0
-    for (e_t, e_alpha), coeff in scalar.iter_terms():
-        degree = max(degree, abs(e_t), e_alpha)
-        bits = max(bits, coeff.numerator.bit_length(), coeff.denominator.bit_length())
-    return degree, bits + scalar.term_count().bit_length()
+# The value of an expression (see the module docstring); its scalar part has no 0.
+_Value = dict[tuple[int, int, int], int | Fraction]
+_coordinate = itemgetter(0)
 
 
-def _check_size(kind: str, degree: int, bits: int, line: int) -> None:
-    """Reject a power or a product before it is computed if the bound on its
-    degree or coefficient bits exceeds the limits: the base's `_size` times
-    the exponent, or the sum of the factors' sizes."""
+def _size(terms: Iterable[tuple]) -> tuple[int, int, int]:
+    """The count, the degree in t or alpha, and the coefficient bits plus the
+    count's bits of the nonzero (key, coeff) terms: what bounds are checked on."""
+    count = degree = bits = 0
+    for (_, e_t, e_alpha), coeff in terms:
+        if coeff:
+            count += 1
+            degree = max(degree, abs(e_t), e_alpha)
+            bits = max(bits, coeff.numerator.bit_length(), coeff.denominator.bit_length())
+    return count, degree, bits + count.bit_length()
+
+
+def _too_large(kind: str, degree: int, bits: int, line: int) -> str | None:
+    """Why a power or product is rejected before it is computed, if its bound
+    (the base's `_size` times the exponent, the sum of the factors') is over."""
     if degree > MAX_DEGREE or bits > MAX_BITS:
         where = f" at line {line}" if line else ""
-        raise ValidationError(f"{kind}{where} too large: degree {degree} (at most "
-                              f"{MAX_DEGREE}), {bits}-bit coefficients (at most {MAX_BITS})")
+        return (f"{kind}{where} too large: degree {degree} (at most {MAX_DEGREE}), "
+                f"{bits}-bit coefficients (at most {MAX_BITS})")
 
 
-def _product(a: Scalar, b: Scalar, line: int) -> Scalar:
-    """a * b, after `_check_size` when both factors have two or more terms; a
-    product with a monomial factor grows at most by that monomial, so only
-    linearly in the length of the line."""
-    if a.term_count() > 1 and b.term_count() > 1:
-        (degree_a, bits_a), (degree_b, bits_b) = _size(a), _size(b)
-        _check_size("product", degree_a + degree_b, bits_a + bits_b, line)
-    return a * b
-
-
-# The value of an expression: its scalar part and its basis coordinates.
-_Value = tuple[Scalar, dict[int, Scalar]]
-_NOTHING: _Value = (ZERO, {})
+def _multiply(a: _Value, b: _Value) -> _Value:
+    """a * b, at most one of them with basis coordinates; those stay named in
+    the product even where it is 0.  One pass when a factor is a monomial."""
+    if not (a and b):
+        return {(key[0], 0, 0): 0 for key in a or b if key[0]}
+    if len(a) == 1 and not (len(b) == 1 and 1 in b.values()):
+        a, b = b, a  # b is a monomial, of coefficient 1 if either is
+    if len(b) == 1:
+        ((k_b, t_b, alpha_b), c_b), = b.items()
+        return {(k + k_b, e_t + t_b, e_alpha + alpha_b): c if c_b == 1 else c * c_b
+                for (k, e_t, e_alpha), c in a.items()}
+    product: _Value = {}
+    for (k_a, t_a, alpha_a), c_a in a.items():
+        for (k_b, t_b, alpha_b), c_b in b.items():
+            key = (k_a + k_b, t_a + t_b, alpha_a + alpha_b)
+            old = product.get(key)
+            if old is None:
+                product[key] = c_a * c_b
+            elif (new := old + c_a * c_b) or key[0]:
+                product[key] = new
+            else:
+                del product[key]
+    return product
 
 
 class _Parser:
-    """Recursive descent over the tokens of one line.  Each rule returns the
-    value of the text it read; the first semantic error is held, and the
-    rules go on reading (on a placeholder value) so that a later syntax
-    error still wins."""
+    """Recursive descent over the tokens of one line.  A rule owns the map it
+    returns, so + and - merge into it in place.  The first semantic error is
+    held, and the rules read on (on placeholder values)."""
 
-    def __init__(self, text: str, line: int, params: frozenset[str],
-                 prefix: str | None, dim: int):
-        self.tokens = _tokenize(text, line)
-        self.pos = 0
-        self.line = line
-        self.params = params
-        self.prefix = prefix
-        self.dim = dim
-        self.depth = 0
+    def __init__(self, text: str, line: int, params: frozenset[str], prefix: str | None, dim: int):
+        self.text, self.line, self.params, self.prefix, self.dim = text, line, params, prefix, dim
+        self.tokens, self.values = _tokenize(text, line)
+        self.pos = self.depth = 0
         self.error: str | None = None
 
     def hold(self, message: str) -> _Value:
         if self.error is None:
             self.error = message
-        return _NOTHING
+        return {}
 
-    def kind(self) -> str:
-        return self.tokens[self.pos][0]
-
-    def expect(self, kind: str) -> tuple:
-        token = self.tokens[self.pos]
-        if token[0] != kind:
-            raise ParseError(f"unexpected token {token[1] or 'end of input'!r}",
-                             self.line, token[2], (kind,))
-        self.pos += 1
-        return token
+    def syntax_error(self, message: str, index: int, expected=()) -> ParseError:
+        """A ParseError at token `index`, whose text fills {} in `message`."""
+        return ParseError(message.format(repr(self.tokens[index] or "end of input")),
+                          self.line, _column(self.text, index), expected)
 
     def parse(self) -> _Value:
         value = self.expr()
-        kind, text, column, _ = self.tokens[self.pos]
-        if kind != "end":
-            raise ParseError(f"unexpected trailing token {text!r}",
-                             self.line, column, ("end of input",))
+        if self.pos != len(self.tokens) - 1:
+            raise self.syntax_error("unexpected trailing token {}", self.pos, ("end of input",))
         if self.error is not None:
             raise ValidationError(self.error)
         return value
 
     def expr(self) -> _Value:
-        scalar, vector = self.term()
-        while (op := self.kind()) in ("+", "-"):
+        value = self.term()
+        while (op := self.tokens[self.pos]) in ("+", "-"):
             self.pos += 1
-            right_s, right_v = self.term()
-            merged = dict(vector)
-            if op == "+":
-                for k, v in right_v.items():
-                    merged[k] = merged.get(k, ZERO) + v
-                scalar, vector = scalar + right_s, merged
-            else:
-                for k, v in right_v.items():
-                    merged[k] = merged.get(k, ZERO) - v
-                scalar, vector = scalar - right_s, merged
-        return scalar, vector
+            for key, coeff in self.term().items():
+                if op == "-":
+                    coeff = -coeff
+                old = value.get(key)
+                if old is None:
+                    value[key] = coeff
+                elif (new := old + coeff) or key[0]:
+                    value[key] = new
+                else:
+                    del value[key]
+        return value
 
     def term(self) -> _Value:
         negations = 0
-        while self.kind() == "-":
+        while self.tokens[self.pos] == "-":
             self.pos += 1
             negations += 1
-        scalar, vector = self.factor()
-        while self.kind() == "*":
+        value = self.factor()
+        while self.tokens[self.pos] == "*":
             self.pos += 1
-            right_s, right_v = self.factor()
-            if self.error is not None:
-                continue
-            if vector and right_v:
-                scalar, vector = self.hold("product of basis symbols is not linear")
-                continue
-            try:
-                product = _product(scalar, right_s, self.line)
-                if vector:
-                    vector = {k: _product(v, right_s, self.line) for k, v in vector.items()}
-                else:
-                    vector = {k: _product(scalar, v, self.line) for k, v in right_v.items()}
-                scalar = product
-            except ValidationError as exc:
-                scalar, vector = self.hold(str(exc))
+            right = self.factor()
+            if self.error is None:
+                value = self.product(value, right)
         if negations & 1:
-            return -scalar, {k: -v for k, v in vector.items()}
-        return scalar, vector
+            for key, coeff in value.items():
+                value[key] = -coeff
+        return value
+
+    def product(self, a: _Value, b: _Value) -> _Value:
+        """a * b, after the bound on each coordinate whose two factors have two
+        or more terms each (the scalar part first, then the basis symbols as
+        the text names them): a monomial factor grows a product only linearly
+        in the length of the line."""
+        if any(map(_coordinate, b)):
+            if any(map(_coordinate, a)):
+                return self.hold("product of basis symbols is not linear")
+            a, b = b, a
+        if len(a) > 1 and len(b) > 1:  # b has no zero coefficient
+            _, degree_b, bits_b = _size(b.items())
+            for k in dict.fromkeys([0, *map(_coordinate, a)]):
+                count, degree, bits = _size(item for item in a.items() if item[0][0] == k)
+                if count > 1 and (error := _too_large("product", degree + degree_b,
+                                                      bits + bits_b, self.line)):
+                    return self.hold(error)
+        return _multiply(a, b)
 
     def factor(self) -> _Value:
         start, error = self.pos, self.error
-        scalar, vector = self.base()
-        if self.kind() != "^":
-            return scalar, vector
+        value = self.base()
+        if self.tokens[self.pos] != "^":
+            return value
         end = self.pos
+        negative = self.tokens[end + 1] == "-"
+        self.pos = end + 1 + negative
+        exponent = self.values[self.pos]
+        if exponent is None:
+            raise self.syntax_error("unexpected token {}", self.pos, ("number",))
+        if type(exponent) is not int and exponent.denominator != 1:
+            raise self.syntax_error("exponent must be an integer literal", self.pos, ("integer",))
         self.pos += 1
-        sign = 1
-        if self.kind() == "-":
-            self.pos += 1
-            sign = -1
-        token = self.expect("number")
-        value = token[3]
-        if type(value) is not int and value.denominator != 1:
-            raise ParseError("exponent must be an integer literal",
-                             self.line, token[2], ("integer",))
-        exponent = sign * int(value)
-        if exponent < 0 and [tok[1] for tok in self.tokens[start:end]
-                             if tok[0] not in "()"] != ["t"]:
+        exponent = -int(exponent) if negative else int(exponent)
+        if exponent < 0 and [token for token in self.tokens[start:end]
+                             if token not in "()"] != ["t"]:
             # checked before anything inside the base: (t) and ((t)) are bare
             if error is None:
                 self.error = "negative exponents are allowed only on t"
-            return _NOTHING
+            return {}
         if self.error is not None:
-            return _NOTHING
-        if vector:
+            return {}
+        if any(map(_coordinate, value)):
             if exponent != 1:
                 return self.hold("basis symbols cannot be raised to a power")
-            return scalar, vector
-        degree, bits = _size(scalar)
-        try:
-            _check_size("power", abs(exponent) * degree, abs(exponent) * bits, self.line)
-        except ValidationError as exc:
-            return self.hold(str(exc))
-        return scalar ** exponent, {}
+            return value
+        _, degree, bits = _size(value.items())
+        if error := _too_large("power", abs(exponent) * degree, abs(exponent) * bits, self.line):
+            return self.hold(error)
+        if len(value) == 1:  # one step; a negative exponent is on t, of coefficient 1
+            ((_, e_t, e_alpha), coeff), = value.items()
+            return {(0, exponent * e_t, exponent * e_alpha): coeff ** max(exponent, 0)}
+        power: _Value = {(0, 0, 0): 1}
+        while exponent:  # square and multiply, as Scalar.__pow__; 0 is the empty map
+            if exponent & 1:
+                power = _multiply(power, value)
+            exponent >>= 1
+            if exponent:
+                value = _multiply(value, value)
+        return power
 
     def base(self) -> _Value:
-        kind, text, column, value = self.tokens[self.pos]
+        token, value = self.tokens[self.pos], self.values[self.pos]
         self.pos += 1
-        if kind == "number":
-            return Scalar.from_rational(value), {}
-        if kind == "name":
-            if text == "t" and "t" in self.params:
-                return T, {}
-            if text == "alpha" and "alpha" in self.params:
-                return ALPHA, {}
-            prefix = self.prefix
-            if prefix and text.startswith(prefix) and text[len(prefix):].isdecimal():
-                digits = text[len(prefix):]
-                if not (_is_digits(digits) and 1 <= int(digits) <= self.dim):
-                    return self.hold(f"basis index {text} out of range 1..{self.dim}")
-                return ZERO, {int(digits): ONE}
-            return self.hold(f"undeclared symbol {text!r}")
-        if kind == "(":
+        if value is not None:
+            return {(0, 0, 0): value} if value else {}
+        if token[:1].isalpha():
+            if token == "t" and "t" in self.params:
+                return {(0, 1, 0): 1}
+            if token == "alpha" and "alpha" in self.params:
+                return {(0, 0, 1): 1}
+            digits = token[len(self.prefix or ""):]
+            if self.prefix and token.startswith(self.prefix) and digits.isdecimal():
+                if not (len(digits) <= MAX_DIGITS and 1 <= int(digits) <= self.dim):
+                    return self.hold(f"basis index {token} out of range 1..{self.dim}")
+                return {(int(digits), 0, 0): 1}
+            return self.hold(f"undeclared symbol {token!r}")
+        if token == "(":
             if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested more than {MAX_NESTING} deep",
-                                 self.line, column)
+                raise self.syntax_error(f"parentheses nested more than {MAX_NESTING} deep",
+                                        self.pos - 1)
             self.depth += 1
             value = self.expr()
-            self.expect(")")
+            if self.tokens[self.pos] != ")":
+                raise self.syntax_error("unexpected token {}", self.pos, (")",))
+            self.pos += 1
             self.depth -= 1
             return value
-        raise ParseError(f"unexpected token {text or 'end of input'!r}", self.line, column,
-                         ("number", "symbol", "'('"))
-
-
-def _parse(text: str, params: Iterable[str], prefix: str | None, dim: int,
-           line: int) -> _Value:
-    return _Parser(text, line, frozenset(params), prefix, dim).parse()
+        raise self.syntax_error("unexpected token {}", self.pos - 1, ("number", "symbol", "'('"))
 
 
 def parse_scalar(text: str, params: Iterable[str], line: int = 0) -> Scalar:
     """Parse and evaluate a scalar expression."""
-    return _parse(text, params, None, 0, line)[0]
+    value = _Parser(text, line, frozenset(params), None, 0).parse()
+    return Scalar({(e_t, e_alpha): coeff for (_, e_t, e_alpha), coeff in value.items()})
 
 
 def parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
                  line: int = 0) -> Column:
     """Parse a linear combination of basis symbols into a coordinate column."""
-    scalar, vector = _parse(text, params, prefix, dim, line)
-    if not scalar.is_zero():
-        raise ValidationError(
-            f"value must be a combination of {prefix}-symbols, found scalar part {scalar}")
-    out = [ZERO] * dim
-    for index, coeff in vector.items():
-        out[index - 1] = coeff
-    return tuple(out)
+    cells: dict[int, dict] = {}
+    for (k, e_t, e_alpha), coeff in _Parser(text, line, frozenset(params), prefix,
+                                            dim).parse().items():
+        cells.setdefault(k, {})[(e_t, e_alpha)] = coeff
+    if 0 in cells:
+        raise ValidationError(f"value must be a combination of {prefix}-symbols, "
+                              f"found scalar part {Scalar(cells[0])}")
+    column = [ZERO] * dim
+    for k, terms in cells.items():
+        column[k - 1] = Scalar(terms)
+    return tuple(column)
 
 
 # -- rendering ---------------------------------------------------------------

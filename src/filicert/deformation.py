@@ -356,12 +356,6 @@ def run_certificate_checks(name: str, mu: StructureConstants,
     return report
 
 
-def reciprocal_certificate(g: ScalarMatrix) -> ScalarMatrix:
-    """The family t -> g(1/t), which satisfies (*) literally whenever g
-    satisfies it in the reciprocal parametrization."""
-    return g.map_entries(lambda s: s.invert_t())
-
-
 def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
                            outside_index: int, derivation: ScalarMatrix,
                            g: ScalarMatrix, cell: tuple[int, int],

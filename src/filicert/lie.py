@@ -1,4 +1,4 @@
-"""Structure-constant calculus: brackets, Jacobi, base change, derivations.
+"""Structure-constant calculus: brackets, Jacobi, ideals, derivations.
 
 A bracket (or any antisymmetric bilinear map) on an n-dimensional space is
 stored through its structure constants: for basis indices i < j, the column
@@ -282,26 +282,6 @@ def cocycle_check(mu: Cochain2, phi: Cochain2) -> bool:
     """True iff phi is a 2-cocycle of mu: the t-linear coefficient of the
     Jacobi residual of mu + t*phi vanishes, so no sign convention is fixed."""
     return not jacobi_check(mu, phi).coefficient(1)
-
-
-def base_change(mu: Cochain2, g: ScalarMatrix) -> StructureConstants:
-    """Transport of the bracket under the basis change g.
-
-    Returns the bracket lam with lam(x, y) = g^{-1}(mu(g x, g y)); requires
-    det(g) to be a Laurent unit (raises :class:`NotAUnit` otherwise).
-    """
-    if g.n != mu.dim:
-        raise DimensionMismatch("matrix size does not match the bracket dimension")
-    g_inv = g.inverse_unit()
-    params = mu.params
-    for row in g.rows:
-        for entry in row:
-            params = params | entry.symbols()
-    entries = {}
-    for i, j in mu.pairs():
-        column = g_inv.apply(mu.bracket_eval(g.column(i - 1), g.column(j - 1)))
-        entries[(i, j)] = column
-    return StructureConstants(mu.dim, entries, params, mu.name)
 
 
 def is_ideal(mu: Cochain2, subspace: SubspaceSpec) -> bool:

@@ -5,11 +5,9 @@ Berkowitz algorithm, which is division-free and therefore valid over the
 Laurent ring Q[alpha][t, 1/t].  It runs on L*A, with L the lcm of the
 coefficient denominators of A, so on int coefficients; since
 chi_{L*A}(x) = L^n chi_A(x/L), the coefficient of x^k is L^(n-k) times that
-of chi_A, and is divided back.  Inverses require a unit determinant c*t^k and
-are obtained fraction-free (Bareiss/Montante form of Gauss-Jordan), so the
-only division ever performed on Scalars is exact.  The ``unit-det`` stage of
-the certificate check takes det g from one Berkowitz run on g's block on the
-ideal, which the ``spectrum`` stage needs anyway (see
+of chi_A, and is divided back.  The ``unit-det`` stage of the certificate
+check takes det g from one Berkowitz run on g's block on the ideal, which the
+``spectrum`` stage needs anyway (see
 :func:`filicert.deformation.run_certificate_checks`); it calls
 :meth:`ScalarMatrix.det` only for a g that does not preserve its ideal.
 :meth:`ScalarMatrix.apply` adds v_m times column m for the nonzero v_m only,
@@ -33,7 +31,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, NotAUnit
+from .errors import DimensionMismatch
 from .scalar import ONE, ZERO, Scalar, UniPoly, as_scalar
 
 Column = tuple[Scalar, ...]
@@ -82,10 +80,6 @@ class ScalarMatrix:
             raise DimensionMismatch("matrix must be square")
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "ScalarMatrix":
-        return cls(tuple(tuple(as_scalar(x) for x in row) for row in rows))
-
-    @classmethod
     def identity(cls, n: int) -> "ScalarMatrix":
         return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n))
                          for i in range(n)))
@@ -123,13 +117,6 @@ class ScalarMatrix:
                     out[r] = out[r] + entry * v
         return tuple(out)
 
-    def __matmul__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        if self.n != other.n:
-            raise DimensionMismatch("matrix sizes differ")
-        cols = [other.column(j) for j in range(other.n)]
-        return ScalarMatrix(tuple(tuple(_dot(row, col) for col in cols)
-                                  for row in self.rows))
-
     def map_entries(self, func) -> "ScalarMatrix":
         return ScalarMatrix(tuple(tuple(func(x) for x in row) for row in self.rows))
 
@@ -162,41 +149,6 @@ class ScalarMatrix:
         """Exact determinant, division-free."""
         constant = self.char_poly().coefficient(0)
         return constant if self.n % 2 == 0 else -constant
-
-    def inverse_unit(self) -> "ScalarMatrix":
-        """Exact inverse of a matrix whose determinant is a unit c*t^k.
-
-        Computes the adjugate by fraction-free Gauss-Jordan elimination, then
-        divides by the unit determinant.  Raises :class:`NotAUnit` when the
-        determinant has several terms, involves alpha, or vanishes.
-        """
-        n = self.n
-        work = [list(self.rows[i]) + [ONE if i == j else ZERO for j in range(n)]
-                for i in range(n)]
-        width = 2 * n
-        previous = ONE
-        for k in range(n):
-            pivot_row = next((i for i in range(k, n) if not work[i][k].is_zero()), None)
-            if pivot_row is None:
-                raise NotAUnit("determinant is zero")
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-            pivot = work[k][k]
-            for i in range(n):
-                if i == k:
-                    continue
-                factor = work[i][k]
-                row = work[i]
-                pivot_row_values = work[k]
-                for j in range(width):
-                    row[j] = (pivot * row[j] - factor * pivot_row_values[j]).exact_div(previous)
-            previous = pivot
-        scaled_det = work[n - 1][n - 1]
-        if not scaled_det.is_unit_monomial():
-            raise NotAUnit(f"determinant {scaled_det} is not of the form c*t^k")
-        inv_det = scaled_det.inverse_unit()
-        return ScalarMatrix(tuple(tuple(work[i][n + j] * inv_det for j in range(n))
-                                  for i in range(n)))
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)
@@ -269,10 +221,6 @@ class RationalMatrix:
         widths = {len(row) for row in self.rows}
         if len(widths) > 1:
             raise DimensionMismatch("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable]) -> "RationalMatrix":
-        return cls(tuple(tuple(Fraction(x) for x in row) for row in rows))
 
     @property
     def n_rows(self) -> int:

@@ -8,7 +8,8 @@ dependence on ``alpha`` over the rationals: a finite map from exponent pairs
 so ``e_alpha >= 0``.  The zero scalar is the empty map, and no stored
 coefficient is zero, so structural equality of the term maps is exact
 equality of scalars (an integral Fraction equals, and hashes like, its int).
-Integral coefficients are stored as ints where they enter: the constructor,
+Integral coefficients are stored as ints where they enter: the constructor
+(and so the catalog parser, which builds each parsed Scalar with it once),
 exact quotients, unit inverses, powers of a monomial, substitutions and
 scaling by a constant; the ring operations do no normalization.  Every
 division goes through ``Fraction``, because ``int / int`` and ``int ** -k``
@@ -34,6 +35,7 @@ from typing import Iterable, Iterator, Mapping, Union
 from .errors import NotAUnit, ZeroSpecialization
 
 _Coercible = Union["Scalar", int, Fraction]
+_RATIONAL_ZERO = Fraction(0)  # Fractions are immutable, so one zero serves all
 
 
 def _exact(value) -> int | Fraction:
@@ -59,7 +61,8 @@ class Scalar:
             for (e_t, e_alpha), coeff in terms.items():
                 if e_alpha < 0:
                     raise ValueError("alpha exponent must be non-negative")
-                coeff = _exact(coeff)
+                if type(coeff) is not int:
+                    coeff = _exact(coeff)
                 if coeff:
                     canonical[(int(e_t), int(e_alpha))] = coeff
         self._terms = canonical
@@ -92,9 +95,12 @@ class Scalar:
 
     def constant_value(self) -> Fraction:
         """The value of a constant scalar, as an exact rational."""
-        if not self.is_constant():
+        terms = self._terms
+        if not terms:
+            return _RATIONAL_ZERO
+        if len(terms) > 1 or (0, 0) not in terms:
             raise ValueError(f"not a constant: {self}")
-        return Fraction(self._terms.get((0, 0), 0))
+        return Fraction(terms[(0, 0)])
 
     def iter_terms(self) -> Iterator[tuple[tuple[int, int], int | Fraction]]:
         """Terms in the canonical order: descending (e_t, e_alpha)."""

@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
 from filicert.dataio import MAX_BITS, MAX_DEGREE, MAX_DIGITS, DeformationBlock, Erratum
 from filicert.deformation import _linear_deformation
-from filicert.errors import InvalidSpec, ParseError, ValidationError
+from filicert.errors import (DimensionMismatch, InvalidSpec, NotAUnit, ParseError,
+                             ValidationError)
 from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
-from filicert.lie import Cochain2, column_is_zero
-from filicert.linalg import span_basis
-from filicert.scalar import ALPHA, ONE, T, ZERO
+from filicert.lie import Cochain2, StructureConstants, column_is_zero
+from filicert.linalg import _dot, span_basis
+from filicert.scalar import ALPHA, ONE, T, ZERO, as_scalar
 
 
 def rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:
@@ -246,6 +247,92 @@ def random_algebra_file(rng: random.Random) -> AlgebraFile:
                        derivation_meta=derivation_meta, errata=tuple(errata))
 
 
+# -- matrix operations only the tests use --------------------------------------
+#
+# Moved out of filicert, with their bodies unchanged: the matrix product, the
+# fraction-free inverse of a unit-determinant matrix, the base change that
+# the inverse serves, the reciprocal family t -> g(1/t), and the matrix
+# constructors from rows of plain rationals.
+
+
+def scalar_matrix(rows: Iterable[Iterable]) -> ScalarMatrix:
+    return ScalarMatrix(tuple(tuple(as_scalar(x) for x in row) for row in rows))
+
+
+def rational_matrix(rows: Iterable[Iterable]) -> RationalMatrix:
+    return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+
+
+def matmul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
+    if a.n != b.n:
+        raise DimensionMismatch("matrix sizes differ")
+    cols = [b.column(j) for j in range(b.n)]
+    return ScalarMatrix(tuple(tuple(_dot(row, col) for col in cols)
+                              for row in a.rows))
+
+
+def inverse_unit(matrix: ScalarMatrix) -> ScalarMatrix:
+    """Exact inverse of a matrix whose determinant is a unit c*t^k.
+
+    Computes the adjugate by fraction-free Gauss-Jordan elimination, then
+    divides by the unit determinant.  Raises :class:`NotAUnit` when the
+    determinant has several terms, involves alpha, or vanishes.
+    """
+    n = matrix.n
+    work = [list(matrix.rows[i]) + [ONE if i == j else ZERO for j in range(n)]
+            for i in range(n)]
+    width = 2 * n
+    previous = ONE
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if not work[i][k].is_zero()), None)
+        if pivot_row is None:
+            raise NotAUnit("determinant is zero")
+        if pivot_row != k:
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+        pivot = work[k][k]
+        for i in range(n):
+            if i == k:
+                continue
+            factor = work[i][k]
+            row = work[i]
+            pivot_row_values = work[k]
+            for j in range(width):
+                row[j] = (pivot * row[j] - factor * pivot_row_values[j]).exact_div(previous)
+        previous = pivot
+    scaled_det = work[n - 1][n - 1]
+    if not scaled_det.is_unit_monomial():
+        raise NotAUnit(f"determinant {scaled_det} is not of the form c*t^k")
+    inv_det = scaled_det.inverse_unit()
+    return ScalarMatrix(tuple(tuple(work[i][n + j] * inv_det for j in range(n))
+                              for i in range(n)))
+
+
+def base_change(mu: Cochain2, g: ScalarMatrix) -> StructureConstants:
+    """Transport of the bracket under the basis change g.
+
+    Returns the bracket lam with lam(x, y) = g^{-1}(mu(g x, g y)); requires
+    det(g) to be a Laurent unit (raises :class:`NotAUnit` otherwise).
+    """
+    if g.n != mu.dim:
+        raise DimensionMismatch("matrix size does not match the bracket dimension")
+    g_inv = inverse_unit(g)
+    params = mu.params
+    for row in g.rows:
+        for entry in row:
+            params = params | entry.symbols()
+    entries = {}
+    for i, j in mu.pairs():
+        column = g_inv.apply(mu.bracket_eval(g.column(i - 1), g.column(j - 1)))
+        entries[(i, j)] = column
+    return StructureConstants(mu.dim, entries, params, mu.name)
+
+
+def reciprocal_certificate(g: ScalarMatrix) -> ScalarMatrix:
+    """The family t -> g(1/t), which satisfies (*) literally whenever g
+    satisfies it in the reciprocal parametrization."""
+    return g.map_entries(lambda s: s.invert_t())
+
+
 def eval_poly_at_matrix(poly: UniPoly, matrix: ScalarMatrix) -> ScalarMatrix:
     """Evaluate a UniPoly at a square matrix (x -> matrix)."""
     n = matrix.n
@@ -256,7 +343,7 @@ def eval_poly_at_matrix(poly: UniPoly, matrix: ScalarMatrix) -> ScalarMatrix:
             result = ScalarMatrix(tuple(
                 tuple(result.rows[i][j] + coeff * power.rows[i][j] for j in range(n))
                 for i in range(n)))
-        power = power @ matrix
+        power = matmul(power, matrix)
     return result
 
 

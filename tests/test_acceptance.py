@@ -26,7 +26,8 @@ from filicert.invariants import (center_dim, derivation_algebra,
 from filicert.scalar import T
 
 from helpers import (derivation_identity_holds, eval_poly_at_matrix,
-                     rand_scalar, random_algebra_file)
+                     rand_scalar, random_algebra_file, reciprocal_certificate,
+                     scalar_matrix)
 
 ALPHA_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3))
 T_SAMPLES = (Fraction(1), Fraction(2), Fraction(-1))
@@ -78,7 +79,7 @@ def test_criterion_1_degeneration_certificates(corpus, tables):
     assert erratum.target == "g 2 4" and erratum.corrected is not None
 
     # the reciprocally parametrized family satisfies the identity literally
-    literal = fc.reciprocal_certificate(data.g)
+    literal = reciprocal_certificate(data.g)
     report = fc.verify_degeneration(data.mu1, data.mu_t, literal)
     assert report.stages["eq1"].ok and report.stages["unit-det"].ok
 
@@ -238,7 +239,7 @@ def test_criterion_9_kernel_property_suites(corpus):
         cases += 1
 
     for _ in range(40):
-        matrix = ScalarMatrix.from_rows(
+        matrix = scalar_matrix(
             [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
              for _ in range(4)])
         evaluated = eval_poly_at_matrix(matrix.char_poly(), matrix)

@@ -271,9 +271,20 @@ def test_oversized_products_are_rejected_at_parse_time(capsys, tmp_path):
     assert_cell_rejected(capsys, tmp_path, "*".join(["(1+t)^64"] * 12), "product")
 
 
-def assert_cell_rejected(capsys, tmp_path, cell, kind):
-    """verify mu11 with cell (3, 1) set to `cell` exits 2 within 1 s, with
-    one line naming the oversized `kind` of expression."""
+@pytest.mark.parametrize("cell", ["0^" + "9" * 1234, "(t-t)^99999999"])
+def test_huge_powers_of_zero_are_zero_at_parse_time(capsys, tmp_path, cell):
+    """A power of zero passes the size bound at any exponent; it is read as 0
+    (by square and multiply, so within 1 s), exactly as the cell 0 is."""
+    line = write_mu11_cell(tmp_path, "0")
+    expected = run(capsys, "verify", "mu11", "--data", str(tmp_path))
+    assert write_mu11_cell(tmp_path, cell) == line
+    start = time.perf_counter()
+    assert run(capsys, "verify", "mu11", "--data", str(tmp_path)) == expected
+    assert time.perf_counter() - start < 1.0
+
+
+def write_mu11_cell(tmp_path, cell) -> int:
+    """Write mu11 with cell (3, 1) set to `cell` into tmp_path; its line."""
     from filicert.dataio import data_dir
 
     text = (data_dir() / "mu11").read_text(encoding="utf-8")
@@ -282,6 +293,13 @@ def assert_cell_rejected(capsys, tmp_path, cell, kind):
     lines = text.splitlines()
     lines[line - 1] = f"g 3 1 = {cell}"
     (tmp_path / "mu11").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return line
+
+
+def assert_cell_rejected(capsys, tmp_path, cell, kind):
+    """verify mu11 with cell (3, 1) set to `cell` exits 2 within 1 s, with
+    one line naming the oversized `kind` of expression."""
+    line = write_mu11_cell(tmp_path, cell)
     start = time.perf_counter()
     code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path))
     assert time.perf_counter() - start < 1.0
@@ -387,12 +405,55 @@ def single_line_mutations(draw):
     return name, b"\n".join(lines)
 
 
+def text_bytes(max_size):
+    """The UTF-8 encoding of arbitrary text: bytes that get past the decoder."""
+    return st.text(max_size=max_size).map(str.encode)
+
+
+@st.composite
+def whole_files(draw):
+    """A certified table's name and a whole file for it: arbitrary bytes, or
+    the table's own lines, of which one in `keep` on average is kept and the
+    others are spliced with arbitrary bytes or replaced by a piece above or
+    by arbitrary bytes."""
+    from filicert.dataio import VERIFIED_NAMES, data_dir
+
+    name = draw(st.sampled_from(VERIFIED_NAMES))
+    if draw(st.booleans()):
+        return name, draw(st.one_of(st.binary(max_size=2000), text_bytes(2000)))
+    keep = draw(st.sampled_from((2, 8, 40)))
+    lines = []
+    for line in (data_dir() / name).read_bytes().split(b"\n"):
+        action = draw(st.integers(0, keep + 2))
+        if action == keep:
+            at = draw(st.integers(0, len(line)))
+            line = line[:at] + draw(st.one_of(st.binary(max_size=6), text_bytes(6))) + line[at:]
+        elif action == keep + 1:
+            line = draw(st.sampled_from(PIECES))
+        elif action == keep + 2:
+            line = draw(st.one_of(st.binary(max_size=12), text_bytes(12)))
+        lines.append(line)
+    return name, b"\n".join(lines)
+
+
 @settings(max_examples=60, deadline=timedelta(seconds=3))
 @given(single_line_mutations())
 def test_a_mutated_catalog_file_exits_0_1_or_2_with_one_error_line(tmp_path_factory, mutation):
+    assert_exits_0_1_or_2_with_one_error_line(tmp_path_factory, *mutation)
+
+
+@settings(max_examples=30, deadline=timedelta(seconds=3))
+@given(whole_files())
+def test_a_catalog_file_of_arbitrary_bytes_exits_0_1_or_2_with_one_error_line(
+        tmp_path_factory, file):
+    assert_exits_0_1_or_2_with_one_error_line(tmp_path_factory, *file)
+
+
+def assert_exits_0_1_or_2_with_one_error_line(tmp_path_factory, name, data):
+    """verify, invariants and counterexample on a catalog of the file `data`
+    named `name`, next to the bundled mu17 unless it replaces it."""
     from filicert.dataio import data_dir
 
-    name, data = mutation
     directory = tmp_path_factory.mktemp("catalog")
     (directory / name).write_bytes(data)
     if name != "mu17":

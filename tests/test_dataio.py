@@ -162,6 +162,13 @@ def mutated(texts):
     return draw_text()
 
 
+def canonical(scalars) -> bool:
+    """True iff every coefficient is an int when it is integral and a
+    Fraction otherwise."""
+    return all(type(coeff) is (int if coeff.denominator == 1 else Fraction)
+               for scalar in scalars for _, coeff in scalar.iter_terms())
+
+
 def outcome(parse, *args):
     """The value, or the exception's type and message."""
     try:
@@ -184,8 +191,9 @@ PARAMS = [(), ("t",), ("alpha",), ("t", "alpha")]
 @given(mutated(expressions_st), st.sampled_from(PARAMS), st.sampled_from([0, 7]))
 def test_scalar_parser_agrees_with_the_ast_parser(text, params, line):
     assert text.count("(") < MAX_NESTING
-    assert outcome(parse_scalar, text, params, line) == \
-        outcome(reference_parse_scalar, text, params, line)
+    value = outcome(parse_scalar, text, params, line)
+    assert value == outcome(reference_parse_scalar, text, params, line)
+    assert not isinstance(value, Scalar) or canonical([value])
 
 
 @example("Y1 + q + )", ("t",), 3)
@@ -197,8 +205,9 @@ def test_scalar_parser_agrees_with_the_ast_parser(text, params, line):
        st.sampled_from([0, 7]))
 def test_column_parser_agrees_with_the_ast_parser(text, params, line):
     assert text.count("(") < MAX_NESTING
-    assert outcome(parse_column, text, 8, "Y", params, line) == \
-        outcome(reference_parse_column, text, 8, "Y", params, line)
+    value = outcome(parse_column, text, 8, "Y", params, line)
+    assert value == outcome(reference_parse_column, text, 8, "Y", params, line)
+    assert isinstance(value[0], str) or canonical(value)
 
 
 def test_character_classes_are_those_of_the_str_methods():
@@ -264,6 +273,38 @@ def test_catalog_expressions_expand_like_sympy(corpus):
         "column": sum(len(alg.brackets or ()) for alg in algebras),
         "scalar": sum(len(alg.certificate or ()) for alg in algebras)
         + sum(1 for alg in algebras for e in alg.errata if e.corrected is not None)}
+
+
+@pytest.mark.parametrize("corrected", [False, True])
+def test_parsed_coefficients_are_canonical(corrected):
+    """Parsing builds each Scalar once, so an integral coefficient is an int
+    and any other a Fraction: in the bundled catalog, verbatim or corrected,
+    in its serialized round trip, and in a product such as 1/2*2."""
+    assert canonical([parse_scalar("1/2*2", ())])
+    for name, alg in load_corpus().items():
+        for variant in (alg, parse_algebra(serialize_algebra(alg), source=name)):
+            if corrected:
+                variant = apply_errata(variant)
+            scalars = [*(variant.certificate or {}).values()]
+            for column in (variant.brackets or {}).values():
+                scalars += column
+            assert canonical(scalars), name
+
+
+def test_each_load_parses_every_file_again(monkeypatch):
+    """load_corpus parses each bundled file on every call: nothing is cached
+    between calls.  Counted by wrapping dataio.parse_algebra, as the
+    benchmark's tracer does."""
+    parsed = []
+
+    def counted(text, source="<string>"):
+        parsed.append(source)
+        return parse_algebra(text, source)
+
+    monkeypatch.setattr(fc.dataio, "parse_algebra", counted)
+    names = sorted(load_corpus())
+    assert sorted(load_corpus()) == names and len(names) == 20
+    assert sorted(parsed) == sorted(names * 2)
 
 
 # -- loading the catalog -----------------------------------------------------------

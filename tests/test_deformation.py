@@ -12,7 +12,7 @@ import filicert as fc
 from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       NotInvariant, SubspaceSpec, block_spectrum_check,
                       counterexample_spec, deform, entries_equal, go_cocycle,
-                      limit_check, reciprocal_certificate, verify_degeneration)
+                      limit_check, verify_degeneration)
 from filicert.dataio import parse_scalar
 from filicert.deformation import (STAGES, _cleared, _eq1_residuals, _linear_deformation,
                                   _unit_det_stage, run_certificate_checks,
@@ -21,7 +21,8 @@ from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ONE, T, ZERO, Scalar
 
-from helpers import reference_eq1_residuals, reference_solve_cell
+from helpers import (base_change, reciprocal_certificate, reference_eq1_residuals,
+                     reference_solve_cell, scalar_matrix)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
@@ -296,7 +297,7 @@ def test_reciprocal_certificate_satisfies_literal_identity(tables):
 
 def test_equivalence_of_certificate_and_base_change(tables):
     for name, data in tables.items():
-        transported = fc.base_change(data.mu1, data.g)
+        transported = base_change(data.mu1, data.g)
         target = data.mu_t.invert_t() if data.reciprocal else data.mu_t
         assert entries_equal(transported, target), name
 
@@ -416,7 +417,7 @@ def test_spectrum_mismatch_detected():
 
 
 def test_spectrum_requires_invariant_ideal():
-    g = ScalarMatrix.from_rows([[T, ONE], [ZERO, T ** 2]])
+    g = scalar_matrix([[T, ONE], [ZERO, T ** 2]])
     with pytest.raises(NotInvariant):
         block_spectrum_check(g, SubspaceSpec((2,)), ScalarMatrix.diagonal([2]))
 

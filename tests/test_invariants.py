@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 from conftest import abelian
-from filicert import RationalAlgebra, Scalar, ScalarMatrix, ValidationError, base_change
+from filicert import RationalAlgebra, Scalar, ScalarMatrix, ValidationError
 from filicert.cli import DEFAULT_ALPHA_SAMPLES
 from filicert.invariants import (center_dim, derivation_algebra,
                                  derived_series, filiform_profile,
@@ -17,9 +17,10 @@ from filicert.invariants import (center_dim, derivation_algebra,
                                  is_nilpotent, is_solvable,
                                  lower_central_series)
 
-from helpers import (der_is_nilpotent, derivation_identity_holds, rand_fraction,
-                     reference_algebra, reference_center_dim, reference_derived_series,
-                     reference_lower_central_series)
+from helpers import (base_change, der_is_nilpotent, derivation_identity_holds, matmul,
+                     rand_fraction, reference_algebra, reference_center_dim,
+                     reference_derived_series, reference_lower_central_series,
+                     scalar_matrix)
 
 
 def rational(mu, t=None, alpha=None):
@@ -167,7 +168,7 @@ def test_series_and_center_in_a_dense_basis(tables):
         lower = [[1 if i == j else rand_fraction(rng) if j < i else 0 for j in range(8)]
                  for i in range(8)]
         upper = [[lower[j][i] for j in range(8)] for i in range(8)]
-        dense = base_change(mu, ScalarMatrix.from_rows(lower) @ ScalarMatrix.from_rows(upper))
+        dense = base_change(mu, matmul(scalar_matrix(lower), scalar_matrix(upper)))
         algebra, oracle = rational(dense, alpha=alpha), reference_algebra(dense, alpha=alpha)
         original = rational(mu, alpha=alpha)
         for invariant, reference in ((lower_central_series, reference_lower_central_series),
