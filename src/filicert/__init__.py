@@ -23,11 +23,11 @@ from .errors import (DimensionMismatch, FilicertError, InvalidSpec,
 from .invariants import (RationalAlgebra, center_dim, derivation_algebra,
                          derived_series, filiform_profile,
                          is_characteristically_nilpotent, is_filiform,
-                         is_nilpotent, is_solvable, lower_central_series)
+                         lower_central_series)
 from .lie import (Cochain2, JacobiReport, StructureConstants, SubspaceSpec,
                   basis_column, cocycle_check, entries_equal,
                   is_derivation, is_ideal, jacobi_check, restrict)
 from .linalg import RationalMatrix, ScalarMatrix, span_basis
-from .scalar import ALPHA, ONE, Scalar, T, UniPoly, ZERO, as_scalar
+from .scalar import ALPHA, ONE, Scalar, T, ZERO, as_scalar
 
 __version__ = "0.1.0"

@@ -418,6 +418,8 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "alpha", None):
         cfg.alpha_samples = tuple(args.alpha)
     try:
+        if getattr(args, "all", False) and cfg.names:
+            raise UsageError("--all selects the whole catalog; give either --all or names")
         cfg.validate()
         command = {
             "verify": cmd_verify,

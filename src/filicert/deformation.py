@@ -30,6 +30,9 @@ M*L^2 times the true one, so zero-ness is unchanged, and only the nonzero
 ones are divided back.  The cell solver reads its offsets (M*L^2 times the
 true ones) and its slopes (M*L times) off the same scaled objects, so it
 solves for L times the cell and divides by L once.
+
+The spectrum stage compares the coefficient tuple of the characteristic
+polynomial of g's block on the ideal with that of prod_i (x - t^(d_i)).
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .lie import (Cochain2, StructureConstants, SubspaceSpec, column_is_zero,
                   entries_equal, is_derivation, is_ideal, jacobi_check,
                   restrict)
 from .linalg import Column, ScalarMatrix
-from .scalar import ONE, T, ZERO, Scalar, UniPoly
+from .scalar import ONE, T, ZERO, Scalar
 
 STAGES = ("jacobi", "ideal", "derivation", "cocycle", "bracket",
           "eq1", "unit-det", "limit", "spectrum")
@@ -252,27 +255,28 @@ def _ideal_block(g: ScalarMatrix, ideal: SubspaceSpec) -> ScalarMatrix:
 
 def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
                          derivation: ScalarMatrix, *,
-                         block_poly: UniPoly | None = None) -> bool:
+                         block_poly: tuple[Scalar, ...] | None = None) -> bool:
     """Check that g acts on the ideal block with eigenvalues t^(d_i).
 
     The ideal's coordinate subspace must be invariant under g (otherwise
     :class:`NotInvariant`); the characteristic polynomial of the restricted
-    block is then compared, as an exact polynomial identity, against
-    prod_i (x - t^(d_i)) with d_i the diagonal entries of the derivation.
-    A caller that has already checked the invariance and computed that
-    polynomial passes it as ``block_poly``.
+    block is then compared, coefficient by coefficient, against
+    prod_i (x - t^(d_i)) with d_i the diagonal entries of the derivation,
+    expanded one factor at a time.  A caller that has already checked the
+    invariance and computed that polynomial passes its coefficient tuple as
+    ``block_poly``.
     """
     if not derivation.is_diagonal():
         raise InvalidSpec("derivation is not diagonal")
     actual = _ideal_block(g, ideal).char_poly() if block_poly is None else block_poly
-    exponents = [derivation.rows[k][k] for k in range(derivation.n)]
-    roots = []
-    for entry in exponents:
-        value = entry.constant_value()
+    expected = (ONE,)
+    for k in range(derivation.n):
+        value = derivation.rows[k][k].constant_value()
         if value.denominator != 1:
             raise InvalidSpec("derivation eigenvalues must be integers")
-        roots.append(Scalar.t_power(int(value)))
-    expected = UniPoly.from_roots(roots)
+        root = Scalar.t_power(int(value))
+        # (x - root) * p: the coefficient of x^k becomes p[k-1] - root * p[k]
+        expected = tuple(a - root * b for a, b in zip((ZERO, *expected), (*expected, ZERO)))
     return actual == expected
 
 
@@ -328,7 +332,7 @@ def run_certificate_checks(name: str, mu: StructureConstants,
         report.stages["bracket"] = StageResult(not expansion.coefficient(2))
         det = None
         if block_poly is not None and len(ideal) == g.n - 1:
-            det = g.rows[outside_index - 1][outside_index - 1] * block_poly.coefficient(0)
+            det = g.rows[outside_index - 1][outside_index - 1] * block_poly[0]
             if g.n % 2 == 0:
                 det = -det
         report.stages.update(

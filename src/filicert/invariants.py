@@ -114,14 +114,6 @@ def derived_series(algebra: RationalAlgebra) -> SeriesProfile:
     return _series(algebra, lambda full, current: combinations(current, 2))
 
 
-def is_nilpotent(algebra: RationalAlgebra) -> bool:
-    return lower_central_series(algebra)[-1] == 0
-
-
-def is_solvable(algebra: RationalAlgebra) -> bool:
-    return derived_series(algebra)[-1] == 0
-
-
 def filiform_profile(dim: int) -> SeriesProfile:
     """The maximal-class profile (n, n-2, n-3, ..., 1, 0)."""
     return (dim,) + tuple(range(dim - 2, -1, -1))

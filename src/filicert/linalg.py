@@ -2,8 +2,9 @@
 
 Determinants and characteristic polynomials of :class:`ScalarMatrix` use the
 Berkowitz algorithm, which is division-free and therefore valid over the
-Laurent ring Q[alpha][t, 1/t].  It runs on L*A, with L the lcm of the
-coefficient denominators of A, so on int coefficients; since
+Laurent ring Q[alpha][t, 1/t]; a characteristic polynomial is the tuple of
+its n + 1 coefficients, that of x^k at index k.  Berkowitz runs on L*A, with
+L the lcm of the coefficient denominators of A, so on int coefficients; since
 chi_{L*A}(x) = L^n chi_A(x/L), the coefficient of x^k is L^(n-k) times that
 of chi_A, and is divided back.  The ``unit-det`` stage of the certificate
 check takes det g from one Berkowitz run on g's block on the ideal, which the
@@ -32,7 +33,7 @@ from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch
-from .scalar import ONE, ZERO, Scalar, UniPoly, as_scalar
+from .scalar import ONE, ZERO, Scalar, as_scalar
 
 Column = tuple[Scalar, ...]
 
@@ -126,16 +127,16 @@ class ScalarMatrix:
                                   for i in row_idx))
 
     def is_diagonal(self) -> bool:
-        return all(self.rows[i][j].is_zero()
-                   for i in range(self.n) for j in range(self.n) if i != j)
+        return all(r == c for c, col in enumerate(self.nonzero_columns) for r, _ in col)
 
     def denominator(self) -> int:
         """The lcm of the coefficient denominators of all entries."""
         return lcm(*(coeff.denominator for row in self.rows for entry in row
                      for coeff in entry._terms.values()))
 
-    def char_poly(self) -> UniPoly:
-        """Monic characteristic polynomial det(x*I - A), by Berkowitz.
+    def char_poly(self) -> tuple[Scalar, ...]:
+        """Monic characteristic polynomial det(x*I - A), by Berkowitz; the
+        coefficient of x^k is at index k, so the last one is ONE.
 
         Division-free: only ring additions and multiplications are used, on
         the int coefficients of L*A, L = :meth:`denominator`; the coefficient
@@ -143,11 +144,11 @@ class ScalarMatrix:
         """
         scale = self.denominator()
         vec = _berkowitz(self.map_entries(lambda s: s.scaled(scale)).rows)
-        return UniPoly(reversed([c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]))
+        return tuple(reversed([c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]))
 
     def det(self) -> Scalar:
         """Exact determinant, division-free."""
-        constant = self.char_poly().coefficient(0)
+        constant = self.char_poly()[0]
         return constant if self.n % 2 == 0 else -constant
 
     def __str__(self):

@@ -21,6 +21,10 @@ and adding or subtracting zero returns the other operand (or its negation)
 without copying it.  A term new to an accumulated sum stores its
 coefficient as it is, with no addition to 0.
 
+Rationals are substituted one symbol at a time: the value at (t, a) is
+``s.eval_t(t).eval_alpha(a).constant_value()``, and ``eval_t(0)`` raises
+:class:`ZeroSpecialization` on a pole.
+
 Scalars are immutable values: an operation returns a canonical scalar that
 may share an operand's term map, and nothing mutates a term map once a
 Scalar holds it, so scalars are safe to share between concurrent tasks.
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .errors import NotAUnit, ZeroSpecialization
 
@@ -78,10 +82,6 @@ class Scalar:
         return cls({(exponent, 0): 1})
 
     @classmethod
-    def alpha_power(cls, exponent: int) -> "Scalar":
-        return cls({(0, exponent): 1})
-
-    @classmethod
     def term(cls, coeff: int | Fraction, e_t: int = 0, e_alpha: int = 0) -> "Scalar":
         return cls({(e_t, e_alpha): coeff})
 
@@ -119,15 +119,8 @@ class Scalar:
                 used.add("alpha")
         return frozenset(used)
 
-    def min_t_exponent(self) -> int:
-        """Smallest t-exponent; 0 for the zero scalar."""
-        return min((k[0] for k in self._terms), default=0)
-
-    def max_t_exponent(self) -> int:
-        return max((k[0] for k in self._terms), default=0)
-
     def has_negative_t_exponent(self) -> bool:
-        return self.min_t_exponent() < 0
+        return any(e_t < 0 for e_t, _ in self._terms)
 
     def is_unit_monomial(self) -> bool:
         """True iff the scalar is c*t^k with c a nonzero rational."""
@@ -327,22 +320,6 @@ class Scalar:
 
     # -- evaluation --------------------------------------------------------
 
-    def specialize(self, t_value: int | Fraction,
-                   alpha_value: int | Fraction = 0) -> Fraction:
-        """Exact evaluation at rational t and alpha.
-
-        Raises :class:`ZeroSpecialization` when t_value = 0 meets a negative
-        t-exponent.
-        """
-        t_value = Fraction(_exact(t_value))
-        alpha_value = Fraction(_exact(alpha_value))
-        if t_value == 0 and self.has_negative_t_exponent():
-            raise ZeroSpecialization(f"pole at t = 0 in {self}")
-        total = Fraction(0)
-        for (e_t, e_alpha), coeff in self._terms.items():
-            total += coeff * t_value ** e_t * alpha_value ** e_alpha
-        return total
-
     def eval_t(self, t_value: int | Fraction) -> "Scalar":
         """Substitute a rational for t, keeping alpha symbolic."""
         t_value = _exact(t_value)
@@ -397,7 +374,7 @@ class Scalar:
 ZERO = Scalar()
 ONE = Scalar.from_rational(1)
 T = Scalar.t_power(1)
-ALPHA = Scalar.alpha_power(1)
+ALPHA = Scalar.term(1, 0, 1)
 
 
 def as_scalar(value: _Coercible) -> Scalar:
@@ -405,103 +382,3 @@ def as_scalar(value: _Coercible) -> Scalar:
     if isinstance(value, Scalar):
         return value
     return Scalar.from_rational(value)
-
-
-class UniPoly:
-    """Univariate polynomial in an auxiliary indeterminate x over Scalars.
-
-    Coefficients are stored by ascending degree with a nonzero leading
-    coefficient (the zero polynomial has no coefficients).  Used for
-    characteristic polynomials.
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[Scalar | int | Fraction] = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def from_roots(cls, roots: Iterable[Scalar | int | Fraction]) -> "UniPoly":
-        """The monic polynomial with the given roots: prod (x - r)."""
-        result = cls((ONE,))
-        for root in roots:
-            result = result * cls((-as_scalar(root), ONE))
-        return result
-
-    def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coefficient(self, degree: int) -> Scalar:
-        if 0 <= degree < len(self.coeffs):
-            return self.coeffs[degree]
-        return ZERO
-
-    def __add__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        size = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coefficient(i) + other.coefficient(i) for i in range(size))
-
-    def __neg__(self):
-        return UniPoly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
-
-    def evaluate(self, value: Scalar | int | Fraction) -> Scalar:
-        """Horner evaluation at a Scalar value of x."""
-        value = as_scalar(value)
-        total = ZERO
-        for coeff in reversed(self.coeffs):
-            total = total * value + coeff
-        return total
-
-    def __eq__(self, other):
-        if not isinstance(other, UniPoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for degree in range(len(self.coeffs) - 1, -1, -1):
-            coeff = self.coeffs[degree]
-            if coeff.is_zero():
-                continue
-            x_part = "" if degree == 0 else ("x" if degree == 1 else f"x^{degree}")
-            if not x_part:
-                parts.append(f"({coeff})")
-            elif coeff == ONE:
-                parts.append(x_part)
-            else:
-                parts.append(f"({coeff})*{x_part}")
-        return " + ".join(parts)
-
-    def __repr__(self):
-        return f"UniPoly({self})"

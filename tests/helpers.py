@@ -6,12 +6,12 @@ import random
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
 
-from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, UniPoly
+from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix
 from filicert.dataio import MAX_BITS, MAX_DEGREE, MAX_DIGITS, DeformationBlock, Erratum
 from filicert.deformation import _linear_deformation
 from filicert.errors import (DimensionMismatch, InvalidSpec, NotAUnit, ParseError,
@@ -333,12 +333,12 @@ def reciprocal_certificate(g: ScalarMatrix) -> ScalarMatrix:
     return g.map_entries(lambda s: s.invert_t())
 
 
-def eval_poly_at_matrix(poly: UniPoly, matrix: ScalarMatrix) -> ScalarMatrix:
-    """Evaluate a UniPoly at a square matrix (x -> matrix)."""
+def eval_poly_at_matrix(poly: Sequence[Scalar], matrix: ScalarMatrix) -> ScalarMatrix:
+    """Evaluate a coefficient tuple (x^k at index k) at a square matrix."""
     n = matrix.n
     result = ScalarMatrix.identity(n).map_entries(lambda s: s * ZERO)
     power = ScalarMatrix.identity(n)
-    for coeff in poly.coeffs:
+    for coeff in poly:
         if not coeff.is_zero():
             result = ScalarMatrix(tuple(
                 tuple(result.rows[i][j] + coeff * power.rows[i][j] for j in range(n))
@@ -660,7 +660,19 @@ def der_is_nilpotent(algebra: RationalAlgebra) -> bool:
     return False
 
 
-def reference_char_poly(matrix: ScalarMatrix) -> UniPoly:
+def poly_from_roots(roots: Iterable) -> tuple[Scalar, ...]:
+    """prod (x - r), the coefficient of x^k at index k, by Vieta's formulas."""
+    roots = [as_scalar(r) for r in roots]
+    n = len(roots)
+    return tuple((-1) ** (n - k) * sum((prod(c, start=ONE) for c in combinations(roots, n - k)),
+                                       ZERO) for k in range(n + 1))
+
+
+def value_at(s: Scalar, t, alpha=0) -> Fraction:
+    return s.eval_t(t).eval_alpha(alpha).constant_value()
+
+
+def reference_char_poly(matrix: ScalarMatrix) -> tuple[Scalar, ...]:
     """det(x*I - A) by Berkowitz on the entries as they are, with no clearing
     of denominators: the oracle for ScalarMatrix.char_poly."""
 
@@ -681,7 +693,7 @@ def reference_char_poly(matrix: ScalarMatrix) -> UniPoly:
         vec = [sum((toeplitz_col[i - j] * vec[j] for j in range(max(0, i - r), min(i + 1, r))),
                    ZERO)
                for i in range(r + 1)]
-    return UniPoly(reversed(vec))
+    return tuple(reversed(vec))
 
 
 def reference_eq1_residuals(mu1: Cochain2, family: Cochain2, g: ScalarMatrix):

@@ -51,6 +51,14 @@ def test_verify_single_algebra(capsys):
     assert out.splitlines() == ["mu11: PASS"]
 
 
+@pytest.mark.parametrize("command", ["verify", "report"])
+def test_all_together_with_names_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "mu01", "--all")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_verify_unknown_name(capsys):
     code, _, err = run(capsys, "verify", "missing-name")
     assert code == 2

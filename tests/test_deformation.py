@@ -21,8 +21,8 @@ from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ONE, T, ZERO, Scalar
 
-from helpers import (base_change, reciprocal_certificate, reference_eq1_residuals,
-                     reference_solve_cell, scalar_matrix)
+from helpers import (base_change, poly_from_roots, reciprocal_certificate,
+                     reference_eq1_residuals, reference_solve_cell, scalar_matrix, value_at)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
@@ -315,7 +315,7 @@ def test_certificate_residuals_vanish_at_rational_samples(tables):
                 lhs = data.mu1.bracket_eval(data.g.column(i - 1), data.g.column(j - 1))
                 rhs = data.g.apply(family.bracket(i, j))
                 for a, b in zip(lhs, rhs):
-                    assert a.specialize(t0, a0) == b.specialize(t0, a0), (name, i, j)
+                    assert value_at(a, t0, a0) == value_at(b, t0, a0), (name, i, j)
 
 
 # -- the t -> 0 limit ---------------------------------------------------------------
@@ -414,6 +414,29 @@ def test_spectrum_mismatch_detected():
     derivation = ScalarMatrix.diagonal([2])
     assert block_spectrum_check(g, ideal, derivation) is False
     assert block_spectrum_check(g, ideal, ScalarMatrix.diagonal([3])) is True
+
+
+@pytest.mark.parametrize("exponents", [(0,), (0, 0, 0), (1, 1, 2), (-1, 0, 3),
+                                       (-2, -2, 5, 0), (2, 3, 4, 5, 6, 7, 10)])
+@pytest.mark.parametrize("triangular", [False, True])
+def test_spectrum_with_repeated_zero_or_negative_exponents(exponents, triangular):
+    """g = 1 + diag(t^(d_1), ..., t^(d_n)) on the ideal <e_2, ..., e_(n+1)>,
+    with t above the diagonal of the block when triangular, passes against
+    D = diag(d); with one exponent of g raised by 1 it fails.  Each verdict
+    agrees with comparing the block's char_poly with poly_from_roots."""
+    n = len(exponents)
+    ideal = SubspaceSpec(tuple(range(2, n + 2)))
+    derivation = ScalarMatrix.diagonal(exponents)
+    expected = poly_from_roots(T ** d for d in exponents)
+    for changed in range(-1, n):  # -1: no exponent changed
+        diagonal = [ONE] + [T ** (d + (k == changed)) for k, d in enumerate(exponents)]
+        g = ScalarMatrix(tuple(tuple(diagonal[i] if i == j else T if triangular and 0 < i < j
+                                     else ZERO for j in range(n + 1)) for i in range(n + 1)))
+        block_poly = g.submatrix(range(1, n + 1), range(1, n + 1)).char_poly()
+        passes = changed == -1
+        assert (block_poly == expected) is passes
+        assert block_spectrum_check(g, ideal, derivation) is passes
+        assert block_spectrum_check(g, ideal, derivation, block_poly=block_poly) is passes
 
 
 def test_spectrum_requires_invariant_ideal():

@@ -130,6 +130,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-W", "error", str(ROOT / "demos" / demo)],
+                            env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filicert import NotAUnit, RationalMatrix, ScalarMatrix, Scalar, UniPoly
+from filicert import NotAUnit, RationalMatrix, ScalarMatrix, Scalar
 from filicert import linalg
 from filicert.linalg import span_basis
 from filicert.scalar import ONE, T, ZERO
 
 from helpers import (dense_apply, eval_poly_at_matrix, inverse_unit, laplace_det, matmul,
-                     matrices, primitive, rand_scalar, rand_scalar_matrix,
+                     matrices, poly_from_roots, primitive, rand_scalar, rand_scalar_matrix,
                      rand_unit_triangular, rank, rational_matrix, reference_char_poly,
                      reference_nullspace, reference_rref, scalar_matrix, vectors)
 
@@ -117,18 +117,31 @@ def test_det_matches_laplace_on_random_matrices():
 
 def test_char_poly_of_diagonal():
     m = ScalarMatrix.diagonal([T, T ** 2])
-    assert m.char_poly() == UniPoly.from_roots([T, T ** 2])
+    assert m.char_poly() == poly_from_roots([T, T ** 2])
 
 
 def test_char_poly_of_zero_matrix():
     m = scalar_matrix([[0, 0], [0, 0]])
-    assert m.char_poly() == UniPoly([ZERO, ZERO, ONE])
+    assert m.char_poly() == (ZERO, ZERO, ONE)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_char_poly_has_n_plus_1_coefficients_ending_in_one(n):
+    """n + 1 coefficients, x^k at index k, the last ONE; det is (-1)^n times
+    the first.  The zero matrix's polynomial is x^n."""
+    rng = random.Random(500 + n)
+    zero = ScalarMatrix(tuple((ZERO,) * n for _ in range(n)))
+    assert zero.char_poly() == (ZERO,) * n + (ONE,)
+    for m in [zero] + [rand_scalar_matrix(rng, n, max_terms=2, max_alpha=1) for _ in range(4)]:
+        poly = m.char_poly()
+        assert type(poly) is tuple and len(poly) == n + 1 and poly[-1] == ONE
+        assert m.det() == (-1) ** n * poly[0]
 
 
 def test_char_poly_of_dense_certificate_block(tables):
     data = tables["mu08"]
     block = data.g.submatrix(range(1, 8), range(1, 8))
-    expected = UniPoly.from_roots([T ** d for d in (2, 3, 4, 5, 6, 7, 10)])
+    expected = poly_from_roots([T ** d for d in (2, 3, 4, 5, 6, 7, 10)])
     assert block.char_poly() == expected
 
 
