@@ -12,10 +12,10 @@ from .dataio import (AlgebraFile, DeformationBlock, Erratum, VERIFIED_NAMES,
                      apply_errata, certificate_matrix, data_dir, load_algebra,
                      load_corpus, parse_algebra, serialize_algebra,
                      structure_constants)
-from .deformation import (DeformationSpec, Failure, STAGES, StageResult,
-                          VerificationReport, block_spectrum_check,
-                          counterexample_spec, deform, go_cocycle, limit_check,
-                          run_certificate_checks,
+from .deformation import (CheckedDeformation, DeformationSpec, Failure, STAGES,
+                          StageResult, VerificationReport, block_spectrum_check,
+                          check_deformation, counterexample_spec, deform,
+                          go_cocycle, limit_check, run_certificate_checks,
                           verify_degeneration)
 from .errors import (DimensionMismatch, FilicertError, InvalidSpec,
                      NegativeExponent, NotAUnit, NotInvariant, ParseError,

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .dataio import (AlgebraFile, MAX_DIGITS, VERIFIED_NAMES, certificate_matrix,
                      compact, load_corpus, structure_constants)
-from .deformation import (DeformationSpec, VerificationReport,
+from .deformation import (DeformationSpec, VerificationReport, check_deformation,
                           counterexample_spec, deform, go_cocycle,
                           run_certificate_checks)
 from .errors import FilicertError
@@ -105,15 +105,17 @@ def _resolve_names(corpus: dict[str, AlgebraFile], requested: list[str],
     return names
 
 
-def verify_algebra(alg: AlgebraFile, corrected: bool) -> VerificationReport:
-    """Run the full pipeline for one catalog entry."""
+def verify_algebra(alg: AlgebraFile, corrected: bool, checked: dict) -> VerificationReport:
+    """Run the full pipeline for one catalog entry.  Its deformation is
+    checked only if `checked`, keyed by content, does not hold it yet."""
     mu = structure_constants(alg, corrected=corrected)
     g = certificate_matrix(alg, corrected=corrected)
-    block = alg.deformation
-    return run_certificate_checks(
-        alg.name, mu, SubspaceSpec(block.ideal), block.outside,
-        ScalarMatrix.diagonal(block.diagonal), g,
-        reciprocal=(alg.certificate_parameter == "1/t"))
+    block, reciprocal = alg.deformation, alg.certificate_parameter == "1/t"
+    key = (mu.dim, frozenset(mu.entries.items()), mu.params, block, reciprocal)
+    if key not in checked:
+        checked[key] = check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
+                                         ScalarMatrix.diagonal(block.diagonal), reciprocal)
+    return run_certificate_checks(alg.name, checked[key], g)
 
 
 def _failure_details(failure) -> list[str]:
@@ -303,7 +305,8 @@ def _emit(lines: list[str], cfg: RunConfig) -> None:
 def cmd_verify(cfg: RunConfig) -> int:
     corpus = load_corpus(cfg.data_path)
     names = _resolve_names(corpus, list(cfg.names), need_certificate=True)
-    reports = [verify_algebra(corpus[name], cfg.errata_mode == "corrected")
+    checked: dict = {}
+    reports = [verify_algebra(corpus[name], cfg.errata_mode == "corrected", checked)
                for name in names]
     if cfg.report_format == "machine":
         lines = render_verify_machine(reports)
@@ -339,7 +342,8 @@ def cmd_counterexample(cfg: RunConfig) -> int:
 def cmd_report(cfg: RunConfig) -> int:
     corpus = load_corpus(cfg.data_path)
     names = _resolve_names(corpus, list(cfg.names), need_certificate=True)
-    reports = [verify_algebra(corpus[name], cfg.errata_mode == "corrected")
+    checked: dict = {}
+    reports = [verify_algebra(corpus[name], cfg.errata_mode == "corrected", checked)
                for name in names]
     records = []
     for name in names:

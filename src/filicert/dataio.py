@@ -44,7 +44,9 @@ returns the value of its text as one monomial map ``{(k, e_t, e_alpha):
 coeff}`` (k = 0 the scalar part, k = 1..dim a basis symbol, kept where it
 cancels, so ``Y1*0*Y2`` is still nonlinear), and no syntax tree is built.
 The map becomes one Scalar per output cell, so an integral coefficient is an
-int.  Errors come in a fixed order.  A syntax error
+int, and a basis-change row one Fraction per entry.  A minus sign goes into
+the literal or symbol it stands before, so -p/q builds one Fraction.  Errors
+come in a fixed order.  A syntax error
 (:class:`ParseError`, with line and column) anywhere on a line wins over a
 semantic one (:class:`ValidationError`: an undeclared symbol, a basis index
 out of range, a nonlinear term, an oversized power or product), so the first
@@ -55,12 +57,16 @@ parentheses do not matter, so ``(t)^-1`` is bare and ``(1*t)^-1`` is not.
 Parentheses nested more than ``MAX_NESTING`` deep are a syntax error.
 
 Loading validates every structural invariant; errata are stored but applied
-only when the corrected variant is requested explicitly.
+only when the corrected variant is requested explicitly.  Within one
+load_corpus call each distinct text is parsed once: every file that repeats
+it under the same parameters, basis prefix and dim shares the result, which
+no later call sees.  A failing text is parsed again, so it fails at its line.
 """
 
 from __future__ import annotations
 
 import re
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
@@ -121,7 +127,7 @@ def _column(text: str, index: int) -> int:
 
 def _tokenize(text: str, line: int) -> tuple[list[str], list]:
     """The texts of the tokens of a line, then "" for the end of input; and
-    at the index of each number its value, an int or a Fraction for p/q."""
+    at the index of each number its value, an int or (p, q) for p/q."""
     tokens = _TOKEN.findall(text)
     values = [None] * (len(tokens) + 1)
     for index, token in enumerate(tokens):
@@ -138,7 +144,7 @@ def _tokenize(text: str, line: int) -> tuple[list[str], list]:
         elif slash and not int(denominator):
             error = "zero denominator"
         else:
-            values[index] = Fraction(int(numerator), int(denominator)) if slash else int(numerator)
+            values[index] = (int(numerator), int(denominator)) if slash else int(numerator)
             continue
         raise ParseError(error, line, _column(text, index))
     tokens.append("")
@@ -225,13 +231,11 @@ class _Parser:
             raise ValidationError(self.error)
         return value
 
-    def expr(self) -> _Value:
-        value = self.term()
+    def expr(self, sign: int = 1) -> _Value:
+        value = self.term(sign)
         while (op := self.tokens[self.pos]) in ("+", "-"):
             self.pos += 1
-            for key, coeff in self.term().items():
-                if op == "-":
-                    coeff = -coeff
+            for key, coeff in self.term(-sign if op == "-" else sign).items():
                 old = value.get(key)
                 if old is None:
                     value[key] = coeff
@@ -241,20 +245,18 @@ class _Parser:
                     del value[key]
         return value
 
-    def term(self) -> _Value:
-        negations = 0
+    def term(self, sign: int = 1) -> _Value:
+        """A product times `sign` and its unary minus signs, which go into the
+        first factor down to a literal or symbol: -p/q builds one Fraction."""
         while self.tokens[self.pos] == "-":
             self.pos += 1
-            negations += 1
-        value = self.factor()
+            sign = -sign
+        value = self.factor(sign)
         while self.tokens[self.pos] == "*":
             self.pos += 1
             right = self.factor()
             if self.error is None:
                 value = self.product(value, right)
-        if negations & 1:
-            for key, coeff in value.items():
-                value[key] = -coeff
         return value
 
     def product(self, a: _Value, b: _Value) -> _Value:
@@ -275,21 +277,31 @@ class _Parser:
                     return self.hold(error)
         return _multiply(a, b)
 
-    def factor(self) -> _Value:
+    def factor(self, sign: int = 1) -> _Value:
         start, error = self.pos, self.error
-        value = self.base()
+        value = self.base(sign)
         if self.tokens[self.pos] != "^":
             return value
+        if sign > 0:
+            return self.power(value, start, error)
+        # -x^n is -(x^n): the sign comes back out of the base, and onto the power
+        power = self.power({key: -coeff for key, coeff in value.items()}, start, error)
+        return {key: -coeff for key, coeff in power.items()}
+
+    def power(self, value: _Value, start: int, error: str | None) -> _Value:
+        """`value`, the base read from token `start` on with `error` held
+        before it, to the power that follows."""
         end = self.pos
         negative = self.tokens[end + 1] == "-"
         self.pos = end + 1 + negative
         exponent = self.values[self.pos]
         if exponent is None:
             raise self.syntax_error("unexpected token {}", self.pos, ("number",))
-        if type(exponent) is not int and exponent.denominator != 1:
+        numerator, denominator = exponent if type(exponent) is tuple else (exponent, 1)
+        if numerator % denominator:
             raise self.syntax_error("exponent must be an integer literal", self.pos, ("integer",))
         self.pos += 1
-        exponent = -int(exponent) if negative else int(exponent)
+        exponent = -(numerator // denominator) if negative else numerator // denominator
         if exponent < 0 and [token for token in self.tokens[start:end]
                              if token not in "()"] != ["t"]:
             # checked before anything inside the base: (t) and ((t)) are bare
@@ -317,28 +329,29 @@ class _Parser:
                 value = _multiply(value, value)
         return power
 
-    def base(self) -> _Value:
+    def base(self, sign: int = 1) -> _Value:
         token, value = self.tokens[self.pos], self.values[self.pos]
         self.pos += 1
         if value is not None:
+            value = Fraction(sign * value[0], value[1]) if type(value) is tuple else sign * value
             return {(0, 0, 0): value} if value else {}
         if token[:1].isalpha():
             if token == "t" and "t" in self.params:
-                return {(0, 1, 0): 1}
+                return {(0, 1, 0): sign}
             if token == "alpha" and "alpha" in self.params:
-                return {(0, 0, 1): 1}
+                return {(0, 0, 1): sign}
             digits = token[len(self.prefix or ""):]
             if self.prefix and token.startswith(self.prefix) and digits.isdecimal():
                 if not (len(digits) <= MAX_DIGITS and 1 <= int(digits) <= self.dim):
                     return self.hold(f"basis index {token} out of range 1..{self.dim}")
-                return {(int(digits), 0, 0): 1}
+                return {(int(digits), 0, 0): sign}
             return self.hold(f"undeclared symbol {token!r}")
         if token == "(":
             if self.depth == MAX_NESTING:
                 raise self.syntax_error(f"parentheses nested more than {MAX_NESTING} deep",
                                         self.pos - 1)
             self.depth += 1
-            value = self.expr()
+            value = self.expr(sign)
             if self.tokens[self.pos] != ")":
                 raise self.syntax_error("unexpected token {}", self.pos, (")",))
             self.pos += 1
@@ -347,26 +360,55 @@ class _Parser:
         raise self.syntax_error("unexpected token {}", self.pos - 1, ("number", "symbol", "'('"))
 
 
+_parsed: ContextVar[dict | None] = ContextVar("parsed", default=None)  # see _evaluate
+
+
+def _evaluate(finish, text: str, params: Iterable[str], prefix: str | None, dim: int, line: int):
+    """finish(value of `text`, dim), once a combination of basis symbols (a
+    `prefix`) has no scalar part.  While load_corpus runs, it is kept under
+    (finish, text, params, prefix, dim), all it depends on; the line only
+    shapes errors, so a failing text is parsed again and fails with its own."""
+    params = frozenset(params)
+    key, parsed = (finish, text, params, prefix, dim), _parsed.get()
+    if (result := (parsed or {}).get(key)) is None:
+        value = _Parser(text, line, params, prefix, dim).parse()
+        if prefix and (scalar := {term[1:]: c for term, c in value.items() if not term[0]}):
+            raise ValidationError(f"value must be a combination of {prefix}-symbols, "
+                                  f"found scalar part {Scalar(scalar)}")
+        result = finish(value, dim)
+        if parsed is not None:
+            parsed[key] = result
+    return result
+
+
+def _to_scalar(value: _Value, dim: int) -> Scalar:
+    return Scalar({(e_t, e_alpha): coeff for (_, e_t, e_alpha), coeff in value.items()})
+
+
+def _to_column(value: _Value, dim: int) -> Column:
+    cells: list[dict] = [{} for _ in range(dim + 1)]
+    for (k, e_t, e_alpha), coeff in value.items():
+        cells[k][(e_t, e_alpha)] = coeff
+    return tuple(Scalar(terms) if terms else ZERO for terms in cells[1:])
+
+
+def _to_rationals(value: _Value, dim: int) -> tuple[Fraction, ...]:
+    """A combination of basis symbols without parameters, as rationals."""
+    row = [ZERO.constant_value()] * dim
+    for (k, _, _), coeff in value.items():
+        row[k - 1] = Fraction(coeff)
+    return tuple(row)
+
+
 def parse_scalar(text: str, params: Iterable[str], line: int = 0) -> Scalar:
     """Parse and evaluate a scalar expression."""
-    value = _Parser(text, line, frozenset(params), None, 0).parse()
-    return Scalar({(e_t, e_alpha): coeff for (_, e_t, e_alpha), coeff in value.items()})
+    return _evaluate(_to_scalar, text, params, None, 0, line)
 
 
 def parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
                  line: int = 0) -> Column:
     """Parse a linear combination of basis symbols into a coordinate column."""
-    cells: dict[int, dict] = {}
-    for (k, e_t, e_alpha), coeff in _Parser(text, line, frozenset(params), prefix,
-                                            dim).parse().items():
-        cells.setdefault(k, {})[(e_t, e_alpha)] = coeff
-    if 0 in cells:
-        raise ValidationError(f"value must be a combination of {prefix}-symbols, "
-                              f"found scalar part {Scalar(cells[0])}")
-    column = [ZERO] * dim
-    for k, terms in cells.items():
-        column[k - 1] = Scalar(terms)
-    return tuple(column)
+    return _evaluate(_to_column, text, params, prefix, dim, line)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -537,9 +579,8 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         for index, value in basis_rows.items():
             if not 1 <= index <= dim:
                 raise fail(("basis", index), f"basis index Y{index} out of range")
-            column = parse_column(value, dim, "X", (),
-                                  line_of[("basis", index)])
-            basis_change[index] = tuple(entry.constant_value() for entry in column)
+            basis_change[index] = _evaluate(_to_rationals, value, (), "X", dim,
+                                            line_of[("basis", index)])
 
     # -- brackets ----------------------------------------------------------
     brackets = None
@@ -734,13 +775,16 @@ def load_corpus(directory: str | Path | None = None) -> dict[str, AlgebraFile]:
     directory = Path(directory) if directory is not None else data_dir()
     if not directory.is_dir():
         raise ValidationError(f"catalog directory {directory} does not exist")
-    corpus = {}
-    for path in sorted(directory.iterdir()):
-        if path.name.startswith(".") or not path.is_file():
-            continue
-        alg = load_algebra(path)
-        if alg.name != path.name:
-            raise ValidationError(
-                f"{path.name}: header name {alg.name!r} does not match the file name")
-        corpus[alg.name] = alg
+    corpus, token = {}, _parsed.set({})
+    try:
+        for path in sorted(directory.iterdir()):
+            if path.name.startswith(".") or not path.is_file():
+                continue
+            alg = load_algebra(path)
+            if alg.name != path.name:
+                raise ValidationError(
+                    f"{path.name}: header name {alg.name!r} does not match the file name")
+            corpus[alg.name] = alg
+    finally:
+        _parsed.reset(token)
     return corpus

@@ -33,6 +33,11 @@ solves for L times the cell and divides by L once.
 
 The spectrum stage compares the coefficient tuple of the characteristic
 polynomial of g's block on the ideal with that of prod_i (x - t^(d_i)).
+
+The stages that depend only on (mu, h, X, D) run in :func:`check_deformation`,
+the ones of a certificate in :func:`run_certificate_checks`, so ``verify`` and
+``report`` check each distinct deformation once per command, for all of its
+certificates; nothing is kept across commands.
 """
 
 from __future__ import annotations
@@ -280,78 +285,96 @@ def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
     return actual == expected
 
 
-def run_certificate_checks(name: str, mu: StructureConstants,
-                           ideal: SubspaceSpec, outside_index: int,
-                           derivation: ScalarMatrix, g: ScalarMatrix,
-                           reciprocal: bool = False) -> VerificationReport:
-    """Run the full verification pipeline for one algebra.
+@dataclass(frozen=True)
+class CheckedDeformation(DeformationSpec):
+    """A specification with its stages that need no certificate and the family
+    mu_t and mu_1 they build (None without a valid complement X)."""
 
-    Stage order: jacobi (mu, and the family mu_t once built), ideal,
-    derivation, cocycle, bracket, eq1, unit-det, limit, spectrum.  The
-    jacobi, cocycle and bracket stages are read off one Jacobi expansion of
-    mu + t*phi.  Failures are collected, never raised, so a corrupted table
-    yields a localized report rather than an exception; an outside index in
-    the ideal or out of range fails the ideal stage, and the stages that
-    need mu_D are skipped; a g that does not preserve the ideal, or a
-    derivation with a non-integral eigenvalue, fails the spectrum stage.
+    reciprocal: bool = False
+    stages: dict[str, StageResult] = field(default_factory=dict)
+    mu_t: StructureConstants | None = None
+    mu1: StructureConstants | None = None
 
-    One Berkowitz run serves both ``unit-det`` and ``spectrum``.  When g maps
-    the codimension-1 ideal into itself, g is block triangular with the
-    diagonal blocks B (on the ideal) and g_xx (x the complement index), so
-    det g = g_xx * det B = g_xx * (-1)^(n-1) * chi_B(0), read off the block
-    characteristic polynomial chi_B that the spectrum stage compares.  Only
-    a g that does not preserve the ideal, or a spec without a valid
-    complement, has its full determinant computed.
-    """
-    report = VerificationReport(name)
 
+def check_deformation(mu: StructureConstants, ideal: SubspaceSpec, outside_index: int,
+                      derivation: ScalarMatrix, reciprocal: bool = False) -> CheckedDeformation:
+    """The stages of (mu, h, X, D) that no certificate enters, run once for
+    any number of them: jacobi (of mu, and of mu_t once built), ideal,
+    derivation, cocycle, bracket, limit; jacobi, cocycle and bracket are read
+    off one Jacobi expansion of mu + t*phi.  Failures are collected, never
+    raised; an outside index in the ideal or out of range fails the ideal
+    stage, and the stages that need mu_D, eq1 among them, are skipped."""
+    stages: dict[str, StageResult] = {}
     complement_ok = 1 <= outside_index <= mu.dim and outside_index not in ideal
     ideal_ok = complement_ok and is_ideal(mu, ideal) and len(ideal) == mu.dim - 1
-    report.stages["ideal"] = StageResult(
+    stages["ideal"] = StageResult(
         ideal_ok, () if ideal_ok else (Failure(tuple(ideal.indices), None,
                                                "subspace is not a codimension-1 ideal"),))
 
     if ideal_ok:
         derivation_ok = (derivation.is_diagonal()
                          and is_derivation(restrict(mu, ideal), derivation))
-        report.stages["derivation"] = StageResult(
+        stages["derivation"] = StageResult(
             derivation_ok,
             () if derivation_ok else (Failure((), None, "not a derivation of the ideal"),))
     else:
-        report.stages["derivation"] = StageResult(False, note="skipped: ideal stage failed")
+        stages["derivation"] = StageResult(False, note="skipped: ideal stage failed")
 
+    mu_t = mu1 = None
+    if complement_ok:
+        phi, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+        expansion = jacobi_check(mu, phi)
+        stages["cocycle"] = StageResult(not expansion.coefficient(1))
+        stages["bracket"] = StageResult(not expansion.coefficient(2))
+        stages["limit"] = StageResult(limit_check(mu_t, mu))
+    else:
+        # without a complement vector there is no mu_D and no family mu_t
+        expansion = jacobi_check(mu)
+        for stage in ("cocycle", "bracket", "eq1", "limit"):
+            stages[stage] = StageResult(False, note="skipped: ideal stage failed")
+    jacobi_failures = [Failure(triple, residual, "bracket of the algebra")
+                       for triple, residual in expansion.coefficient(0)]
+    jacobi_failures.extend(Failure(triple, residual, "bracket of the deformed family")
+                           for triple, residual in expansion.failures if complement_ok)
+    stages["jacobi"] = StageResult(not jacobi_failures, tuple(jacobi_failures))
+    return CheckedDeformation(mu, ideal, outside_index, derivation, reciprocal, stages,
+                              mu_t, mu1)
+
+
+def run_certificate_checks(name: str, deformation: CheckedDeformation,
+                           g: ScalarMatrix) -> VerificationReport:
+    """The report on certificate g of a checked deformation: its stages and
+    eq1, unit-det and spectrum, in the order of STAGES.  A g that does not
+    preserve the ideal, or a non-integral eigenvalue of D, fails spectrum.
+
+    One Berkowitz run serves both ``unit-det`` and ``spectrum``.  When g maps
+    the codimension-1 ideal into itself, g is block triangular with the
+    diagonal blocks B (on the ideal) and g_xx (x the complement index), so
+    det g = g_xx * det B = g_xx * (-1)^(n-1) * chi_B(0), read off the block
+    characteristic polynomial chi_B that spectrum compares.  Only other g,
+    or a spec without a valid complement, have their full determinant computed.
+    """
+    report = VerificationReport(name, dict(deformation.stages))
+    ideal, x = deformation.ideal, deformation.outside_index
     try:
         block_poly = _ideal_block(g, ideal).char_poly()
     except NotInvariant:
         block_poly = None
 
-    if complement_ok:
-        phi, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
-        expansion = jacobi_check(mu, phi)
-        report.stages["cocycle"] = StageResult(not expansion.coefficient(1))
-        report.stages["bracket"] = StageResult(not expansion.coefficient(2))
+    if deformation.mu_t is None:
+        report.stages["unit-det"] = _unit_det_stage(g)
+    else:
         det = None
         if block_poly is not None and len(ideal) == g.n - 1:
-            det = g.rows[outside_index - 1][outside_index - 1] * block_poly[0]
+            det = g.rows[x - 1][x - 1] * block_poly[0]
             if g.n % 2 == 0:
                 det = -det
-        report.stages.update(
-            verify_degeneration(mu1, mu_t, g, reciprocal=reciprocal, det=det).stages)
-        report.stages["limit"] = StageResult(limit_check(mu_t, mu))
-    else:
-        # without a complement vector there is no mu_D and no family mu_t
-        expansion = jacobi_check(mu)
-        for stage in ("cocycle", "bracket", "eq1", "limit"):
-            report.stages[stage] = StageResult(False, note="skipped: ideal stage failed")
-        report.stages["unit-det"] = _unit_det_stage(g)
-    jacobi_failures = [Failure(triple, residual, "bracket of the algebra")
-                       for triple, residual in expansion.coefficient(0)]
-    jacobi_failures.extend(Failure(triple, residual, "bracket of the deformed family")
-                           for triple, residual in expansion.failures if complement_ok)
-    report.stages["jacobi"] = StageResult(not jacobi_failures, tuple(jacobi_failures))
+        report.stages.update(verify_degeneration(deformation.mu1, deformation.mu_t, g,
+                                                 deformation.reciprocal, det=det).stages)
 
     try:
-        spectrum_ok = block_spectrum_check(g, ideal, derivation, block_poly=block_poly)
+        spectrum_ok = block_spectrum_check(g, ideal, deformation.derivation,
+                                           block_poly=block_poly)
         report.stages["spectrum"] = StageResult(spectrum_ok)
     except (NotInvariant, InvalidSpec) as exc:
         report.stages["spectrum"] = StageResult(False, (Failure((), None, str(exc)),))

@@ -95,7 +95,8 @@ class Cochain2:
             used = frozenset().union(*(s.symbols() for s in nonzero))
             if not used <= self.params:
                 raise ValidationError(
-                    f"entry ({i}, {j}) uses undeclared parameter(s) {set(used - self.params)}")
+                    f"entry ({i}, {j}) uses undeclared parameter(s) "
+                    f"{{{', '.join(map(repr, sorted(used - self.params)))}}}")
             clean[(i, j)] = tuple(column)
         object.__setattr__(self, "entries", clean)
 

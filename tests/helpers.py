@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm, prod
+from pathlib import Path
 from typing import Iterable, Sequence
 
 from hypothesis import strategies as st
@@ -20,6 +23,17 @@ from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
 from filicert.lie import Cochain2, StructureConstants, column_is_zero
 from filicert.linalg import _dot, span_basis
 from filicert.scalar import ALPHA, ONE, T, ZERO, as_scalar
+
+
+def load_bench_module(monkeypatch, name: str):
+    """The module ``bench/<name>.py``, loaded from its file without writing
+    bytecode next to it (the tier-1 suite collects only ``tests/``)."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:

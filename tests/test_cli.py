@@ -238,6 +238,99 @@ def test_non_integral_derivation_fails_the_spectrum_stage(capsys, tmp_path):
         "10b05dacab74f8824f834abb23a490d41f3d648d559a1d8ec46a7edcde6c0533"
 
 
+
+def sibling_catalog(directory, corpus) -> list[str]:
+    """Tables around mu06, mu08 and mu11 that share a deformation (an
+    identical copy, a changed certificate cell) or differ from it in one
+    part: a corrupted bracket, another D, and mu08 with parameter t, the
+    non-reciprocal twin of its 1/t certificate.  Returns their names."""
+    from dataclasses import replace
+
+    from filicert.dataio import serialize_algebra
+    from filicert.scalar import Scalar
+
+    def changed_cell(alg, cell, offset):
+        certificate = dict(alg.certificate)
+        certificate[cell] = certificate.get(cell, Scalar()) + offset
+        return replace(alg, certificate=certificate)
+
+    mu06, mu08, mu11 = corpus["mu06"], corpus["mu08"], corpus["mu11"]
+    brackets = dict(mu11.brackets)
+    brackets[(2, 3)] = tuple(s + 1 if k == 4 else s for k, s in enumerate(brackets[(2, 3)]))
+    block = mu11.deformation
+    tables = {
+        "mu06": mu06, "mu06-cell": changed_cell(mu06, (3, 1), Scalar.term(1, 1, 1)),
+        "mu08": mu08, "mu08-cell": changed_cell(mu08, (5, 2), Scalar.term(2, 3)),
+        "mu08-t": replace(mu08, certificate_parameter="t"),
+        "mu11": mu11, "mu11-copy": mu11, "mu11-cell": changed_cell(mu11, (3, 1), 1),
+        "mu11-bracket": replace(mu11, brackets=brackets),
+        "mu11-d": replace(mu11, deformation=replace(
+            block, diagonal=tuple(d + 1 for d in block.diagonal))),
+    }
+    for name, alg in tables.items():
+        (directory / name).write_text(serialize_algebra(replace(alg, name=name)),
+                                      encoding="utf-8")
+    return sorted(tables)
+
+
+SIBLING_OPTIONS = [(), ("--format", "machine"), ("--errata", "corrected"),
+                   ("--errata", "corrected", "--format", "machine")]
+
+
+@pytest.mark.parametrize("options", SIBLING_OPTIONS)
+def test_verify_of_sibling_tables_is_the_concatenation_of_each_table(
+        capsys, tmp_path, corpus, monkeypatch, options):
+    """verify checks each distinct deformation once per command, which must
+    not show: its stdout over the whole sibling catalog is the per-table
+    stdouts concatenated, and its exit code the worst of theirs.  The ten
+    tables hold six distinct deformations."""
+    import filicert.cli
+
+    names = sibling_catalog(tmp_path, corpus)
+    data = ("--data", str(tmp_path), *options)
+    alone = [run(capsys, "verify", name, *data) for name in names]
+    assert {code for code, _, _ in alone} == {0, 1}
+    checked, check_deformation = [], filicert.cli.check_deformation
+
+    def counted(*args):
+        checked.append(args)
+        return check_deformation(*args)
+
+    monkeypatch.setattr(filicert.cli, "check_deformation", counted)
+    code, out, err = run(capsys, "verify", *names, *data)
+    assert (code, out, err) == (max(c for c, _, _ in alone),
+                                "".join(o for _, o, _ in alone), "")
+    assert len(checked) == 6
+
+
+@pytest.mark.parametrize("options", SIBLING_OPTIONS)
+def test_report_of_sibling_tables_is_the_concatenation_of_each_table(
+        capsys, tmp_path, corpus, options):
+    """The same for report, section by section: the certificate part (all
+    records of a verify stage, in machine format) and then the invariants.
+    The tables whose deformation is not valid are left out: report exits 2
+    on them, in the invariant part."""
+    from filicert.deformation import STAGES
+
+    names = [name for name in sibling_catalog(tmp_path, corpus)
+             if name not in ("mu11-bracket", "mu11-d")]
+    data = ("--data", str(tmp_path), *options)
+
+    def sections(out):
+        if "machine" in options:
+            lines = out.splitlines(keepends=True)
+            verify = [line for line in lines if line.split()[1][len("stage="):] in STAGES]
+            return "".join(verify), "".join(line for line in lines if line not in verify)
+        head, _, tail = out.partition("\n== invariants ==\n")
+        return head.removeprefix("== degeneration certificates ==\n"), tail
+
+    alone = [run(capsys, "report", name, *data) for name in names]
+    parts = [sections(out) for _, out, _ in alone]
+    code, out, err = run(capsys, "report", *names, *data)
+    assert (code, err) == (max(c for c, _, _ in alone), "")
+    assert sections(out) == ("".join(v for v, _ in parts), "".join(i for _, i in parts))
+
+
 def test_missing_data_directory(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--data", str(tmp_path / "nope"))
     assert code == 2

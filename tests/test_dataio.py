@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,33 @@ def test_parsed_coefficients_are_canonical(corrected):
             assert canonical(scalars), name
 
 
+def test_minus_signs_go_into_literals_and_symbols(monkeypatch):
+    """A minus sign is folded into the literal or symbol it stands before,
+    through parentheses, so that -p/q and -(p/q) build one Fraction and no
+    Fraction arithmetic: parsing the bundled catalog negates no Fraction.
+    A power keeps its sign outside."""
+    built, ops = [], []
+    monkeypatch.setattr(fc.dataio, "Fraction", lambda *args: built.append(args) or Fraction(*args))
+    for name in ("__neg__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, lambda *args, name=name, method=getattr(
+            Fraction, name): ops.append(name) or method(*args))
+    for path in sorted(data_dir().iterdir()):
+        parse_algebra(path.read_text(encoding="utf-8"), source=path.name)
+    assert "__neg__" not in ops
+    built.clear(), ops.clear()
+    assert parse_scalar("-3/5*t - (2/7)*t^2 - (-4/9)", ("t",)) == Scalar(
+        {(1, 0): Fraction(-3, 5), (2, 0): Fraction(-2, 7), (0, 0): Fraction(4, 9)})
+    assert (built, ops) == ([(-3, 5), (-2, 7), (4, 9)], [])
+    assert parse_scalar("-(2/3)^2 - -t^-1 - (-t)^3", ("t",)) == \
+        Scalar({(0, 0): Fraction(-4, 9), (-1, 0): 1, (3, 0): 1})
+    nested = "t"
+    for _ in range(MAX_NESTING):
+        nested = f"-({nested})^1"
+    start = time.perf_counter()  # the work stays linear in the nesting depth
+    assert parse_scalar(nested, ("t",)) == Scalar.t_power(1)
+    assert time.perf_counter() - start < 1
+
+
 def test_each_load_parses_every_file_again(monkeypatch):
     """load_corpus parses each bundled file on every call: nothing is cached
     between calls.  Counted by wrapping dataio.parse_algebra, as the
@@ -305,6 +333,97 @@ def test_each_load_parses_every_file_again(monkeypatch):
     names = sorted(load_corpus())
     assert sorted(load_corpus()) == names and len(names) == 20
     assert sorted(parsed) == sorted(names * 2)
+
+
+
+def table_text(name: str, body: str, dim: int = 3, params: str = "") -> str:
+    return f"[algebra]\nname = {name}\ndim = {dim}\nparams = {params}\n\n{body}\n"
+
+
+# Pairs of files that hold one text where it means different things (params,
+# the basis prefix, dim, the certificate's t) or fails at different lines.
+SHARED_TEXT_PAIRS = {
+    "params": (("[brackets]\nbracket 1 2 = alpha*Y3", 3, "alpha"),
+               ("[brackets]\nbracket 1 2 = alpha*Y3", 3, "")),
+    "t in g and bracket": (("[certificate]\ng 1 1 = t", 3, ""),
+                           ("[brackets]\nbracket 1 2 = t", 3, "")),
+    "prefix": (("[basis-change]\nY1 = X2", 3, ""),
+               ("[brackets]\nbracket 1 2 = X2", 3, "")),
+    "prefix, other way": (("[brackets]\nbracket 1 2 = Y2", 3, ""),
+                          ("[basis-change]\nY1 = Y2", 3, "")),
+    "dim": (("[brackets]\nbracket 1 3 = -1/2*Y2", 3, ""),
+            ("[brackets]\nbracket 1 3 = -1/2*Y2", 4, "")),
+    "dim out of range": (("[brackets]\nbracket 1 2 = Y3", 3, ""),
+                         ("[brackets]\nbracket 1 2 = Y3", 2, "")),
+    "line": (("[certificate]\ng 1 1 = (1+t)^65", 3, ""),
+             ("\n\n[certificate]\ng 2 2 = (1+t)^65", 3, "")),
+}
+
+
+def load_outcome(load):
+    try:
+        return load()
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+@pytest.mark.parametrize("case", sorted(SHARED_TEXT_PAIRS))
+@pytest.mark.parametrize("names", [("a", "b"), ("b", "a")])
+def test_a_text_in_two_files_gets_each_file_its_own_verdict(tmp_path, case, names):
+    """load_corpus keeps each parsed text for the rest of the call, under
+    everything its value depends on: whatever the file order, the catalog
+    loads (or fails, with the same message and line) exactly as its files
+    parsed one by one with no sharing."""
+    texts = {name: table_text(name, body, dim, params)
+             for name, (body, dim, params) in zip(names, SHARED_TEXT_PAIRS[case])}
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+
+    def one_by_one():
+        return {name: parse_algebra(texts[name], source=name) for name in sorted(texts)}
+
+    assert load_outcome(lambda: load_corpus(tmp_path)) == load_outcome(one_by_one)
+    assert fc.dataio._parsed.get() is None
+
+
+
+def test_a_kept_parse_is_keyed_by_its_basis_prefix():
+    """Within one load the same text under another basis prefix is parsed
+    again: X2 is a basis symbol for prefix X and undeclared for prefix Y."""
+    token = fc.dataio._parsed.set({})
+    try:
+        assert parse_column("X2", 3, "X", ()) == (Scalar(), ONE, Scalar())
+        with pytest.raises(ValidationError, match="undeclared symbol 'X2'"):
+            parse_column("X2", 3, "Y", ())
+    finally:
+        fc.dataio._parsed.reset(token)
+
+def parsed_objects(corpus) -> dict[int, object]:
+    """id -> object of every column, nonzero Scalar and basis-change row."""
+    objects = []
+    for alg in corpus.values():
+        for column in (alg.brackets or {}).values():
+            objects += [column, *(s for s in column if not s.is_zero())]
+        objects += [s for s in (alg.certificate or {}).values() if not s.is_zero()]
+        objects += list((alg.basis_change or {}).values())
+    return {id(obj): obj for obj in objects}
+
+
+def test_parses_are_shared_within_one_load_and_not_across_loads(tmp_path):
+    """Two files with the same bracket text share its column within one load;
+    a second load shares no parsed object with the first."""
+    for name in ("a", "b"):
+        (tmp_path / name).write_text(
+            table_text(name, "[basis-change]\nY1 = X2\n\n[brackets]\nbracket 1 2 = -1/2*Y3"),
+            encoding="utf-8")
+    first = load_corpus(tmp_path)
+    assert first["a"].brackets[(1, 2)] is first["b"].brackets[(1, 2)]
+    assert first["a"].basis_change[1] is first["b"].basis_change[1]
+    second = load_corpus(tmp_path)
+    assert first == second
+    assert not set(parsed_objects(first)) & set(parsed_objects(second))
+    bundled = (load_corpus(), load_corpus())
+    assert not set(parsed_objects(bundled[0])) & set(parsed_objects(bundled[1]))
 
 
 # -- loading the catalog -----------------------------------------------------------

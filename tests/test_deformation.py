@@ -15,8 +15,8 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       limit_check, verify_degeneration)
 from filicert.dataio import parse_scalar
 from filicert.deformation import (STAGES, _cleared, _eq1_residuals, _linear_deformation,
-                                  _unit_det_stage, run_certificate_checks,
-                                  solve_certificate_cell)
+                                  _unit_det_stage, check_deformation,
+                                  run_certificate_checks, solve_certificate_cell)
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ONE, T, ZERO, Scalar
@@ -252,16 +252,17 @@ def test_precondition_rejects_wrong_base(tables):
 
 def test_full_pipeline_stage_order(tables):
     data = tables["mu15"]
-    report = run_certificate_checks("mu15", data.mu, data.ideal, 1,
-                                    data.derivation, data.g)
+    report = run_certificate_checks(
+        "mu15", check_deformation(data.mu, data.ideal, 1, data.derivation), data.g)
     assert tuple(report.stages) == STAGES
     assert report.passed
 
 
 def test_ideal_stage_requires_codimension_one(tables):
     data = tables["mu17"]
-    report = run_certificate_checks("mu17", data.mu, SubspaceSpec(tuple(range(3, 9))),
-                                    1, ScalarMatrix.diagonal([0] * 6), data.g)
+    deformation = check_deformation(data.mu, SubspaceSpec(tuple(range(3, 9))), 1,
+                                    ScalarMatrix.diagonal([0] * 6))
+    report = run_certificate_checks("mu17", deformation, data.g)
     ideal = report.stages["ideal"]
     assert not ideal.ok
     assert [f.note for f in ideal.failures] == ["subspace is not a codimension-1 ideal"]
@@ -271,8 +272,8 @@ def test_ideal_stage_requires_codimension_one(tables):
 @pytest.mark.parametrize("outside", [2, 9, 0])
 def test_complement_index_in_the_ideal_or_out_of_range_is_reported(tables, outside):
     data = tables["mu17"]
-    report = run_certificate_checks("mu17", data.mu, data.ideal, outside,
-                                    data.derivation, data.g)
+    report = run_certificate_checks(
+        "mu17", check_deformation(data.mu, data.ideal, outside, data.derivation), data.g)
     assert tuple(report.stages) == STAGES
     ideal = report.stages["ideal"]
     assert not ideal.ok
@@ -386,11 +387,12 @@ def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypat
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ScalarMatrix, "det", counted_det)
-            report = run_certificate_checks(
-                name, fc.structure_constants(alg, corrected=corrected),
+            deformation = check_deformation(
+                fc.structure_constants(alg, corrected=corrected),
                 SubspaceSpec(block.ideal), block.outside,
-                ScalarMatrix.diagonal(block.diagonal), h,
+                ScalarMatrix.diagonal(block.diagonal),
                 reciprocal=alg.certificate_parameter == "1/t")
+            report = run_certificate_checks(name, deformation, h)
         assert report.stages["unit-det"] == expected, (name, str(h))
         preserves = all(h.rows[block.outside - 1][k - 1].is_zero() for k in block.ideal)
         assert len(calls) == (0 if preserves else 1), (name, str(h))

@@ -8,23 +8,12 @@ tracer module is loaded from its file without writing bytecode next to it.
 from __future__ import annotations
 
 import importlib
-import importlib.util
-import sys
-from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
-
-
-def load_tracing(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_bench_module
 
 
 def test_every_traced_name_resolves_in_filicert(monkeypatch):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_bench_module(monkeypatch, "tracing")
     functions = {**tracing.SPAN_FUNCTIONS}
     for module, names in tracing.COUNT_FUNCTIONS.items():
         functions[module] = functions.get(module, ()) + names
