@@ -57,7 +57,9 @@ parentheses do not matter, so ``(t)^-1`` is bare and ``(1*t)^-1`` is not.
 Parentheses nested more than ``MAX_NESTING`` deep are a syntax error.
 
 Loading validates every structural invariant; errata are stored but applied
-only when the corrected variant is requested explicitly.  Within one
+only when the corrected variant is requested explicitly.  An error in an
+evaluated text starts with ``<file>:<line>:`` like a structural one, and the
+column of a syntax error counts from the start of that line.  Within one
 load_corpus call each distinct text is parsed once: every file that repeats
 it under the same parameters, basis prefix and dim shares the result, which
 no later call sees.  A failing text is parsed again, so it fails at its line.
@@ -524,10 +526,13 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             deformation_rows[key] = value
             line_of[("deformation", key)] = line_number
         elif section == "certificate" and key == "parameter":
+            if ("certificate", "parameter") in line_of:
+                raise ValidationError(f"{source}:{line_number}: duplicate key 'parameter'")
             if value not in ("t", "1/t"):
                 raise ValidationError(
                     f"{source}:{line_number}: parameter must be 't' or '1/t'")
             certificate_parameter = value
+            line_of[("certificate", "parameter")] = line_number
         elif section in words:
             word = words[section]
             parts = key.split()
@@ -550,10 +555,25 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                 if key in errata_groups[-1]:
                     raise ValidationError(f"{source}:{line_number}: duplicate {key!r}")
                 errata_groups[-1][key] = value
+                line_of[("errata", len(errata_groups), key)] = line_number
 
     def fail(key, message):
         line = line_of.get(key, 0)
         return ValidationError(f"{source}:{line}: {message}")
+
+    def evaluate(finish, value, params, prefix, line, skip=0):
+        """_evaluate on `value`, found `skip` characters into the value on
+        `line`; an error names the file and the line, and gives a column
+        from the start of the line."""
+        try:
+            return _evaluate(finish, value, params, prefix, dim, 0)
+        except ParseError as exc:
+            raw = text.splitlines()[line - 1]
+            start = len(raw) - len(raw[raw.index("=") + 1:].lstrip()) + skip
+            raise ParseError(exc.message, line, start + exc.column, exc.expected,
+                             source) from None
+        except ValidationError as exc:
+            raise ValidationError(f"{source}:{line}: {exc}") from None
 
     # -- header ------------------------------------------------------------
     if "algebra" not in seen_sections:
@@ -579,8 +599,8 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         for index, value in basis_rows.items():
             if not 1 <= index <= dim:
                 raise fail(("basis", index), f"basis index Y{index} out of range")
-            basis_change[index] = _evaluate(_to_rationals, value, (), "X", dim,
-                                            line_of[("basis", index)])
+            basis_change[index] = evaluate(_to_rationals, value, (), "X",
+                                           line_of[("basis", index)])
 
     # -- brackets ----------------------------------------------------------
     brackets = None
@@ -589,8 +609,8 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         for (i, j), value in cells["bracket"].items():
             if not 1 <= i < j <= dim:
                 raise fail(("bracket", i, j), f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
-            brackets[(i, j)] = parse_column(value, dim, "Y", params,
-                                            line_of[("bracket", i, j)])
+            brackets[(i, j)] = evaluate(_to_column, value, params, "Y",
+                                        line_of[("bracket", i, j)])
 
     # -- deformation -------------------------------------------------------
     deformation = None
@@ -614,8 +634,8 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                        f"({' '.join(str(k) for k in ideal)})")
         diag_line = line_of[("deformation", "D")]
         diagonal = tuple(
-            parse_scalar(p, (), diag_line).constant_value()
-            for p in deformation_rows["D"].split())
+            evaluate(_to_scalar, p.group(), (), None, diag_line, p.start()).constant_value()
+            for p in re.finditer(r"\S+", deformation_rows["D"]))
         if len(diagonal) != len(ideal):
             raise fail(("deformation", "D"), "D must list one rational per ideal index")
         deformation = DeformationBlock(ideal, outside, diagonal)
@@ -629,23 +649,24 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     # -- certificate and inert derivation metadata -------------------------
     certificate = derivation_meta = None
     if "certificate" in seen_sections:
-        certificate = {key: parse_scalar(value, params + ("t",), line)
+        certificate = {key: evaluate(_to_scalar, value, params + ("t",), None, line)
                        for key, value, line in square_cells("g", "certificate")}
     if "derivation" in seen_sections:
-        derivation_meta = {key: parse_scalar(value, (), line).constant_value()
+        derivation_meta = {key: evaluate(_to_scalar, value, (), None, line).constant_value()
                            for key, value, line in square_cells("d", "derivation")}
 
     # -- errata --------------------------------------------------------------
     errata = []
-    for group in errata_groups:
+    for number, group in enumerate(errata_groups, start=1):
         target = group["entry"]
         target_kind = _errata_target(target, dim, source)
         corrected = group.get("corrected")
         if corrected is not None:
+            line = line_of[("errata", number, "corrected")]
             if target_kind == "bracket":
-                parse_column(corrected, dim, "Y", params)
+                evaluate(_to_column, corrected, params, "Y", line)
             else:
-                parse_scalar(corrected, params + ("t",))
+                evaluate(_to_scalar, corrected, params + ("t",), None, line)
         errata.append(Erratum(target, group.get("original"), corrected,
                               group.get("note", "")))
 

@@ -6,8 +6,11 @@ semisimple) derivation D, and a complement vector X, the cochain
     mu_D(X, z) = D(z)  for z in h,      mu_D = 0 on h x h
 
 is a 2-cocycle of mu and itself a Lie bracket, so mu_t = mu + t*mu_D is a
-linear deformation.  A degeneration certificate for that deformation is a
-matrix family g_t with
+linear deformation.  Seven ordered checks of (mu, h, X, D), each of the
+``ideal`` or the ``derivation`` stage, serve :func:`go_cocycle`, which raises
+the first failing one's reason, and :func:`check_deformation`, which fails
+its stage; both build mu_D with one builder.  A degeneration certificate for
+that deformation is a matrix family g_t with
 
     mu_1(g_t(x), g_t(y)) = g_t(mu_t(x, y))        (*)
 
@@ -66,27 +69,36 @@ class DeformationSpec:
     outside_index: int
     derivation: ScalarMatrix
 
-    def validate(self) -> None:
-        """Raise :class:`InvalidSpec` naming the first violated invariant."""
-        if self.outside_index in self.ideal:
-            raise InvalidSpec("the complement vector lies inside the ideal")
-        if not (1 <= self.outside_index <= self.base.dim):
-            raise InvalidSpec("complement index out of range")
-        if len(self.ideal) != self.base.dim - 1:
-            raise InvalidSpec("the ideal must have codimension 1")
-        if self.derivation.n != len(self.ideal):
-            raise InvalidSpec("derivation size does not match the ideal")
-        if not self.derivation.is_diagonal():
-            raise InvalidSpec("derivation is not diagonal (semisimplicity witness)")
-        if not is_ideal(self.base, self.ideal):
-            raise InvalidSpec("the chosen subspace is not an ideal")
-        if not is_derivation(restrict(self.base, self.ideal), self.derivation):
-            raise InvalidSpec("the matrix is not a derivation of the ideal")
+
+# The checks (stage, reason, holds) of a spec s, in order: each may rely on
+# the ones before it.  mu_D can be built once the complement and size checks pass.
+_COMPLEMENT_CHECKS = (
+    ("ideal", "the complement vector lies inside the ideal",
+     lambda s: s.outside_index not in s.ideal),
+    ("ideal", "complement index out of range", lambda s: 1 <= s.outside_index <= s.base.dim))
+_SIZE_CHECK = ("derivation", "derivation size does not match the ideal",
+               lambda s: s.derivation.n == len(s.ideal))
+_SPEC_CHECKS = (
+    *_COMPLEMENT_CHECKS,
+    ("ideal", "the ideal must have codimension 1", lambda s: len(s.ideal) == s.base.dim - 1),
+    ("ideal", "the chosen subspace is not an ideal", lambda s: is_ideal(s.base, s.ideal)),
+    _SIZE_CHECK,
+    ("derivation", "derivation is not diagonal (semisimplicity witness)",
+     lambda s: s.derivation.is_diagonal()),
+    ("derivation", "the matrix is not a derivation of the ideal",
+     lambda s: is_derivation(restrict(s.base, s.ideal), s.derivation)))
+
+
+def _first_failure(spec: DeformationSpec, checks=_SPEC_CHECKS) -> tuple[str, str] | None:
+    """(stage, reason) of the first of `checks` that the spec fails, if any."""
+    return next(((stage, reason) for stage, reason, holds in checks if not holds(spec)), None)
 
 
 def go_cocycle(spec: DeformationSpec) -> Cochain2:
-    """The cochain mu_D of a validated deformation specification."""
-    spec.validate()
+    """The cochain mu_D of a specification that passes every check; otherwise
+    :class:`InvalidSpec` with the reason of the first failing one."""
+    if failure := _first_failure(spec):
+        raise InvalidSpec(failure[1])
     return _build_cocycle(spec)
 
 
@@ -109,14 +121,6 @@ def _build_cocycle(spec: DeformationSpec) -> Cochain2:
         else:
             entries[(z, x)] = tuple(-s for s in column)
     return Cochain2(dim, entries, params, f"{spec.base.name}_D")
-
-
-def _linear_deformation(mu: StructureConstants, ideal: SubspaceSpec,
-                        outside_index: int, derivation: ScalarMatrix):
-    """phi = mu_D, the family mu_t = mu + t*phi, and mu_1 = mu_t at t = 1."""
-    phi = _build_cocycle(DeformationSpec(mu, ideal, outside_index, derivation))
-    mu_t = deform(mu, phi)
-    return phi, mu_t, mu_t.at_t_one
 
 
 def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
@@ -162,9 +166,8 @@ class VerificationReport:
         return [name for name, stage in self.stages.items() if not stage.ok]
 
 
-def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
-                        g: ScalarMatrix, reciprocal: bool = False, *,
-                        det: Scalar | None = None) -> VerificationReport:
+def verify_degeneration(mu_t: StructureConstants, g: ScalarMatrix, reciprocal: bool = False,
+                        *, det: Scalar | None = None) -> VerificationReport:
     """Check the degeneration identity (*) on all basis pairs, symbolically.
 
     Fills the ``eq1`` and ``unit-det`` stages of the report: every residual
@@ -173,14 +176,12 @@ def verify_degeneration(mu1: StructureConstants, mu_t: StructureConstants,
     ``reciprocal=True`` the right-hand side uses mu_{1/t}.  A caller that
     already knows det(g) passes it as ``det``; otherwise it is computed.
     """
-    if mu1.dim != mu_t.dim or g.n != mu_t.dim:
+    if g.n != mu_t.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
-    if not entries_equal(mu_t.at_t_one, mu1):
-        raise InvalidSpec("mu1 must be the t = 1 specialization of mu_t")
     report = VerificationReport(mu_t.name)
     family = mu_t.invert_t() if reciprocal else mu_t
-    failures = [Failure(pair, residual) for pair, residual in _eq1_residuals(mu1, family, g)
-                if not column_is_zero(residual)]
+    failures = [Failure(pair, residual) for pair, residual
+                in _eq1_residuals(mu_t.at_t_one, family, g) if not column_is_zero(residual)]
     note = "certificate parametrized by 1/t" if reciprocal else ""
     report.stages["eq1"] = StageResult(not failures, tuple(failures), note)
     report.stages["unit-det"] = _unit_det_stage(g, det)
@@ -287,13 +288,13 @@ def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
 
 @dataclass(frozen=True)
 class CheckedDeformation(DeformationSpec):
-    """A specification with its stages that need no certificate and the family
-    mu_t and mu_1 they build (None without a valid complement X)."""
+    """A specification with its stages that need no certificate, and phi = mu_D
+    and mu_t they build (None without a valid X and a D of the ideal's size)."""
 
     reciprocal: bool = False
     stages: dict[str, StageResult] = field(default_factory=dict)
+    phi: Cochain2 | None = None
     mu_t: StructureConstants | None = None
-    mu1: StructureConstants | None = None
 
 
 def check_deformation(mu: StructureConstants, ideal: SubspaceSpec, outside_index: int,
@@ -302,43 +303,39 @@ def check_deformation(mu: StructureConstants, ideal: SubspaceSpec, outside_index
     any number of them: jacobi (of mu, and of mu_t once built), ideal,
     derivation, cocycle, bracket, limit; jacobi, cocycle and bracket are read
     off one Jacobi expansion of mu + t*phi.  Failures are collected, never
-    raised; an outside index in the ideal or out of range fails the ideal
-    stage, and the stages that need mu_D, eq1 among them, are skipped."""
-    stages: dict[str, StageResult] = {}
-    complement_ok = 1 <= outside_index <= mu.dim and outside_index not in ideal
-    ideal_ok = complement_ok and is_ideal(mu, ideal) and len(ideal) == mu.dim - 1
-    stages["ideal"] = StageResult(
-        ideal_ok, () if ideal_ok else (Failure(tuple(ideal.indices), None,
-                                               "subspace is not a codimension-1 ideal"),))
-
-    if ideal_ok:
-        derivation_ok = (derivation.is_diagonal()
-                         and is_derivation(restrict(mu, ideal), derivation))
-        stages["derivation"] = StageResult(
-            derivation_ok,
-            () if derivation_ok else (Failure((), None, "not a derivation of the ideal"),))
-    else:
+    raised: the first failing check fails its stage, noting the reason that
+    :func:`go_cocycle` raises (a failing ideal stage skips derivation), and
+    without a valid X or a D of the ideal's size the stages that need mu_D,
+    eq1 among them, are skipped."""
+    spec = DeformationSpec(mu, ideal, outside_index, derivation)
+    stage, reason = _first_failure(spec) or (None, "")
+    failures = {"ideal": Failure(tuple(ideal.indices), None,
+                                 "subspace is not a codimension-1 ideal"),
+                "derivation": Failure((), None, "not a derivation of the ideal")}
+    stages = {name: StageResult(False, (failure,), reason) if name == stage else StageResult(True)
+              for name, failure in failures.items()}
+    if stage == "ideal":
         stages["derivation"] = StageResult(False, note="skipped: ideal stage failed")
 
-    mu_t = mu1 = None
-    if complement_ok:
-        phi, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+    phi = mu_t = None
+    if unbuilt := _first_failure(spec, (*_COMPLEMENT_CHECKS, _SIZE_CHECK)):
+        expansion = jacobi_check(mu)
+        for name in ("cocycle", "bracket", "eq1", "limit"):
+            stages[name] = StageResult(False, note=f"skipped: {unbuilt[0]} stage failed")
+    else:
+        phi = _build_cocycle(spec)
+        mu_t = deform(mu, phi)
         expansion = jacobi_check(mu, phi)
         stages["cocycle"] = StageResult(not expansion.coefficient(1))
         stages["bracket"] = StageResult(not expansion.coefficient(2))
         stages["limit"] = StageResult(limit_check(mu_t, mu))
-    else:
-        # without a complement vector there is no mu_D and no family mu_t
-        expansion = jacobi_check(mu)
-        for stage in ("cocycle", "bracket", "eq1", "limit"):
-            stages[stage] = StageResult(False, note="skipped: ideal stage failed")
     jacobi_failures = [Failure(triple, residual, "bracket of the algebra")
                        for triple, residual in expansion.coefficient(0)]
     jacobi_failures.extend(Failure(triple, residual, "bracket of the deformed family")
-                           for triple, residual in expansion.failures if complement_ok)
+                           for triple, residual in expansion.failures if phi is not None)
     stages["jacobi"] = StageResult(not jacobi_failures, tuple(jacobi_failures))
     return CheckedDeformation(mu, ideal, outside_index, derivation, reciprocal, stages,
-                              mu_t, mu1)
+                              phi, mu_t)
 
 
 def run_certificate_checks(name: str, deformation: CheckedDeformation,
@@ -369,8 +366,8 @@ def run_certificate_checks(name: str, deformation: CheckedDeformation,
             det = g.rows[x - 1][x - 1] * block_poly[0]
             if g.n % 2 == 0:
                 det = -det
-        report.stages.update(verify_degeneration(deformation.mu1, deformation.mu_t, g,
-                                                 deformation.reciprocal, det=det).stages)
+        report.stages.update(verify_degeneration(deformation.mu_t, g, deformation.reciprocal,
+                                                 det=det).stages)
 
     try:
         spectrum_ok = block_spectrum_check(g, ideal, deformation.derivation,
@@ -403,7 +400,7 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     are inconsistent or leave the cell unconstrained, i.e. if a single-cell
     correction cannot exist.
     """
-    _, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+    mu_t = deform(mu, _build_cocycle(DeformationSpec(mu, ideal, outside_index, derivation)))
     family = mu_t.invert_t() if reciprocal else mu_t
     row, col = cell
     if not (1 <= row <= g.n and 1 <= col <= g.n):
@@ -411,7 +408,8 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     rows = [list(r) for r in g.rows]
     rows[row - 1][col - 1] = ZERO
     # on the cleared objects, offsets are M*L^2 and slopes M*L times the true ones
-    scale_g, _, mu1, family, g0 = _cleared(mu1, family, ScalarMatrix(tuple(map(tuple, rows))))
+    scale_g, _, mu1, family, g0 = _cleared(mu_t.at_t_one, family,
+                                           ScalarMatrix(tuple(map(tuple, rows))))
     e_row = tuple(ONE if k == row - 1 else ZERO for k in range(g.n))
     # mu_1(e_row, g_0 e_m) for every basis index m other than col
     cross = {m: mu1.bracket_eval(e_row, g0.column(m - 1))

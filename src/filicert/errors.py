@@ -36,13 +36,18 @@ class ValidationError(FilicertError):
 
 
 class ParseError(FilicertError):
-    """Syntax error, with position and the set of expected tokens."""
+    """Syntax error, with position and the set of expected tokens.  In a
+    file, named as ``source``, the text starts with ``<source>:<line>:``."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0,
-                 expected: tuple[str, ...] = ()):
+                 expected: tuple[str, ...] = (), source: str = ""):
+        self.message = message
         self.line = line
         self.column = column
         self.expected = expected
-        where = f" at line {line}, column {column}" if line else ""
         hint = f" (expected {', '.join(expected)})" if expected else ""
-        super().__init__(f"{message}{where}{hint}")
+        if source:
+            super().__init__(f"{source}:{line}: {message} at column {column}{hint}")
+        else:
+            where = f" at line {line}, column {column}" if line else ""
+            super().__init__(f"{message}{where}{hint}")

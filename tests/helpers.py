@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix
 from filicert.dataio import MAX_BITS, MAX_DEGREE, MAX_DIGITS, DeformationBlock, Erratum
-from filicert.deformation import _linear_deformation
+from filicert.deformation import check_deformation
 from filicert.errors import (DimensionMismatch, InvalidSpec, NotAUnit, ParseError,
                              ValidationError)
 from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
@@ -726,7 +726,7 @@ def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
     """One certificate entry from two full evaluations of the residuals, at
     the cell set to 0 and to 1: the oracle for the exact-slope solve of
     `solve_certificate_cell`, with the same results and messages."""
-    _, mu_t, mu1 = _linear_deformation(mu, ideal, outside_index, derivation)
+    mu_t = check_deformation(mu, ideal, outside_index, derivation).mu_t
     row, col = cell
 
     def residuals(value: Scalar) -> dict[tuple[int, int, int], Scalar]:
@@ -735,7 +735,7 @@ def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
         candidate = ScalarMatrix(tuple(tuple(r) for r in rows))
         return {(i, j, k): component
                 for (i, j), residual in reference_eq1_residuals(
-                    mu1, mu_t.invert_t() if reciprocal else mu_t, candidate)
+                    mu_t.at_t_one, mu_t.invert_t() if reciprocal else mu_t, candidate)
                 for k, component in enumerate(residual, start=1)}
 
     offsets = residuals(ZERO)

@@ -50,7 +50,7 @@ def test_criterion_1_degeneration_certificates(corpus, tables):
     slowest = 0.0
     for name, data in tables.items():
         start = time.time()
-        report = fc.verify_degeneration(data.mu1, data.mu_t, data.g,
+        report = fc.verify_degeneration(data.mu_t, data.g,
                                         reciprocal=data.reciprocal)
         slowest = max(slowest, time.time() - start)
         assert report.stages["eq1"].ok, f"{name} (corrected) fails the identity"
@@ -59,7 +59,7 @@ def test_criterion_1_degeneration_certificates(corpus, tables):
     misprints = {}
     for name, data in tables.items():
         verbatim_g = fc.certificate_matrix(corpus[name], corrected=False)
-        report = fc.verify_degeneration(data.mu1, data.mu_t, verbatim_g,
+        report = fc.verify_degeneration(data.mu_t, verbatim_g,
                                         reciprocal=data.reciprocal)
         if not report.stages["eq1"].ok:
             misprints[name] = {
@@ -80,7 +80,7 @@ def test_criterion_1_degeneration_certificates(corpus, tables):
 
     # the reciprocally parametrized family satisfies the identity literally
     literal = reciprocal_certificate(data.g)
-    report = fc.verify_degeneration(data.mu1, data.mu_t, literal)
+    report = fc.verify_degeneration(data.mu_t, literal)
     assert report.stages["eq1"].ok and report.stages["unit-det"].ok
 
     verdict(1, "degeneration certificates", True,

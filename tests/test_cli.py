@@ -362,6 +362,96 @@ def test_outside_index_inside_the_ideal_is_an_input_error(capsys, tmp_path, corp
                         r"\(2 3 4 5 6 7 8\)\n", err)
 
 
+def write_catalog(directory, table, replacements) -> dict[str, int]:
+    """Write the bundled `table` into `directory` with each line that starts
+    with a key of `replacements` replaced by its value, next to the bundled
+    mu11 and mu17; the line number of each replaced line."""
+    from filicert.dataio import data_dir
+
+    for name in ("mu11", "mu17"):
+        (directory / name).write_bytes((data_dir() / name).read_bytes())
+    lines = (data_dir() / table).read_text(encoding="utf-8").splitlines()
+    numbers = {}
+    for prefix, line in replacements.items():
+        index = next(k for k, row in enumerate(lines) if row.startswith(prefix))
+        lines[index] = line
+        numbers[prefix] = index + 1
+    (directory / table).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return numbers
+
+
+@pytest.mark.parametrize("table, prefix, line, message", [
+    ("mu11", "bracket 1 2 =", "bracket 1 2 = alpha*Y3", "undeclared symbol 'alpha'"),
+    ("mu11", "bracket 1 2 =", "bracket 1 2 = Y3 +",
+     "unexpected token 'end of input' at column 19 (expected number, symbol, '(')"),
+    ("mu11", "Y1 =", "Y1 = X8 + $", "unexpected character '$' at column 11"),
+    ("mu11", "D =", "D = 1 2 3 t 5 6 7", "undeclared symbol 't'"),
+    ("mu11", "D =", "D = 1 2  3 4/ 5 6 7", "missing denominator at column 14 (expected digit)"),
+    ("mu11", "g 3 1 =", "g 3 1 =   t^(1/2)   # a comment",
+     "unexpected token '(' at column 13 (expected number)"),
+    ("mu08", "corrected =", "corrected = (5/7)*t^3*(t-1))",
+     "unexpected trailing token ')' at column 28 (expected end of input)"),
+    ("mu03-meta", "d 1 1 =", "d 1 1 = 4 4",
+     "unexpected trailing token '4' at column 11 (expected end of input)"),
+], ids=["bracket-symbol", "bracket-syntax", "basis-change-row", "D-symbol", "D-syntax",
+        "g-cell", "errata-corrected", "derivation-cell"])
+def test_expression_errors_name_the_file_and_the_line(capsys, tmp_path, table, prefix,
+                                                      line, message):
+    """An error in an evaluated text starts with <file>:<line>: like every
+    structural error, and gives its column from the start of that line."""
+    number = write_catalog(tmp_path, table, {prefix: line})[prefix]
+    code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {table}:{number}: {message}\n")
+
+
+def test_a_repeated_parameter_line_is_an_input_error(capsys, tmp_path):
+    number = write_catalog(tmp_path, "mu11", {
+        "[certificate]": "[certificate]\nparameter = 1/t\nparameter = t"})["[certificate]"]
+    code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: mu11:{number + 2}: duplicate key 'parameter'\n")
+
+
+# Three mu11 catalogs whose deformation fails the ideal or derivation stage:
+# the sha256 of `verify --format machine`, and the reason `invariants` and
+# `report` give, which must not change as the checks are rearranged.
+INVALID_DEFORMATIONS = {
+    "wrong-codimension": (
+        {"ideal =": "ideal = 3 4 5 6 7 8", "D =": "D = 2 3 4 5 6 7"},
+        "b9a36246fde2354cd4a72d9cb2b2405d16e593176129f4ca6a63fbbdb55fd159",
+        "the ideal must have codimension 1"),
+    "not-an-ideal": (
+        {"ideal =": "ideal = 1 2 3 4 5 6 7", "outside =": "outside = 8"},
+        "9371e0aaa9494eafc246cf8cc49f79ace4eb4e190a6eede64c80343ff12d2e04",
+        "the chosen subspace is not an ideal"),
+    "not-a-derivation": (
+        {"D =": "D = 1 1 1 1 1 1 1"},
+        "3f591477508830a1e9f23bc3ebf85b88a14271c947c1f37665e8c07bbda5f57b",
+        "the matrix is not a derivation of the ideal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_DEFORMATIONS))
+def test_an_invalid_deformation_is_reported_by_verify_and_rejected_by_invariants(
+        capsys, tmp_path, case):
+    replacements, digest, reason = INVALID_DEFORMATIONS[case]
+    write_catalog(tmp_path, "mu11", replacements)
+    code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path),
+                         "--format", "machine")
+    assert (code, err) == (1, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+    for command in ("invariants", "report"):
+        assert run(capsys, command, "mu11", "--data", str(tmp_path)) == \
+            (2, "", f"error: {reason}\n")
+
+
+@pytest.mark.parametrize("errata", ["verbatim", "corrected"])
+def test_counterexample_on_a_mu17_whose_ideal_is_broken(capsys, tmp_path, errata):
+    """[Y2, Y3] gains a Y1 term, so <Y2..Y8> is no longer an ideal."""
+    write_catalog(tmp_path, "mu17", {"bracket 2 3 =": "bracket 2 3 = Y1 + Y4"})
+    assert run(capsys, "counterexample", "--data", str(tmp_path), "--errata", errata) == \
+        (2, "", "error: the chosen subspace is not an ideal\n")
+
+
 @pytest.mark.parametrize("cell", ["(1+t)^4000", "((1+t)^64)^64", "t^-65",
                                   "((((7^64)^64)^64)^64)"])
 def test_oversized_expressions_are_rejected_at_parse_time(capsys, tmp_path, cell):
@@ -386,15 +476,7 @@ def test_huge_powers_of_zero_are_zero_at_parse_time(capsys, tmp_path, cell):
 
 def write_mu11_cell(tmp_path, cell) -> int:
     """Write mu11 with cell (3, 1) set to `cell` into tmp_path; its line."""
-    from filicert.dataio import data_dir
-
-    text = (data_dir() / "mu11").read_text(encoding="utf-8")
-    line = next(n for n, row in enumerate(text.splitlines(), start=1)
-                if row.startswith("g 3 1 ="))
-    lines = text.splitlines()
-    lines[line - 1] = f"g 3 1 = {cell}"
-    (tmp_path / "mu11").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return line
+    return write_catalog(tmp_path, "mu11", {"g 3 1 =": f"g 3 1 = {cell}"})["g 3 1 ="]
 
 
 def assert_cell_rejected(capsys, tmp_path, cell, kind):
@@ -406,15 +488,15 @@ def assert_cell_rejected(capsys, tmp_path, cell, kind):
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert out == ""
-    assert re.fullmatch(rf"error: {kind} at line {line} too large: .*\n", err)
+    assert re.fullmatch(rf"error: mu11:{line}: {kind} too large: .*\n", err)
 
 
 @pytest.mark.parametrize("command", [("verify", "mu11"), ("invariants", "mu11"),
                                      ("report", "mu11"), ("counterexample",)])
 def test_deeply_nested_parentheses_are_an_input_error(capsys, tmp_path, command):
     """400 nested parentheses in a certificate cell exit 2 with one line
-    naming the line, and the column in the cell's expression, of the first
-    one too many."""
+    naming the file, the line, and the column in that line of the first one
+    too many."""
     from filicert.dataio import MAX_NESTING, data_dir
 
     for name in ("mu11", "mu17"):
@@ -426,8 +508,8 @@ def test_deeply_nested_parentheses_are_an_input_error(capsys, tmp_path, command)
     (tmp_path / "mu11").write_text("\n".join(lines) + "\n", encoding="utf-8")
     code, out, err = run(capsys, *command, "--data", str(tmp_path))
     assert (code, out) == (2, "")
-    assert err == (f"error: parentheses nested more than {MAX_NESTING} deep "
-                   f"at line {line}, column {1 + MAX_NESTING}\n")
+    assert err == (f"error: mu11:{line}: parentheses nested more than {MAX_NESTING} deep "
+                   f"at column {len('g 3 3 = ') + 1 + MAX_NESTING}\n")
 
 
 def test_dimension_is_bounded(capsys, tmp_path):

@@ -14,9 +14,9 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       counterexample_spec, deform, entries_equal, go_cocycle,
                       limit_check, verify_degeneration)
 from filicert.dataio import parse_scalar
-from filicert.deformation import (STAGES, _cleared, _eq1_residuals, _linear_deformation,
-                                  _unit_det_stage, check_deformation,
-                                  run_certificate_checks, solve_certificate_cell)
+from filicert.deformation import (STAGES, _cleared, _eq1_residuals, _unit_det_stage,
+                                  check_deformation, run_certificate_checks,
+                                  solve_certificate_cell)
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ONE, T, ZERO, Scalar
@@ -62,28 +62,43 @@ def test_counterexample_cochain_is_valid(tables):
     assert column_is_zero(phi.bracket_eval(basis_column(8, 1), basis_column(8, 2)))
 
 
-def test_invalid_spec_outside_inside_ideal(tables):
-    data = tables["mu17"]
-    spec = DeformationSpec(data.mu, SubspaceSpec(tuple(range(1, 8))), 1,
-                           data.derivation)
-    with pytest.raises(InvalidSpec):
-        go_cocycle(spec)
-
-
-def test_invalid_spec_not_a_derivation(tables):
-    data = tables["mu17"]
-    spec = DeformationSpec(data.mu, data.ideal, 1, ScalarMatrix.identity(7))
-    with pytest.raises(InvalidSpec):
-        go_cocycle(spec)
-
-
-def test_invalid_spec_non_diagonal_derivation(tables):
+@pytest.mark.parametrize("ideal, outside, derivation, failure", [
+    (range(2, 9), 1, "weights", None),
+    (range(1, 8), 1, "weights", ("ideal", "the complement vector lies inside the ideal")),
+    (range(2, 9), 9, "weights", ("ideal", "complement index out of range")),
+    (range(3, 9), 1, "size 6", ("ideal", "the ideal must have codimension 1")),
+    (range(1, 8), 8, "weights", ("ideal", "the chosen subspace is not an ideal")),
+    (range(2, 9), 1, "size 6", ("derivation", "derivation size does not match the ideal")),
+    (range(2, 9), 1, "non-diagonal",
+     ("derivation", "derivation is not diagonal (semisimplicity witness)")),
+    (range(2, 9), 1, "identity", ("derivation", "the matrix is not a derivation of the ideal")),
+], ids=["valid", "x-inside-h", "x-out-of-range", "codimension-2", "not-an-ideal",
+        "d-of-size-6", "non-diagonal-d", "d-not-a-derivation"])
+def test_go_cocycle_raises_exactly_where_check_deformation_fails(tables, ideal, outside,
+                                                                 derivation, failure):
+    """One validator: go_cocycle raises the reason of the first failing check
+    exactly when check_deformation fails that check's stage, which notes the
+    same reason; a failing ideal stage skips the derivation stage."""
     data = tables["mu17"]
     rows = [list(row) for row in data.derivation.rows]
     rows[0][1] = ONE
-    bad = ScalarMatrix(tuple(tuple(r) for r in rows))
-    with pytest.raises(InvalidSpec):
-        go_cocycle(DeformationSpec(data.mu, data.ideal, 1, bad))
+    derivation = {"weights": data.derivation,
+                  "size 6": ScalarMatrix.diagonal([1, 2, 3, 4, 5, 6]),
+                  "non-diagonal": ScalarMatrix(tuple(tuple(r) for r in rows)),
+                  "identity": ScalarMatrix.identity(7)}[derivation]
+    spec = DeformationSpec(data.mu, SubspaceSpec(tuple(ideal)), outside, derivation)
+    checked = check_deformation(spec.base, spec.ideal, outside, derivation)
+    failed = [stage for stage in ("ideal", "derivation") if not checked.stages[stage].ok]
+    if failure is None:
+        assert not failed
+        assert entries_equal(go_cocycle(spec), checked.phi)
+        return
+    stage, reason = failure
+    with pytest.raises(InvalidSpec) as info:
+        go_cocycle(spec)
+    assert str(info.value) == reason
+    assert failed == (["ideal", "derivation"] if stage == "ideal" else ["derivation"])
+    assert checked.stages[stage].note == reason
 
 
 # -- the linear deformation -----------------------------------------------------
@@ -109,14 +124,14 @@ def test_deformed_entry_mixes_bracket_and_weight(tables):
 
 def test_certificate_verifies_on_all_pairs(tables):
     data = tables["mu17"]
-    report = verify_degeneration(data.mu1, data.mu_t, data.g)
+    report = verify_degeneration(data.mu_t, data.g)
     assert report.stages["eq1"].ok
     assert report.stages["unit-det"].ok
 
 
 def test_identity_certificate_for_constant_family(tables):
     mu1 = tables["mu17"].mu1
-    report = verify_degeneration(mu1, mu1, ScalarMatrix.identity(8))
+    report = verify_degeneration(mu1, ScalarMatrix.identity(8))
     assert report.stages["eq1"].ok
 
 
@@ -125,7 +140,7 @@ def test_corrupted_certificate_fails_localized(tables):
     rows = [list(r) for r in data.g.rows]
     rows[6][2] = ZERO  # erase the (7, 3) entry
     bad = ScalarMatrix(tuple(tuple(r) for r in rows))
-    report = verify_degeneration(data.mu1, data.mu_t, bad)
+    report = verify_degeneration(data.mu_t, bad)
     assert not report.stages["eq1"].ok
     pairs = sorted(f.indices for f in report.stages["eq1"].failures)
     assert pairs == [(1, 2), (1, 3), (2, 3)]
@@ -169,11 +184,10 @@ def test_eq1_residuals_expand_like_sympy(corpus):
                 return out
 
             mu1 = {pair: value(*pair, 1) for pair in combinations(range(1, dim + 1), 2)}
-            _, mu_t, kernel_mu1 = _linear_deformation(
-                mu, SubspaceSpec(block.ideal), block.outside,
-                ScalarMatrix.diagonal(block.diagonal))
+            mu_t = check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
+                                     ScalarMatrix.diagonal(block.diagonal)).mu_t
             family = mu_t.invert_t() if reciprocal else mu_t
-            for (i, j), residual in _eq1_residuals(kernel_mu1, family, g):
+            for (i, j), residual in _eq1_residuals(mu_t.at_t_one, family, g):
                 rhs = value(i, j, family_t)
                 for k in range(dim):
                     expected = -sum((G[k][m] * rhs[m] for m in range(dim)), sympy.Integer(0))
@@ -197,16 +211,16 @@ def eq1_cases(corpus):
     def case(name, corrected, diagonal=None, cell=None):
         alg = corpus[name]
         block = alg.deformation
-        _, mu_t, mu1 = _linear_deformation(
+        mu_t = check_deformation(
             fc.structure_constants(alg, corrected=corrected), SubspaceSpec(block.ideal),
-            block.outside, ScalarMatrix.diagonal(diagonal or block.diagonal))
+            block.outside, ScalarMatrix.diagonal(diagonal or block.diagonal)).mu_t
         family = mu_t.invert_t() if alg.certificate_parameter == "1/t" else mu_t
         g = fc.certificate_matrix(alg, corrected=corrected)
         if cell:
             row, col, offset = cell
             g = with_cells(g, {(row, col): g.rows[row - 1][col - 1]
                                            + parse_scalar(offset, ("t", "alpha"))})
-        return (name, corrected, diagonal, cell), mu1, family, g
+        return (name, corrected, diagonal, cell), mu_t.at_t_one, family, g
 
     cases = [case(name, corrected) for name in fc.VERIFIED_NAMES for corrected in (False, True)]
     cases += [case(name, True, cell=(row, col, offset))
@@ -242,12 +256,6 @@ def test_cleared_certificates_have_int_coefficients(corpus):
         assert len(cleared) == len(originals), label
         assert all(type(c) is int for c in cleared), label
     assert fractions == len(cases)
-
-
-def test_precondition_rejects_wrong_base(tables):
-    data = tables["mu17"]
-    with pytest.raises(InvalidSpec):
-        verify_degeneration(data.mu, data.mu_t, data.g)  # mu != mu_t at t=1
 
 
 def test_full_pipeline_stage_order(tables):
@@ -291,7 +299,7 @@ def test_reciprocal_certificate_satisfies_literal_identity(tables):
     data = tables["mu08"]
     assert data.reciprocal
     literal = reciprocal_certificate(data.g)
-    report = verify_degeneration(data.mu1, data.mu_t, literal)
+    report = verify_degeneration(data.mu_t, literal)
     assert report.stages["eq1"].ok
     assert report.stages["unit-det"].ok
 

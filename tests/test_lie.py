@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 import filicert as fc
 from filicert import (Cochain2, StructureConstants, SubspaceSpec, cocycle_check,
                       entries_equal, is_derivation, is_ideal, jacobi_check, restrict)
-from filicert.deformation import (check_deformation, deform, run_certificate_checks,
-                                  verify_degeneration)
-from filicert.errors import DimensionMismatch, InvalidSpec, ValidationError
+from filicert.deformation import check_deformation, deform, run_certificate_checks
+from filicert.errors import DimensionMismatch, ValidationError
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, ZERO
@@ -419,9 +418,3 @@ def test_specializations_carry_the_reduced_params(tables):
     assert doubled.params == frozenset({"t", "alpha", "x"})
     with pytest.raises(ValidationError, match="undeclared parameter"):
         mu_t.map_entries(lambda s: s, frozenset({"t"}))
-
-
-def test_verify_degeneration_rejects_a_mu1_that_is_not_mu_t_at_one(tables):
-    data = tables["mu11"]
-    with pytest.raises(InvalidSpec, match="^mu1 must be the t = 1 specialization of mu_t$"):
-        verify_degeneration(data.mu, data.mu_t, data.g)
