@@ -555,7 +555,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                 if key in errata_groups[-1]:
                     raise ValidationError(f"{source}:{line_number}: duplicate {key!r}")
                 errata_groups[-1][key] = value
-                line_of[("errata", len(errata_groups), key)] = line_number
+            line_of[("errata", len(errata_groups), key)] = line_number
 
     def fail(key, message):
         line = line_of.get(key, 0)
@@ -590,7 +590,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     dim = int(dim_text)
     params = tuple(header.get("params", "").split())
     if not set(params) <= {"alpha"}:
-        raise ValidationError(f"{source}: params may only declare 'alpha'")
+        raise fail(("algebra", "params"), "params may only declare 'alpha'")
 
     # -- basis change ------------------------------------------------------
     basis_change = None
@@ -659,11 +659,14 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     errata = []
     for number, group in enumerate(errata_groups, start=1):
         target = group["entry"]
-        target_kind = _errata_target(target, dim, source)
+        parts = target.split()
+        if not (len(parts) == 3 and parts[0] in ("g", "bracket")
+                and all(_is_digits(p) and 1 <= int(p) <= dim for p in parts[1:])):
+            raise fail(("errata", number, "entry"), f"bad errata target {target!r}")
         corrected = group.get("corrected")
         if corrected is not None:
             line = line_of[("errata", number, "corrected")]
-            if target_kind == "bracket":
+            if parts[0] == "bracket":
                 evaluate(_to_column, corrected, params, "Y", line)
             else:
                 evaluate(_to_scalar, corrected, params + ("t",), None, line)
@@ -675,16 +678,6 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                        deformation=deformation, certificate=certificate,
                        certificate_parameter=certificate_parameter,
                        derivation_meta=derivation_meta, errata=tuple(errata))
-
-
-def _errata_target(target: str, dim: int, source: str) -> str:
-    parts = target.split()
-    if len(parts) == 3 and parts[0] in ("g", "bracket") \
-            and _is_digits(parts[1]) and _is_digits(parts[2]):
-        i, j = int(parts[1]), int(parts[2])
-        if 1 <= i <= dim and 1 <= j <= dim:
-            return parts[0]
-    raise ValidationError(f"{source}: bad errata target {target!r}")
 
 
 def load_algebra(path: str | Path) -> AlgebraFile:

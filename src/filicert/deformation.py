@@ -342,7 +342,8 @@ def run_certificate_checks(name: str, deformation: CheckedDeformation,
                            g: ScalarMatrix) -> VerificationReport:
     """The report on certificate g of a checked deformation: its stages and
     eq1, unit-det and spectrum, in the order of STAGES.  A g that does not
-    preserve the ideal, or a non-integral eigenvalue of D, fails spectrum.
+    preserve the ideal, or a non-integral eigenvalue of D, fails spectrum; a
+    D that is not diagonal, which fails the derivation stage, skips it.
 
     One Berkowitz run serves both ``unit-det`` and ``spectrum``.  When g maps
     the codimension-1 ideal into itself, g is block triangular with the
@@ -369,12 +370,14 @@ def run_certificate_checks(name: str, deformation: CheckedDeformation,
         report.stages.update(verify_degeneration(deformation.mu_t, g, deformation.reciprocal,
                                                  det=det).stages)
 
-    try:
-        spectrum_ok = block_spectrum_check(g, ideal, deformation.derivation,
-                                           block_poly=block_poly)
-        report.stages["spectrum"] = StageResult(spectrum_ok)
-    except (NotInvariant, InvalidSpec) as exc:
-        report.stages["spectrum"] = StageResult(False, (Failure((), None, str(exc)),))
+    spectrum = StageResult(False, note="skipped: derivation stage failed")
+    if deformation.derivation.is_diagonal():
+        try:
+            spectrum = StageResult(block_spectrum_check(g, ideal, deformation.derivation,
+                                                        block_poly=block_poly))
+        except (NotInvariant, InvalidSpec) as exc:
+            spectrum = StageResult(False, (Failure((), None, str(exc)),))
+    report.stages["spectrum"] = spectrum
 
     report.stages = {stage: report.stages[stage] for stage in STAGES if stage in report.stages}
     return report

@@ -5,9 +5,11 @@ for t and alpha, never over the rational-function field.  The series, the
 center and the derivation algebra are cut out by equations homogeneous in
 the structure constants, so scaling every constant by one nonzero number
 changes no span, kernel or reduced row echelon form: the common denominator
-of a specialization is cleared once, when it is built, and everything below
-runs on ints.  Ranks can drop at unsampled special parameter values, so
-reports always carry the sampled points alongside the verdicts.
+of a specialization is cleared once, when it is built.  Every linear system
+and spanning set below is built from the nonzero constants as the sparse int
+rows ``{column: int}`` that the kernel of :mod:`filicert.linalg` takes.
+Ranks can drop at unsampled special parameter values, so reports always
+carry the sampled points alongside the verdicts.
 
 Series computations stop at the first repeated dimension; monotonicity of
 the lower central and derived series guarantees stabilization within the
@@ -25,17 +27,18 @@ is abelian but its identity derivation is not nilpotent.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, product
 from math import lcm
-from numbers import Rational
 from typing import Mapping
 
 from .errors import ValidationError
 from .lie import Cochain2
 from .linalg import RationalMatrix, span_basis
 
-Matrix = tuple[tuple[Rational, ...], ...]
+Matrix = tuple[tuple[int, ...], ...]
 
 SeriesProfile = tuple[int, ...]
 
@@ -69,36 +72,42 @@ class RationalAlgebra:
         return cls(mu.dim, {key: tuple(x.numerator * (scale // x.denominator) for x in column)
                             for key, column in table.items()}, mu.name)
 
-    def bracket(self, i: int, j: int) -> tuple[int, ...]:
-        if i <= j:  # the table holds only pairs i < j
-            return self.table.get((i, j), (0,) * self.dim)
-        return tuple(-x for x in self.table.get((j, i), (0,) * self.dim))
+    @cached_property
+    def sparse_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
+        """(i, j) and (j, i) -> the nonzero entries ((k, value), ...) of
+        [b_i, b_j], 0-based, the (j, i) values negated; cached outside the
+        dataclass fields, like :attr:`filicert.lie.Cochain2.table`."""
+        sparse = {}
+        for (i, j), column in self.table.items():
+            if nonzero := tuple((k, x) for k, x in enumerate(column) if x):
+                sparse[i - 1, j - 1] = nonzero
+                sparse[j - 1, i - 1] = tuple((k, -x) for k, x in nonzero)
+        return sparse
+
+    @cached_property
+    def derivations(self) -> tuple[Matrix, ...]:
+        """The basis of Der that :func:`derivation_algebra` returns, computed
+        on first use and cached like :attr:`sparse_table`."""
+        return _derivation_basis(self)
 
 
-def _series(algebra: RationalAlgebra, pairs) -> SeriesProfile:
-    """Dimensions of V_0 = g, V_1, ... with V_{m+1} the span of [u, v] over
-    (u, v) in pairs(g, V_m), until stabilization.  Vectors are sparse
-    (0-based index, int) pairs; the nonzero entries of every bracket column
-    are read once."""
-    columns = {}
-    for (i, j), column in algebra.table.items():
-        entries = [(k, x) for k, x in enumerate(column) if x]
-        columns[i - 1, j - 1] = entries
-        columns[j - 1, i - 1] = [(k, -x) for k, x in entries]
-    full = [[(i, 1)] for i in range(algebra.dim)]
-    current = full
-    dims = [algebra.dim]
+def _series(dim: int, table, left, pairs) -> SeriesProfile:
+    """Dimensions of V_0 = Q^dim, V_1, ... with V_{m+1} the span of u.v over
+    (u, v) in pairs(left, V_m), until stabilization, on sparse int vectors;
+    the product is bilinear, table[a, b] the nonzero entries ((k, value),
+    ...) of e_a.e_b."""
+    current = [{i: 1} for i in range(dim)]
+    dims = [dim]
     while True:
         products = []
-        for u, v in pairs(full, current):
-            out = [0] * algebra.dim
-            for a, x in u:
-                for b, y in v:
-                    for k, z in columns.get((a, b), ()):
-                        out[k] += x * y * z
+        for u, v in pairs(left, current):
+            out: dict[int, int] = {}
+            for a, x in u.items():
+                for b, y in v.items():
+                    for k, z in table.get((a, b), ()):
+                        out[k] = out.get(k, 0) + x * y * z
             products.append(out)
-        current = [[(k, x) for k, x in enumerate(vector) if x]
-                   for vector in span_basis(products)]
+        current = span_basis(products)
         dims.append(len(current))
         if dims[-1] == 0 or dims[-1] == dims[-2]:
             return tuple(dims)
@@ -106,12 +115,14 @@ def _series(algebra: RationalAlgebra, pairs) -> SeriesProfile:
 
 def lower_central_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [g,[g,g]], ... until stabilization."""
-    return _series(algebra, product)
+    return _series(algebra.dim, algebra.sparse_table, [{a: 1} for a in range(algebra.dim)],
+                   product)
 
 
 def derived_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    return _series(algebra, lambda full, current: combinations(current, 2))
+    return _series(algebra.dim, algebra.sparse_table, (),
+                   lambda _, current: combinations(current, 2))
 
 
 def filiform_profile(dim: int) -> SeriesProfile:
@@ -125,68 +136,64 @@ def is_filiform(algebra: RationalAlgebra) -> bool:
 
 
 def center_dim(algebra: RationalAlgebra) -> int:
-    """Dimension of {x : [x, b_i] = 0 for all i}, by exact nullspace."""
+    """Dimension of {x : [x, b_i] = 0 for all i}, by exact nullspace: one
+    equation per (i, component k), sum_a x_a [b_a, b_i]_k = 0."""
+    rows: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
+    for (a, i), column in algebra.sparse_table.items():
+        for k, z in column:
+            rows[i, k][a] = z
+    return len(RationalMatrix(tuple(rows.values()), algebra.dim).nullspace())
+
+
+def _derivation_basis(algebra: RationalAlgebra) -> tuple[Matrix, ...]:
+    """The nullspace of the derivation system over all basis pairs (n^2
+    unknowns, one equation per pair i < j and component k), each vector read
+    row by row as a matrix."""
     n = algebra.dim
+    table = algebra.sparse_table
     rows = []
-    for i in range(1, n + 1):
-        columns = [algebra.bracket(j, i) for j in range(1, n + 1)]
-        for k in range(n):
-            rows.append(tuple(columns[j][k] for j in range(n)))
-    return len(RationalMatrix(tuple(rows)).nullspace())
+    for i, j in combinations(range(n), 2):
+        # unknown r * n + c is the matrix entry E[r][c], 0-based; component k
+        # of [E b_i, b_j] + [b_i, E b_j] - E [b_i, b_j] = 0
+        system: dict[int, dict[int, int]] = defaultdict(dict)
+        for a in range(n):
+            for k, z in table.get((a, j), ()):
+                system[k][a * n + i] = z
+            for k, z in table.get((i, a), ()):
+                system[k][a * n + j] = z
+        for m, z in table.get((i, j), ()):
+            for k in range(n):
+                row = system[k]
+                row[k * n + m] = row.get(k * n + m, 0) - z
+        rows.extend(system.values())
+    basis = RationalMatrix(tuple(rows), n * n).nullspace()
+    return tuple(tuple(vec[r * n:(r + 1) * n] for r in range(n)) for vec in basis)
 
 
 def derivation_algebra(algebra: RationalAlgebra) -> tuple[int, list[Matrix]]:
     """Exact basis of {E : E[x,y] = [Ex,y] + [x,Ey]}.
 
-    Assembles the full linear system over all basis pairs (n^2 unknowns,
-    one equation per pair and component) and extracts its nullspace, so each
-    basis matrix, read row by row, is a primitive integer vector.
+    Assembles the full linear system over all basis pairs and extracts its
+    nullspace, so each basis matrix, read row by row, is a primitive integer
+    vector.  Computed once per algebra (:attr:`RationalAlgebra.derivations`);
+    each call returns a fresh list.
     """
-    n = algebra.dim
-    unknowns = n * n
-    indices = range(1, n + 1)
-    brackets = {(a, b): algebra.bracket(a, b) for a in indices for b in indices}
-    rows = []
-    for i, j in combinations(indices, 2):
-        bracket_ij = brackets[i, j]
-        for k in range(n):
-            # unknown (r - 1) * n + (c - 1) is the matrix entry E[r][c], 1-based
-            coeffs = [0] * unknowns
-            for a in indices:
-                value = brackets[a, j][k]
-                if value:
-                    coeffs[(a - 1) * n + i - 1] += value
-                value = brackets[i, a][k]
-                if value:
-                    coeffs[(a - 1) * n + j - 1] += value
-            for m, value in enumerate(bracket_ij):
-                if value:
-                    coeffs[k * n + m] -= value
-            rows.append(tuple(coeffs))
-    # dim 1 has no pairs: one zero row gives the system its n^2 columns
-    basis_vectors = RationalMatrix(tuple(rows or [(0,) * unknowns])).nullspace()
-    matrices = [tuple(vec[r * n:(r + 1) * n] for r in range(n)) for vec in basis_vectors]
-    return len(matrices), matrices
+    basis = algebra.derivations
+    return len(basis), list(basis)
 
 
 def is_characteristically_nilpotent(algebra: RationalAlgebra) -> bool:
     """True iff every derivation of the algebra is nilpotent (Dixmier-Lister).
 
     By Engel's theorem this holds iff the flag V, Der.V, Der.(Der.V), ...
-    reaches 0 within dim V steps; each step spans the images of the current
-    vectors under the basis derivations.  For a nilpotent algebra of
-    dimension >= 2 it is the same as "Der is nilpotent" (Leger-Togo); on a
-    non-nilpotent algebra both are false.  Der and flag vectors are primitive
-    integer vectors (the kernel's postcondition), read as ints: products run
-    over ints and nonzero derivation entries.
+    reaches 0.  The flag is a decreasing series: each step spans the images
+    of the current vectors under the basis derivations, the product e_d.e_c
+    being column c of derivation d.  For a nilpotent algebra of dimension
+    >= 2 it is the same as "Der is nilpotent" (Leger-Togo); on a
+    non-nilpotent algebra both are false.
     """
-    _, der_basis = derivation_algebra(algebra)
-    derivations = [[[(c, x.numerator) for c, x in enumerate(row) if x] for row in matrix]
-                   for matrix in der_basis]
-    current = [[int(k == i) for k in range(algebra.dim)] for i in range(algebra.dim)]
-    for _ in range(algebra.dim):
-        current = span_basis(tuple(sum(x * v[c] for c, x in row) for row in matrix)
-                             for matrix in derivations for v in current)
-        if not current:
-            return True
-    return False
+    n = algebra.dim
+    der_dim, der_basis = derivation_algebra(algebra)
+    action = {(d, c): column for d, matrix in enumerate(der_basis) for c in range(n)
+              if (column := tuple((r, row[c]) for r, row in enumerate(matrix) if row[c]))}
+    return _series(n, action, [{d: 1} for d in range(der_dim)], product)[-1] == 0

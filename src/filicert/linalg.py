@@ -16,12 +16,13 @@ from the nonzero entries of each column, cached on first use outside the
 dataclass fields; it forms the dense product's nonzero products in the same
 order, so its values are the dense ones.
 
-:class:`RationalMatrix` provides row-space and right-nullspace computations
-over Q by sparse Gauss-Jordan elimination on primitive integer rows.  Both
-are read off the reduced row echelon form, which is canonical, so every
-output is deterministic and independent of the order of the rows.  Their
-vectors are primitive integer vectors with positive leading entry: tuples of
-ints for row spaces, of integral Fractions for nullspaces.
+:class:`RationalMatrix` and :func:`span_basis` compute nullspaces and row
+spaces over Q by sparse Gauss-Jordan elimination on int rows ``{column:
+int}``; scaling a row changes neither, so rational rows come in with their
+denominators cleared.  Both are read off the reduced row echelon form, which
+is canonical, so every output is deterministic and independent of the order
+of the rows.  Their vectors are primitive integer vectors with positive
+leading entry: sparse rows for row spaces, int tuples for nullspaces.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
 from .scalar import ONE, ZERO, Scalar, as_scalar
@@ -186,20 +187,19 @@ def _eliminate(row: dict[int, int], pivot_row: dict[int, int], c: int) -> None:
     _normalize(row)
 
 
-def _rref(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, int]]:
+def _rref(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     """Sparse Gauss-Jordan over the integers: pivot column -> RREF row.
 
     Rows are {column: int}, primitive, positive in their pivot (leading)
-    column.  Each incoming row is reduced against the pivot rows so far; a
-    nonzero remainder becomes a pivot row and is eliminated from the others.
-    The RREF of a row space is unique, so the result depends neither on the
-    order of the rows nor on repeated or zero rows.
+    column; the incoming rows are copied, never changed.  Each one is
+    reduced against the pivot rows so far; a nonzero remainder becomes a
+    pivot row and is eliminated from the others.  The RREF of a row space is
+    unique, so the result depends neither on the order of the rows nor on
+    repeated or zero rows.
     """
     pivots: dict[int, dict[int, int]] = {}
     for values in rows:
-        entries = {c: x for c, x in enumerate(values) if x}
-        scale = lcm(*(x.denominator for x in entries.values()))
-        row = {c: x.numerator * (scale // x.denominator) for c, x in entries.items()}
+        row = {c: x for c, x in values.items() if x}
         for c in [c for c in row if c in pivots]:
             _eliminate(row, pivots[c], c)
         if row:
@@ -214,30 +214,27 @@ def _rref(rows: Iterable[Sequence[Fraction]]) -> dict[int, dict[int, int]]:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Rectangular matrix of exact rationals (Fractions or ints)."""
+    """Rectangular matrix over Q as sparse int rows {column: int}, each row
+    read up to a nonzero factor, with its column count."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    rows: tuple[Mapping[int, int], ...]
+    n_cols: int
 
     def __post_init__(self):
-        widths = {len(row) for row in self.rows}
-        if len(widths) > 1:
-            raise DimensionMismatch("ragged rows")
+        if any(c < 0 or c >= self.n_cols for row in self.rows for c in row):
+            raise DimensionMismatch(f"column index outside range({self.n_cols})")
 
     @property
     def n_rows(self) -> int:
         return len(self.rows)
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-    def nullspace(self) -> list[tuple[Fraction, ...]]:
+    def nullspace(self) -> list[tuple[int, ...]]:
         """Basis of the right nullspace; empty iff full column rank.
 
         One vector per free column f of the RREF, in increasing order of f:
         vec[f] = 1, vec[c] = -row[f]/row[c] for the pivot row of each pivot
-        column c, 0 elsewhere.  Postcondition: every vector is a primitive
-        integer vector (all denominators 1) with positive leading entry.
+        column c, 0 elsewhere, scaled to a primitive int vector with positive
+        leading entry.
         """
         n_cols = self.n_cols
         pivots = _rref(self.rows)
@@ -249,18 +246,16 @@ class RationalMatrix:
             for c, row in hits:
                 vec[c] = -row[free] * (vec[free] // row[c])
             content = gcd(*vec) if next(v for v in vec if v) > 0 else -gcd(*vec)
-            basis.append(tuple(Fraction(v // content) for v in vec))
+            basis.append(tuple(v // content for v in vec))
         return basis
 
-    def row_space_basis(self) -> list[tuple[int, ...]]:
-        """Basis of the row space: the RREF rows in pivot order, each scaled
-        to a primitive int vector with positive leading entry."""
-        n_cols = self.n_cols
-        return [tuple(row.get(c, 0) for c in range(n_cols))
-                for _, row in sorted(_rref(self.rows).items())]
+    def row_space_basis(self) -> list[dict[int, int]]:
+        """Basis of the row space: :func:`span_basis` of the rows."""
+        return span_basis(self.rows)
 
 
-def span_basis(vectors: Iterable[Sequence[Fraction]]) -> list[tuple[int, ...]]:
-    """Basis of the span of rational vectors: the primitive RREF rows as
-    int tuples, so the same for any order or repetition of the vectors."""
-    return RationalMatrix(tuple(tuple(v) for v in vectors)).row_space_basis()
+def span_basis(vectors: Iterable[Mapping[int, int]]) -> list[dict[int, int]]:
+    """Basis of the span of sparse int vectors: the RREF rows in pivot
+    order, primitive with positive leading entry, so the same for any order
+    or repetition of the vectors."""
+    return [row for _, row in sorted(_rref(vectors).items())]

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd, lcm, prod
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
 
@@ -273,8 +273,24 @@ def scalar_matrix(rows: Iterable[Iterable]) -> ScalarMatrix:
     return ScalarMatrix(tuple(tuple(as_scalar(x) for x in row) for row in rows))
 
 
-def rational_matrix(rows: Iterable[Iterable]) -> RationalMatrix:
-    return RationalMatrix(tuple(tuple(Fraction(x) for x in row) for row in rows))
+def sparse(vector: Iterable) -> dict[int, int]:
+    """A rational vector as a sparse int row of the kernel: its nonzero
+    entries times the lcm of their denominators."""
+    vector = [Fraction(x) for x in vector]
+    scale = lcm(*(x.denominator for x in vector))
+    return {c: int(x * scale) for c, x in enumerate(vector) if x}
+
+
+def dense(row: Mapping[int, int], n_cols: int) -> tuple[int, ...]:
+    return tuple(row.get(c, 0) for c in range(n_cols))
+
+
+def rational_matrix(rows: Iterable[Iterable], n_cols: int | None = None) -> RationalMatrix:
+    """The matrix of dense rational rows, each row's denominators cleared;
+    the column count is the rows' width unless given."""
+    rows = [list(row) for row in rows]
+    width = n_cols if n_cols is not None else len(rows[0]) if rows else 0
+    return RationalMatrix(tuple(sparse(row) for row in rows), width)
 
 
 def matmul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
@@ -410,20 +426,35 @@ def reference_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list
 
 def rank(matrix: RationalMatrix) -> int:
     """Rank from the reference RREF."""
-    return len(reference_rref(matrix.rows))
+    return len(reference_rref([dense(row, matrix.n_cols) for row in matrix.rows]))
 
 
-def reference_algebra(mu: Cochain2, t=None, alpha=None) -> RationalAlgebra:
-    """A specialization with its plain Fraction structure constants, unscaled:
+def reference_constants(mu: Cochain2, t=None, alpha=None) -> dict:
+    """The plain Fraction structure constants of a specialization, unscaled:
     the oracle table for the int tables of `RationalAlgebra.from_structure`."""
     specialized = mu
     if t is not None:
         specialized = specialized.eval_t(t)
     if alpha is not None:
         specialized = specialized.eval_alpha(alpha)
-    table = {key: tuple(entry.constant_value() for entry in column)
-             for key, column in specialized.entries.items()}
+    return {key: tuple(entry.constant_value() for entry in column)
+            for key, column in specialized.entries.items()}
+
+
+def reference_algebra(mu: Cochain2, t=None, alpha=None) -> RationalAlgebra:
+    """The specialization with the denominators of `reference_constants`
+    cleared by Fraction arithmetic, as the int kernel needs them."""
+    constants = reference_constants(mu, t, alpha)
+    scale = lcm(*(x.denominator for column in constants.values() for x in column))
+    table = {key: tuple(int(x * scale) for x in column) for key, column in constants.items()}
     return RationalAlgebra(mu.dim, table, mu.name)
+
+
+def rational_bracket(algebra: RationalAlgebra, i: int, j: int) -> tuple:
+    """[b_i, b_j] from the table, which holds only pairs i < j (1-based)."""
+    if i <= j:
+        return algebra.table.get((i, j), (0,) * algebra.dim)
+    return tuple(-x for x in algebra.table.get((j, i), (0,) * algebra.dim))
 
 
 def bracket_vec(algebra: RationalAlgebra, x: Sequence[Fraction],
@@ -453,7 +484,7 @@ def reference_lower_central_series(algebra: RationalAlgebra) -> tuple[int, ...]:
     current = full
     while True:
         products = [bracket_vec(algebra, e, v) for e in full for v in current]
-        current = span_basis(products)
+        current = [dense(row, algebra.dim) for row in span_basis(map(sparse, products))]
         dims.append(len(current))
         if dims[-1] == 0 or dims[-1] == dims[-2]:
             return tuple(dims)
@@ -466,7 +497,7 @@ def reference_derived_series(algebra: RationalAlgebra) -> tuple[int, ...]:
     current = basis(algebra)
     while True:
         products = [bracket_vec(algebra, u, v) for u, v in combinations(current, 2)]
-        current = span_basis(products)
+        current = [dense(row, algebra.dim) for row in span_basis(map(sparse, products))]
         dims.append(len(current))
         if dims[-1] == 0 or dims[-1] == dims[-2]:
             return tuple(dims)
@@ -478,7 +509,7 @@ def reference_center_dim(algebra: RationalAlgebra) -> int:
     n = algebra.dim
     rows = []
     for i in range(1, n + 1):
-        columns = [algebra.bracket(j, i) for j in range(1, n + 1)]
+        columns = [rational_bracket(algebra, j, i) for j in range(1, n + 1)]
         rows.extend(tuple(column[k] for column in columns) for k in range(n))
     return n - len(reference_rref(rows))
 
@@ -487,7 +518,7 @@ def derivation_identity_holds(algebra: RationalAlgebra, matrix: Matrix) -> bool:
     """Re-verification that one matrix satisfies the derivation identity."""
     n = algebra.dim
     for i, j in combinations(range(1, n + 1), 2):
-        bracket_ij = algebra.bracket(i, j)
+        bracket_ij = rational_bracket(algebra, i, j)
         lhs = tuple(sum(matrix[k][m] * bracket_ij[m] for m in range(n)) for k in range(n))
         col_i = tuple(matrix[k][i - 1] for k in range(n))
         col_j = tuple(matrix[k][j - 1] for k in range(n))
@@ -666,9 +697,9 @@ def der_is_nilpotent(algebra: RationalAlgebra) -> bool:
     der = [[_ints(row) for row in matrix] for matrix in der_basis]
     current = [_ints([x for row in matrix for x in row]) for matrix in der]
     for _ in range(der_dim):
-        products = [_commutator(a, [v[i * n:(i + 1) * n] for i in range(n)])
+        products = [sparse(_commutator(a, [v[i * n:(i + 1) * n] for i in range(n)]))
                     for a in der for v in current]
-        current = [_ints(v) for v in span_basis(products)]
+        current = [dense(v, n * n) for v in span_basis(products)]
         if not current:
             return True
     return False

@@ -490,6 +490,19 @@ bracket 1 2 = alpha*Y3
         parse_algebra(text)
 
 
+@pytest.mark.parametrize("name, line, old, new, message", [
+    ("mu11", 7, "params =", "params = beta", "params may only declare 'alpha'"),
+    ("mu08", 70, "entry = g 2 4", "entry = g 2 99", "bad errata target 'g 2 99'"),
+])
+def test_header_and_errata_errors_name_their_line(name, line, old, new, message):
+    lines = (data_dir() / name).read_text(encoding="utf-8").splitlines()
+    assert lines[line - 1] == old
+    lines[line - 1] = new
+    with pytest.raises(ValidationError) as caught:
+        parse_algebra("\n".join(lines), source=name)
+    assert str(caught.value) == f"{name}:{line}: {message}"
+
+
 def test_name_must_match_file_name(tmp_path):
     path = tmp_path / "other"
     path.write_text("[algebra]\nname = x\ndim = 2\nparams =\n")

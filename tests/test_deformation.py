@@ -295,6 +295,23 @@ def test_complement_index_in_the_ideal_or_out_of_range_is_reported(tables, outsi
     assert report.stages["spectrum"].ok
 
 
+def test_a_non_diagonal_d_fails_derivation_and_skips_spectrum(tables):
+    """One fault, one failing stage: spectrum is skipped, not failed again
+    with its own reason; a direct call still raises."""
+    data = tables["mu17"]
+    rows = [list(row) for row in data.derivation.rows]
+    rows[0][1] = ONE
+    derivation = ScalarMatrix(tuple(tuple(row) for row in rows))
+    report = run_certificate_checks(
+        "mu17", check_deformation(data.mu, data.ideal, 1, derivation), data.g)
+    assert report.stages["derivation"].note == \
+        "derivation is not diagonal (semisimplicity witness)"
+    assert report.stages["spectrum"] == fc.StageResult(
+        False, note="skipped: derivation stage failed")
+    with pytest.raises(InvalidSpec, match="derivation is not diagonal"):
+        block_spectrum_check(data.g, data.ideal, derivation)
+
+
 def test_reciprocal_certificate_satisfies_literal_identity(tables):
     data = tables["mu08"]
     assert data.reciprocal

@@ -9,7 +9,8 @@ from math import gcd
 import pytest
 
 from conftest import abelian
-from filicert import RationalAlgebra, Scalar, ScalarMatrix, ValidationError
+from filicert import RationalAlgebra, Scalar, ScalarMatrix, ValidationError, invariants
+from filicert.cli import main
 from filicert.cli import DEFAULT_ALPHA_SAMPLES
 from filicert.invariants import (center_dim, derivation_algebra,
                                  derived_series, filiform_profile,
@@ -18,6 +19,7 @@ from filicert.invariants import (center_dim, derivation_algebra,
 
 from helpers import (base_change, der_is_nilpotent, derivation_identity_holds, matmul,
                      rand_fraction, reference_algebra, reference_center_dim,
+                     reference_constants,
                      reference_derived_series, reference_lower_central_series,
                      scalar_matrix)
 
@@ -133,6 +135,32 @@ def test_derivation_bases_are_primitive_integer_vectors(tables):
                 assert next(x for x in entries if x) > 0
 
 
+def test_der_is_built_once_per_specialization(monkeypatch, capsys):
+    """`invariants` reads dim Der and the Engel flag off one Der basis per
+    specialization: two builds for two alphas, not four."""
+    built = []
+    build = invariants._derivation_basis
+    monkeypatch.setattr(invariants, "_derivation_basis",
+                        lambda algebra: built.append(algebra) or build(algebra))
+    assert main(["invariants", "mu06", "--alpha", "-1", "--alpha", "2"]) == 1
+    assert "char-nilpotent" in capsys.readouterr().out
+    assert len(built) == 2
+
+
+def test_the_der_basis_is_a_cache_outside_the_fields(tables):
+    """Computing Der changes neither == nor repr, and each call hands out a
+    fresh list of the one cached basis."""
+    algebra, twin = (rational(tables["mu06"].mu, alpha=2) for _ in range(2))
+    before = repr(algebra)
+    dim, basis = derivation_algebra(algebra)
+    assert "derivations" in vars(algebra) and "derivations" not in vars(twin)
+    assert algebra == twin and repr(algebra) == repr(twin) == before
+    basis.clear()
+    assert derivation_algebra(algebra) == (dim, list(algebra.derivations)) == \
+        derivation_algebra(twin)
+    assert dim == 10
+
+
 ALPHAS = DEFAULT_ALPHA_SAMPLES + (Fraction(-5, 7),)  # 1/3 is a default sample
 T_SAMPLES = (Fraction(1, 2), Fraction(-2, 3))
 
@@ -180,7 +208,7 @@ def test_series_and_center_in_a_dense_basis(tables):
 def test_table_is_a_positive_int_multiple_of_the_fraction_constants(tables):
     for label, mu, t, alpha in specializations(tables):
         table = rational(mu, t=t, alpha=alpha).table
-        constants = reference_algebra(mu, t, alpha).table
+        constants = reference_constants(mu, t, alpha)
         assert table.keys() == constants.keys(), label
         assert all(type(x) is int for column in table.values() for x in column), label
         ratios = {Fraction(x) / c for key, column in table.items()

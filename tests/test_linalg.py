@@ -11,15 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filicert import NotAUnit, RationalMatrix, ScalarMatrix, Scalar
+from filicert import DimensionMismatch, NotAUnit, RationalMatrix, ScalarMatrix, Scalar
 from filicert import linalg
 from filicert.linalg import span_basis
 from filicert.scalar import ONE, T, ZERO
 
-from helpers import (dense_apply, eval_poly_at_matrix, inverse_unit, laplace_det, matmul,
-                     matrices, poly_from_roots, primitive, rand_scalar, rand_scalar_matrix,
-                     rand_unit_triangular, rank, rational_matrix, reference_char_poly,
-                     reference_nullspace, reference_rref, scalar_matrix, vectors)
+from helpers import (dense, dense_apply, eval_poly_at_matrix, inverse_unit, laplace_det,
+                     matmul, matrices, poly_from_roots, primitive, rand_scalar,
+                     rand_scalar_matrix, rand_unit_triangular, rank, rational_matrix,
+                     reference_char_poly, reference_nullspace, reference_rref, scalar_matrix,
+                     sparse, vectors)
 
 
 def basis_column(n, i):
@@ -249,7 +250,7 @@ def test_nullspace_of_identity_is_empty():
 
 def test_nullspace_of_sum_constraint():
     m = rational_matrix([[1, 1]])
-    assert m.nullspace() == [(Fraction(1), Fraction(-1))]
+    assert m.nullspace() == [(1, -1)]
 
 
 def test_rank_of_zero_matrix():
@@ -288,7 +289,7 @@ def test_derived_algebra_span_of_catalog_entry(tables):
     for (i, j) in mu.pairs():
         column = mu.bracket(i, j)
         vectors.append(tuple(entry.constant_value() for entry in column))
-    assert len(span_basis(vectors)) == 6
+    assert len(span_basis(map(sparse, vectors))) == 6
 
 
 # -- the sparse integer kernel against the Fraction Gauss-Jordan oracle -------------
@@ -341,27 +342,64 @@ def test_nullspace_equals_the_reference_basis():
 def test_row_space_basis_is_the_primitive_reference_rref():
     for rows, _ in random_shapes(37):
         expected = [primitive(row) for _, row in reference_rref(rows)]
-        assert rational_matrix(rows).row_space_basis() == expected
+        basis = rational_matrix(rows).row_space_basis()
+        assert [dense(row, len(rows[0])) for row in basis] == expected
 
 
 def test_span_basis_ignores_row_order_and_repetition():
     rng = random.Random(41)
-    for rows, _ in random_shapes(43):
+    for dense_rows, _ in random_shapes(43):
+        rows = [sparse(row) for row in dense_rows]
         basis = span_basis(rows)
         shuffled = rows + rng.sample(rows, len(rows) // 2)
         rng.shuffle(shuffled)
         assert span_basis(shuffled) == basis
-        assert span_basis(tuple(row) for row in reversed(rows)) == basis
+        assert span_basis(dict(row) for row in reversed(rows)) == basis
 
 
 def test_kernel_outputs_are_primitive_integer_vectors():
-    for rows, _ in random_shapes(47):
+    for rows, n_cols in random_shapes(47):
         matrix = rational_matrix(rows)
-        for vector in matrix.nullspace() + matrix.row_space_basis() + span_basis(rows):
+        row_spaces = matrix.row_space_basis() + span_basis(matrix.rows)
+        for vector in matrix.nullspace() + [dense(row, n_cols) for row in row_spaces]:
+            assert all(type(x) is int for x in vector), vector
             assert is_primitive_integral(vector), vector
 
 
 def test_kernel_accepts_integer_rows():
-    rows = [(2, 4, 0), (1, 2, 1), (0, 0, 3)]
-    assert span_basis(rows) == [(1, 2, 0), (0, 0, 1)]
-    assert RationalMatrix(tuple(rows)).nullspace() == [(2, -1, 0)]
+    rows = ({0: 2, 1: 4}, {0: 1, 1: 2, 2: 1}, {2: 3})
+    assert span_basis(rows) == [{0: 1, 1: 2}, {2: 1}]
+    assert RationalMatrix(rows, 3).nullspace() == [(2, -1, 0)]
+    assert RationalMatrix(rows, 4).nullspace() == [(2, -1, 0, 0), (0, 0, 0, 1)]
+    assert RationalMatrix((), 2).nullspace() == [(1, 0), (0, 1)]
+    with pytest.raises(DimensionMismatch):
+        RationalMatrix(rows, 2)
+
+
+@st.composite
+def int_rows(draw):
+    """(dense int rows, width): no rows at a given width, zero rows, and rows
+    repeated, in any order."""
+    n_cols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n_cols, max_size=n_cols),
+                         max_size=6))
+    rows += [[0] * n_cols] * draw(st.integers(0, 2))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows)), n_cols
+
+
+@settings(max_examples=200)
+@given(int_rows())
+def test_sparse_kernel_equals_the_dense_oracles(case):
+    rows, n_cols = case
+    echelon = reference_rref(rows)
+    expected = [primitive(row) for _, row in echelon]
+    inputs = [sparse(row) for row in rows]
+    copies = [dict(row) for row in inputs]
+    pivots = linalg._rref(inputs)
+    assert sorted(pivots) == [c for c, _ in echelon]
+    assert [dense(pivots[c], n_cols) for c in sorted(pivots)] == expected
+    assert [dense(row, n_cols) for row in span_basis(inputs)] == expected
+    assert inputs == copies
+    assert rational_matrix(rows, n_cols).nullspace() == reference_nullspace(rows, n_cols)
