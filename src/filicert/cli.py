@@ -1,5 +1,14 @@
 """Batch driver: verify the catalog, run the invariant suite, emit reports.
 
+One driver serves every command.  `main` parses the arguments and rejects
+bad usage; `_run` loads the catalog once, resolves the names and builds the
+sections that `SECTIONS` gives the command: the certificate section
+(`verify_algebra` over the names, each distinct deformation checked once)
+and the invariant section (`invariant_records` per name), each rendered in
+the chosen format.  A command that prints both (`report`) heads each with a
+``==`` line in text format.  `counterexample` has its own producer,
+`counterexample_lines`.
+
 Exit codes are a function of report content only: 0 when everything asserted
 holds, 1 on any verification failure, 2 on input or usage errors.  Output is
 deterministic; repeated runs on the same catalog are byte-identical.
@@ -39,20 +48,8 @@ DEFAULT_T_SAMPLES = (Fraction(1), Fraction(2), Fraction(-1))
 SAMPLING_NOTE = ("note: invariants are evaluated at the listed rational samples only; "
                  "ranks can drop at unsampled special parameter values")
 
-
-@dataclass
-class RunConfig:
-    names: tuple[str, ...]
-    alpha_samples: tuple[Fraction, ...] = DEFAULT_ALPHA_SAMPLES
-    t_samples: tuple[Fraction, ...] = DEFAULT_T_SAMPLES
-    report_format: str = "text"
-    errata_mode: str = "verbatim"
-    data_path: Path | None = None
-    output: Path | None = None
-
-    def validate(self) -> None:
-        if any(t == 0 for t in self.t_samples):
-            raise UsageError("t samples must exclude 0")
+# The sections a command prints: (certificates, invariants).
+SECTIONS = {"verify": (True, False), "invariants": (False, True), "report": (True, True)}
 
 
 class UsageError(FilicertError):
@@ -105,6 +102,11 @@ def _resolve_names(corpus: dict[str, AlgebraFile], requested: list[str],
     return names
 
 
+def _joined(values) -> str:
+    """Indices or a dimension profile, comma-separated: 8,7,5,1,0."""
+    return ",".join(str(value) for value in values)
+
+
 def verify_algebra(alg: AlgebraFile, corrected: bool, checked: dict) -> VerificationReport:
     """Run the full pipeline for one catalog entry.  Its deformation is
     checked only if `checked`, keyed by content, does not hold it yet."""
@@ -118,15 +120,12 @@ def verify_algebra(alg: AlgebraFile, corrected: bool, checked: dict) -> Verifica
     return run_certificate_checks(alg.name, checked[key], g)
 
 
-def _failure_details(failure) -> list[str]:
-    details = []
-    if failure.residual is not None:
-        for k, value in enumerate(failure.residual, start=1):
-            if not value.is_zero():
-                details.append((failure.indices, k, str(value)))
-    else:
-        details.append((failure.indices, None, failure.note))
-    return details
+def _failure_details(failure) -> list[tuple]:
+    """(indices, component, text) per nonzero residual component, or the note."""
+    if failure.residual is None:
+        return [(failure.indices, None, failure.note)]
+    return [(failure.indices, k, str(value))
+            for k, value in enumerate(failure.residual, start=1) if not value.is_zero()]
 
 
 def render_verify_text(reports: list[VerificationReport]) -> list[str]:
@@ -152,18 +151,14 @@ def render_verify_machine(reports: list[VerificationReport]) -> list[str]:
     lines = []
     for report in reports:
         for stage_name, stage in report.stages.items():
-            if stage.ok:
+            if stage.ok or not stage.failures:
                 detail = compact(stage.note) if stage.note else "-"
                 lines.append(f"algebra={report.algebra} stage={stage_name} "
-                             f"verdict=pass detail={detail}")
-            elif not stage.failures:
-                detail = compact(stage.note) if stage.note else "-"
-                lines.append(f"algebra={report.algebra} stage={stage_name} "
-                             f"verdict=fail detail={detail}")
+                             f"verdict={'pass' if stage.ok else 'fail'} detail={detail}")
             else:
                 for failure in stage.failures:
                     for indices, component, text in _failure_details(failure):
-                        loc = "indices=" + ",".join(str(i) for i in indices)
+                        loc = f"indices={_joined(indices)}"
                         if component is not None:
                             loc += f";component={component}"
                         lines.append(f"algebra={report.algebra} stage={stage_name} "
@@ -183,49 +178,38 @@ class InvariantRecord:
     detail: str
 
 
-def invariant_records(alg: AlgebraFile, cfg: RunConfig) -> list[InvariantRecord]:
-    corrected = cfg.errata_mode == "corrected"
+def invariant_records(alg: AlgebraFile, corrected: bool, alpha_samples: tuple[Fraction, ...],
+                      t_samples: tuple[Fraction, ...]) -> list[InvariantRecord]:
+    """The invariant verdicts of one entry: five per alpha sample (alpha
+    only if the entry declares it), and two more for each t sample of the
+    deformed family mu_t."""
     mu = structure_constants(alg, corrected=corrected)
     block = alg.deformation
     spec = DeformationSpec(mu, SubspaceSpec(block.ideal), block.outside,
                            ScalarMatrix.diagonal(block.diagonal))
     mu_t = deform(mu, go_cocycle(spec))
-    alphas = cfg.alpha_samples if "alpha" in alg.params else (None,)
-    records = []
-    for alpha in alphas:
+    rows = []  # (stage, label, ok, detail)
+    for alpha in alpha_samples if "alpha" in alg.params else (None,):
         base_label = "alpha=-" if alpha is None else f"alpha={alpha}"
         algebra = RationalAlgebra.from_structure(mu, alpha=alpha)
-        lcs = lower_central_series(algebra)
-        ds = derived_series(algebra)
-        filiform = lcs == filiform_profile(algebra.dim)
+        lcs, ds = lower_central_series(algebra), derived_series(algebra)
         center = center_dim(algebra)
         der_dim, _ = derivation_algebra(algebra)
         char_nilp = is_characteristically_nilpotent(algebra)
-        profile = ",".join(str(d) for d in lcs)
-        records.append(InvariantRecord(alg.name, "filiform", base_label, filiform,
-                                       f"lcs=({profile})"))
-        records.append(InvariantRecord(alg.name, "derived", base_label, ds[-1] == 0,
-                                       "derived=(" + ",".join(str(d) for d in ds) + ")"))
-        records.append(InvariantRecord(alg.name, "center", base_label, center == 1,
-                                       f"dim={center}"))
-        records.append(InvariantRecord(alg.name, "der-dim", base_label, True,
-                                       f"dim={der_dim}"))
-        records.append(InvariantRecord(alg.name, "char-nilpotent", base_label,
-                                       char_nilp, f"value={'yes' if char_nilp else 'no'}"))
-        for t in cfg.t_samples:
+        rows += [("filiform", base_label, lcs == filiform_profile(algebra.dim),
+                  f"lcs=({_joined(lcs)})"),
+                 ("derived", base_label, ds[-1] == 0, f"derived=({_joined(ds)})"),
+                 ("center", base_label, center == 1, f"dim={center}"),
+                 ("der-dim", base_label, True, f"dim={der_dim}"),
+                 ("char-nilpotent", base_label, char_nilp,
+                  f"value={'yes' if char_nilp else 'no'}")]
+        for t in t_samples:
             label = f"t={t};{base_label}"
             deformed = RationalAlgebra.from_structure(mu_t, t=t, alpha=alpha)
-            lcs_t = lower_central_series(deformed)
-            ds_t = derived_series(deformed)
-            solvable = ds_t[-1] == 0
-            non_nilpotent = lcs_t[-1] != 0
-            records.append(InvariantRecord(
-                alg.name, "solvable", label, solvable,
-                "derived=(" + ",".join(str(d) for d in ds_t) + ")"))
-            records.append(InvariantRecord(
-                alg.name, "non-nilpotent", label, non_nilpotent,
-                "lcs=(" + ",".join(str(d) for d in lcs_t) + ")"))
-    return records
+            lcs_t, ds_t = lower_central_series(deformed), derived_series(deformed)
+            rows += [("solvable", label, ds_t[-1] == 0, f"derived=({_joined(ds_t)})"),
+                     ("non-nilpotent", label, lcs_t[-1] != 0, f"lcs=({_joined(lcs_t)})")]
+    return [InvariantRecord(alg.name, *row) for row in rows]
 
 
 def render_invariants_text(name: str, records: list[InvariantRecord]) -> list[str]:
@@ -253,11 +237,11 @@ def render_invariants_machine(records: list[InvariantRecord]) -> list[str]:
 # -- counterexample ----------------------------------------------------------
 
 
-def counterexample_lines(corpus: dict[str, AlgebraFile], cfg: RunConfig) -> tuple[list[str], bool]:
+def counterexample_lines(corpus: dict[str, AlgebraFile], corrected: bool,
+                         t_samples: tuple[Fraction, ...]) -> tuple[list[str], bool]:
     if "mu17" not in corpus:
         raise UsageError("unknown algebra 'mu17'")
-    alg = corpus["mu17"]
-    mu = structure_constants(alg, corrected=cfg.errata_mode == "corrected")
+    mu = structure_constants(corpus["mu17"], corrected=corrected)
     spec = counterexample_spec(mu)
     checked = check_deformation(mu, spec.ideal, spec.outside_index, spec.derivation)
     for stage in ("ideal", "derivation"):
@@ -269,95 +253,62 @@ def counterexample_lines(corpus: dict[str, AlgebraFile], cfg: RunConfig) -> tupl
     weight_zero = column_is_zero(checked.phi.bracket(1, 2))
 
     lines = ["counterexample: mu17 with derivation diag(0, 1, 1, 1, 1, 1, 1) "
-             "on the ideal <Y2..Y8>"]
-    lines.append(f"deformation valid: {'yes' if valid else 'no'}; "
-                 "degeneration certificate: none shipped; "
-                 "non-existence: asserted, unverified")
+             "on the ideal <Y2..Y8>",
+             f"deformation valid: {'yes' if valid else 'no'}; "
+             "degeneration certificate: none shipped; non-existence: asserted, unverified"]
     lines.extend(f"  {label}: {'pass' if ok else 'fail'}" for label, ok in verdicts.items())
     lines.append(f"  mu_D(Y1, Y2) = 0: {'yes' if weight_zero else 'no'}")
-    for t in cfg.t_samples:
+    for t in t_samples:
         algebra = RationalAlgebra.from_structure(checked.mu_t, t=t)
-        lcs = lower_central_series(algebra)
-        ds = derived_series(algebra)
-        lines.append(f"  family at t={t}: lcs=({','.join(str(d) for d in lcs)}) "
-                     f"derived=({','.join(str(d) for d in ds)}) "
+        lcs, ds = lower_central_series(algebra), derived_series(algebra)
+        lines.append(f"  family at t={t}: lcs=({_joined(lcs)}) derived=({_joined(ds)}) "
                      f"solvable={'yes' if ds[-1] == 0 else 'no'} "
                      f"nilpotent={'yes' if lcs[-1] == 0 else 'no'}")
     base_lcs = lower_central_series(RationalAlgebra.from_structure(mu))
-    lines.append(f"  base algebra: lcs=({','.join(str(d) for d in base_lcs)}) "
+    lines.append(f"  base algebra: lcs=({_joined(base_lcs)}) "
                  f"filiform={'yes' if base_lcs == filiform_profile(mu.dim) else 'no'}")
     return lines, valid
 
 
-# -- commands ----------------------------------------------------------------
+# -- driver ------------------------------------------------------------------
 
 
-def _emit(lines: list[str], cfg: RunConfig) -> None:
+def _run(args: argparse.Namespace) -> int:
+    """Load the catalog once, build and render what the command prints, write
+    it to stdout or to --output; the exit code."""
+    corpus = load_corpus(args.data)
+    corrected = args.errata == "corrected"
+    t_samples = tuple(args.t or DEFAULT_T_SAMPLES)
+    if args.command == "counterexample":
+        lines, ok = counterexample_lines(corpus, corrected, t_samples)
+    else:
+        certificates, invariants = SECTIONS[args.command]
+        names = _resolve_names(corpus, args.names, need_certificate=certificates)
+        machine = args.report_format == "machine"
+        sections, ok = [], True
+        if certificates:
+            checked: dict = {}
+            reports = [verify_algebra(corpus[name], corrected, checked) for name in names]
+            ok = all(r.passed for r in reports)
+            sections.append((render_verify_machine if machine else render_verify_text)(reports))
+        if invariants:
+            alpha_samples = tuple(args.alpha or DEFAULT_ALPHA_SAMPLES)
+            groups = [(name, invariant_records(corpus[name], corrected, alpha_samples,
+                                               t_samples)) for name in names]
+            records = [r for _, group in groups for r in group]
+            ok = ok and all(r.ok for r in records)
+            sections.append(render_invariants_machine(records) if machine else
+                            [line for name, group in groups
+                             for line in render_invariants_text(name, group)])
+        if len(sections) == 2 and not machine:
+            sections = [["== degeneration certificates ==", *sections[0], ""],
+                        ["== invariants ==", *sections[1]]]
+        lines = [line for section in sections for line in section]
     text = "\n".join(lines) + "\n"
-    if cfg.output is not None:
-        cfg.output.write_text(text, encoding="utf-8")
+    if args.output is not None:
+        args.output.write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-
-
-def cmd_verify(cfg: RunConfig) -> int:
-    corpus = load_corpus(cfg.data_path)
-    names = _resolve_names(corpus, list(cfg.names), need_certificate=True)
-    checked: dict = {}
-    reports = [verify_algebra(corpus[name], cfg.errata_mode == "corrected", checked)
-               for name in names]
-    if cfg.report_format == "machine":
-        lines = render_verify_machine(reports)
-    else:
-        lines = render_verify_text(reports)
-    _emit(lines, cfg)
-    return 0 if all(r.passed for r in reports) else 1
-
-
-def cmd_invariants(cfg: RunConfig) -> int:
-    corpus = load_corpus(cfg.data_path)
-    names = _resolve_names(corpus, list(cfg.names), need_certificate=False)
-    lines: list[str] = []
-    all_ok = True
-    for name in names:
-        records = invariant_records(corpus[name], cfg)
-        all_ok = all_ok and all(r.ok for r in records)
-        if cfg.report_format == "machine":
-            lines.extend(render_invariants_machine(records))
-        else:
-            lines.extend(render_invariants_text(name, records))
-    _emit(lines, cfg)
-    return 0 if all_ok else 1
-
-
-def cmd_counterexample(cfg: RunConfig) -> int:
-    corpus = load_corpus(cfg.data_path)
-    lines, valid = counterexample_lines(corpus, cfg)
-    _emit(lines, cfg)
-    return 0 if valid else 1
-
-
-def cmd_report(cfg: RunConfig) -> int:
-    corpus = load_corpus(cfg.data_path)
-    names = _resolve_names(corpus, list(cfg.names), need_certificate=True)
-    checked: dict = {}
-    reports = [verify_algebra(corpus[name], cfg.errata_mode == "corrected", checked)
-               for name in names]
-    records = []
-    for name in names:
-        records.extend(invariant_records(corpus[name], cfg))
-    ok = all(r.passed for r in reports) and all(r.ok for r in records)
-    if cfg.report_format == "machine":
-        lines = render_verify_machine(reports) + render_invariants_machine(records)
-    else:
-        lines = ["== degeneration certificates =="]
-        lines += render_verify_text(reports)
-        lines.append("")
-        lines.append("== invariants ==")
-        for name in names:
-            lines += render_invariants_text(
-                name, [r for r in records if r.algebra == name])
-    _emit(lines, cfg)
     return 0 if ok else 1
 
 
@@ -374,6 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="filicert",
         description="Exact verification of filiform degeneration certificates.")
+    # what a command without the option reads
+    parser.set_defaults(names=(), all=False, t=None, alpha=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -406,31 +359,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(
-        names=tuple(getattr(args, "names", ()) or ()),
-        report_format=getattr(args, "report_format", "text"),
-        errata_mode=args.errata,
-        data_path=args.data,
-        output=args.output,
-    )
-    if getattr(args, "t", None):
-        cfg.t_samples = tuple(args.t)
-    if getattr(args, "alpha", None):
-        cfg.alpha_samples = tuple(args.alpha)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "all", False) and cfg.names:
+        if args.all and args.names:
             raise UsageError("--all selects the whole catalog; give either --all or names")
-        cfg.validate()
-        command = {
-            "verify": cmd_verify,
-            "invariants": cmd_invariants,
-            "counterexample": cmd_counterexample,
-            "report": cmd_report,
-        }[args.command]
-        return command(cfg)
-    except (UsageError, FilicertError, OSError) as exc:
+        if any(t == 0 for t in args.t or ()):
+            raise UsageError("t samples must exclude 0")
+        return _run(args)
+    except (FilicertError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

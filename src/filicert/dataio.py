@@ -127,7 +127,7 @@ def _column(text: str, index: int) -> int:
     return match.start() + 1 if match else len(text) + 1
 
 
-def _tokenize(text: str, line: int) -> tuple[list[str], list]:
+def _tokenize(text: str) -> tuple[list[str], list]:
     """The texts of the tokens of a line, then "" for the end of input; and
     at the index of each number its value, an int or (p, q) for p/q."""
     tokens = _TOKEN.findall(text)
@@ -139,8 +139,8 @@ def _tokenize(text: str, line: int) -> tuple[list[str], list]:
         if not token[0].isdecimal():
             error = f"unexpected character {token[0]!r}"
         elif slash and not denominator:
-            raise ParseError("missing denominator", line, _column(text, index) + len(token),
-                             ("digit",))
+            raise ParseError("missing denominator", column=_column(text, index) + len(token),
+                             expected=("digit",))
         elif len(numerator) > MAX_DIGITS or len(denominator) > MAX_DIGITS:
             error = f"number with more than {MAX_DIGITS} digits"
         elif slash and not int(denominator):
@@ -148,7 +148,7 @@ def _tokenize(text: str, line: int) -> tuple[list[str], list]:
         else:
             values[index] = (int(numerator), int(denominator)) if slash else int(numerator)
             continue
-        raise ParseError(error, line, _column(text, index))
+        raise ParseError(error, column=_column(text, index))
     tokens.append("")
     return tokens, values
 
@@ -170,12 +170,11 @@ def _size(terms: Iterable[tuple]) -> tuple[int, int, int]:
     return count, degree, bits + count.bit_length()
 
 
-def _too_large(kind: str, degree: int, bits: int, line: int) -> str | None:
+def _too_large(kind: str, degree: int, bits: int) -> str | None:
     """Why a power or product is rejected before it is computed, if its bound
     (the base's `_size` times the exponent, the sum of the factors') is over."""
     if degree > MAX_DEGREE or bits > MAX_BITS:
-        where = f" at line {line}" if line else ""
-        return (f"{kind}{where} too large: degree {degree} (at most {MAX_DEGREE}), "
+        return (f"{kind} too large: degree {degree} (at most {MAX_DEGREE}), "
                 f"{bits}-bit coefficients (at most {MAX_BITS})")
 
 
@@ -209,9 +208,9 @@ class _Parser:
     returns, so + and - merge into it in place.  The first semantic error is
     held, and the rules read on (on placeholder values)."""
 
-    def __init__(self, text: str, line: int, params: frozenset[str], prefix: str | None, dim: int):
-        self.text, self.line, self.params, self.prefix, self.dim = text, line, params, prefix, dim
-        self.tokens, self.values = _tokenize(text, line)
+    def __init__(self, text: str, params: frozenset[str], prefix: str | None, dim: int):
+        self.text, self.params, self.prefix, self.dim = text, params, prefix, dim
+        self.tokens, self.values = _tokenize(text)
         self.pos = self.depth = 0
         self.error: str | None = None
 
@@ -223,7 +222,7 @@ class _Parser:
     def syntax_error(self, message: str, index: int, expected=()) -> ParseError:
         """A ParseError at token `index`, whose text fills {} in `message`."""
         return ParseError(message.format(repr(self.tokens[index] or "end of input")),
-                          self.line, _column(self.text, index), expected)
+                          column=_column(self.text, index), expected=expected)
 
     def parse(self) -> _Value:
         value = self.expr()
@@ -275,7 +274,7 @@ class _Parser:
             for k in dict.fromkeys([0, *map(_coordinate, a)]):
                 count, degree, bits = _size(item for item in a.items() if item[0][0] == k)
                 if count > 1 and (error := _too_large("product", degree + degree_b,
-                                                      bits + bits_b, self.line)):
+                                                      bits + bits_b)):
                     return self.hold(error)
         return _multiply(a, b)
 
@@ -317,7 +316,7 @@ class _Parser:
                 return self.hold("basis symbols cannot be raised to a power")
             return value
         _, degree, bits = _size(value.items())
-        if error := _too_large("power", abs(exponent) * degree, abs(exponent) * bits, self.line):
+        if error := _too_large("power", abs(exponent) * degree, abs(exponent) * bits):
             return self.hold(error)
         if len(value) == 1:  # one step; a negative exponent is on t, of coefficient 1
             ((_, e_t, e_alpha), coeff), = value.items()
@@ -365,15 +364,15 @@ class _Parser:
 _parsed: ContextVar[dict | None] = ContextVar("parsed", default=None)  # see _evaluate
 
 
-def _evaluate(finish, text: str, params: Iterable[str], prefix: str | None, dim: int, line: int):
+def _evaluate(finish, text: str, params: Iterable[str], prefix: str | None, dim: int):
     """finish(value of `text`, dim), once a combination of basis symbols (a
     `prefix`) has no scalar part.  While load_corpus runs, it is kept under
-    (finish, text, params, prefix, dim), all it depends on; the line only
-    shapes errors, so a failing text is parsed again and fails with its own."""
+    (finish, text, params, prefix, dim), all it depends on; a failing text is
+    not kept, so it is parsed again wherever it repeats."""
     params = frozenset(params)
     key, parsed = (finish, text, params, prefix, dim), _parsed.get()
     if (result := (parsed or {}).get(key)) is None:
-        value = _Parser(text, line, params, prefix, dim).parse()
+        value = _Parser(text, params, prefix, dim).parse()
         if prefix and (scalar := {term[1:]: c for term, c in value.items() if not term[0]}):
             raise ValidationError(f"value must be a combination of {prefix}-symbols, "
                                   f"found scalar part {Scalar(scalar)}")
@@ -402,15 +401,14 @@ def _to_rationals(value: _Value, dim: int) -> tuple[Fraction, ...]:
     return tuple(row)
 
 
-def parse_scalar(text: str, params: Iterable[str], line: int = 0) -> Scalar:
+def parse_scalar(text: str, params: Iterable[str]) -> Scalar:
     """Parse and evaluate a scalar expression."""
-    return _evaluate(_to_scalar, text, params, None, 0, line)
+    return _evaluate(_to_scalar, text, params, None, 0)
 
 
-def parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
-                 line: int = 0) -> Column:
+def parse_column(text: str, dim: int, prefix: str, params: Iterable[str]) -> Column:
     """Parse a linear combination of basis symbols into a coordinate column."""
-    return _evaluate(_to_column, text, params, prefix, dim, line)
+    return _evaluate(_to_column, text, params, prefix, dim)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -566,7 +564,7 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         `line`; an error names the file and the line, and gives a column
         from the start of the line."""
         try:
-            return _evaluate(finish, value, params, prefix, dim, 0)
+            return _evaluate(finish, value, params, prefix, dim)
         except ParseError as exc:
             raw = text.splitlines()[line - 1]
             start = len(raw) - len(raw[raw.index("=") + 1:].lstrip()) + skip
@@ -663,6 +661,10 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         if not (len(parts) == 3 and parts[0] in ("g", "bracket")
                 and all(_is_digits(p) and 1 <= int(p) <= dim for p in parts[1:])):
             raise fail(("errata", number, "entry"), f"bad errata target {target!r}")
+        kind, block = (("brackets", brackets) if parts[0] == "bracket"
+                       else ("certificate", certificate))
+        if block is None:
+            raise fail(("errata", number, "entry"), f"erratum for {target!r} but no {kind}")
         corrected = group.get("corrected")
         if corrected is not None:
             line = line_of[("errata", number, "corrected")]

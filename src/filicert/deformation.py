@@ -71,13 +71,14 @@ class DeformationSpec:
 
 
 # The checks (stage, reason, holds) of a spec s, in order: each may rely on
-# the ones before it.  mu_D can be built once the complement and size checks pass.
+# the ones before it.  mu_D can be built once the _BUILD_CHECKS pass.
 _COMPLEMENT_CHECKS = (
     ("ideal", "the complement vector lies inside the ideal",
      lambda s: s.outside_index not in s.ideal),
     ("ideal", "complement index out of range", lambda s: 1 <= s.outside_index <= s.base.dim))
 _SIZE_CHECK = ("derivation", "derivation size does not match the ideal",
                lambda s: s.derivation.n == len(s.ideal))
+_BUILD_CHECKS = (*_COMPLEMENT_CHECKS, _SIZE_CHECK)
 _SPEC_CHECKS = (
     *_COMPLEMENT_CHECKS,
     ("ideal", "the ideal must have codimension 1", lambda s: len(s.ideal) == s.base.dim - 1),
@@ -318,7 +319,7 @@ def check_deformation(mu: StructureConstants, ideal: SubspaceSpec, outside_index
         stages["derivation"] = StageResult(False, note="skipped: ideal stage failed")
 
     phi = mu_t = None
-    if unbuilt := _first_failure(spec, (*_COMPLEMENT_CHECKS, _SIZE_CHECK)):
+    if unbuilt := _first_failure(spec, _BUILD_CHECKS):
         expansion = jacobi_check(mu)
         for name in ("cocycle", "bracket", "eq1", "limit"):
             stages[name] = StageResult(False, note=f"skipped: {unbuilt[0]} stage failed")
@@ -401,9 +402,12 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     i == j == col.  The unique common solution is returned,
     found by exact division.  Raises :class:`InvalidSpec` if the equations
     are inconsistent or leave the cell unconstrained, i.e. if a single-cell
-    correction cannot exist.
+    correction cannot exist, or if mu_D cannot be built (see _BUILD_CHECKS).
     """
-    mu_t = deform(mu, _build_cocycle(DeformationSpec(mu, ideal, outside_index, derivation)))
+    spec = DeformationSpec(mu, ideal, outside_index, derivation)
+    if unbuilt := _first_failure(spec, _BUILD_CHECKS):
+        raise InvalidSpec(unbuilt[1])
+    mu_t = deform(mu, _build_cocycle(spec))
     family = mu_t.invert_t() if reciprocal else mu_t
     row, col = cell
     if not (1 <= row <= g.n and 1 <= col <= g.n):

@@ -36,8 +36,8 @@ class ValidationError(FilicertError):
 
 
 class ParseError(FilicertError):
-    """Syntax error, with position and the set of expected tokens.  In a
-    file, named as ``source``, the text starts with ``<source>:<line>:``."""
+    """Syntax error at a column, with the set of expected tokens.  In a file,
+    named as ``source``, the text starts with ``<source>:<line>:``."""
 
     def __init__(self, message: str, line: int = 0, column: int = 0,
                  expected: tuple[str, ...] = (), source: str = ""):
@@ -46,8 +46,6 @@ class ParseError(FilicertError):
         self.column = column
         self.expected = expected
         hint = f" (expected {', '.join(expected)})" if expected else ""
-        if source:
-            super().__init__(f"{source}:{line}: {message} at column {column}{hint}")
-        else:
-            where = f" at line {line}, column {column}" if line else ""
-            super().__init__(f"{message}{where}{hint}")
+        where = f"line {line}, column {column}" if line and not source else f"column {column}"
+        prefix = f"{source}:{line}: " if source else ""
+        super().__init__(f"{prefix}{message} at {where}{hint}")

@@ -811,9 +811,9 @@ class Expression:
 
     __slots__ = ()
 
-    def to_scalar(self, params: Iterable[str] = ("t", "alpha"), line: int = 0) -> Scalar:
+    def to_scalar(self, params: Iterable[str] = ("t", "alpha")) -> Scalar:
         """Elaborate a pure-scalar expression to its canonical Scalar."""
-        scalar, vector = _evaluate(self, frozenset(params), None, 0, line)
+        scalar, vector = _evaluate(self, frozenset(params), None, 0)
         if vector:
             raise ValidationError("expression contains basis symbols")
         return scalar
@@ -855,7 +855,7 @@ class _Token:
     value: Fraction | None = None
 
 
-def _tokenize(text: str, line: int) -> list[_Token]:
+def _tokenize(text: str) -> list[_Token]:
     tokens = []
     pos = 0
     length = len(text)
@@ -875,13 +875,13 @@ def _tokenize(text: str, line: int) -> list[_Token]:
                 while pos < length and text[pos].isdecimal():
                     pos += 1
                 if pos == den_start:
-                    raise ParseError("missing denominator", line, pos + 1,
-                                     ("digit",))
+                    raise ParseError("missing denominator", column=pos + 1,
+                                     expected=("digit",))
                 denominator = text[den_start:pos]
             if not (_is_digits(numerator) and _is_digits(denominator)):
-                raise ParseError(f"number with more than {MAX_DIGITS} digits", line, start + 1)
+                raise ParseError(f"number with more than {MAX_DIGITS} digits", column=start + 1)
             if int(denominator) == 0:
-                raise ParseError("zero denominator", line, start + 1)
+                raise ParseError("zero denominator", column=start + 1)
             value = Fraction(int(numerator), int(denominator))
             tokens.append(_Token("number", text[start:pos], start + 1, value))
         elif ch.isalpha():
@@ -892,16 +892,15 @@ def _tokenize(text: str, line: int) -> list[_Token]:
             tokens.append(_Token(ch, ch, start + 1))
             pos += 1
         else:
-            raise ParseError(f"unexpected character {ch!r}", line, pos + 1)
+            raise ParseError(f"unexpected character {ch!r}", column=pos + 1)
     tokens.append(_Token("end", "", length + 1))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], line: int):
+    def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
-        self.line = line
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -915,7 +914,7 @@ class _Parser:
         token = self.peek()
         if token.kind != kind:
             raise ParseError(f"unexpected token {token.text or 'end of input'!r}",
-                             self.line, token.column, (kind,))
+                             column=token.column, expected=(kind,))
         return self.take()
 
     def parse(self) -> Expression:
@@ -923,7 +922,7 @@ class _Parser:
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"unexpected trailing token {tail.text!r}",
-                             self.line, tail.column, ("end of input",))
+                             column=tail.column, expected=("end of input",))
         return node
 
     def expr(self) -> Expression:
@@ -957,7 +956,7 @@ class _Parser:
             token = self.expect("number")
             if token.value is None or token.value.denominator != 1:
                 raise ParseError("exponent must be an integer literal",
-                                 self.line, token.column, ("integer",))
+                                 column=token.column, expected=("integer",))
             node = Power(node, sign * int(token.value))
         return node
 
@@ -975,13 +974,12 @@ class _Parser:
             self.expect(")")
             return node
         raise ParseError(f"unexpected token {token.text or 'end of input'!r}",
-                         self.line, token.column,
-                         ("number", "symbol", "'('"))
+                         column=token.column, expected=("number", "symbol", "'('"))
 
 
-def reference_parse_expression(text: str, line: int = 0) -> Expression:
+def reference_parse_expression(text: str) -> Expression:
     """Parse an expression into its AST (no symbol resolution yet)."""
-    return _Parser(_tokenize(text, line), line).parse()
+    return _Parser(_tokenize(text)).parse()
 
 
 def _size(scalar: Scalar) -> tuple[int, int]:
@@ -994,28 +992,27 @@ def _size(scalar: Scalar) -> tuple[int, int]:
     return degree, bits + scalar.term_count().bit_length()
 
 
-def _check_size(kind: str, degree: int, bits: int, line: int) -> None:
+def _check_size(kind: str, degree: int, bits: int) -> None:
     """Reject a power or a product before it is computed if the bound on its
     degree or coefficient bits exceeds the limits: the base's `_size` times
     the exponent, or the sum of the factors' sizes."""
     if degree > MAX_DEGREE or bits > MAX_BITS:
-        where = f" at line {line}" if line else ""
-        raise ValidationError(f"{kind}{where} too large: degree {degree} (at most "
+        raise ValidationError(f"{kind} too large: degree {degree} (at most "
                               f"{MAX_DEGREE}), {bits}-bit coefficients (at most {MAX_BITS})")
 
 
-def _product(a: Scalar, b: Scalar, line: int) -> Scalar:
+def _product(a: Scalar, b: Scalar) -> Scalar:
     """a * b, after `_check_size` when both factors have two or more terms; a
     product with a monomial factor grows at most by that monomial, so only
     linearly in the length of the line."""
     if a.term_count() > 1 and b.term_count() > 1:
         (degree_a, bits_a), (degree_b, bits_b) = _size(a), _size(b)
-        _check_size("product", degree_a + degree_b, bits_a + bits_b, line)
+        _check_size("product", degree_a + degree_b, bits_a + bits_b)
     return a * b
 
 
 def _evaluate(node: Expression, params: frozenset[str],
-              basis_prefix: str | None, dim: int, line: int = 0):
+              basis_prefix: str | None, dim: int):
     if isinstance(node, Number):
         return Scalar.from_rational(node.value), {}
     if isinstance(node, SymbolRef):
@@ -1031,23 +1028,23 @@ def _evaluate(node: Expression, params: frozenset[str],
             return ZERO, {int(digits): Scalar.from_rational(1)}
         raise ValidationError(f"undeclared symbol {name!r}")
     if isinstance(node, Negate):
-        scalar, vector = _evaluate(node.operand, params, basis_prefix, dim, line)
+        scalar, vector = _evaluate(node.operand, params, basis_prefix, dim)
         return -scalar, {k: -v for k, v in vector.items()}
     if isinstance(node, Power):
         if node.exponent < 0 and not (isinstance(node.base, SymbolRef)
                                       and node.base.name == "t"):
             raise ValidationError("negative exponents are allowed only on t")
-        scalar, vector = _evaluate(node.base, params, basis_prefix, dim, line)
+        scalar, vector = _evaluate(node.base, params, basis_prefix, dim)
         if vector:
             if node.exponent != 1:
                 raise ValidationError("basis symbols cannot be raised to a power")
             return scalar, vector
         degree, bits = _size(scalar)
-        _check_size("power", abs(node.exponent) * degree, abs(node.exponent) * bits, line)
+        _check_size("power", abs(node.exponent) * degree, abs(node.exponent) * bits)
         return scalar ** node.exponent, {}
     if isinstance(node, BinaryOp):
-        left_s, left_v = _evaluate(node.left, params, basis_prefix, dim, line)
-        right_s, right_v = _evaluate(node.right, params, basis_prefix, dim, line)
+        left_s, left_v = _evaluate(node.left, params, basis_prefix, dim)
+        right_s, right_v = _evaluate(node.right, params, basis_prefix, dim)
         if node.op == "+":
             merged = dict(left_v)
             for k, v in right_v.items():
@@ -1062,23 +1059,23 @@ def _evaluate(node: Expression, params: frozenset[str],
             if left_v and right_v:
                 raise ValidationError("product of basis symbols is not linear")
             if left_v:
-                return (_product(left_s, right_s, line),
-                        {k: _product(v, right_s, line) for k, v in left_v.items()})
-            return (_product(left_s, right_s, line),
-                    {k: _product(left_s, v, line) for k, v in right_v.items()})
+                return (_product(left_s, right_s),
+                        {k: _product(v, right_s) for k, v in left_v.items()})
+            return (_product(left_s, right_s),
+                    {k: _product(left_s, v) for k, v in right_v.items()})
     raise TypeError(f"unknown expression node {node!r}")
 
 
-def reference_parse_scalar(text: str, params: Iterable[str], line: int = 0) -> Scalar:
+def reference_parse_scalar(text: str, params: Iterable[str]) -> Scalar:
     """The AST parser's value of a scalar expression."""
-    return reference_parse_expression(text, line).to_scalar(params, line)
+    return reference_parse_expression(text).to_scalar(params)
 
 
-def reference_parse_column(text: str, dim: int, prefix: str, params: Iterable[str],
-                           line: int = 0) -> tuple[Scalar, ...]:
+def reference_parse_column(text: str, dim: int, prefix: str,
+                           params: Iterable[str]) -> tuple[Scalar, ...]:
     """The AST parser's coordinate column of a linear combination."""
-    node = reference_parse_expression(text, line)
-    scalar, vector = _evaluate(node, frozenset(params), prefix, dim, line)
+    node = reference_parse_expression(text)
+    scalar, vector = _evaluate(node, frozenset(params), prefix, dim)
     if not scalar.is_zero():
         raise ValidationError(
             f"value must be a combination of {prefix}-symbols, found scalar part {scalar}")

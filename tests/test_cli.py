@@ -178,12 +178,37 @@ def test_report_machine_grepable(capsys):
     assert all(MACHINE_LINE.match(line) for line in out.splitlines())
 
 
-def test_report_writes_output_file(capsys, tmp_path):
+@pytest.mark.parametrize("argv", [("verify", "mu17"), ("invariants", "mu17"),
+                                  ("counterexample",), ("report", "mu17")],
+                         ids=lambda argv: argv[0])
+def test_report_writes_output_file(capsys, tmp_path, argv):
+    """--output gets exactly the bytes stdout would have held, and stdout
+    gets none."""
+    code, out, _ = run(capsys, *argv)
     target = tmp_path / "report.txt"
-    code = main(["report", "mu17", "--output", str(target)])
-    capsys.readouterr()
+    assert run(capsys, *argv, "--output", str(target)) == (code, "", "")
     assert code == 0
-    assert target.read_text().startswith("== degeneration certificates ==")
+    assert target.read_bytes() == out.encode("utf-8")
+    assert out.startswith("== degeneration certificates ==") == (argv[0] == "report")
+
+
+@pytest.mark.parametrize("names", [("mu17",), ("mu01", "mu01")])
+@pytest.mark.parametrize("report_format", ["text", "machine"])
+def test_report_is_the_verify_section_then_the_invariants_section(
+        capsys, names, report_format):
+    """report prints what verify and invariants print on the same names, the
+    two headed in text format, and exits with the worse code.  A repeated
+    name gets one invariant block per mention, as in invariants."""
+    options = ("--format", report_format)
+    verify_code, verify_out, _ = run(capsys, "verify", *names, *options)
+    invariants_code, invariants_out, _ = run(capsys, "invariants", *names, *options)
+    if report_format == "text":
+        expected = (f"== degeneration certificates ==\n{verify_out}\n"
+                    f"== invariants ==\n{invariants_out}")
+    else:
+        expected = verify_out + invariants_out
+    assert run(capsys, "report", *names, *options) == (
+        max(verify_code, invariants_code), expected, "")
 
 
 def test_repeated_runs_are_byte_identical(capsys):

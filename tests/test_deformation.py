@@ -508,6 +508,19 @@ def test_solver_rejects_a_cell_outside_the_matrix(tables, cell):
         solve_certificate_cell(data.mu, data.ideal, 1, data.derivation, data.g, cell)
 
 
+@pytest.mark.parametrize("outside, reason", [
+    (2, "the complement vector lies inside the ideal"),
+    (9, "complement index out of range"),
+    (0, "complement index out of range")], ids=["x-inside-h", "x-above-dim", "x-zero"])
+def test_solver_rejects_a_complement_mu_d_cannot_be_built_with(tables, outside, reason):
+    """The checks that building mu_D needs run first, as in check_deformation:
+    X inside the ideal <Y2..Y8> or out of range is an InvalidSpec, not an
+    error from building a bracket at indices out of range."""
+    data = tables["mu17"]
+    with pytest.raises(InvalidSpec, match=f"^{reason}$"):
+        solve_certificate_cell(data.mu, data.ideal, outside, data.derivation, data.g, (7, 3))
+
+
 def with_cells(g: ScalarMatrix, changes: dict) -> ScalarMatrix:
     rows = [list(r) for r in g.rows]
     for (row, col), value in changes.items():

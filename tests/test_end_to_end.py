@@ -1,5 +1,5 @@
-"""Whole-program checks: pinned stdout of the certify and invariants commands
-and of residual rendering, pinned derivation algebras, and the demos."""
+"""Whole-program checks: pinned stdout of the certify, invariants and report
+commands and of residual rendering, pinned derivation algebras, and the demos."""
 
 from __future__ import annotations
 
@@ -27,6 +27,16 @@ CATALOG_INVARIANTS = {
     "invariants": "a42882a20e8b845ca72cd20a59be84c9044e724cdd26625ae225a44078424617",
     "invariants --format machine":
         "3d661ffd90dcbafb9adcb01ab50abe2b2f166f856e307a6452f3c8e9584d2a61",
+}
+# sha256 of the stdout of `report --all` in both errata modes and formats.
+REPORT = {
+    "report --all": "3b6e1aaf91c4d75996709fec255c4c688f60691051b5c665bd037aae78440586",
+    "report --all --format machine":
+        "ee03f9abb5af1599f5093c8b6535b266384be6a5f59a0829a13f881600ec4ccb",
+    "report --all --errata corrected":
+        "408694c67c0db3a80776bb48ad7a98ddfedd8bd450f3205edccb1d9d2f7453b5",
+    "report --all --errata corrected --format machine":
+        "6d1c394e202f764bd2a310112a5e83859c10a87a5d7ee79434811be4703f6868",
 }
 DER_BASES = "263b2031c38c6828c17c494702461810cd91e3921630f79b4432fabeb7f8c1c2"
 # Single-cell offsets of corrected certificates, (table, row, column, offset),
@@ -78,6 +88,13 @@ def test_catalog_invariants_stdout_matches_the_pinned_digest(capsys, command):
     assert main(command.split()) == 1  # criterion 5: mu06 at alpha = -1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CATALOG_INVARIANTS[command]
+
+
+@pytest.mark.parametrize("command", sorted(REPORT))
+def test_report_stdout_matches_the_pinned_digest(capsys, command):
+    assert main(command.split()) == 1  # criterion 5: mu06 at alpha = -1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == REPORT[command]
 
 
 def corrupted_verify_stdout(corpus, directory: Path, corruptions) -> int:
