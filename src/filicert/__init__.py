@@ -25,8 +25,8 @@ from .invariants import (RationalAlgebra, center_dim, derivation_algebra,
                          is_characteristically_nilpotent, is_filiform,
                          lower_central_series)
 from .lie import (Cochain2, JacobiReport, StructureConstants, SubspaceSpec,
-                  basis_column, cocycle_check, entries_equal,
-                  is_derivation, is_ideal, jacobi_check, restrict)
+                  basis_column, cocycle_check, is_derivation, is_ideal,
+                  jacobi_check, restrict)
 from .linalg import RationalMatrix, ScalarMatrix, span_basis
 from .scalar import ALPHA, ONE, Scalar, T, ZERO, as_scalar
 

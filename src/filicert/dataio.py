@@ -461,13 +461,6 @@ class AlgebraFile:
     errata: tuple[Erratum, ...] = ()
 
 
-def _int_fields(text: str, count: int, line: int, what: str) -> list[int]:
-    parts = text.split()
-    if len(parts) != count or not all(_is_digits(p.lstrip("-")) for p in parts):
-        raise ParseError(f"expected {count} integer(s) after {what!r}", line, 1)
-    return [int(p) for p in parts]
-
-
 def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     """Parse and fully validate one algebra definition."""
     header: dict[str, str] = {}
@@ -536,7 +529,11 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             parts = key.split()
             if len(parts) != 3 or parts[0] != word:
                 raise ValidationError(f"{source}:{line_number}: expected '{word} i j = ...'")
-            i, j = _int_fields(" ".join(parts[1:]), 2, line_number, word)
+            # at most one '-', so that a negative index gets its range error
+            if not all(_is_digits(p.removeprefix("-")) for p in parts[1:]):
+                raise ValidationError(
+                    f"{source}:{line_number}: expected 2 integers after {word!r}")
+            i, j = int(parts[1]), int(parts[2])
             if (i, j) in cells[word]:
                 raise ValidationError(f"{source}:{line_number}: duplicate entry {word} {i} {j}")
             cells[word][(i, j)] = value

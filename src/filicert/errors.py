@@ -46,6 +46,5 @@ class ParseError(FilicertError):
         self.column = column
         self.expected = expected
         hint = f" (expected {', '.join(expected)})" if expected else ""
-        where = f"line {line}, column {column}" if line and not source else f"column {column}"
         prefix = f"{source}:{line}: " if source else ""
-        super().__init__(f"{prefix}{message} at {where}{hint}")
+        super().__init__(f"{prefix}{message} at column {column}{hint}")

@@ -14,15 +14,18 @@ random vectors is ever needed for verification.
 The contractions (bracket_eval, Jacobi, derivations) read one sparse table
 per cochain, :attr:`Cochain2.table`: (i, j) and (j, i) map to the nonzero
 entries of the column, negated for (j, i).  It is built on first use and
-cached outside the dataclass fields, so == and repr are unchanged, and it
-forms exactly the nonzero products of the dense contraction, so every value
-is the dense one.
+cached outside the dataclass fields, so == and repr are unchanged.
+bracket_eval and is_derivation visit every coordinate or basis pair but form
+exactly the nonzero products of the dense contraction, so every value is the
+dense one.
 
 The Jacobi residual of a linear deformation mu + t*phi expands as
 J(mu) + t*dphi + t^2*J(phi): the Jacobi identity of mu, the cocycle
 condition on phi and the Jacobi identity of phi are the t^0, t^1 and t^2
 coefficients of one expansion, which :func:`jacobi_check` computes in one
-contraction of the structure constants.
+contraction of the structure constants.  It enumerates only the triples
+that some nonzero product reaches, so its cost follows the nonzero structure
+constants, not the C(n, 3) triples.
 """
 
 from __future__ import annotations
@@ -207,32 +210,7 @@ class StructureConstants(Cochain2):
     """
 
 
-def entries_equal(a: Cochain2, b: Cochain2) -> bool:
-    """Entry-by-entry equality of two brackets (ignores names and params);
-    the stored columns are the nonzero ones on i < j, so compare them."""
-    return a.dim == b.dim and a.entries == b.entries
-
-
 Triple = tuple[int, int, int]
-
-
-def _jacobi_terms(mu: Cochain2, phi: Cochain2, triple: Triple) -> tuple[Column, ...]:
-    """The t^0, t^1, t^2 coefficients of J(mu + t*phi) at one triple.
-
-    Each is a cyclic sum of a(b(e_p, e_q), e_r) with a, b in {mu, phi}, where
-    a(x, e_r) = sum_m x_m a(e_m, e_r) is read off the sparse tables.
-    """
-    i, j, k = triple
-    tables = (mu.table, phi.table)
-    totals = [[ZERO] * mu.dim for _ in range(3)]
-    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
-        for d_b, b in enumerate(tables):
-            for m, coeff in b.get((p, q), ()):
-                for d_a, a in enumerate(tables):
-                    total = totals[d_a + d_b]
-                    for n, s in a.get((m + 1, r), ()):
-                        total[n] = total[n] + coeff * s
-    return tuple(tuple(total) for total in totals)
 
 
 @dataclass(frozen=True)
@@ -261,15 +239,50 @@ def jacobi_check(mu: Cochain2, phi: Cochain2 | None = None) -> JacobiReport:
     basis triples, exactly.
 
     The residual of the triple (i, j, k) is
-    [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j].
+    [[b_i,b_j],b_k] + [[b_j,b_k],b_i] + [[b_k,b_i],b_j].  Its t^(d_a + d_b)
+    coefficient gathers the products a(b(e_p, e_q), e_r) over the cyclic
+    rotations (p, q, r) of the triple, with a, b in {mu, phi} of t-degree
+    d_a, d_b.  They are formed from the nonzero entries only: each entry
+    (m, c) of b on (p, q) times each entry of a on (m, r), for every r with
+    (p, q, r) a rotation of the sorted triple, i.e. p < q < r, q < r < p or
+    r < p < q.  A triple that no product reaches has a zero residual, and one
+    whose products cancel is dropped, so the report, in sorted order, is the
+    one of a loop over all triples.
     """
     phi = Cochain2(mu.dim, {}) if phi is None else phi
     if phi.dim != mu.dim:
         raise DimensionMismatch("dimensions differ")
+    tables = (mu.table, phi.table)
+    # for each table, m -> ((r, nonzero entries on (m, r)), ...)
+    rows = []
+    for table in tables:
+        by_first: dict[int, list] = {}
+        for (m, r), entries in table.items():
+            by_first.setdefault(m, []).append((r, entries))
+        rows.append(by_first)
+    totals: dict[Triple, list[list[Scalar]]] = {}
+    for d_b, b in enumerate(tables):
+        for (p, q), column in b.items():
+            for m, coeff in column:
+                for d_a, a in enumerate(rows):
+                    for r, entries in a.get(m + 1, ()):
+                        if p < q < r:
+                            triple = (p, q, r)
+                        elif q < r < p:
+                            triple = (q, r, p)
+                        elif r < p < q:
+                            triple = (r, p, q)
+                        else:
+                            continue
+                        if triple not in totals:
+                            totals[triple] = [[ZERO] * mu.dim for _ in range(3)]
+                        total = totals[triple][d_a + d_b]
+                        for n, s in entries:
+                            total[n] = total[n] + coeff * s
     failures = []
     terms = []
-    for triple in combinations(range(1, mu.dim + 1), 3):
-        columns = _jacobi_terms(mu, phi, triple)
+    for triple in sorted(totals):
+        columns = tuple(tuple(total) for total in totals[triple])
         if all(column_is_zero(column) for column in columns):
             continue
         terms.append((triple, columns))

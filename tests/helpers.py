@@ -20,7 +20,8 @@ from filicert.deformation import check_deformation
 from filicert.errors import (DimensionMismatch, InvalidSpec, NotAUnit, ParseError,
                              ValidationError)
 from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
-from filicert.lie import Cochain2, StructureConstants, column_is_zero
+from filicert.lie import (Cochain2, Column, JacobiReport, StructureConstants, Triple,
+                          column_is_zero)
 from filicert.linalg import _dot, span_basis
 from filicert.scalar import ALPHA, ONE, T, ZERO, as_scalar
 
@@ -590,6 +591,50 @@ def reference_cocycle(mu: Cochain2, phi: Cochain2) -> bool:
         if not column_is_zero(total):
             return False
     return True
+
+
+def entries_equal(a: Cochain2, b: Cochain2) -> bool:
+    """Entry-by-entry equality of two brackets (ignores names and params);
+    the stored columns are the nonzero ones on i < j, so compare them.  With
+    ``a.eval_t(0)``, the oracle for deformation.limit_check."""
+    return a.dim == b.dim and a.entries == b.entries
+
+
+def _jacobi_terms(mu: Cochain2, phi: Cochain2, triple: Triple) -> tuple[Column, ...]:
+    """The t^0, t^1, t^2 coefficients of J(mu + t*phi) at one triple.
+
+    Each is a cyclic sum of a(b(e_p, e_q), e_r) with a, b in {mu, phi}, where
+    a(x, e_r) = sum_m x_m a(e_m, e_r) is read off the sparse tables.
+    """
+    i, j, k = triple
+    tables = (mu.table, phi.table)
+    totals = [[ZERO] * mu.dim for _ in range(3)]
+    for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+        for d_b, b in enumerate(tables):
+            for m, coeff in b.get((p, q), ()):
+                for d_a, a in enumerate(tables):
+                    total = totals[d_a + d_b]
+                    for n, s in a.get((m + 1, r), ()):
+                        total[n] = total[n] + coeff * s
+    return tuple(tuple(total) for total in totals)
+
+
+def reference_jacobi_expansion(mu: Cochain2, phi: Cochain2 | None = None) -> JacobiReport:
+    """The JacobiReport of mu + t*phi by visiting every one of the C(n, 3)
+    basis triples in turn: the oracle for lie.jacobi_check, which visits only
+    the triples that some nonzero product reaches."""
+    phi = Cochain2(mu.dim, {}) if phi is None else phi
+    failures = []
+    terms = []
+    for triple in combinations(range(1, mu.dim + 1), 3):
+        columns = _jacobi_terms(mu, phi, triple)
+        if all(column_is_zero(column) for column in columns):
+            continue
+        terms.append((triple, columns))
+        residual = tuple(a + T * (b + T * c) for a, b, c in zip(*columns))
+        if not column_is_zero(residual):
+            failures.append((triple, residual))
+    return JacobiReport(tuple(failures), tuple(terms))
 
 
 def reference_is_derivation(mu: Cochain2, matrix: ScalarMatrix) -> bool:

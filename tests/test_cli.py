@@ -436,6 +436,27 @@ def test_a_repeated_parameter_line_is_an_input_error(capsys, tmp_path):
     assert (code, out, err) == (2, "", f"error: mu11:{number + 2}: duplicate key 'parameter'\n")
 
 
+@pytest.mark.parametrize("table, word, prefix, value, message", [
+    ("mu11", "bracket", "bracket 1 2 =", "Y3",
+     "bracket indices (-1, 2) must satisfy 1 <= i < j <= 8"),
+    ("mu11", "g", "g 3 1 =", "t", "certificate indices (-1, 1) out of range"),
+    ("mu03-meta", "d", "d 1 1 =", "4", "derivation indices (-1, 1) out of range"),
+], ids=["bracket", "g", "d"])
+@pytest.mark.parametrize("index", ["--1", "x", "1-", "-", "-1"])
+def test_a_bad_index_in_an_i_j_key_names_the_file_and_the_line(capsys, tmp_path, table,
+                                                               word, prefix, value,
+                                                               message, index):
+    """An index is at most one '-' and digits; -1 is then out of range.  Any
+    other text is a structural error of its line, never a traceback."""
+    second = prefix.split()[2]
+    number = write_catalog(tmp_path, table,
+                           {prefix: f"{word} {index} {second} = {value}"})[prefix]
+    if index != "-1":
+        message = f"expected 2 integers after {word!r}"
+    code, out, err = run(capsys, "verify", "mu11", "--data", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {table}:{number}: {message}\n")
+
+
 # Three mu11 catalogs whose deformation fails the ideal or derivation stage:
 # the sha256 of `verify --format machine`, and the reason `invariants` and
 # `report` give, which must not change as the checks are rearranged.

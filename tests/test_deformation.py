@@ -7,22 +7,25 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filicert as fc
 from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       NotInvariant, SubspaceSpec, block_spectrum_check,
-                      counterexample_spec, deform, entries_equal, go_cocycle,
-                      limit_check, verify_degeneration)
+                      counterexample_spec, deform, go_cocycle, limit_check,
+                      verify_degeneration)
 from filicert.dataio import parse_scalar
 from filicert.deformation import (STAGES, _cleared, _eq1_residuals, _unit_det_stage,
                                   check_deformation, run_certificate_checks,
                                   solve_certificate_cell)
-from filicert.lie import basis_column, column_is_zero
+from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
-from filicert.scalar import ONE, T, ZERO, Scalar
+from filicert.scalar import ALPHA, ONE, T, ZERO, Scalar
 
-from helpers import (base_change, poly_from_roots, reciprocal_certificate,
-                     reference_eq1_residuals, reference_solve_cell, scalar_matrix, value_at)
+from helpers import (base_change, cochains, entries_equal, poly_from_roots,
+                     reciprocal_certificate, reference_eq1_residuals, reference_solve_cell,
+                     scalar_matrix, value_at)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
@@ -363,6 +366,48 @@ def test_limit_rejects_poles(tables):
     with_pole = fc.StructureConstants(8, entries, data.mu_t.params, "pole")
     with pytest.raises(NegativeExponent):
         limit_check(with_pole, data.mu)
+
+
+@pytest.mark.parametrize("family, base, expected", [
+    ({(1, 2): (ZERO, ZERO, ONE + T)}, {(1, 2): (ZERO, ZERO, ONE)}, True),
+    ({(1, 2): (ZERO, ZERO, ONE), (1, 3): (T, ZERO, ZERO)}, {(1, 2): (ZERO, ZERO, ONE)}, True),
+    ({(1, 2): (ZERO, ZERO, ONE)}, {(1, 2): (ZERO, ZERO, ONE), (2, 3): (ONE, ZERO, ZERO)},
+     False),
+    ({(1, 3): (T, ZERO, ZERO)}, {(1, 2): (ZERO, ZERO, ONE)}, False),
+    ({(1, 2): (ZERO, ZERO, ONE + T)}, {(1, 2): (ZERO, ZERO, ONE + T)}, False),
+    ({(1, 2): (ZERO, ZERO, ALPHA + T * ALPHA)}, {(1, 2): (ZERO, ZERO, ALPHA)}, True),
+    ({(1, 2): (ZERO, ZERO, ALPHA + T)}, {(1, 2): (ZERO, ZERO, ALPHA * ALPHA)}, False),
+], ids=["t-term", "family-only-pair", "base-only-pair", "disjoint-pairs", "t-in-base",
+        "alpha", "alpha-power"])
+def test_limit_check_compares_the_t0_terms_like_the_evaluated_family(family, base,
+                                                                     expected):
+    params = frozenset({"t", "alpha"})
+    family, base = Cochain2(3, family, params), Cochain2(3, base, params)
+    assert limit_check(family, base) == entries_equal(family.eval_t(0), base) == expected
+
+
+@settings(max_examples=60)
+@given(st.data(), st.integers(1, 5))
+def test_limit_check_is_the_evaluated_family_compared_entrywise(data, dim):
+    """On random families, half of them with their poles shifted away, and
+    bases equal to the limit or one entry off it, or unrelated."""
+    family = data.draw(cochains(dim))
+    if data.draw(st.booleans()):
+        family = family.map_entries(lambda s: s * T ** 3)
+    if any(s.has_negative_t_exponent() for col in family.entries.values() for s in col):
+        with pytest.raises(NegativeExponent):
+            limit_check(family, data.draw(cochains(dim)))
+        return
+    base = family.eval_t(0)
+    edit = data.draw(st.sampled_from((None, ZERO, ONE, T, ALPHA)))
+    if dim > 1 and edit is not None:
+        pair = data.draw(st.sampled_from(sorted(family.pairs())))
+        entries = dict(base.entries)
+        entries[pair] = (ZERO,) * dim if edit is ZERO else (
+            base.bracket(*pair)[0] + edit, *base.bracket(*pair)[1:])
+        base = Cochain2(dim, entries, family.params)
+    base = data.draw(st.sampled_from((base, data.draw(cochains(dim)))))
+    assert limit_check(family, base) == entries_equal(family.eval_t(0), base)
 
 
 # -- det g from the block polynomial ---------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from filicert import VERIFIED_NAMES, RationalAlgebra, Scalar, structure_constants
 from filicert.cli import DEFAULT_ALPHA_SAMPLES, main
-from filicert.dataio import apply_errata, parse_scalar, serialize_algebra
+from filicert.dataio import apply_errata, data_dir, parse_scalar, serialize_algebra
 from filicert.invariants import derivation_algebra
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -67,6 +67,10 @@ OUTSIDE_ROW_CORRUPTIONS = (
     ("mu17", 1, 1, "t"),
 )
 OUTSIDE_ROW_RENDERING = "80ec20f69dbe963dfd2d3fc0553d37b905daa10abd68382eae82fff0400b2557"
+# One Fraction bracket cell of mu01 changed, and the sha256 of `verify mu01`
+# on it: the rendering of the jacobi failures of the algebra and the family.
+JACOBI_CORRUPTION = ("bracket 2 3 = -(1/11)*Y4", "bracket 2 3 = -(1/7)*Y4")
+JACOBI_RENDERING = "3f76b4ded6bdd8f01f13149f29f3654929a9ff51c0d1056dc1b61eb2ab06dc1c"
 
 
 @pytest.mark.parametrize("command", sorted(PINS["certify"]))
@@ -123,6 +127,17 @@ def test_outside_row_rendering_matches_the_pinned_digest(capsys, tmp_path, corpu
     assert corrupted_verify_stdout(corpus, tmp_path, OUTSIDE_ROW_CORRUPTIONS) == 1
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == OUTSIDE_ROW_RENDERING
+
+
+def test_jacobi_rendering_matches_the_pinned_digest(capsys, tmp_path):
+    old, new = JACOBI_CORRUPTION
+    text = (data_dir() / "mu01").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    (tmp_path / "mu01").write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["verify", "mu01", "--data", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert "jacobi: (1, 2, 3) component 5: -40/77" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == JACOBI_RENDERING
 
 
 def der_bases_digest(corpus) -> str:

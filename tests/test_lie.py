@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import filicert as fc
 from filicert import (Cochain2, StructureConstants, SubspaceSpec, cocycle_check,
-                      entries_equal, is_derivation, is_ideal, jacobi_check, restrict)
+                      is_derivation, is_ideal, jacobi_check, restrict)
 from filicert.deformation import check_deformation, deform, run_certificate_checks
 from filicert.errors import DimensionMismatch, ValidationError
 from filicert.lie import basis_column, column_is_zero
@@ -21,9 +21,10 @@ from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, ZERO
 
 from helpers import (base_change, cochains, dense_bracket, dense_bracket_eval,
-                     inverse_unit, matmul, matrices, monomial_diagonal, nonzero_scalars,
-                     rand_scalar, reference_algebra, reference_cocycle,
-                     reference_is_derivation, reference_jacobi, scalar_matrix, vectors)
+                     entries_equal, inverse_unit, matmul, matrices, monomial_diagonal,
+                     nonzero_scalars, rand_scalar, reference_algebra, reference_cocycle,
+                     reference_is_derivation, reference_jacobi, reference_jacobi_expansion,
+                     scalar_matrix, vectors)
 
 
 def column(dim, **components):
@@ -311,6 +312,47 @@ def test_jacobi_expansion_matches_the_dense_oracles(data, dim):
     assert _rendered(expansion.coefficient(2)) == _rendered(reference_jacobi(phi))
     assert _rendered(expansion.failures) == _rendered(reference_jacobi(deform(mu, phi)))
     assert _rendered(jacobi_check(mu).failures) == _rendered(reference_jacobi(mu))
+
+
+def assert_expansion_is_the_reference(mu, phi):
+    """The whole JacobiReport of mu and of mu + t*phi equals the one that
+    visits every basis triple: terms in combinations order, failures, and
+    each t-coefficient."""
+    for args in ((mu,), (mu, phi)):
+        report, expected = jacobi_check(*args), reference_jacobi_expansion(*args)
+        assert report.terms == expected.terms
+        assert report.failures == expected.failures
+        for degree in range(3):
+            assert report.coefficient(degree) == expected.coefficient(degree)
+
+
+def test_the_catalog_expansions_are_the_reference(tables):
+    """Every reached triple of a catalog algebra and its cocycle cancels."""
+    for name, data in tables.items():
+        assert_expansion_is_the_reference(data.mu, data.phi)
+        assert not jacobi_check(data.mu, data.phi).terms, name
+
+
+@st.composite
+def signed_cochains(draw, dim):
+    """Every pair stored, entries in {0, 1, -1}: products of equal size meet
+    in one coefficient, so some triples are reached and still cancel."""
+    entries = {pair: tuple(draw(st.lists(st.sampled_from((ZERO, ZERO, ONE, -ONE)),
+                                         min_size=dim, max_size=dim)))
+               for pair in combinations(range(1, dim + 1), 2)}
+    return Cochain2(dim, entries, frozenset({"t", "alpha"}))
+
+
+# Mutation checks: dropping the rotation r < p < q from the sparse expansion
+# is killed here, by test_the_catalog_expansions_are_the_reference and by
+# test_jacobi_expansion_matches_the_dense_oracles; keeping a reached triple
+# whose products cancel is killed here and by the catalog test.
+@settings(max_examples=80)
+@given(st.data(), dims)
+def test_the_sparse_expansion_is_the_reference_expansion(data, dim):
+    """Fraction, t and alpha entries, signed entries that cancel, and dim <= 2."""
+    draw = lambda: data.draw(st.one_of(cochains(dim), signed_cochains(dim)))
+    assert_expansion_is_the_reference(draw(), draw())
 
 
 @settings(max_examples=40)
