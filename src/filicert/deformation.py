@@ -25,14 +25,18 @@ family g_{1/t} then satisfies (*) literally).  Such certificates carry the
 marker ``parameter = 1/t`` in their data files and are verified against the
 reciprocal deformation.
 
-The residuals are computed on int coefficients.  With L and M the lcms of
-the coefficient denominators of g and of the family (which holds those of
-mu and of phi = mu_D, so also those of mu_1), the kernel evaluates (*) for
-L*g, M*mu_1 and the family times M*L.  Every residual is then exactly
-M*L^2 times the true one, so zero-ness is unchanged, and only the nonzero
-ones are divided back.  The cell solver reads its offsets (M*L^2 times the
-true ones) and its slopes (M*L times) off the same scaled objects, so it
-solves for L times the cell and divides by L once.
+The residuals are computed on int coefficients.  With L the lcm of the
+coefficient denominators of g and M that of mu_t (which holds those of mu
+and of phi = mu_D, so also those of mu_1 and of mu_{1/t}), the kernel
+evaluates (*) for L*g, M*mu_1 and the family scaled by M only, and
+multiplies its right-hand side g(family(e_i, e_j)) by L inside the kernel.
+Every residual is then exactly M*L^2 times the true one, so zero-ness is
+unchanged, and only the nonzero ones are divided back.  M*mu_1 and
+M*family are built once per deformation and kept on mu_t; a certificate
+only scales g.  Each residual component is accumulated in one term map, one
+product at a time, and made a Scalar once.  The cell solver reads its
+offsets (M*L^2 times the true ones) and its slopes (M*L times) off the same
+scaled objects, so it solves for L times the cell and divides by L once.
 
 The limit stage checks that mu_t has no t-pole and that, on every pair
 either stores, the t^0 terms of each entry of mu_t are the terms of mu's
@@ -56,7 +60,7 @@ from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
 from .lie import (Cochain2, StructureConstants, SubspaceSpec, column_is_zero,
                   is_derivation, is_ideal, jacobi_check, restrict)
 from .linalg import Column, ScalarMatrix
-from .scalar import ONE, T, ZERO, Scalar
+from .scalar import ONE, T, ZERO, Scalar, add_product, from_terms
 
 STAGES = ("jacobi", "ideal", "derivation", "cocycle", "bracket",
           "eq1", "unit-det", "limit", "spectrum")
@@ -182,9 +186,8 @@ def verify_degeneration(mu_t: StructureConstants, g: ScalarMatrix, reciprocal: b
     if g.n != mu_t.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
     report = VerificationReport(mu_t.name)
-    family = mu_t.invert_t() if reciprocal else mu_t
     failures = [Failure(pair, residual) for pair, residual
-                in _eq1_residuals(mu_t.at_t_one, family, g) if not column_is_zero(residual)]
+                in _eq1_residuals(mu_t, g, reciprocal) if not column_is_zero(residual)]
     note = "certificate parametrized by 1/t" if reciprocal else ""
     report.stages["eq1"] = StageResult(not failures, tuple(failures), note)
     report.stages["unit-det"] = _unit_det_stage(g, det)
@@ -200,37 +203,68 @@ def _unit_det_stage(g: ScalarMatrix, det: Scalar | None = None) -> StageResult:
                        "determinant is not a single term c*t^k")
 
 
-def _cleared(mu1: StructureConstants, family: StructureConstants, g: ScalarMatrix):
-    """(L, M, M*mu_1, M*L*family, L*g) with L and M the lcms of the
-    coefficient denominators of g and of the family.  mu_1's coefficients
-    are sums of the family's, so all three scaled objects have int
-    coefficients."""
-    scale_g, scale_mu = g.denominator(), family.denominator()
-    return (scale_g, scale_mu, mu1.scaled(scale_mu), family.scaled(scale_mu * scale_g),
-            g.map_entries(lambda s: s.scaled(scale_g)))
+def _cleared_family(mu_t: StructureConstants, reciprocal: bool):
+    """(M, M*mu_1, M*family) with M the lcm of the coefficient denominators of
+    mu_t, which is that of mu_{1/t} too, and family = mu_t, or mu_{1/t} for a
+    reciprocal certificate.  mu_1's coefficients are sums of mu_t's, so both
+    scaled objects have int coefficients.  Built on the first call and kept on
+    mu_t beside its at_t_one, so every certificate of a deformation reuses it."""
+    # in the instance dict, outside the dataclass fields like at_t_one, so
+    # == and repr of mu_t are unchanged
+    cache = vars(mu_t).setdefault("_cleared_families", {})
+    if reciprocal not in cache:
+        cache[reciprocal] = _clear_family(mu_t, reciprocal)
+    return cache[reciprocal]
+
+
+def _clear_family(mu_t: StructureConstants, reciprocal: bool):
+    """The value of :func:`_cleared_family`, built anew.  Both objects are
+    copies even for M = 1: held in mu_t's own dict, mu_t itself would make a
+    reference cycle that outlives the command."""
+    scale = mu_t.denominator()
+    family = mu_t.invert_t() if reciprocal else mu_t
+    return scale, mu_t.at_t_one.scaled(scale), family.scaled(scale)
+
+
+def _cleared_certificate(g: ScalarMatrix) -> tuple[int, ScalarMatrix]:
+    """(L, L*g) with L the lcm of the coefficient denominators of g."""
+    scale = g.denominator()
+    return scale, g if scale == 1 else g.map_entries(lambda s: s.scaled(scale))
 
 
 def _residual_columns(mu1: StructureConstants, family: StructureConstants,
-                      g: ScalarMatrix):
-    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs."""
-    columns = [g.column(k) for k in range(g.n)]
+                      g: ScalarMatrix, factor: int):
+    """(pair, mu_1(g e_i, g e_j) - factor * g(family(e_i, e_j))) on all basis
+    pairs.  Each component is accumulated in one term map, from the products
+    x_a y_b mu_1(e_a, e_b)[k] of x = g e_i and y = g e_j and the products
+    -factor family(e_i, e_j)[m] g[k, m], and made a Scalar once."""
+    table, columns = mu1.table, g.nonzero_columns
+    minus_factor = Scalar.from_rational(-factor)
     for i, j in family.pairs():
-        lhs = mu1.bracket_eval(columns[i - 1], columns[j - 1])
-        rhs = g.apply(family.bracket(i, j))
-        yield (i, j), tuple(a - b if b._terms else a for a, b in zip(lhs, rhs))
+        terms = [{} for _ in range(g.n)]
+        x, y = columns[i - 1], columns[j - 1]
+        for a, xa in x:
+            for b, yb in y:
+                for k, c in table.get((a + 1, b + 1), ()):
+                    add_product(terms[k], c, xa, yb)
+        for m, f in enumerate(family.entries.get((i, j), ())):
+            if f._terms:
+                for k, gkm in columns[m]:
+                    add_product(terms[k], minus_factor, f, gkm)
+        yield (i, j), tuple(from_terms(t) if t else ZERO for t in terms)
 
 
-def _eq1_residuals(mu1: StructureConstants, family: StructureConstants,
-                   g: ScalarMatrix):
+def _eq1_residuals(mu_t: StructureConstants, g: ScalarMatrix, reciprocal: bool):
     """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs;
     the family is mu_t, or mu_{1/t} for a reciprocal certificate.
 
-    Computed on the cleared objects of :func:`_cleared`, where each residual
-    is M*L^2 times the true one, and divided back.
+    Computed on M*mu_1, M*family and L*g with factor L, where each residual is
+    M*L^2 times the true one, and divided back.
     """
-    scale_g, scale_mu, *cleared = _cleared(mu1, family, g)
+    scale_mu, mu1, family = _cleared_family(mu_t, reciprocal)
+    scale_g, g = _cleared_certificate(g)
     back = Fraction(1, scale_mu * scale_g ** 2)
-    for pair, residual in _residual_columns(*cleared):
+    for pair, residual in _residual_columns(mu1, family, g, scale_g):
         yield pair, tuple(s.scaled(back) if s._terms else s for s in residual)
 
 
@@ -357,7 +391,11 @@ def run_certificate_checks(name: str, deformation: CheckedDeformation,
     det g = g_xx * det B = g_xx * (-1)^(n-1) * chi_B(0), read off the block
     characteristic polynomial chi_B that spectrum compares.  Only other g,
     or a spec without a valid complement, have their full determinant computed.
+    A g whose size is not the algebra's dimension is refused first, with
+    :class:`DimensionMismatch`.
     """
+    if g.n != deformation.base.dim:
+        raise DimensionMismatch("dimensions of brackets and matrix differ")
     report = VerificationReport(name, dict(deformation.stages))
     ideal, x = deformation.ideal, deformation.outside_index
     try:
@@ -407,34 +445,36 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     i == j == col.  The unique common solution is returned,
     found by exact division.  Raises :class:`InvalidSpec` if the equations
     are inconsistent or leave the cell unconstrained, i.e. if a single-cell
-    correction cannot exist, or if mu_D cannot be built (see _BUILD_CHECKS).
+    correction cannot exist, or if mu_D cannot be built (see _BUILD_CHECKS);
+    a cell outside g is refused before that, and a g whose size is not mu's
+    dimension first of all, with :class:`DimensionMismatch`.
     """
-    spec = DeformationSpec(mu, ideal, outside_index, derivation)
-    if unbuilt := _first_failure(spec, _BUILD_CHECKS):
-        raise InvalidSpec(unbuilt[1])
-    mu_t = deform(mu, _build_cocycle(spec))
-    family = mu_t.invert_t() if reciprocal else mu_t
+    if g.n != mu.dim:
+        raise DimensionMismatch("dimensions of brackets and matrix differ")
     row, col = cell
     if not (1 <= row <= g.n and 1 <= col <= g.n):
         raise InvalidSpec(f"cell {cell} is outside the {g.n}x{g.n} certificate")
+    spec = DeformationSpec(mu, ideal, outside_index, derivation)
+    if unbuilt := _first_failure(spec, _BUILD_CHECKS):
+        raise InvalidSpec(unbuilt[1])
+    _, mu1, family = _cleared_family(deform(mu, _build_cocycle(spec)), reciprocal)
     rows = [list(r) for r in g.rows]
     rows[row - 1][col - 1] = ZERO
     # on the cleared objects, offsets are M*L^2 and slopes M*L times the true ones
-    scale_g, _, mu1, family, g0 = _cleared(mu_t.at_t_one, family,
-                                           ScalarMatrix(tuple(map(tuple, rows))))
+    scale_g, g0 = _cleared_certificate(ScalarMatrix(tuple(map(tuple, rows))))
     e_row = tuple(ONE if k == row - 1 else ZERO for k in range(g.n))
     # mu_1(e_row, g_0 e_m) for every basis index m other than col
     cross = {m: mu1.bracket_eval(e_row, g0.column(m - 1))
              for m in range(1, g.n + 1) if m != col}
     solution = None
-    for (i, j), offsets in _residual_columns(mu1, family, g0):
+    for (i, j), offsets in _residual_columns(mu1, family, g0, scale_g):
         if i == col:
             slopes = list(cross[j])
         elif j == col:
             slopes = [-s for s in cross[i]]
         else:
             slopes = [ZERO] * g.n
-        slopes[row - 1] -= family.bracket(i, j)[col - 1]
+        slopes[row - 1] -= family.bracket(i, j)[col - 1].scaled(scale_g)
         for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
             key = (i, j, k)
             if not slope._terms:

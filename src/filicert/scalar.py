@@ -21,6 +21,11 @@ and adding or subtracting zero returns the other operand (or its negation)
 without copying it.  A term new to an accumulated sum stores its
 coefficient as it is, with no addition to 0.
 
+A sum of many products is best accumulated in one bare term map:
+:func:`add_product` adds factor*a*b to it in place, with no Scalar and no
+copy per product, and :func:`from_terms` turns it into a Scalar once.  Until
+then the map may hold zero coefficients where terms cancelled.
+
 Rationals are substituted one symbol at a time: the value at (t, a) is
 ``s.eval_t(t).eval_alpha(a).constant_value()``, and ``eval_t(0)`` raises
 :class:`ZeroSpecialization` on a pole.
@@ -375,6 +380,30 @@ ZERO = Scalar()
 ONE = Scalar.from_rational(1)
 T = Scalar.t_power(1)
 ALPHA = Scalar.term(1, 0, 1)
+
+Terms = dict[tuple[int, int], int | Fraction]
+
+
+def add_product(terms: Terms, factor: Scalar, a: Scalar, b: Scalar) -> None:
+    """terms += factor*a*b, in place on a bare term map that no Scalar holds.
+
+    A coefficient that cancels stays in the map as 0, so the map is not
+    canonical until :func:`from_terms` converts it.
+    """
+    for (f_t, f_alpha), f_coeff in factor._terms.items():
+        for (a_t, a_alpha), a_coeff in a._terms.items():
+            e_t, e_alpha, coeff = f_t + a_t, f_alpha + a_alpha, f_coeff * a_coeff
+            for (b_t, b_alpha), b_coeff in b._terms.items():
+                key = (e_t + b_t, e_alpha + b_alpha)
+                terms[key] = terms.get(key, 0) + coeff * b_coeff
+
+
+def from_terms(terms: Terms) -> Scalar:
+    """The Scalar of a term map filled by :func:`add_product`, its zero
+    terms dropped."""
+    result = Scalar.__new__(Scalar)
+    result._terms = {key: coeff for key, coeff in terms.items() if coeff}
+    return result
 
 
 def as_scalar(value: _Coercible) -> Scalar:

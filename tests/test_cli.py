@@ -328,6 +328,24 @@ def test_verify_of_sibling_tables_is_the_concatenation_of_each_table(
     assert len(checked) == 6
 
 
+def test_verify_clears_each_family_once_per_distinct_deformation(
+        capsys, tmp_path, corpus, monkeypatch):
+    """The cleared family (M, M*mu_1, M*family) of the eq1 kernel is built
+    once per distinct deformation of a verify command, and never by
+    counterexample or invariants, which check no certificate."""
+    import filicert.deformation as deformation
+
+    built, clear_family = [], deformation._clear_family
+    monkeypatch.setattr(deformation, "_clear_family",
+                        lambda *args: built.append(args) or clear_family(*args))
+    names = sibling_catalog(tmp_path, corpus)
+    for argv, count in ((("verify", *names, "--data", str(tmp_path)), 6),
+                        (("verify", "--all"), 10), (("counterexample",), 0),
+                        (("invariants", "mu17"), 0)):
+        built.clear()
+        run(capsys, *argv)
+        assert len(built) == count, argv
+
 @pytest.mark.parametrize("options", SIBLING_OPTIONS)
 def test_report_of_sibling_tables_is_the_concatenation_of_each_table(
         capsys, tmp_path, corpus, options):

@@ -16,14 +16,14 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       counterexample_spec, deform, go_cocycle, limit_check,
                       verify_degeneration)
 from filicert.dataio import parse_scalar
-from filicert.deformation import (STAGES, _cleared, _eq1_residuals, _unit_det_stage,
-                                  check_deformation, run_certificate_checks,
-                                  solve_certificate_cell)
+from filicert.deformation import (STAGES, _cleared_certificate, _cleared_family,
+                                  _eq1_residuals, _unit_det_stage, check_deformation,
+                                  run_certificate_checks, solve_certificate_cell)
 from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, T, ZERO, Scalar
 
-from helpers import (base_change, cochains, entries_equal, poly_from_roots,
+from helpers import (base_change, cochains, entries_equal, matrices, poly_from_roots,
                      reciprocal_certificate, reference_eq1_residuals, reference_solve_cell,
                      scalar_matrix, value_at)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
@@ -189,8 +189,7 @@ def test_eq1_residuals_expand_like_sympy(corpus):
             mu1 = {pair: value(*pair, 1) for pair in combinations(range(1, dim + 1), 2)}
             mu_t = check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
                                      ScalarMatrix.diagonal(block.diagonal)).mu_t
-            family = mu_t.invert_t() if reciprocal else mu_t
-            for (i, j), residual in _eq1_residuals(mu_t.at_t_one, family, g):
+            for (i, j), residual in _eq1_residuals(mu_t, g, reciprocal):
                 rhs = value(i, j, family_t)
                 for k in range(dim):
                     expected = -sum((G[k][m] * rhs[m] for m in range(dim)), sympy.Integer(0))
@@ -208,7 +207,7 @@ def test_eq1_residuals_expand_like_sympy(corpus):
 
 
 def eq1_cases(corpus):
-    """(label, mu_1, family, g): every certified table in both errata modes,
+    """(label, mu_t, reciprocal, g): every certified table in both errata modes,
     the single-cell corruptions of the residual-rendering pin, and mu11 with
     the non-integral D = diag(1/2, 2, ..., 7), whose phi has denominators."""
     def case(name, corrected, diagonal=None, cell=None):
@@ -217,13 +216,12 @@ def eq1_cases(corpus):
         mu_t = check_deformation(
             fc.structure_constants(alg, corrected=corrected), SubspaceSpec(block.ideal),
             block.outside, ScalarMatrix.diagonal(diagonal or block.diagonal)).mu_t
-        family = mu_t.invert_t() if alg.certificate_parameter == "1/t" else mu_t
         g = fc.certificate_matrix(alg, corrected=corrected)
         if cell:
             row, col, offset = cell
             g = with_cells(g, {(row, col): g.rows[row - 1][col - 1]
                                            + parse_scalar(offset, ("t", "alpha"))})
-        return (name, corrected, diagonal, cell), mu_t.at_t_one, family, g
+        return (name, corrected, diagonal, cell), mu_t, alg.certificate_parameter == "1/t", g
 
     cases = [case(name, corrected) for name in fc.VERIFIED_NAMES for corrected in (False, True)]
     cases += [case(name, True, cell=(row, col, offset))
@@ -232,27 +230,34 @@ def eq1_cases(corpus):
     return cases
 
 
+def oracle_eq1_residuals(mu_t, g, reciprocal):
+    return reference_eq1_residuals(mu_t.at_t_one, mu_t.invert_t() if reciprocal else mu_t, g)
+
+
 def test_eq1_residuals_match_the_unscaled_oracle(corpus):
-    """The eq1 kernel runs on M*mu_1, M*L*family and L*g and divides the
-    nonzero residuals by M*L^2; the oracle runs on the objects as they are."""
+    """The eq1 kernel runs on M*mu_1, M*family and L*g, with the g(family)
+    term times L, and divides the nonzero residuals by M*L^2; the oracle runs
+    on the objects as they are."""
     nonzero = 0
-    for label, mu1, family, g in eq1_cases(corpus):
-        residuals = list(_eq1_residuals(mu1, family, g))
-        assert residuals == list(reference_eq1_residuals(mu1, family, g)), label
+    for label, mu_t, reciprocal, g in eq1_cases(corpus):
+        residuals = list(_eq1_residuals(mu_t, g, reciprocal))
+        assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal)), label
         nonzero += sum(not column_is_zero(residual) for _, residual in residuals)
     assert nonzero > len(RESIDUAL_CORRUPTIONS)
 
 
 def test_cleared_certificates_have_int_coefficients(corpus):
-    """Every coefficient of L*g, M*mu_1 and M*L*family is an int, also where
+    """Every coefficient of L*g, M*mu_1 and M*family is an int, also where
     g, mu or phi = mu_D has Fraction coefficients: an integral Fraction would
     keep the cost of Fraction arithmetic."""
     def coefficients(columns):
         return [c for column in columns for s in column for c in s._terms.values()]
 
     fractions, cases = 0, eq1_cases(corpus)
-    for label, mu1, family, g in cases:
-        _, _, mu1_c, family_c, g_c = _cleared(mu1, family, g)
+    for label, mu_t, reciprocal, g in cases:
+        mu1, family = mu_t.at_t_one, mu_t.invert_t() if reciprocal else mu_t
+        _, mu1_c, family_c = _cleared_family(mu_t, reciprocal)
+        _, g_c = _cleared_certificate(g)
         originals = coefficients([*g.rows, *mu1.entries.values(), *family.entries.values()])
         fractions += any(type(c) is not int for c in originals)
         cleared = coefficients([*g_c.rows, *mu1_c.entries.values(), *family_c.entries.values()])
@@ -260,6 +265,47 @@ def test_cleared_certificates_have_int_coefficients(corpus):
         assert all(type(c) is int for c in cleared), label
     assert fractions == len(cases)
 
+
+@st.composite
+def eq1_inputs(draw):
+    """(mu_t, reciprocal, g) of dimension 2..5: a cochain and a matrix with
+    int and Fraction coefficients and t, 1/t and alpha terms, each divided by
+    a drawn denominator so that M and L also exceed 1 where the coefficients
+    are ints.  Half of the matrices repeat column i as column j, so that
+    mu_1(g e_i, g e_j) cancels to zero product by product."""
+    dim = draw(st.integers(2, 5))
+    mu_t = draw(cochains(dim)).scaled(Fraction(1, draw(st.integers(1, 4))))
+    scale = Fraction(1, draw(st.integers(1, 4)))
+    g = draw(matrices(dim)).map_entries(lambda s: s.scaled(scale))
+    if draw(st.booleans()):
+        i, j = draw(st.sampled_from(list(combinations(range(dim), 2))))
+        g = with_cells(g, {(r + 1, j + 1): row[i] for r, row in enumerate(g.rows)})
+    return mu_t, draw(st.booleans()), g
+
+
+@given(eq1_inputs())
+def test_eq1_kernel_matches_the_oracle_on_random_inputs(inputs):
+    mu_t, reciprocal, g = inputs
+    residuals = list(_eq1_residuals(mu_t, g, reciprocal))
+    assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal))
+    assert all(c for _, residual in residuals for s in residual for c in s._terms.values())
+
+
+def test_cleared_family_is_built_once_per_deformation_and_direction(tables, monkeypatch):
+    """verify_degeneration reuses the cleared family kept on mu_t for every
+    certificate, in each direction; the cell solver builds its own per call."""
+    import filicert.deformation as deformation
+
+    built, clear_family = [], deformation._clear_family
+    monkeypatch.setattr(deformation, "_clear_family",
+                        lambda *args: built.append(args) or clear_family(*args))
+    data = tables["mu17"]
+    mu_t = deform(data.mu, data.phi)
+    for reciprocal in (False, True, False, True):
+        verify_degeneration(mu_t, data.g, reciprocal)
+    assert [reciprocal for _, reciprocal in built] == [False, True]
+    solve_certificate_cell(data.mu, data.ideal, 1, data.derivation, data.g, (7, 3))
+    assert len(built) == 3 and built[-1][0] is not mu_t
 
 def test_full_pipeline_stage_order(tables):
     data = tables["mu15"]
@@ -552,6 +598,35 @@ def test_solver_rejects_a_cell_outside_the_matrix(tables, cell):
     with pytest.raises(InvalidSpec, match="outside the 8x8 certificate"):
         solve_certificate_cell(data.mu, data.ideal, 1, data.derivation, data.g, cell)
 
+
+@pytest.mark.parametrize("size", [7, 9])
+def test_a_certificate_of_the_wrong_size_is_a_dimension_mismatch(tables, size):
+    """A g of another size than the algebra is refused before any other work,
+    by run_certificate_checks (whose block of g on the ideal would otherwise
+    index past g) and by the solver, whatever the cell."""
+    data = tables["mu01"]
+    g = ScalarMatrix.diagonal([1] * size)
+    deformation = check_deformation(data.mu, data.ideal, data.outside, data.derivation)
+    with pytest.raises(fc.DimensionMismatch, match="^dimensions of brackets and matrix differ$"):
+        run_certificate_checks("mu01", deformation, g)
+    for cell in ((2, 3), (9, 9), (0, 1)):
+        with pytest.raises(fc.DimensionMismatch,
+                           match="^dimensions of brackets and matrix differ$"):
+            solve_certificate_cell(data.mu, data.ideal, data.outside, data.derivation, g, cell)
+
+
+def test_solver_rejects_a_cell_outside_the_matrix_before_building_the_family(
+        tables, monkeypatch):
+    import filicert.deformation as deformation
+
+    def refuse(*args):
+        raise AssertionError("the deformation was built")
+
+    monkeypatch.setattr(deformation, "deform", refuse)
+    data = tables["mu17"]
+    for outside in (1, 2):
+        with pytest.raises(InvalidSpec, match="^cell \\(9, 1\\) is outside the 8x8 certificate$"):
+            solve_certificate_cell(data.mu, data.ideal, outside, data.derivation, data.g, (9, 1))
 
 @pytest.mark.parametrize("outside, reason", [
     (2, "the complement vector lies inside the ideal"),

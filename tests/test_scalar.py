@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from filicert import Scalar, ZeroSpecialization
-from filicert.scalar import ALPHA, ONE, T, ZERO
+from filicert.scalar import ALPHA, ONE, T, ZERO, add_product, from_terms
 
 from helpers import ReferenceScalar, rand_scalar, value_at
 
@@ -326,3 +326,27 @@ def test_bool_coefficients_are_stored_as_ints():
     for scalar in (Scalar({(1, 0): True}), Scalar.term(True, 2), Scalar.from_rational(True)):
         assert [type(c) for _, c in scalar.iter_terms()] == [int]
     assert Scalar({(0, 0): False}).is_zero()
+
+
+# -- accumulating sums of products in one term map ------------------------------------
+
+@given(st.lists(st.tuples(zero_or_mixed_st, zero_or_mixed_st, zero_or_mixed_st), max_size=5),
+       st.booleans())
+def test_accumulated_products_agree_with_the_ring_operations(products, cancel):
+    """add_product adds factor*a*b in place and from_terms makes the sum a
+    canonical Scalar, equal to the sum of the products by Scalar * and +,
+    with no zero term; with every product added again negated, the sum is
+    ZERO.  The operands are never changed."""
+    before = [tuple(map(snapshot, product)) for product in products]
+    terms, expected = {}, ZERO
+    for factor, a, b in products:
+        add_product(terms, factor, a, b)
+        expected = expected + factor * a * b
+    if cancel:
+        for factor, a, b in products:
+            add_product(terms, -factor, a, b)
+        expected = ZERO
+    total = from_terms(terms)
+    assert total == expected
+    assert all(total._terms.values())
+    assert [tuple(map(snapshot, product)) for product in products] == before
