@@ -32,17 +32,24 @@ evaluates (*) for L*g, M*mu_1 and the family scaled by M only, and
 multiplies its right-hand side g(family(e_i, e_j)) by L inside the kernel.
 Every residual is then exactly M*L^2 times the true one, so zero-ness is
 unchanged, and only the nonzero ones are divided back.  M*mu_1 and
-M*family are built once per deformation and kept on mu_t; a certificate
-only scales g.  Each residual component is accumulated in one term map, one
-product at a time, and made a Scalar once.  The cell solver reads its
-offsets (M*L^2 times the true ones) and its slopes (M*L times) off the same
-scaled objects, so it solves for L times the cell and divides by L once.
+M*family are built once per deformation and kept on mu_t, in one scaling
+pass: mu_t is scaled by M, and M*mu_1 and M*mu_{1/t} are read off the
+scaled copy; a certificate only scales g.  Each residual component is
+accumulated in one term map, one product at a time, and made a Scalar once.
+The cell solver reads its offsets (M*L^2 times the true ones) and its slopes
+(M*L times) off the same scaled objects, so it solves for L times the cell
+and divides by L once.
 
 The limit stage checks that mu_t has no t-pole and that, on every pair
 either stores, the t^0 terms of each entry of mu_t are the terms of mu's
 entry.  The spectrum stage compares the coefficient tuple of the
 characteristic polynomial of g's block on the ideal with that of
-prod_i (x - t^(d_i)).
+prod_i (x - t^(d_i)), which depends on D only: it is built once per
+deformation and kept on its :class:`CheckedDeformation`.
+
+mu_t = mu + t*mu_D and the cochains derived from it (specializations,
+scaled copies) are built from valid cochains, so they are not validated
+again; mu_D, which is built from D, and every input from outside are.
 
 The stages that depend only on (mu, h, X, D) run in :func:`check_deformation`,
 the ones of a certificate in :func:`run_certificate_checks`, so ``verify`` and
@@ -54,6 +61,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
                      NotInvariant)
@@ -138,8 +146,8 @@ def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
     for key in set(mu.entries) | set(phi.entries):
         entries[key] = tuple(a + T * b if b._terms else a
                              for a, b in zip(mu.bracket(*key), phi.bracket(*key)))
-    return StructureConstants(mu.dim, entries, mu.params | phi.params | {"t"},
-                              f"{mu.name}_t" if mu.name else "mu_t")
+    return StructureConstants._derived(mu.dim, entries, mu.params | phi.params | {"t"},
+                                       f"{mu.name}_t" if mu.name else "mu_t")
 
 
 @dataclass
@@ -208,9 +216,9 @@ def _cleared_family(mu_t: StructureConstants, reciprocal: bool):
     mu_t, which is that of mu_{1/t} too, and family = mu_t, or mu_{1/t} for a
     reciprocal certificate.  mu_1's coefficients are sums of mu_t's, so both
     scaled objects have int coefficients.  Built on the first call and kept on
-    mu_t beside its at_t_one, so every certificate of a deformation reuses it."""
-    # in the instance dict, outside the dataclass fields like at_t_one, so
-    # == and repr of mu_t are unchanged
+    mu_t, so every certificate of a deformation reuses it."""
+    # in the instance dict, outside the dataclass fields like table, so == and
+    # repr of mu_t are unchanged
     cache = vars(mu_t).setdefault("_cleared_families", {})
     if reciprocal not in cache:
         cache[reciprocal] = _clear_family(mu_t, reciprocal)
@@ -218,12 +226,13 @@ def _cleared_family(mu_t: StructureConstants, reciprocal: bool):
 
 
 def _clear_family(mu_t: StructureConstants, reciprocal: bool):
-    """The value of :func:`_cleared_family`, built anew.  Both objects are
-    copies even for M = 1: held in mu_t's own dict, mu_t itself would make a
-    reference cycle that outlives the command."""
+    """The value of :func:`_cleared_family`, built anew: mu_t is scaled by M
+    once, and M*mu_1 and M*mu_{1/t} are read off the scaled copy.  Every
+    object is a copy even for M = 1: held in mu_t's own dict, mu_t itself
+    would make a reference cycle that outlives the command."""
     scale = mu_t.denominator()
-    family = mu_t.invert_t() if reciprocal else mu_t
-    return scale, mu_t.at_t_one.scaled(scale), family.scaled(scale)
+    scaled = mu_t.scaled(scale)
+    return scale, scaled.eval_t(1), scaled.invert_t() if reciprocal else scaled
 
 
 def _cleared_certificate(g: ScalarMatrix) -> tuple[int, ScalarMatrix]:
@@ -299,31 +308,43 @@ def _ideal_block(g: ScalarMatrix, ideal: SubspaceSpec) -> ScalarMatrix:
     return g.submatrix(inside, inside)
 
 
+def _spectrum_target(derivation: ScalarMatrix) -> tuple[Scalar, ...]:
+    """The coefficient tuple of prod_i (x - t^(d_i)), d_i the diagonal
+    entries of the derivation, expanded one factor at a time; raises
+    :class:`InvalidSpec` for a derivation that is not diagonal or has an
+    eigenvalue that is not an integer."""
+    if not derivation.is_diagonal():
+        raise InvalidSpec("derivation is not diagonal")
+    target = (ONE,)
+    for k in range(derivation.n):
+        entry = derivation.rows[k][k]
+        if not entry.is_constant() or (value := entry.constant_value()).denominator != 1:
+            raise InvalidSpec("derivation eigenvalues must be integers")
+        root = Scalar.t_power(int(value))
+        # (x - root) * p: the coefficient of x^k becomes p[k-1] - root * p[k]
+        target = tuple(a - root * b for a, b in zip((ZERO, *target), (*target, ZERO)))
+    return target
+
+
 def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
                          derivation: ScalarMatrix, *,
-                         block_poly: tuple[Scalar, ...] | None = None) -> bool:
+                         block_poly: tuple[Scalar, ...] | None = None,
+                         target: tuple[Scalar, ...] | None = None) -> bool:
     """Check that g acts on the ideal block with eigenvalues t^(d_i).
 
     The ideal's coordinate subspace must be invariant under g (otherwise
     :class:`NotInvariant`); the characteristic polynomial of the restricted
     block is then compared, coefficient by coefficient, against
     prod_i (x - t^(d_i)) with d_i the diagonal entries of the derivation,
-    expanded one factor at a time.  A caller that has already checked the
-    invariance and computed that polynomial passes its coefficient tuple as
-    ``block_poly``.
+    which must be integers (otherwise :class:`InvalidSpec`).  A caller that
+    has already checked the invariance and computed that polynomial passes
+    its coefficient tuple as ``block_poly``, and one that holds the product
+    passes it as ``target``.
     """
     if not derivation.is_diagonal():
         raise InvalidSpec("derivation is not diagonal")
     actual = _ideal_block(g, ideal).char_poly() if block_poly is None else block_poly
-    expected = (ONE,)
-    for k in range(derivation.n):
-        value = derivation.rows[k][k].constant_value()
-        if value.denominator != 1:
-            raise InvalidSpec("derivation eigenvalues must be integers")
-        root = Scalar.t_power(int(value))
-        # (x - root) * p: the coefficient of x^k becomes p[k-1] - root * p[k]
-        expected = tuple(a - root * b for a, b in zip((ZERO, *expected), (*expected, ZERO)))
-    return actual == expected
+    return actual == (_spectrum_target(derivation) if target is None else target)
 
 
 @dataclass(frozen=True)
@@ -335,6 +356,13 @@ class CheckedDeformation(DeformationSpec):
     stages: dict[str, StageResult] = field(default_factory=dict)
     phi: Cochain2 | None = None
     mu_t: StructureConstants | None = None
+
+    @cached_property
+    def spectrum_target(self) -> tuple[Scalar, ...]:
+        """prod_i (x - t^(d_i)), the block characteristic polynomial that the
+        spectrum stage expects of every certificate; built on first use and
+        kept, like :attr:`Cochain2.table`."""
+        return _spectrum_target(self.derivation)
 
 
 def check_deformation(mu: StructureConstants, ideal: SubspaceSpec, outside_index: int,
@@ -417,8 +445,11 @@ def run_certificate_checks(name: str, deformation: CheckedDeformation,
     spectrum = StageResult(False, note="skipped: derivation stage failed")
     if deformation.derivation.is_diagonal():
         try:
+            # a g that does not preserve the ideal (no block_poly) fails inside
+            # block_spectrum_check before any target is needed
+            target = None if block_poly is None else deformation.spectrum_target
             spectrum = StageResult(block_spectrum_check(g, ideal, deformation.derivation,
-                                                        block_poly=block_poly))
+                                                        block_poly=block_poly, target=target))
         except (NotInvariant, InvalidSpec) as exc:
             spectrum = StageResult(False, (Failure((), None, str(exc)),))
     report.stages["spectrum"] = spectrum

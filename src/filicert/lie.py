@@ -163,17 +163,30 @@ class Cochain2:
         new_params = self.params if params is None else params
         return type(self)(self.dim, new_entries, new_params, self.name)
 
+    @classmethod
+    def _derived(cls, dim: int, entries: Mapping[tuple[int, int], Column],
+                 params: frozenset[str], name: str) -> "Cochain2":
+        """A cochain whose entries are derived from valid cochains, so are in
+        range, of length dim and in the declared params: not validated again,
+        only its all-zero columns dropped, as :meth:`__post_init__` drops
+        them."""
+        result = object.__new__(cls)
+        result.__dict__.update(
+            dim=dim, params=params, name=name,
+            entries={key: column for key, column in entries.items()
+                     if any(s._terms for s in column)})
+        return result
+
     def _substitute(self, func, params: frozenset[str]) -> "Cochain2":
-        """A substitution into every nonzero entry; zeros stay zero."""
-        return self.map_entries(lambda s: func(s) if s._terms else s, params)
+        """A substitution into every nonzero entry; zeros stay zero, and a
+        column that vanishes is dropped.  The result is not validated again:
+        ``params`` may only lose the substituted symbol."""
+        return self._derived(self.dim, {key: tuple(func(s) if s._terms else s for s in column)
+                                        for key, column in self.entries.items()},
+                             params, self.name)
 
     def eval_t(self, t_value) -> "Cochain2":
         return self._substitute(lambda s: s.eval_t(t_value), self.params - {"t"})
-
-    @cached_property
-    def at_t_one(self) -> "Cochain2":
-        """eval_t(1), built on first use and cached like :attr:`table`."""
-        return self.eval_t(1)
 
     def eval_alpha(self, alpha_value) -> "Cochain2":
         return self._substitute(lambda s: s.eval_alpha(alpha_value),
@@ -191,14 +204,12 @@ class Cochain2:
         """factor times this cochain, for a nonzero rational factor.
 
         Unlike :meth:`map_entries`, the result, a valid cochain times a
-        nonzero constant, is not validated again.
+        nonzero constant, is not validated again (see :meth:`_derived`).
         """
-        entries = {key: tuple(s.scaled(factor) if s._terms else s for s in column)
-                   for key, column in self.entries.items()}
-        result = object.__new__(type(self))
-        result.__dict__.update(dim=self.dim, entries=entries, params=self.params,
-                               name=self.name)
-        return result
+        return self._derived(self.dim, {key: tuple(s.scaled(factor) if s._terms else s
+                                                   for s in column)
+                                        for key, column in self.entries.items()},
+                             self.params, self.name)
 
 
 class StructureConstants(Cochain2):

@@ -6,7 +6,13 @@ Laurent ring Q[alpha][t, 1/t]; a characteristic polynomial is the tuple of
 its n + 1 coefficients, that of x^k at index k.  Berkowitz runs on L*A, with
 L the lcm of the coefficient denominators of A, so on int coefficients; since
 chi_{L*A}(x) = L^n chi_A(x/L), the coefficient of x^k is L^(n-k) times that
-of chi_A, and is divided back.  The ``unit-det`` stage of the certificate
+of chi_A, and is divided back.  It works on term maps: each entry of a
+Toeplitz column and each coefficient of the running product is accumulated
+in one ``{(e_t, e_alpha): coefficient}`` map over the nonzero products only
+(:func:`filicert.scalar.add_product`) and made a Scalar once.  A Toeplitz
+column ends early, at the first zero work vector or at once for a zero row
+part, since every later entry is then zero; for a lower triangular matrix
+each column is just 1, -a.  The ``unit-det`` stage of the certificate
 check takes det g from one Berkowitz run on g's block on the ideal, which the
 ``spectrum`` stage needs anyway (see
 :func:`filicert.deformation.run_certificate_checks`); it calls
@@ -34,39 +40,57 @@ from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatch
-from .scalar import ONE, ZERO, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, Terms, add_product, as_scalar, from_terms
 
 Column = tuple[Scalar, ...]
 
 
-def _dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
-    total = ZERO
-    for x, y in zip(a, b):
-        if x._terms and y._terms:
-            total = total + x * y
-    return total
+_MINUS_ONE = Scalar.from_rational(-1)
 
 
 def _berkowitz(rows: Sequence[Sequence[Scalar]]) -> list[Scalar]:
     """The coefficients of det(x*I - A), leading first, of the square matrix
-    with the given rows, by Berkowitz's division-free algorithm."""
+    with the given rows, by Berkowitz's division-free algorithm.
+
+    Step r multiplies the coefficients so far by the lower triangular
+    Toeplitz matrix with first column 1, -c_1, ..., -c_r: c_1 = a, the
+    diagonal entry, and c_d = R A'^(d-2) C, with R the row and C the column
+    left of and above it and A' the leading (r-1)x(r-1) block.  The column
+    ends at the first zero work vector A'^k C, or at once for a zero R:
+    every later entry is zero.  Each entry and each coefficient is
+    accumulated in one term map over the nonzero products only.
+    """
     n = len(rows)
     vec = [ONE]
     for r in range(1, n + 1):
-        a = rows[r - 1][r - 1]
-        toeplitz_col = [ONE, -a]
-        if r >= 2:
-            row_part = rows[r - 1][: r - 1]
-            work = [rows[i][r - 1] for i in range(r - 1)]
-            toeplitz_col.append(-_dot(row_part, work))
-            for _ in range(r - 2):
-                work = [_dot(rows[i][: r - 1], work) for i in range(r - 1)]
-                toeplitz_col.append(-_dot(row_part, work))
-        vec = [
-            sum((toeplitz_col[i - j] * vec[j] for j in range(max(0, i - r), min(i + 1, r))),
-                ZERO)
-            for i in range(r + 1)
-        ]
+        last = rows[r - 1]
+        column = [last[r - 1]]
+        row_part = {k: x for k, x in enumerate(last[: r - 1]) if x._terms}
+        work = {i: rows[i][r - 1] for i in range(r - 1) if rows[i][r - 1]._terms}
+        while row_part and work:
+            terms: Terms = {}
+            for k, w in work.items():
+                if k in row_part:
+                    add_product(terms, ONE, row_part[k], w)
+            column.append(from_terms(terms))
+            if len(column) == r:
+                break
+            products = {}
+            for i in range(r - 1):
+                row, terms = rows[i], {}
+                for k, w in work.items():
+                    if row[k]._terms:
+                        add_product(terms, ONE, row[k], w)
+                if (entry := from_terms(terms))._terms:
+                    products[i] = entry
+            work = products
+        coefficients: list[Terms] = [dict(v._terms) for v in vec] + [{}]
+        for j, v in enumerate(vec):
+            if v._terms:
+                for k, c in enumerate(column[: r - j], start=j + 1):
+                    if c._terms:
+                        add_product(coefficients[k], _MINUS_ONE, c, v)
+        vec = [from_terms(terms) for terms in coefficients]
     return vec
 
 
@@ -144,8 +168,11 @@ class ScalarMatrix:
         of x^k is then divided by L^(n-k).
         """
         scale = self.denominator()
-        vec = _berkowitz(self.map_entries(lambda s: s.scaled(scale)).rows)
-        return tuple(reversed([c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]))
+        vec = _berkowitz([[s.scaled(scale) if s._terms else s for s in row]
+                          for row in self.rows])
+        if scale != 1:
+            vec = [c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]
+        return tuple(reversed(vec))
 
     def det(self) -> Scalar:
         """Exact determinant, division-free."""

@@ -22,7 +22,7 @@ from filicert.errors import (DimensionMismatch, InvalidSpec, NotAUnit, ParseErro
 from filicert.invariants import Matrix, RationalAlgebra, derivation_algebra
 from filicert.lie import (Cochain2, Column, JacobiReport, StructureConstants, Triple,
                           column_is_zero)
-from filicert.linalg import _dot, span_basis
+from filicert.linalg import span_basis
 from filicert.scalar import ALPHA, ONE, T, ZERO, as_scalar
 
 
@@ -294,11 +294,15 @@ def rational_matrix(rows: Iterable[Iterable], n_cols: int | None = None) -> Rati
     return RationalMatrix(tuple(sparse(row) for row in rows), width)
 
 
+def dot(a: Sequence[Scalar], b: Sequence[Scalar]) -> Scalar:
+    return sum((x * y for x, y in zip(a, b) if x._terms and y._terms), ZERO)
+
+
 def matmul(a: ScalarMatrix, b: ScalarMatrix) -> ScalarMatrix:
     if a.n != b.n:
         raise DimensionMismatch("matrix sizes differ")
     cols = [b.column(j) for j in range(b.n)]
-    return ScalarMatrix(tuple(tuple(_dot(row, col) for col in cols)
+    return ScalarMatrix(tuple(tuple(dot(row, col) for col in cols)
                               for row in a.rows))
 
 
@@ -764,11 +768,8 @@ def value_at(s: Scalar, t, alpha=0) -> Fraction:
 
 def reference_char_poly(matrix: ScalarMatrix) -> tuple[Scalar, ...]:
     """det(x*I - A) by Berkowitz on the entries as they are, with no clearing
-    of denominators: the oracle for ScalarMatrix.char_poly."""
-
-    def dot(a, b):
-        return sum((x * y for x, y in zip(a, b) if x._terms and y._terms), ZERO)
-
+    of denominators, dense, with no early stop: the oracle for
+    ScalarMatrix.char_poly."""
     rows, n = matrix.rows, matrix.n
     vec = [ONE]
     for r in range(1, n + 1):
@@ -797,6 +798,15 @@ def reference_eq1_residuals(mu1: Cochain2, family: Cochain2, g: ScalarMatrix):
         yield (i, j), tuple(a - b for a, b in zip(lhs, rhs))
 
 
+def reference_clear_family(mu_t: Cochain2, reciprocal: bool):
+    """(M, M*mu_1, M*family) by substituting first and scaling after:
+    mu_t.eval_t(1), and mu_t.invert_t() for a reciprocal family, each scaled
+    by M: the oracle for deformation._clear_family, which scales mu_t once."""
+    scale = mu_t.denominator()
+    family = mu_t.invert_t() if reciprocal else mu_t
+    return scale, mu_t.eval_t(1).scaled(scale), family.scaled(scale)
+
+
 def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
                          cell: tuple[int, int], reciprocal: bool = False) -> Scalar:
     """One certificate entry from two full evaluations of the residuals, at
@@ -811,7 +821,7 @@ def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
         candidate = ScalarMatrix(tuple(tuple(r) for r in rows))
         return {(i, j, k): component
                 for (i, j), residual in reference_eq1_residuals(
-                    mu_t.at_t_one, mu_t.invert_t() if reciprocal else mu_t, candidate)
+                    mu_t.eval_t(1), mu_t.invert_t() if reciprocal else mu_t, candidate)
                 for k, component in enumerate(residual, start=1)}
 
     offsets = residuals(ZERO)

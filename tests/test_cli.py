@@ -328,23 +328,40 @@ def test_verify_of_sibling_tables_is_the_concatenation_of_each_table(
     assert len(checked) == 6
 
 
+def builds_per_command(capsys, tmp_path, corpus, monkeypatch, builder: str) -> list[int]:
+    """How often deformation.<builder> runs in verify of the sibling catalog,
+    verify --all, counterexample and invariants mu17."""
+    import filicert.deformation as deformation
+
+    built, build = [], getattr(deformation, builder)
+    monkeypatch.setattr(deformation, builder,
+                        lambda *args: built.append(args) or build(*args))
+    names = sibling_catalog(tmp_path, corpus)
+    counts = []
+    for argv in (("verify", *names, "--data", str(tmp_path)), ("verify", "--all"),
+                 ("counterexample",), ("invariants", "mu17")):
+        built.clear()
+        run(capsys, *argv)
+        counts.append(len(built))
+    return counts
+
+
 def test_verify_clears_each_family_once_per_distinct_deformation(
         capsys, tmp_path, corpus, monkeypatch):
     """The cleared family (M, M*mu_1, M*family) of the eq1 kernel is built
     once per distinct deformation of a verify command, and never by
     counterexample or invariants, which check no certificate."""
-    import filicert.deformation as deformation
+    assert builds_per_command(capsys, tmp_path, corpus, monkeypatch,
+                              "_clear_family") == [6, 10, 0, 0]
 
-    built, clear_family = [], deformation._clear_family
-    monkeypatch.setattr(deformation, "_clear_family",
-                        lambda *args: built.append(args) or clear_family(*args))
-    names = sibling_catalog(tmp_path, corpus)
-    for argv, count in ((("verify", *names, "--data", str(tmp_path)), 6),
-                        (("verify", "--all"), 10), (("counterexample",), 0),
-                        (("invariants", "mu17"), 0)):
-        built.clear()
-        run(capsys, *argv)
-        assert len(built) == count, argv
+
+def test_verify_builds_each_spectrum_target_once_per_distinct_deformation(
+        capsys, tmp_path, corpus, monkeypatch):
+    """The same for prod (x - t^(d_i)), which the spectrum stage compares
+    with the block characteristic polynomial of every certificate."""
+    assert builds_per_command(capsys, tmp_path, corpus, monkeypatch,
+                              "_spectrum_target") == [6, 10, 0, 0]
+
 
 @pytest.mark.parametrize("options", SIBLING_OPTIONS)
 def test_report_of_sibling_tables_is_the_concatenation_of_each_table(

@@ -16,16 +16,17 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       counterexample_spec, deform, go_cocycle, limit_check,
                       verify_degeneration)
 from filicert.dataio import parse_scalar
-from filicert.deformation import (STAGES, _cleared_certificate, _cleared_family,
-                                  _eq1_residuals, _unit_det_stage, check_deformation,
+from filicert.deformation import (STAGES, _clear_family, _cleared_certificate,
+                                  _cleared_family, _eq1_residuals, _spectrum_target,
+                                  _unit_det_stage, check_deformation,
                                   run_certificate_checks, solve_certificate_cell)
 from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, T, ZERO, Scalar
 
 from helpers import (base_change, cochains, entries_equal, matrices, poly_from_roots,
-                     reciprocal_certificate, reference_eq1_residuals, reference_solve_cell,
-                     scalar_matrix, value_at)
+                     reciprocal_certificate, reference_clear_family, reference_eq1_residuals,
+                     reference_solve_cell, scalar_matrix, value_at)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
@@ -231,7 +232,7 @@ def eq1_cases(corpus):
 
 
 def oracle_eq1_residuals(mu_t, g, reciprocal):
-    return reference_eq1_residuals(mu_t.at_t_one, mu_t.invert_t() if reciprocal else mu_t, g)
+    return reference_eq1_residuals(mu_t.eval_t(1), mu_t.invert_t() if reciprocal else mu_t, g)
 
 
 def test_eq1_residuals_match_the_unscaled_oracle(corpus):
@@ -255,7 +256,7 @@ def test_cleared_certificates_have_int_coefficients(corpus):
 
     fractions, cases = 0, eq1_cases(corpus)
     for label, mu_t, reciprocal, g in cases:
-        mu1, family = mu_t.at_t_one, mu_t.invert_t() if reciprocal else mu_t
+        mu1, family = mu_t.eval_t(1), mu_t.invert_t() if reciprocal else mu_t
         _, mu1_c, family_c = _cleared_family(mu_t, reciprocal)
         _, g_c = _cleared_certificate(g)
         originals = coefficients([*g.rows, *mu1.entries.values(), *family.entries.values()])
@@ -289,6 +290,26 @@ def test_eq1_kernel_matches_the_oracle_on_random_inputs(inputs):
     residuals = list(_eq1_residuals(mu_t, g, reciprocal))
     assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal))
     assert all(c for _, residual in residuals for s in residual for c in s._terms.values())
+
+
+def test_the_family_is_cleared_in_one_scaling_pass_as_the_oracle(corpus):
+    """_clear_family scales mu_t once and reads M*mu_1 and M*mu_{1/t} off the
+    scaled copy; the oracle substitutes first and scales each result.  Both
+    directions of every eq1 case, M > 1 among them."""
+    scales = set()
+    for label, mu_t, _, _ in eq1_cases(corpus):
+        for reciprocal in (False, True):
+            cleared = _clear_family(mu_t, reciprocal)
+            assert cleared == reference_clear_family(mu_t, reciprocal), (label, reciprocal)
+            scales.add((cleared[0] > 1, reciprocal))
+    assert scales == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@given(eq1_inputs())
+def test_the_family_of_random_cochains_is_cleared_as_the_oracle(inputs):
+    mu_t, _, _ = inputs
+    for reciprocal in (False, True):
+        assert _clear_family(mu_t, reciprocal) == reference_clear_family(mu_t, reciprocal)
 
 
 def test_cleared_family_is_built_once_per_deformation_and_direction(tables, monkeypatch):
@@ -555,6 +576,37 @@ def test_spectrum_with_repeated_zero_or_negative_exponents(exponents, triangular
         assert (block_poly == expected) is passes
         assert block_spectrum_check(g, ideal, derivation) is passes
         assert block_spectrum_check(g, ideal, derivation, block_poly=block_poly) is passes
+        assert block_spectrum_check(g, ideal, derivation, block_poly=block_poly,
+                                    target=_spectrum_target(derivation)) is passes
+
+
+def test_a_non_constant_eigenvalue_fails_the_spectrum_stage(tables):
+    """D = t*diag(1, ..., 7) is a diagonal derivation of mu11's ideal, so
+    check_deformation passes every stage; its eigenvalues are not integers,
+    which fails spectrum with that reason, and a direct call raises it."""
+    data = tables["mu11"]
+    derivation = ScalarMatrix.diagonal([T * d for d in range(1, 8)])
+    deformation = check_deformation(data.mu, data.ideal, data.outside, derivation,
+                                    data.reciprocal)
+    assert all(stage.ok for stage in deformation.stages.values())
+    reason = "derivation eigenvalues must be integers"
+    report = run_certificate_checks("mu11", deformation, data.g)
+    assert report.stages["spectrum"] == fc.StageResult(False, (fc.Failure((), None, reason),))
+    with pytest.raises(InvalidSpec, match=f"^{reason}$"):
+        block_spectrum_check(data.g, data.ideal, derivation)
+
+
+def test_the_spectrum_target_is_the_product_of_its_factors():
+    """prod (x - t^(d_i)) from D's diagonal, Vieta's formulas as the oracle;
+    a non-diagonal D, a Fraction or a t on the diagonal is refused."""
+    for exponents in [(), (0,), (2, 3, 4, 5, 6, 7, 10), (-2, 0, 0, 5), (1, -1, 1)]:
+        assert _spectrum_target(ScalarMatrix.diagonal(exponents)) == \
+            poly_from_roots(T ** d for d in exponents)
+    with pytest.raises(InvalidSpec, match="^derivation is not diagonal$"):
+        _spectrum_target(scalar_matrix([[1, 1], [0, 2]]))
+    for value in (Fraction(1, 2), T, T + 1, ALPHA):
+        with pytest.raises(InvalidSpec, match="^derivation eigenvalues must be integers$"):
+            _spectrum_target(ScalarMatrix.diagonal([1, value]))
 
 
 def test_spectrum_requires_invariant_ideal():

@@ -18,7 +18,7 @@ from filicert.deformation import check_deformation, deform, run_certificate_chec
 from filicert.errors import DimensionMismatch, ValidationError
 from filicert.lie import basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
-from filicert.scalar import ALPHA, ONE, ZERO
+from filicert.scalar import ALPHA, ONE, T, ZERO
 
 from helpers import (base_change, cochains, dense_bracket, dense_bracket_eval,
                      entries_equal, inverse_unit, matmul, matrices, monomial_diagonal,
@@ -447,6 +447,40 @@ def test_zero_columns_are_dropped_whatever_their_params():
 def test_structural_errors_keep_their_types_and_messages(entries, error, message):
     with pytest.raises(error, match=rf"^{message}$"):
         Cochain2(3, entries, frozenset())
+
+
+def test_derived_cochains_equal_the_validated_ones(tables):
+    """eval_t, eval_alpha, invert_t, scaled and deform build their results
+    without validating them again; each equals (type, entries, params, name)
+    the cochain that the validating constructor builds from the same
+    entries.  The column (t - 1)*Y3 vanishes at t = 1 and is dropped."""
+    mu = StructureConstants(3, {(1, 2): column(3, Y3=T - 1),
+                                (1, 3): column(3, Y2=Fraction(1, 2) * ALPHA * T ** -1)},
+                            frozenset({"t", "alpha"}), "mu")
+    cases = [(mu, mu.params)]
+    for data in tables.values():
+        cases += [(data.mu_t, data.mu_t.params), (data.phi, data.phi.params)]
+    for cochain, params in cases:
+        substitutions = [(lambda s: s.eval_t(1), params - {"t"}),
+                         (lambda s: s.eval_t(Fraction(-2, 3)), params - {"t"}),
+                         (lambda s: s.eval_alpha(3), params - {"alpha"}),
+                         (lambda s: s.invert_t(), params),
+                         (lambda s: s.scaled(Fraction(-4, 7)), params)]
+        derived = [cochain.eval_t(1), cochain.eval_t(Fraction(-2, 3)), cochain.eval_alpha(3),
+                   cochain.invert_t(), cochain.scaled(Fraction(-4, 7))]
+        for result, (func, reduced) in zip(derived, substitutions):
+            validated = type(cochain)(cochain.dim, {key: tuple(func(s) for s in column)
+                                                    for key, column in cochain.entries.items()},
+                                      reduced, cochain.name)
+            assert result == validated
+            assert "table" not in vars(result)
+    assert mu.eval_t(1).entries.keys() == {(1, 3)}
+    for data in tables.values():
+        entries = {key: tuple(a + T * b for a, b in zip(data.mu.bracket(*key),
+                                                        data.phi.bracket(*key)))
+                   for key in data.mu.entries.keys() | data.phi.entries.keys()}
+        assert deform(data.mu, data.phi) == StructureConstants(
+            8, entries, data.mu.params | {"t"}, f"{data.mu.name}_t")
 
 
 def test_specializations_carry_the_reduced_params(tables):

@@ -17,7 +17,7 @@ from filicert.linalg import span_basis
 from filicert.scalar import ONE, T, ZERO
 
 from helpers import (dense, dense_apply, eval_poly_at_matrix, inverse_unit, laplace_det,
-                     matmul, matrices, poly_from_roots, primitive, rand_scalar,
+                     matmul, matrices, nonzero_scalars, poly_from_roots, primitive, rand_scalar,
                      rand_scalar_matrix, rand_unit_triangular, rank, rational_matrix,
                      reference_char_poly, reference_nullspace, reference_rref, scalar_matrix,
                      sparse, vectors)
@@ -146,17 +146,36 @@ def test_char_poly_of_dense_certificate_block(tables):
     assert block.char_poly() == expected
 
 
-@settings(max_examples=60)
+def _with_cells(m: ScalarMatrix, cells) -> ScalarMatrix:
+    """m with the given {(row, col): Scalar} entries, 0-based."""
+    return ScalarMatrix(tuple(tuple(cells.get((i, j), x) for j, x in enumerate(row))
+                              for i, row in enumerate(m.rows)))
+
+
+@settings(max_examples=120)
 @given(st.data(), st.integers(1, 6))
 def test_char_poly_matches_the_berkowitz_run_on_unscaled_entries(data, n):
     """char_poly runs Berkowitz on L*A, L the lcm of the denominators, and
-    divides the coefficient of x^k by L^(n-k); the oracle runs it on A.
-    Entries mix int and Fraction coefficients, alpha and negative t-powers,
-    in sparse and in dense matrices."""
+    divides the coefficient of x^k by L^(n-k); the oracle runs it on A, dense
+    and with no early stop.  Entries mix int and Fraction coefficients, alpha
+    and negative t-powers, in sparse and in dense matrices.  Lower triangular
+    matrices end every Toeplitz column at once (zero work vector), one cell
+    above the diagonal lets some columns run on, and zero rows end them at a
+    zero row part.  No returned coefficient stores a zero term."""
     dense = st.lists(vectors(n), min_size=n, max_size=n).map(
         lambda rows: ScalarMatrix(tuple(rows)))
     m = data.draw(st.one_of(matrices(n), dense))
-    assert m.char_poly() == reference_char_poly(m)
+    shape = data.draw(st.sampled_from(("any", "lower", "lower plus one")))
+    above = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if shape != "any":
+        m = _with_cells(m, dict.fromkeys(above, ZERO))
+    if shape == "lower plus one" and above:
+        m = _with_cells(m, {data.draw(st.sampled_from(above)): data.draw(nonzero_scalars)})
+    for r in data.draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        m = _with_cells(m, {(r, j): ZERO for j in range(n)})
+    poly = m.char_poly()
+    assert poly == reference_char_poly(m)
+    assert all(c for s in poly for c in s._terms.values())
 
 
 def test_berkowitz_runs_on_int_coefficients(tables, monkeypatch):
