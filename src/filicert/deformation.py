@@ -238,7 +238,7 @@ def _clear_family(mu_t: StructureConstants, reciprocal: bool):
 def _cleared_certificate(g: ScalarMatrix) -> tuple[int, ScalarMatrix]:
     """(L, L*g) with L the lcm of the coefficient denominators of g."""
     scale = g.denominator()
-    return scale, g if scale == 1 else g.map_entries(lambda s: s.scaled(scale))
+    return scale, g if scale == 1 else g.scaled(scale)
 
 
 def _residual_columns(mu1: StructureConstants, family: StructureConstants,

@@ -25,10 +25,12 @@ order, so its values are the dense ones.
 :class:`RationalMatrix` and :func:`span_basis` compute nullspaces and row
 spaces over Q by sparse Gauss-Jordan elimination on int rows ``{column:
 int}``; scaling a row changes neither, so rational rows come in with their
-denominators cleared.  Both are read off the reduced row echelon form, which
-is canonical, so every output is deterministic and independent of the order
-of the rows.  Their vectors are primitive integer vectors with positive
-leading entry: sparse rows for row spaces, int tuples for nullspaces.
+denominators cleared.  The rows are taken sparsest first (Markowitz), and a
+unit pivot row {c: 1} clears column c from another row by deleting the
+entry.  Both are read off the reduced row echelon form, which is canonical,
+so every output is deterministic and independent of the order of the rows.
+Their vectors are primitive integer vectors with positive leading entry:
+sparse rows for row spaces, int tuples for nullspaces.
 """
 
 from __future__ import annotations
@@ -143,8 +145,10 @@ class ScalarMatrix:
                     out[r] = out[r] + entry * v
         return tuple(out)
 
-    def map_entries(self, func) -> "ScalarMatrix":
-        return ScalarMatrix(tuple(tuple(func(x) for x in row) for row in self.rows))
+    def scaled(self, factor: int | Fraction) -> "ScalarMatrix":
+        """factor * self, scaling only the nonzero entries (:meth:`Scalar.scaled`)."""
+        return ScalarMatrix(tuple(tuple(s.scaled(factor) if s._terms else s for s in row)
+                                  for row in self.rows))
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "ScalarMatrix":
         """Submatrix on the given 0-based index sets (must stay square)."""
@@ -218,23 +222,32 @@ def _rref(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     """Sparse Gauss-Jordan over the integers: pivot column -> RREF row.
 
     Rows are {column: int}, primitive, positive in their pivot (leading)
-    column; the incoming rows are copied, never changed.  Each one is
+    column; the incoming rows are copied without their zero entries, never
+    changed, and taken sparsest first (Markowitz's order), so the short rows
+    become pivots before the long rows they would reduce.  Each one is
     reduced against the pivot rows so far; a nonzero remainder becomes a
-    pivot row and is eliminated from the others.  The RREF of a row space is
-    unique, so the result depends neither on the order of the rows nor on
-    repeated or zero rows.
+    pivot row and is eliminated from the others.  A unit pivot row {c: 1}
+    clears column c by deleting the entry, with no arithmetic.  The RREF of
+    a row space is unique, so the result depends neither on the order of the
+    rows nor on repeated or zero rows.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for values in rows:
-        row = {c: x for c, x in values.items() if x}
+    for row in sorted(({c: x for c, x in values.items() if x} for values in rows), key=len):
         for c in [c for c in row if c in pivots]:
-            _eliminate(row, pivots[c], c)
+            if len(pivots[c]) == 1:
+                del row[c]
+            else:
+                _eliminate(row, pivots[c], c)
         if row:
             _normalize(row)
             lead = min(row)
             for other in pivots.values():
                 if lead in other:
-                    _eliminate(other, row, lead)
+                    if len(row) == 1:
+                        del other[lead]
+                        _normalize(other)
+                    else:
+                        _eliminate(other, row, lead)
             pivots[lead] = row
     return pivots
 

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 from hypothesis import strategies as st
 
-from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix
+from filicert import AlgebraFile, RationalMatrix, Scalar, ScalarMatrix, linalg
 from filicert.dataio import MAX_BITS, MAX_DEGREE, MAX_DIGITS, DeformationBlock, Erratum
 from filicert.deformation import check_deformation
 from filicert.errors import (DimensionMismatch, InvalidSpec, NotAUnit, ParseError,
@@ -365,13 +365,13 @@ def base_change(mu: Cochain2, g: ScalarMatrix) -> StructureConstants:
 def reciprocal_certificate(g: ScalarMatrix) -> ScalarMatrix:
     """The family t -> g(1/t), which satisfies (*) literally whenever g
     satisfies it in the reciprocal parametrization."""
-    return g.map_entries(lambda s: s.invert_t())
+    return ScalarMatrix(tuple(tuple(s.invert_t() for s in row) for row in g.rows))
 
 
 def eval_poly_at_matrix(poly: Sequence[Scalar], matrix: ScalarMatrix) -> ScalarMatrix:
     """Evaluate a coefficient tuple (x^k at index k) at a square matrix."""
     n = matrix.n
-    result = ScalarMatrix.identity(n).map_entries(lambda s: s * ZERO)
+    result = ScalarMatrix(((ZERO,) * n,) * n)
     power = ScalarMatrix.identity(n)
     for coeff in poly:
         if not coeff.is_zero():
@@ -427,6 +427,20 @@ def reference_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list
             vec[c] = -row[free]
         basis.append(primitive(vec))
     return basis
+
+
+def counted_eliminations(monkeypatch) -> list[int]:
+    """A list that grows by the cleared column on each `linalg._eliminate`
+    call, for as long as the monkeypatch lasts."""
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counted(row, pivot_row, c):
+        calls.append(c)
+        eliminate(row, pivot_row, c)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return calls
 
 
 def rank(matrix: RationalMatrix) -> int:

@@ -277,7 +277,7 @@ def eq1_inputs(draw):
     dim = draw(st.integers(2, 5))
     mu_t = draw(cochains(dim)).scaled(Fraction(1, draw(st.integers(1, 4))))
     scale = Fraction(1, draw(st.integers(1, 4)))
-    g = draw(matrices(dim)).map_entries(lambda s: s.scaled(scale))
+    g = draw(matrices(dim)).scaled(scale)
     if draw(st.booleans()):
         i, j = draw(st.sampled_from(list(combinations(range(dim), 2))))
         g = with_cells(g, {(r + 1, j + 1): row[i] for r, row in enumerate(g.rows)})

@@ -17,7 +17,8 @@ from filicert.invariants import (center_dim, derivation_algebra,
                                  is_characteristically_nilpotent, is_filiform,
                                  lower_central_series)
 
-from helpers import (base_change, der_is_nilpotent, derivation_identity_holds, matmul,
+from helpers import (base_change, counted_eliminations, der_is_nilpotent,
+                     derivation_identity_holds, matmul,
                      rand_fraction, reference_algebra, reference_center_dim,
                      reference_constants,
                      reference_derived_series, reference_lower_central_series,
@@ -145,6 +146,20 @@ def test_der_is_built_once_per_specialization(monkeypatch, capsys):
     assert main(["invariants", "mu06", "--alpha", "-1", "--alpha", "2"]) == 1
     assert "char-nilpotent" in capsys.readouterr().out
     assert len(built) == 2
+
+
+def test_the_invariant_suite_makes_few_eliminations(tables, monkeypatch, capsys):
+    """The RREF kernel takes its rows sparsest first and clears the column
+    of a unit row by deletion: the mu06, alpha = -1 Der system made 431
+    `_eliminate` calls in arrival order and the whole-catalog invariants
+    21,676; with the ordering they take 97 and 2,352."""
+    calls = counted_eliminations(monkeypatch)
+    assert derivation_algebra(rational(tables["mu06"].mu, alpha=-1))[0] == 11
+    assert len(calls) <= 120
+    calls.clear()
+    assert main(["invariants"]) == 1
+    assert "char-nilpotent" in capsys.readouterr().out
+    assert len(calls) <= 3000
 
 
 def test_the_der_basis_is_a_cache_outside_the_fields(tables):

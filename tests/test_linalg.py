@@ -16,7 +16,8 @@ from filicert import linalg
 from filicert.linalg import span_basis
 from filicert.scalar import ONE, T, ZERO
 
-from helpers import (dense, dense_apply, eval_poly_at_matrix, inverse_unit, laplace_det,
+from helpers import (counted_eliminations, dense, dense_apply, eval_poly_at_matrix,
+                     inverse_unit, laplace_det,
                      matmul, matrices, nonzero_scalars, poly_from_roots, primitive, rand_scalar,
                      rand_scalar_matrix, rand_unit_triangular, rank, rational_matrix,
                      reference_char_poly, reference_nullspace, reference_rref, scalar_matrix,
@@ -422,3 +423,74 @@ def test_sparse_kernel_equals_the_dense_oracles(case):
     assert [dense(row, n_cols) for row in span_basis(inputs)] == expected
     assert inputs == copies
     assert rational_matrix(rows, n_cols).nullspace() == reference_nullspace(rows, n_cols)
+
+
+# -- sparsest rows first, unit rows by deletion -----------------------------------
+
+def assert_kernel_matches_the_oracles(rows, n_cols):
+    """`_rref`, `span_basis` and `nullspace` of the sparse int rows against
+    the Fraction oracles, with the input rows left unchanged."""
+    copies = [dict(row) for row in rows]
+    dense_rows = [dense(row, n_cols) for row in rows]
+    echelon = reference_rref(dense_rows)
+    expected = [primitive(row) for _, row in echelon]
+    pivots = linalg._rref(rows)
+    assert sorted(pivots) == [c for c, _ in echelon]
+    assert [dense(pivots[c], n_cols) for c in sorted(pivots)] == expected
+    assert [dense(row, n_cols) for row in span_basis(rows)] == expected
+    assert RationalMatrix(tuple(rows), n_cols).nullspace() == \
+        reference_nullspace(dense_rows, n_cols)
+    assert rows == copies
+    return pivots
+
+
+def test_a_unit_row_reduces_a_later_row_by_deletion(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    rows = [{1: -3}, {0: 2, 1: 4, 2: 6}]
+    assert linalg._rref(rows) == {1: {1: 1}, 0: {0: 1, 2: 3}}
+    assert calls == []
+    assert_kernel_matches_the_oracles(rows, 3)
+
+
+def test_a_unit_row_after_a_pivot_row_holding_its_column(monkeypatch):
+    calls = counted_eliminations(monkeypatch)
+    rows = [{0: 2, 1: 4}, {1: -3}]
+    assert linalg._rref(rows) == {0: {0: 1}, 1: {1: 1}}
+    assert calls == []
+    assert_kernel_matches_the_oracles(rows, 2)
+
+
+def test_a_unit_remainder_clears_the_earlier_pivot_rows_by_deletion(monkeypatch):
+    """The second row reduces to {1: 1}; deleting column 1 from the first
+    pivot row leaves {0: 2, 2: 4}, which must be normalized to {0: 1, 2: 2}."""
+    calls = counted_eliminations(monkeypatch)
+    rows = [{0: 2, 1: 1, 2: 4}, {0: 2, 1: 2, 2: 4}]
+    assert linalg._rref(rows) == {0: {0: 1, 2: 2}, 1: {1: 1}}
+    assert calls == [0]
+    assert_kernel_matches_the_oracles(rows, 3)
+
+
+def test_rows_with_explicit_zero_entries(monkeypatch):
+    """The derivation system stores cancelled entries as explicit zeros, so a
+    row's length is not its nonzero count."""
+    calls = counted_eliminations(monkeypatch)
+    rows = [{0: 3, 1: 6, 2: 0, 3: 9}, {0: 0, 1: 0, 2: 0, 3: -2}, {0: 0, 2: 5, 3: 0},
+            {0: 0, 1: 0}]
+    assert linalg._rref(rows) == {3: {3: 1}, 2: {2: 1}, 0: {0: 1, 1: 2}}
+    assert calls == []
+    assert_kernel_matches_the_oracles(rows, 4)
+
+
+def test_rows_given_longest_first_match_the_oracles():
+    """Random rows with many unit rows and explicit zeros, given longest
+    first and shortest first: the oracles' RREF both times."""
+    rng = random.Random(53)
+    for _ in range(40):
+        n_cols = rng.randint(1, 12)
+        rows = []
+        for _ in range(rng.randint(1, 14)):
+            columns = rng.sample(range(n_cols), min(rng.choice([1, 1, 2, 4, 12]), n_cols))
+            rows.append({c: rng.choice([-6, -2, -1, 0, 1, 3, 4]) for c in columns})
+        rows.sort(key=len, reverse=True)
+        pivots = assert_kernel_matches_the_oracles(rows, n_cols)
+        assert assert_kernel_matches_the_oracles(rows[::-1], n_cols) == pivots
