@@ -5,9 +5,12 @@ for t and alpha, never over the rational-function field.  The series, the
 center and the derivation algebra are cut out by equations homogeneous in
 the structure constants, so scaling every constant by one nonzero number
 changes no span, kernel or reduced row echelon form: the common denominator
-of a specialization is cleared once, when it is built.  Every linear system
-and spanning set below is built from the nonzero constants as the sparse int
-rows ``{column: int}`` that the kernel of :mod:`filicert.linalg` takes.
+of a specialization is cleared once, when it is built.  A specialization is
+stored once, as one antisymmetrized table of its nonzero int constants
+(:class:`RationalAlgebra`), built in one pass over the nonzero entries of
+the symbolic bracket.  Every linear system and spanning set below is built
+from that table as the sparse int rows ``{column: int}`` that the kernel of
+:mod:`filicert.linalg` takes; a zero product is never one of them.
 Ranks can drop at unsampled special parameter values, so reports always
 carry the sampled points alongside the verdicts.
 
@@ -45,49 +48,50 @@ SeriesProfile = tuple[int, ...]
 
 @dataclass(frozen=True)
 class RationalAlgebra:
-    """A rational bracket scaled to int structure constants."""
+    """A rational bracket scaled to int structure constants: ``table`` maps
+    (a, b) and (b, a) to the nonzero entries ((k, value), ...) of [b_a, b_b],
+    0-based, the (b, a) values negated."""
 
     dim: int
-    table: Mapping[tuple[int, int], tuple[int, ...]]
+    table: Mapping[tuple[int, int], tuple[tuple[int, int], ...]]
     name: str = ""
 
     @classmethod
     def from_structure(cls, mu: Cochain2, t=None, alpha=None) -> "RationalAlgebra":
         """Specialize a symbolic bracket at rational parameter values, then
         multiply it by the lcm of its denominators: every structure constant
-        becomes an int, and no invariant here changes."""
-        specialized = mu
-        if t is not None:
-            specialized = specialized.eval_t(t)
-        if alpha is not None:
-            specialized = specialized.eval_alpha(alpha)
-        table = {}
-        for key, column in specialized.entries.items():
-            for entry in column:
+        becomes an int, and no invariant here changes.  One pass over the
+        nonzero entries of ``mu``; no specialized cochain is built."""
+        constants = {}
+        for key, column in mu.entries.items():
+            nonzero = []
+            for k, entry in enumerate(column):
+                if not entry._terms:
+                    continue
+                if t is not None:
+                    entry = entry.eval_t(t)
+                if alpha is not None:
+                    entry = entry.eval_alpha(alpha)
                 if not entry.is_constant():
                     raise ValidationError(
                         f"entry {key} still symbolic after specialization: {entry}")
-            table[key] = [entry.constant_value() for entry in column]
-        scale = lcm(*(x.denominator for column in table.values() for x in column))
-        return cls(mu.dim, {key: tuple(x.numerator * (scale // x.denominator) for x in column)
-                            for key, column in table.items()}, mu.name)
-
-    @cached_property
-    def sparse_table(self) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-        """(i, j) and (j, i) -> the nonzero entries ((k, value), ...) of
-        [b_i, b_j], 0-based, the (j, i) values negated; cached outside the
-        dataclass fields, like :attr:`filicert.lie.Cochain2.table`."""
-        sparse = {}
-        for (i, j), column in self.table.items():
-            if nonzero := tuple((k, x) for k, x in enumerate(column) if x):
-                sparse[i - 1, j - 1] = nonzero
-                sparse[j - 1, i - 1] = tuple((k, -x) for k, x in nonzero)
-        return sparse
+                if value := entry.constant_value():
+                    nonzero.append((k, value))
+            if nonzero:
+                constants[key] = nonzero
+        scale = lcm(*(x.denominator for column in constants.values() for _, x in column))
+        table = {}
+        for (i, j), column in constants.items():
+            ints = tuple((k, x.numerator * (scale // x.denominator)) for k, x in column)
+            table[i - 1, j - 1] = ints
+            table[j - 1, i - 1] = tuple((k, -x) for k, x in ints)
+        return cls(mu.dim, table, mu.name)
 
     @cached_property
     def derivations(self) -> tuple[Matrix, ...]:
         """The basis of Der that :func:`derivation_algebra` returns, computed
-        on first use and cached like :attr:`sparse_table`."""
+        on first use and cached outside the dataclass fields, like
+        :attr:`filicert.lie.Cochain2.table`."""
         return _derivation_basis(self)
 
 
@@ -95,7 +99,7 @@ def _series(dim: int, table, left, pairs) -> SeriesProfile:
     """Dimensions of V_0 = Q^dim, V_1, ... with V_{m+1} the span of u.v over
     (u, v) in pairs(left, V_m), until stabilization, on sparse int vectors;
     the product is bilinear, table[a, b] the nonzero entries ((k, value),
-    ...) of e_a.e_b."""
+    ...) of e_a.e_b, and only the nonempty products are spanned."""
     current = [{i: 1} for i in range(dim)]
     dims = [dim]
     while True:
@@ -106,7 +110,8 @@ def _series(dim: int, table, left, pairs) -> SeriesProfile:
                 for b, y in v.items():
                     for k, z in table.get((a, b), ()):
                         out[k] = out.get(k, 0) + x * y * z
-            products.append(out)
+            if out:
+                products.append(out)
         current = span_basis(products)
         dims.append(len(current))
         if dims[-1] == 0 or dims[-1] == dims[-2]:
@@ -115,13 +120,13 @@ def _series(dim: int, table, left, pairs) -> SeriesProfile:
 
 def lower_central_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [g,[g,g]], ... until stabilization."""
-    return _series(algebra.dim, algebra.sparse_table, [{a: 1} for a in range(algebra.dim)],
+    return _series(algebra.dim, algebra.table, [{a: 1} for a in range(algebra.dim)],
                    product)
 
 
 def derived_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization."""
-    return _series(algebra.dim, algebra.sparse_table, (),
+    return _series(algebra.dim, algebra.table, (),
                    lambda _, current: combinations(current, 2))
 
 
@@ -139,7 +144,7 @@ def center_dim(algebra: RationalAlgebra) -> int:
     """Dimension of {x : [x, b_i] = 0 for all i}, by exact nullspace: one
     equation per (i, component k), sum_a x_a [b_a, b_i]_k = 0."""
     rows: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
-    for (a, i), column in algebra.sparse_table.items():
+    for (a, i), column in algebra.table.items():
         for k, z in column:
             rows[i, k][a] = z
     return len(RationalMatrix(tuple(rows.values()), algebra.dim).nullspace())
@@ -150,7 +155,7 @@ def _derivation_basis(algebra: RationalAlgebra) -> tuple[Matrix, ...]:
     unknowns, one equation per pair i < j and component k), each vector read
     row by row as a matrix."""
     n = algebra.dim
-    table = algebra.sparse_table
+    table = algebra.table
     rows = []
     for i, j in combinations(range(n), 2):
         # unknown r * n + c is the matrix entry E[r][c], 0-based; component k

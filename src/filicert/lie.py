@@ -157,12 +157,6 @@ class Cochain2:
         """All basis pairs i < j of the underlying space."""
         return combinations(range(1, self.dim + 1), 2)
 
-    def map_entries(self, func, params: frozenset[str] | None = None) -> "Cochain2":
-        new_entries = {key: tuple(func(s) for s in column)
-                       for key, column in self.entries.items()}
-        new_params = self.params if params is None else params
-        return type(self)(self.dim, new_entries, new_params, self.name)
-
     @classmethod
     def _derived(cls, dim: int, entries: Mapping[tuple[int, int], Column],
                  params: frozenset[str], name: str) -> "Cochain2":
@@ -188,10 +182,6 @@ class Cochain2:
     def eval_t(self, t_value) -> "Cochain2":
         return self._substitute(lambda s: s.eval_t(t_value), self.params - {"t"})
 
-    def eval_alpha(self, alpha_value) -> "Cochain2":
-        return self._substitute(lambda s: s.eval_alpha(alpha_value),
-                                self.params - {"alpha"})
-
     def invert_t(self) -> "Cochain2":
         return self._substitute(lambda s: s.invert_t(), self.params)
 
@@ -203,8 +193,8 @@ class Cochain2:
     def scaled(self, factor: int | Fraction) -> "Cochain2":
         """factor times this cochain, for a nonzero rational factor.
 
-        Unlike :meth:`map_entries`, the result, a valid cochain times a
-        nonzero constant, is not validated again (see :meth:`_derived`).
+        The result, a valid cochain times a nonzero constant, is not
+        validated again (see :meth:`_derived`).
         """
         return self._derived(self.dim, {key: tuple(s.scaled(factor) if s._terms else s
                                                    for s in column)

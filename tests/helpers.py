@@ -429,6 +429,21 @@ def reference_nullspace(rows: Sequence[Sequence[Fraction]], n_cols: int) -> list
     return basis
 
 
+def counted_rows(monkeypatch) -> list[int]:
+    """A list that grows by the number of rows handed to each `linalg._rref`
+    call, for as long as the monkeypatch lasts."""
+    counts = []
+    rref = linalg._rref
+
+    def counted(rows):
+        rows = list(rows)
+        counts.append(len(rows))
+        return rref(rows)
+
+    monkeypatch.setattr(linalg, "_rref", counted)
+    return counts
+
+
 def counted_eliminations(monkeypatch) -> list[int]:
     """A list that grows by the cleared column on each `linalg._eliminate`
     call, for as long as the monkeypatch lasts."""
@@ -448,6 +463,19 @@ def rank(matrix: RationalMatrix) -> int:
     return len(reference_rref([dense(row, matrix.n_cols) for row in matrix.rows]))
 
 
+def map_entries(mu: Cochain2, func, params: frozenset[str] | None = None) -> Cochain2:
+    """func applied to every entry of mu, zeros included, and validated again
+    by the constructor; the params are mu's unless given."""
+    new_entries = {key: tuple(func(s) for s in column) for key, column in mu.entries.items()}
+    new_params = mu.params if params is None else params
+    return type(mu)(mu.dim, new_entries, new_params, mu.name)
+
+
+def eval_alpha(mu: Cochain2, alpha_value) -> Cochain2:
+    """mu with a rational value substituted for alpha."""
+    return map_entries(mu, lambda s: s.eval_alpha(alpha_value), mu.params - {"alpha"})
+
+
 def reference_constants(mu: Cochain2, t=None, alpha=None) -> dict:
     """The plain Fraction structure constants of a specialization, unscaled:
     the oracle table for the int tables of `RationalAlgebra.from_structure`."""
@@ -455,37 +483,43 @@ def reference_constants(mu: Cochain2, t=None, alpha=None) -> dict:
     if t is not None:
         specialized = specialized.eval_t(t)
     if alpha is not None:
-        specialized = specialized.eval_alpha(alpha)
+        specialized = eval_alpha(specialized, alpha)
     return {key: tuple(entry.constant_value() for entry in column)
             for key, column in specialized.entries.items()}
 
 
 def reference_algebra(mu: Cochain2, t=None, alpha=None) -> RationalAlgebra:
     """The specialization with the denominators of `reference_constants`
-    cleared by Fraction arithmetic, as the int kernel needs them."""
+    cleared by Fraction arithmetic, as the int kernel needs them, in the
+    table layout of `RationalAlgebra`: (a, b) and (b, a), 0-based, to the
+    nonzero ((k, value), ...), negated for (b, a)."""
     constants = reference_constants(mu, t, alpha)
     scale = lcm(*(x.denominator for column in constants.values() for x in column))
-    table = {key: tuple(int(x * scale) for x in column) for key, column in constants.items()}
+    table = {}
+    for (i, j), column in constants.items():
+        ints = tuple((k, int(x * scale)) for k, x in enumerate(column) if x)
+        table[i - 1, j - 1] = ints
+        table[j - 1, i - 1] = tuple((k, -x) for k, x in ints)
     return RationalAlgebra(mu.dim, table, mu.name)
 
 
 def rational_bracket(algebra: RationalAlgebra, i: int, j: int) -> tuple:
-    """[b_i, b_j] from the table, which holds only pairs i < j (1-based)."""
-    if i <= j:
-        return algebra.table.get((i, j), (0,) * algebra.dim)
-    return tuple(-x for x in algebra.table.get((j, i), (0,) * algebra.dim))
+    """[b_i, b_j] (1-based) as a dense tuple, from the table."""
+    out = [0] * algebra.dim
+    for k, x in algebra.table.get((i - 1, j - 1), ()):
+        out[k] = x
+    return tuple(out)
 
 
 def bracket_vec(algebra: RationalAlgebra, x: Sequence[Fraction],
                 y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """[x, y] by dense Fraction arithmetic over every table pair."""
+    """[x, y] = sum x_a y_b [b_a, b_b] by dense Fraction arithmetic over every
+    table pair, both orders."""
     out = [Fraction(0)] * algebra.dim
-    for (i, j), column in algebra.table.items():
-        coeff = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
-        if coeff == 0:
-            continue
-        for k, value in enumerate(column):
-            if value:
+    for (a, b), column in algebra.table.items():
+        coeff = x[a] * y[b]
+        if coeff:
+            for k, value in column:
                 out[k] += coeff * value
     return tuple(out)
 

@@ -533,6 +533,15 @@ def test_counterexample_on_a_mu17_whose_ideal_is_broken(capsys, tmp_path, errata
         (2, "", "error: the chosen subspace is not an ideal\n")
 
 
+def test_counterexample_on_a_mu17_that_keeps_alpha(capsys, tmp_path):
+    """The counterexample specializes only t, so an alpha in mu17's brackets
+    is still symbolic in the family and is named with its entry."""
+    write_catalog(tmp_path, "mu17", {"params =": "params = alpha",
+                                     "bracket 1 2 =": "bracket 1 2 = -Y3 + alpha*Y8"})
+    assert run(capsys, "counterexample", "--data", str(tmp_path)) == \
+        (2, "", "error: entry (1, 2) still symbolic after specialization: alpha\n")
+
+
 @pytest.mark.parametrize("cell", ["(1+t)^4000", "((1+t)^64)^64", "t^-65",
                                   "((((7^64)^64)^64)^64)"])
 def test_oversized_expressions_are_rejected_at_parse_time(capsys, tmp_path, cell):

@@ -24,9 +24,9 @@ from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, T, ZERO, Scalar
 
-from helpers import (base_change, cochains, entries_equal, matrices, poly_from_roots,
-                     reciprocal_certificate, reference_clear_family, reference_eq1_residuals,
-                     reference_solve_cell, scalar_matrix, value_at)
+from helpers import (base_change, cochains, entries_equal, map_entries, matrices,
+                     poly_from_roots, reciprocal_certificate, reference_clear_family,
+                     reference_eq1_residuals, reference_solve_cell, scalar_matrix, value_at)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
@@ -460,7 +460,7 @@ def test_limit_check_is_the_evaluated_family_compared_entrywise(data, dim):
     bases equal to the limit or one entry off it, or unrelated."""
     family = data.draw(cochains(dim))
     if data.draw(st.booleans()):
-        family = family.map_entries(lambda s: s * T ** 3)
+        family = map_entries(family, lambda s: s * T ** 3)
     if any(s.has_negative_t_exponent() for col in family.entries.values() for s in col):
         with pytest.raises(NegativeExponent):
             limit_check(family, data.draw(cochains(dim)))

@@ -157,6 +157,18 @@ def test_der_bases_match_the_pinned_digest(corpus):
     assert der_bases_digest(corpus) == DER_BASES
 
 
+# sha256 of each demo's stdout.
+DEMOS = {
+    "01_exact_scalars.py": "276e1cfb074ad58bf788d35640b91b750e06c93cadf2a62aff011af5401a309d",
+    "02_verify_certificate.py": "6649ce98697739832245922830461e1d201306e811dd4ed4f9f5d63fc63f69a3",
+    "03_localize_and_correct.py":
+        "80ced6ddbb72c6c5b36f8a72db30a271cc0455e92d00c1b09ad822a1329f02e1",
+    "04_invariants_tour.py": "c7c1fda316d837bf59d2e5efa8044f32981c34299ff71394f87b494dcfbb846a",
+    "05_deformation_without_certificate.py":
+        "003fecb9cba1533d54199fe47b0a0cc3c29b457678bb1dd199b9013983d27228",
+}
+
+
 @pytest.mark.parametrize("demo", sorted(path.name for path in (ROOT / "demos").glob("*.py")))
 def test_demo_runs(demo):
     env = dict(os.environ)
@@ -166,3 +178,4 @@ def test_demo_runs(demo):
                             env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stderr == ""
+    assert hashlib.sha256(result.stdout.encode("utf-8")).hexdigest() == DEMOS[demo]

@@ -21,10 +21,10 @@ from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, T, ZERO
 
 from helpers import (base_change, cochains, dense_bracket, dense_bracket_eval,
-                     entries_equal, inverse_unit, matmul, matrices, monomial_diagonal,
-                     nonzero_scalars, rand_scalar, reference_algebra, reference_cocycle,
-                     reference_is_derivation, reference_jacobi, reference_jacobi_expansion,
-                     scalar_matrix, vectors)
+                     entries_equal, eval_alpha, inverse_unit, matmul, matrices,
+                     monomial_diagonal, nonzero_scalars, rand_scalar, reference_algebra,
+                     reference_cocycle, reference_is_derivation, reference_jacobi,
+                     reference_jacobi_expansion, scalar_matrix, vectors)
 
 
 def column(dim, **components):
@@ -395,7 +395,7 @@ def test_the_derivation_basis_of_a_specialization_passes_the_kernel(tables):
 
     mu06 = tables["mu06"].mu
     for alpha in (-1, 2):
-        mu = mu06.eval_alpha(alpha)
+        mu = eval_alpha(mu06, alpha)
         _, basis = derivation_algebra(reference_algebra(mu06, alpha=alpha))
         assert any(m[r][c] for m in basis for r in range(8) for c in range(8) if r != c)
         for matrix in basis:
@@ -450,7 +450,7 @@ def test_structural_errors_keep_their_types_and_messages(entries, error, message
 
 
 def test_derived_cochains_equal_the_validated_ones(tables):
-    """eval_t, eval_alpha, invert_t, scaled and deform build their results
+    """eval_t, invert_t, scaled and deform build their results
     without validating them again; each equals (type, entries, params, name)
     the cochain that the validating constructor builds from the same
     entries.  The column (t - 1)*Y3 vanishes at t = 1 and is dropped."""
@@ -463,11 +463,10 @@ def test_derived_cochains_equal_the_validated_ones(tables):
     for cochain, params in cases:
         substitutions = [(lambda s: s.eval_t(1), params - {"t"}),
                          (lambda s: s.eval_t(Fraction(-2, 3)), params - {"t"}),
-                         (lambda s: s.eval_alpha(3), params - {"alpha"}),
                          (lambda s: s.invert_t(), params),
                          (lambda s: s.scaled(Fraction(-4, 7)), params)]
-        derived = [cochain.eval_t(1), cochain.eval_t(Fraction(-2, 3)), cochain.eval_alpha(3),
-                   cochain.invert_t(), cochain.scaled(Fraction(-4, 7))]
+        derived = [cochain.eval_t(1), cochain.eval_t(Fraction(-2, 3)), cochain.invert_t(),
+                   cochain.scaled(Fraction(-4, 7))]
         for result, (func, reduced) in zip(derived, substitutions):
             validated = type(cochain)(cochain.dim, {key: tuple(func(s) for s in column)
                                                     for key, column in cochain.entries.items()},
@@ -487,10 +486,4 @@ def test_specializations_carry_the_reduced_params(tables):
     mu_t = tables["mu06"].mu_t
     assert mu_t.params == frozenset({"t", "alpha"})
     assert mu_t.eval_t(1).params == frozenset({"alpha"})
-    assert mu_t.eval_alpha(2).params == frozenset({"t"})
-    assert mu_t.eval_t(1).eval_alpha(2).params == frozenset()
     assert mu_t.invert_t().params == mu_t.params
-    doubled = mu_t.map_entries(lambda s: s + s, frozenset({"t", "alpha", "x"}))
-    assert doubled.params == frozenset({"t", "alpha", "x"})
-    with pytest.raises(ValidationError, match="undeclared parameter"):
-        mu_t.map_entries(lambda s: s, frozenset({"t"}))
