@@ -39,14 +39,20 @@ are linear combinations of basis symbols ``Y1..Yn`` (resp. ``X1..Xn``) with
 expression coefficients.  Every expression may use only the parameters
 declared in the header; ``t`` is additionally allowed in certificate entries.
 
-The parser evaluates an expression while it reads it: each grammar rule
-returns the value of its text as one monomial map ``{(k, e_t, e_alpha):
-coeff}`` (k = 0 the scalar part, k = 1..dim a basis symbol, kept where it
+The tokenizer reads each token once, as an operator, a number, a symbol
+(its key) or a word that is a semantic error.  The parser evaluates an
+expression while it reads it: each grammar rule returns the value of its
+text as integer numerators ``{(k, e_t, e_alpha): n}`` over one positive
+denominator (k = 0 the scalar part, k = 1..dim a basis symbol, kept where it
 cancels, so ``Y1*0*Y2`` is still nonlinear), and no syntax tree is built.
-The map becomes one Scalar per output cell, so an integral coefficient is an
-int, and a basis-change row one Fraction per entry.  A minus sign goes into
-the literal or symbol it stands before, so -p/q builds one Fraction.  Errors
-come in a fixed order.  A syntax error
+So no Fraction arithmetic is done while parsing: the value becomes one
+Scalar per output cell, each coefficient reduced once, an int when it is
+integral and a Fraction otherwise, and a basis-change row one Fraction per
+entry.  A product of literals or symbols (and their powers) is one step per
+factor, and a bound is checked only where both factors have two or more
+terms.  A power first divides its base by the common factor of its
+numerators and denominator, so the numbers it raises have the lowest-terms
+bits that its bound is checked on.  Errors come in a fixed order.  A syntax error
 (:class:`ParseError`, with line and column) anywhere on a line wins over a
 semantic one (:class:`ValidationError`: an undeclared symbol, a basis index
 out of range, a nonlinear term, an oversized power or product), so the first
@@ -72,6 +78,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -79,7 +86,7 @@ from typing import Iterable, Mapping
 from .errors import ParseError, ValidationError
 from .lie import Column, StructureConstants
 from .linalg import ScalarMatrix
-from .scalar import ZERO, Scalar
+from .scalar import ZERO, Scalar, from_terms
 
 VERIFIED_NAMES = ("mu01", "mu02", "mu06", "mu08", "mu09", "mu10",
                   "mu11", "mu13", "mu15", "mu17")
@@ -118,6 +125,9 @@ def data_dir() -> Path:
 # must still start with a letter, because ``\w`` also matches digits such as "²".
 _TOKEN = re.compile(r"[-+*^()]|\d+(?:/\d*)?|\w+|\S")
 _OPERATORS = frozenset("+-*^()")
+_ORIGIN = (0, 0, 0)  # the key of a number
+_NO_PARAMS: frozenset[str] = frozenset()
+_PARAMETERS = {"t": (0, 1, 0), "alpha": (0, 0, 1)}
 
 
 def _column(text: str, index: int) -> int:
@@ -127,13 +137,33 @@ def _column(text: str, index: int) -> int:
     return match.start() + 1 if match else len(text) + 1
 
 
-def _tokenize(text: str) -> tuple[list[str], list]:
+def _word(word: str, params: frozenset[str], prefix: str | None, dim: int):
+    """The atom of a word: a declared parameter or an in-range basis symbol
+    as its key, numerator 1 and denominator 1; anything else as its semantic
+    error."""
+    key = _PARAMETERS.get(word)
+    if key is not None and word in params:
+        return key, 1, 1
+    digits = word[len(prefix or ""):]
+    if prefix and word.startswith(prefix) and digits.isdecimal():
+        if len(digits) <= MAX_DIGITS and 1 <= int(digits) <= dim:
+            return (int(digits), 0, 0), 1, 1
+        return f"basis index {word} out of range 1..{dim}"
+    return f"undeclared symbol {word!r}"
+
+
+def _tokenize(text: str, params: frozenset[str], prefix: str | None, dim: int):
     """The texts of the tokens of a line, then "" for the end of input; and
-    at the index of each number its value, an int or (p, q) for p/q."""
+    each token's atom, the kind it was read as: None for an operator; for a
+    number p or p/q, the key of the scalar part and p/q in lowest terms (q
+    is 1 for p); for a word, what _word makes of it."""
     tokens = _TOKEN.findall(text)
-    values = [None] * (len(tokens) + 1)
+    atoms = [None] * (len(tokens) + 1)
     for index, token in enumerate(tokens):
-        if token in _OPERATORS or token[0].isalpha():
+        if token in _OPERATORS:
+            continue
+        if token[0].isalpha():
+            atoms[index] = _word(token, params, prefix, dim)
             continue
         numerator, slash, denominator = token.partition("/")
         if not token[0].isdecimal():
@@ -146,27 +176,46 @@ def _tokenize(text: str) -> tuple[list[str], list]:
         elif slash and not int(denominator):
             error = "zero denominator"
         else:
-            values[index] = (int(numerator), int(denominator)) if slash else int(numerator)
+            numerator, denominator = int(numerator), int(denominator) if slash else 1
+            common = gcd(numerator, denominator)
+            atoms[index] = _ORIGIN, numerator // common, denominator // common
             continue
         raise ParseError(error, column=_column(text, index))
     tokens.append("")
-    return tokens, values
+    return tokens, atoms
 
 
-# The value of an expression (see the module docstring); its scalar part has no 0.
-_Value = dict[tuple[int, int, int], int | Fraction]
+# The value of an expression (see the module docstring): the integer
+# numerators of its terms, whose scalar part has no 0, and their positive
+# common denominator.
+_Terms = dict[tuple[int, int, int], int]
+_Value = tuple[_Terms, int]
 _coordinate = itemgetter(0)
 
 
-def _size(terms: Iterable[tuple]) -> tuple[int, int, int]:
-    """The count, the degree in t or alpha, and the coefficient bits plus the
-    count's bits of the nonzero (key, coeff) terms: what bounds are checked on."""
+def _rational(numerator: int, denominator: int) -> int | Fraction:
+    """numerator/denominator as a coefficient: an int when it is integral,
+    otherwise a Fraction built once, in lowest terms."""
+    if denominator == 1:
+        return numerator
+    common = gcd(numerator, denominator)
+    if common == denominator:
+        return numerator // common
+    return Fraction(numerator // common, denominator // common)
+
+
+def _size(terms: Iterable[tuple], denominator: int) -> tuple[int, int, int]:
+    """The count, the degree in t or alpha, and the coefficient bits (in
+    lowest terms) plus the count's bits of the nonzero (key, numerator) terms
+    over `denominator`: what bounds are checked on."""
     count = degree = bits = 0
-    for (_, e_t, e_alpha), coeff in terms:
-        if coeff:
+    for (_, e_t, e_alpha), numerator in terms:
+        if numerator:
             count += 1
             degree = max(degree, abs(e_t), e_alpha)
-            bits = max(bits, coeff.numerator.bit_length(), coeff.denominator.bit_length())
+            common = gcd(numerator, denominator)
+            bits = max(bits, (numerator // common).bit_length(),
+                       (denominator // common).bit_length())
     return count, degree, bits + count.bit_length()
 
 
@@ -178,18 +227,19 @@ def _too_large(kind: str, degree: int, bits: int) -> str | None:
                 f"{bits}-bit coefficients (at most {MAX_BITS})")
 
 
-def _multiply(a: _Value, b: _Value) -> _Value:
-    """a * b, at most one of them with basis coordinates; those stay named in
-    the product even where it is 0.  One pass when a factor is a monomial."""
+def _multiply(a: _Terms, b: _Terms) -> _Terms:
+    """The numerators of a * b, at most one of them with basis coordinates;
+    those stay named in the product even where it is 0.  One pass when a
+    factor is a monomial."""
     if not (a and b):
         return {(key[0], 0, 0): 0 for key in a or b if key[0]}
-    if len(a) == 1 and not (len(b) == 1 and 1 in b.values()):
-        a, b = b, a  # b is a monomial, of coefficient 1 if either is
+    if len(a) == 1:
+        a, b = b, a
     if len(b) == 1:
         ((k_b, t_b, alpha_b), c_b), = b.items()
-        return {(k + k_b, e_t + t_b, e_alpha + alpha_b): c if c_b == 1 else c * c_b
+        return {(k + k_b, e_t + t_b, e_alpha + alpha_b): c * c_b
                 for (k, e_t, e_alpha), c in a.items()}
-    product: _Value = {}
+    product: _Terms = {}
     for (k_a, t_a, alpha_a), c_a in a.items():
         for (k_b, t_b, alpha_b), c_b in b.items():
             key = (k_a + k_b, t_a + t_b, alpha_a + alpha_b)
@@ -204,20 +254,20 @@ def _multiply(a: _Value, b: _Value) -> _Value:
 
 
 class _Parser:
-    """Recursive descent over the tokens of one line.  A rule owns the map it
-    returns, so + and - merge into it in place.  The first semantic error is
-    held, and the rules read on (on placeholder values)."""
+    """Recursive descent over the tokens of one line.  A rule owns the terms
+    it returns, so + and - merge into them in place.  The first semantic
+    error is held, and the rules read on (on placeholder values)."""
 
     def __init__(self, text: str, params: frozenset[str], prefix: str | None, dim: int):
-        self.text, self.params, self.prefix, self.dim = text, params, prefix, dim
-        self.tokens, self.values = _tokenize(text)
+        self.text = text
+        self.tokens, self.atoms = _tokenize(text, params, prefix, dim)
         self.pos = self.depth = 0
         self.error: str | None = None
 
     def hold(self, message: str) -> _Value:
         if self.error is None:
             self.error = message
-        return {}
+        return {}, 1
 
     def syntax_error(self, message: str, index: int, expected=()) -> ParseError:
         """A ParseError at token `index`, whose text fills {} in `message`."""
@@ -232,62 +282,80 @@ class _Parser:
             raise ValidationError(self.error)
         return value
 
-    def expr(self, sign: int = 1) -> _Value:
-        value = self.term(sign)
+    def expr(self) -> _Value:
+        value, denominator = self.term()
         while (op := self.tokens[self.pos]) in ("+", "-"):
             self.pos += 1
-            for key, coeff in self.term(-sign if op == "-" else sign).items():
+            terms, other = self.term()
+            if other != denominator and terms:
+                if value:  # both over their least common multiple
+                    common = denominator * other // gcd(denominator, other)
+                    if common != denominator:
+                        value = {key: c * (common // denominator) for key, c in value.items()}
+                    if common != other:
+                        terms = {key: c * (common // other) for key, c in terms.items()}
+                    other = common
+                denominator = other
+            for key, coeff in terms.items():
                 old = value.get(key)
                 if old is None:
-                    value[key] = coeff
-                elif (new := old + coeff) or key[0]:
+                    value[key] = coeff if op == "+" else -coeff
+                elif (new := old + coeff if op == "+" else old - coeff) or key[0]:
                     value[key] = new
                 else:
                     del value[key]
-        return value
+        return value, denominator
 
-    def term(self, sign: int = 1) -> _Value:
-        """A product times `sign` and its unary minus signs, which go into the
-        first factor down to a literal or symbol: -p/q builds one Fraction."""
-        while self.tokens[self.pos] == "-":
+    def term(self) -> _Value:
+        """A product and its unary minus signs."""
+        tokens = self.tokens
+        negative = False
+        while tokens[self.pos] == "-":
             self.pos += 1
-            sign = -sign
-        value = self.factor(sign)
-        while self.tokens[self.pos] == "*":
+            negative = not negative
+        value = self.factor()
+        while tokens[self.pos] == "*":
             self.pos += 1
             right = self.factor()
             if self.error is None:
                 value = self.product(value, right)
+        if negative:
+            return {key: -c for key, c in value[0].items()}, value[1]
         return value
 
     def product(self, a: _Value, b: _Value) -> _Value:
-        """a * b, after the bound on each coordinate whose two factors have two
-        or more terms each (the scalar part first, then the basis symbols as
-        the text names them): a monomial factor grows a product only linearly
-        in the length of the line."""
-        if any(map(_coordinate, b)):
-            if any(map(_coordinate, a)):
+        """a * b: one step for two monomials; otherwise after the bound on
+        each coordinate whose two factors have two or more terms each (the
+        scalar part first, then the basis symbols as the text names them),
+        so that a monomial factor grows a product only linearly in the length
+        of the line."""
+        (terms_a, den_a), (terms_b, den_b) = a, b
+        if len(terms_a) == 1 == len(terms_b):
+            ((k_a, t_a, alpha_a), c_a), = terms_a.items()
+            ((k_b, t_b, alpha_b), c_b), = terms_b.items()
+            if k_a and k_b:
                 return self.hold("product of basis symbols is not linear")
-            a, b = b, a
-        if len(a) > 1 and len(b) > 1:  # b has no zero coefficient
-            _, degree_b, bits_b = _size(b.items())
-            for k in dict.fromkeys([0, *map(_coordinate, a)]):
-                count, degree, bits = _size(item for item in a.items() if item[0][0] == k)
+            return {(k_a + k_b, t_a + t_b, alpha_a + alpha_b): c_a * c_b}, den_a * den_b
+        if any(map(_coordinate, terms_b)):
+            if any(map(_coordinate, terms_a)):
+                return self.hold("product of basis symbols is not linear")
+            terms_a, den_a, terms_b, den_b = terms_b, den_b, terms_a, den_a
+        if len(terms_a) > 1 and len(terms_b) > 1:  # b has no zero coefficient
+            _, degree_b, bits_b = _size(terms_b.items(), den_b)
+            for k in dict.fromkeys([0, *map(_coordinate, terms_a)]):
+                count, degree, bits = _size(
+                    (item for item in terms_a.items() if item[0][0] == k), den_a)
                 if count > 1 and (error := _too_large("product", degree + degree_b,
                                                       bits + bits_b)):
                     return self.hold(error)
-        return _multiply(a, b)
+        return _multiply(terms_a, terms_b), den_a * den_b
 
-    def factor(self, sign: int = 1) -> _Value:
+    def factor(self) -> _Value:
         start, error = self.pos, self.error
-        value = self.base(sign)
+        value = self.base()
         if self.tokens[self.pos] != "^":
             return value
-        if sign > 0:
-            return self.power(value, start, error)
-        # -x^n is -(x^n): the sign comes back out of the base, and onto the power
-        power = self.power({key: -coeff for key, coeff in value.items()}, start, error)
-        return {key: -coeff for key, coeff in power.items()}
+        return self.power(value, start, error)
 
     def power(self, value: _Value, start: int, error: str | None) -> _Value:
         """`value`, the base read from token `start` on with `error` held
@@ -295,10 +363,10 @@ class _Parser:
         end = self.pos
         negative = self.tokens[end + 1] == "-"
         self.pos = end + 1 + negative
-        exponent = self.values[self.pos]
-        if exponent is None:
+        exponent = self.atoms[self.pos]
+        if type(exponent) is not tuple or exponent[0] != _ORIGIN:
             raise self.syntax_error("unexpected token {}", self.pos, ("number",))
-        numerator, denominator = exponent if type(exponent) is tuple else (exponent, 1)
+        _, numerator, denominator = exponent
         if numerator % denominator:
             raise self.syntax_error("exponent must be an integer literal", self.pos, ("integer",))
         self.pos += 1
@@ -308,51 +376,54 @@ class _Parser:
             # checked before anything inside the base: (t) and ((t)) are bare
             if error is None:
                 self.error = "negative exponents are allowed only on t"
-            return {}
+            return {}, 1
         if self.error is not None:
-            return {}
-        if any(map(_coordinate, value)):
+            return {}, 1
+        terms, denominator = value
+        if any(map(_coordinate, terms)):
             if exponent != 1:
                 return self.hold("basis symbols cannot be raised to a power")
             return value
-        _, degree, bits = _size(value.items())
+        # in lowest terms first: the bound is on lowest-terms bits, and a
+        # product or a sum may leave a common factor, as in (2*(1/2))^n
+        common = gcd(denominator, *terms.values())
+        if common != 1:
+            terms = {key: c // common for key, c in terms.items()}
+            denominator //= common
+        _, degree, bits = _size(terms.items(), denominator)
         if error := _too_large("power", abs(exponent) * degree, abs(exponent) * bits):
             return self.hold(error)
-        if len(value) == 1:  # one step; a negative exponent is on t, of coefficient 1
-            ((_, e_t, e_alpha), coeff), = value.items()
-            return {(0, exponent * e_t, exponent * e_alpha): coeff ** max(exponent, 0)}
-        power: _Value = {(0, 0, 0): 1}
+        if len(terms) == 1:  # one step; a negative exponent is on t, of coefficient 1
+            ((_, e_t, e_alpha), numerator), = terms.items()
+            return ({(0, exponent * e_t, exponent * e_alpha): numerator ** max(exponent, 0)},
+                    denominator ** max(exponent, 0))
+        power: _Terms = {(0, 0, 0): 1}
+        power_denominator = 1
         while exponent:  # square and multiply, as Scalar.__pow__; 0 is the empty map
             if exponent & 1:
-                power = _multiply(power, value)
+                power = _multiply(power, terms)
+                power_denominator *= denominator
             exponent >>= 1
             if exponent:
-                value = _multiply(value, value)
-        return power
+                terms = _multiply(terms, terms)
+                denominator *= denominator
+        return power, power_denominator
 
-    def base(self, sign: int = 1) -> _Value:
-        token, value = self.tokens[self.pos], self.values[self.pos]
+    def base(self) -> _Value:
+        """A number, a word, or an expr in parentheses."""
+        atom = self.atoms[self.pos]
         self.pos += 1
-        if value is not None:
-            value = Fraction(sign * value[0], value[1]) if type(value) is tuple else sign * value
-            return {(0, 0, 0): value} if value else {}
-        if token[:1].isalpha():
-            if token == "t" and "t" in self.params:
-                return {(0, 1, 0): sign}
-            if token == "alpha" and "alpha" in self.params:
-                return {(0, 0, 1): sign}
-            digits = token[len(self.prefix or ""):]
-            if self.prefix and token.startswith(self.prefix) and digits.isdecimal():
-                if not (len(digits) <= MAX_DIGITS and 1 <= int(digits) <= self.dim):
-                    return self.hold(f"basis index {token} out of range 1..{self.dim}")
-                return {(int(digits), 0, 0): sign}
-            return self.hold(f"undeclared symbol {token!r}")
-        if token == "(":
+        if type(atom) is tuple:
+            key, numerator, denominator = atom
+            return ({key: numerator}, denominator) if numerator else ({}, 1)
+        if atom is not None:  # a word that is a semantic error
+            return self.hold(atom)
+        if self.tokens[self.pos - 1] == "(":
             if self.depth == MAX_NESTING:
                 raise self.syntax_error(f"parentheses nested more than {MAX_NESTING} deep",
                                         self.pos - 1)
             self.depth += 1
-            value = self.expr(sign)
+            value = self.expr()
             if self.tokens[self.pos] != ")":
                 raise self.syntax_error("unexpected token {}", self.pos, (")",))
             self.pos += 1
@@ -364,51 +435,64 @@ class _Parser:
 _parsed: ContextVar[dict | None] = ContextVar("parsed", default=None)  # see _evaluate
 
 
-def _evaluate(finish, text: str, params: Iterable[str], prefix: str | None, dim: int):
+def _evaluate(finish, text: str, params: frozenset[str], prefix: str | None, dim: int):
     """finish(value of `text`, dim), once a combination of basis symbols (a
     `prefix`) has no scalar part.  While load_corpus runs, it is kept under
     (finish, text, params, prefix, dim), all it depends on; a failing text is
     not kept, so it is parsed again wherever it repeats."""
-    params = frozenset(params)
     key, parsed = (finish, text, params, prefix, dim), _parsed.get()
-    if (result := (parsed or {}).get(key)) is None:
-        value = _Parser(text, params, prefix, dim).parse()
-        if prefix and (scalar := {term[1:]: c for term, c in value.items() if not term[0]}):
-            raise ValidationError(f"value must be a combination of {prefix}-symbols, "
-                                  f"found scalar part {Scalar(scalar)}")
-        result = finish(value, dim)
-        if parsed is not None:
-            parsed[key] = result
+    if parsed is not None and (result := parsed.get(key)) is not None:
+        return result
+    value = _Parser(text, params, prefix, dim).parse()
+    if prefix and not all(map(_coordinate, value[0])):
+        raise ValidationError(f"value must be a combination of {prefix}-symbols, "
+                              f"found scalar part {from_terms(_cells(value)[0])}")
+    result = finish(value, dim)
+    if parsed is not None:
+        parsed[key] = result
     return result
 
 
+def _cells(value: _Value) -> dict[int, dict]:
+    """The term map of each coordinate of `value` that has terms (0 for the
+    scalar part), with its coefficients as rationals."""
+    terms, denominator = value
+    cells: dict[int, dict] = {}
+    for (k, e_t, e_alpha), numerator in terms.items():
+        cells.setdefault(k, {})[e_t, e_alpha] = _rational(numerator, denominator)
+    return cells
+
+
 def _to_scalar(value: _Value, dim: int) -> Scalar:
-    return Scalar({(e_t, e_alpha): coeff for (_, e_t, e_alpha), coeff in value.items()})
+    terms, denominator = value
+    return from_terms({(e_t, e_alpha): _rational(numerator, denominator)
+                       for (_, e_t, e_alpha), numerator in terms.items()})
 
 
 def _to_column(value: _Value, dim: int) -> Column:
-    cells: list[dict] = [{} for _ in range(dim + 1)]
-    for (k, e_t, e_alpha), coeff in value.items():
-        cells[k][(e_t, e_alpha)] = coeff
-    return tuple(Scalar(terms) if terms else ZERO for terms in cells[1:])
+    column = [ZERO] * dim
+    for k, terms in _cells(value).items():
+        column[k - 1] = from_terms(terms)
+    return tuple(column)
 
 
 def _to_rationals(value: _Value, dim: int) -> tuple[Fraction, ...]:
     """A combination of basis symbols without parameters, as rationals."""
+    terms, denominator = value
     row = [ZERO.constant_value()] * dim
-    for (k, _, _), coeff in value.items():
-        row[k - 1] = Fraction(coeff)
+    for (k, _, _), numerator in terms.items():
+        row[k - 1] = Fraction(numerator, denominator)
     return tuple(row)
 
 
 def parse_scalar(text: str, params: Iterable[str]) -> Scalar:
     """Parse and evaluate a scalar expression."""
-    return _evaluate(_to_scalar, text, params, None, 0)
+    return _evaluate(_to_scalar, text, frozenset(params), None, 0)
 
 
 def parse_column(text: str, dim: int, prefix: str, params: Iterable[str]) -> Column:
     """Parse a linear combination of basis symbols into a coordinate column."""
-    return _evaluate(_to_column, text, params, prefix, dim)
+    return _evaluate(_to_column, text, frozenset(params), prefix, dim)
 
 
 # -- rendering ---------------------------------------------------------------
@@ -468,24 +552,27 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     deformation_rows: dict[str, str] = {}
     certificate_parameter = "t"
     # "i j"-keyed sections: section -> the key's leading word, and its cells
+    # (i, j) -> (value, line number)
     words = {"brackets": "bracket", "certificate": "g", "derivation": "d"}
-    cells: dict[str, dict[tuple[int, int], str]] = {word: {} for word in words.values()}
+    cells: dict[str, dict[tuple[int, int], tuple[str, int]]] = {
+        word: {} for word in words.values()}
     errata_groups: list[dict[str, str]] = []
     line_of: dict = {}
 
-    section = None
+    section = word = None
     seen_sections = set()
     for line_number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.partition("#")[0] if "#" in raw else raw).strip()
         if not line:
             continue
-        if line.startswith("[") and line.endswith("]"):
+        if line[0] == "[" and line[-1] == "]":
             section = line[1:-1].strip()
             if section not in SECTION_ORDER:
                 raise ValidationError(f"{source}:{line_number}: unknown section [{section}]")
             if section in seen_sections:
                 raise ValidationError(f"{source}:{line_number}: duplicate section [{section}]")
             seen_sections.add(section)
+            word = words.get(section)
             continue
         if section is None:
             raise ValidationError(f"{source}:{line_number}: content before any section")
@@ -524,20 +611,20 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                     f"{source}:{line_number}: parameter must be 't' or '1/t'")
             certificate_parameter = value
             line_of[("certificate", "parameter")] = line_number
-        elif section in words:
-            word = words[section]
+        elif word is not None:
             parts = key.split()
             if len(parts) != 3 or parts[0] != word:
                 raise ValidationError(f"{source}:{line_number}: expected '{word} i j = ...'")
+            _, i, j = parts
             # at most one '-', so that a negative index gets its range error
-            if not all(_is_digits(p.removeprefix("-")) for p in parts[1:]):
+            if not (_is_digits(i.removeprefix("-")) and _is_digits(j.removeprefix("-"))):
                 raise ValidationError(
                     f"{source}:{line_number}: expected 2 integers after {word!r}")
-            i, j = int(parts[1]), int(parts[2])
-            if (i, j) in cells[word]:
-                raise ValidationError(f"{source}:{line_number}: duplicate entry {word} {i} {j}")
-            cells[word][(i, j)] = value
-            line_of[(word, i, j)] = line_number
+            cell = int(i), int(j)
+            if cell in cells[word]:
+                raise ValidationError(
+                    f"{source}:{line_number}: duplicate entry {word} {cell[0]} {cell[1]}")
+            cells[word][cell] = value, line_number
         elif section == "errata":
             if key not in ("entry", "original", "corrected", "note"):
                 raise ValidationError(f"{source}:{line_number}: unknown errata key {key!r}")
@@ -586,6 +673,9 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     params = tuple(header.get("params", "").split())
     if not set(params) <= {"alpha"}:
         raise fail(("algebra", "params"), "params may only declare 'alpha'")
+    # what brackets and certificate cells may use; the other values use nothing
+    declared = frozenset(params)
+    with_t = declared | {"t"}
 
     # -- basis change ------------------------------------------------------
     basis_change = None
@@ -594,18 +684,18 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         for index, value in basis_rows.items():
             if not 1 <= index <= dim:
                 raise fail(("basis", index), f"basis index Y{index} out of range")
-            basis_change[index] = evaluate(_to_rationals, value, (), "X",
+            basis_change[index] = evaluate(_to_rationals, value, _NO_PARAMS, "X",
                                            line_of[("basis", index)])
 
     # -- brackets ----------------------------------------------------------
     brackets = None
     if "brackets" in seen_sections:
         brackets = {}
-        for (i, j), value in cells["bracket"].items():
+        for (i, j), (value, line) in cells["bracket"].items():
             if not 1 <= i < j <= dim:
-                raise fail(("bracket", i, j), f"bracket indices ({i}, {j}) must satisfy 1 <= i < j <= {dim}")
-            brackets[(i, j)] = evaluate(_to_column, value, params, "Y",
-                                        line_of[("bracket", i, j)])
+                raise ValidationError(f"{source}:{line}: bracket indices ({i}, {j}) "
+                                      f"must satisfy 1 <= i < j <= {dim}")
+            brackets[(i, j)] = evaluate(_to_column, value, declared, "Y", line)
 
     # -- deformation -------------------------------------------------------
     deformation = None
@@ -628,26 +718,27 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                        f"outside = {outside} lies inside the ideal "
                        f"({' '.join(str(k) for k in ideal)})")
         diag_line = line_of[("deformation", "D")]
-        diagonal = tuple(
-            evaluate(_to_scalar, p.group(), (), None, diag_line, p.start()).constant_value()
-            for p in re.finditer(r"\S+", deformation_rows["D"]))
+        diagonal = tuple(evaluate(_to_scalar, p.group(), _NO_PARAMS, None, diag_line,
+                                  p.start()).constant_value()
+                         for p in re.finditer(r"\S+", deformation_rows["D"]))
         if len(diagonal) != len(ideal):
             raise fail(("deformation", "D"), "D must list one rational per ideal index")
         deformation = DeformationBlock(ideal, outside, diagonal)
 
     def square_cells(word, what):
-        for (i, j), value in cells[word].items():
+        for (i, j), (value, line) in cells[word].items():
             if not (1 <= i <= dim and 1 <= j <= dim):
-                raise fail((word, i, j), f"{what} indices ({i}, {j}) out of range")
-            yield (i, j), value, line_of[(word, i, j)]
+                raise ValidationError(f"{source}:{line}: {what} indices ({i}, {j}) out of range")
+            yield (i, j), value, line
 
     # -- certificate and inert derivation metadata -------------------------
     certificate = derivation_meta = None
     if "certificate" in seen_sections:
-        certificate = {key: evaluate(_to_scalar, value, params + ("t",), None, line)
+        certificate = {key: evaluate(_to_scalar, value, with_t, None, line)
                        for key, value, line in square_cells("g", "certificate")}
     if "derivation" in seen_sections:
-        derivation_meta = {key: evaluate(_to_scalar, value, (), None, line).constant_value()
+        derivation_meta = {key: evaluate(_to_scalar, value, _NO_PARAMS, None,
+                                         line).constant_value()
                            for key, value, line in square_cells("d", "derivation")}
 
     # -- errata --------------------------------------------------------------
@@ -666,9 +757,9 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         if corrected is not None:
             line = line_of[("errata", number, "corrected")]
             if parts[0] == "bracket":
-                evaluate(_to_column, corrected, params, "Y", line)
+                evaluate(_to_column, corrected, declared, "Y", line)
             else:
-                evaluate(_to_scalar, corrected, params + ("t",), None, line)
+                evaluate(_to_scalar, corrected, with_t, None, line)
         errata.append(Erratum(target, group.get("original"), corrected,
                               group.get("note", "")))
 
@@ -683,7 +774,7 @@ def load_algebra(path: str | Path) -> AlgebraFile:
     """Load and validate one algebra file."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path.name}: not UTF-8 text (byte {exc.start})") from exc
     return parse_algebra(text, source=path.name)

@@ -399,8 +399,8 @@ def add_product(terms: Terms, factor: Scalar, a: Scalar, b: Scalar) -> None:
 
 
 def from_terms(terms: Terms) -> Scalar:
-    """The Scalar of a term map filled by :func:`add_product`, its zero
-    terms dropped."""
+    """The Scalar of a term map filled by :func:`add_product` or read by the
+    parser, its zero terms dropped and its coefficients kept as they are."""
     result = Scalar.__new__(Scalar)
     result._terms = {key: coeff for key, coeff in terms.items() if coeff}
     return result

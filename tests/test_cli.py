@@ -363,6 +363,20 @@ def test_verify_builds_each_spectrum_target_once_per_distinct_deformation(
                               "_spectrum_target") == [6, 10, 0, 0]
 
 
+@pytest.mark.parametrize("argv", [("verify", "--all"), ("invariants", "mu06", "--alpha", "2"),
+                                  ("counterexample",), ("report", "mu06", "mu06")])
+def test_each_command_loads_the_catalog_once(capsys, monkeypatch, argv):
+    """Every command pays for one load_corpus, whatever it checks."""
+    import filicert.cli
+
+    loads, load_corpus = [], filicert.cli.load_corpus
+    monkeypatch.setattr(filicert.cli, "load_corpus",
+                        lambda *args: loads.append(args) or load_corpus(*args))
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1) and err == ""
+    assert loads == [(None,)]
+
+
 @pytest.mark.parametrize("options", SIBLING_OPTIONS)
 def test_report_of_sibling_tables_is_the_concatenation_of_each_table(
         capsys, tmp_path, corpus, options):

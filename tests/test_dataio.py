@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import re
 import sys
@@ -193,6 +194,14 @@ PARAMS = [(), ("t",), ("alpha",), ("t", "alpha")]
 @example("1 + 3/0", ())                 # a fraction's column is where it starts
 @example("12/ + 1", ())
 @example("q^-1", ())                    # the exponent's sign is checked first
+@example("(t)^-1", ("t",))              # a parenthesized symbol under a power
+@example("(1*t)^-1", ("t",))
+@example("-t^2", ("t",))                # a symbol that a power follows
+@example("-(2/3)^2", ())
+@example("(1+t)^65", ("t",))            # the power bound
+@example("t^-1*alpha", ("t", "alpha"))  # monomial factors
+@example("3/", ())                      # the tokenizer's kinds
+@example("1/0", ())
 @settings(max_examples=250)
 @given(mutated(expressions_st), st.sampled_from(PARAMS))
 def test_scalar_parser_agrees_with_the_ast_parser(text, params):
@@ -206,6 +215,9 @@ def test_scalar_parser_agrees_with_the_ast_parser(text, params):
 @example("(Y1)^-1", ())
 @example("2*Y1*Y2", ())
 @example("(1+t)^64*(1+t)^64*Y2", ("t",))
+@example("Y1*0*Y2", ())                 # basis symbols stay named where they cancel
+@example("0*Y1", ())
+@example("2*Y1*alpha", ("alpha",))      # monomial factors
 @settings(max_examples=250)
 @given(mutated(st.one_of(combinations_st, expressions_st)), st.sampled_from(PARAMS))
 def test_column_parser_agrees_with_the_ast_parser(text, params):
@@ -320,6 +332,21 @@ def test_minus_signs_go_into_literals_and_symbols(monkeypatch):
         nested = f"-({nested})^1"
     start = time.perf_counter()  # the work stays linear in the nesting depth
     assert parse_scalar(nested, ("t",)) == Scalar.t_power(1)
+    assert time.perf_counter() - start < 1
+
+
+def test_a_power_raises_its_base_in_lowest_terms():
+    """The power bound is checked on lowest-terms bits, so the numbers a power
+    raises are in lowest terms too, wherever a common factor comes from: a
+    literal, a sum or a product.  Raising the unreduced 2^2048/2^2048 or
+    N^2048/N^2048 again would pass the bound and build numbers of millions
+    of bits."""
+    n = "7" * MAX_DIGITS
+    start = time.perf_counter()
+    for text in (f"({n}/{n})^2048", f"(({n}/{n})^2048)^2", "((2/2)^2048)^2048",
+                 "((1/2 + 1/2)^2048)^2048", "((2*(1/2))^2048)^2048"):
+        assert parse_scalar(text, ()) == ONE, text
+    assert parse_scalar("((2*t + 2)*(1/2))^2", ("t",)) == parse_scalar("t^2 + 2*t + 1", ("t",))
     assert time.perf_counter() - start < 1
 
 
@@ -507,6 +534,22 @@ def test_header_and_errata_errors_name_their_line(name, line, old, new, message)
     assert str(caught.value) == f"{name}:{line}: {message}"
 
 
+@pytest.mark.parametrize("new, message", [
+    ("g 01 +1 = t", "expected 2 integers after 'g'"),
+    ("g 01 -0001 = t", "certificate indices (1, -1) out of range"),
+    ("g 01 001 = t", "duplicate entry g 1 1"),
+])
+def test_the_indices_of_an_i_j_key_are_read_as_integers(new, message):
+    """An index is at most one '-' and digits, read as an integer: leading
+    zeros name the same cell, and errors name the indices as integers."""
+    lines = (data_dir() / "mu11").read_text(encoding="utf-8").splitlines()
+    assert lines[37] == "g 2 2 = t"
+    lines[37] = new
+    with pytest.raises(ValidationError) as caught:
+        parse_algebra("\n".join(lines), source="mu11")
+    assert str(caught.value) == f"mu11:38: {message}"
+
+
 def test_name_must_match_file_name(tmp_path):
     path = tmp_path / "other"
     path.write_text("[algebra]\nname = x\ndim = 2\nparams =\n")
@@ -601,6 +644,83 @@ def test_comments_and_blank_lines_are_ignored(tmp_path):
     path.write_text("# leading comment\n\n" + body.replace(
         "dim = 2", "dim = 2   # trailing comment"))
     assert load_algebra(path).dim == 2
+
+
+# -- line mutations of the bundled files ---------------------------------------------
+
+# Pieces that a line mutation inserts or substitutes: the characters the line
+# pass splits on or tests for, signs and digits of the "i j" keys, and words.
+LINE_PIECES = ["#", "=", " ", "\t", "[", "]", "-", "--", "0", "9", "99", "x", "g", "d",
+               "Y", "X", "t", "alpha", "/", "^", "(", ")", "*", "²", "٣", "\u3000"]
+LINE_MUTATIONS_PER_FILE = 60
+# sha256 of the outcomes of the mutations below: any rewrite of the line pass
+# or of the evaluator must give every mutated file the same value or error.
+LINE_MUTATION_OUTCOMES = "19d155db4febc352fa82f097d88e0bf5c1adadb9c63fc4c4f480093ea34adc15"
+
+
+def mutate_lines(rng: random.Random, lines: list[str]) -> list[str]:
+    """`lines` with one line edited: a character deleted, inserted or
+    replaced by a piece, or the line deleted, doubled or swapped with the next."""
+    lines = list(lines)
+    number = rng.randrange(len(lines))
+    line = lines[number]
+    position = rng.randint(0, len(line))
+    kind = rng.randrange(6)
+    if kind == 0:
+        lines[number] = line[:position] + line[position + 1:]
+    elif kind in (1, 2):
+        lines[number] = line[:position] + rng.choice(LINE_PIECES) + line[position + kind - 1:]
+    elif kind == 3:
+        del lines[number]
+    elif kind == 4:
+        lines.insert(number, line)
+    else:
+        lines[number:number + 2] = lines[number:number + 2][::-1]
+    return lines
+
+
+def parse_outcome(text: str, source: str) -> tuple:
+    """The serialized file's sha256, or the error's type, message, line and
+    column; any other exception propagates."""
+    try:
+        alg = parse_algebra(text, source=source)
+    except (ParseError, ValidationError) as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "line", None),
+                getattr(exc, "column", None))
+    return ("ok", hashlib.sha256(serialize_algebra(alg).encode()).hexdigest())
+
+
+def test_line_mutations_of_the_bundled_files_keep_their_outcomes():
+    """A fixed-seed set of one-line edits of every bundled file parses, or
+    fails with the message, line and column, exactly as pinned."""
+    digest = hashlib.sha256()
+    kinds = set()
+    for path in sorted(data_dir().iterdir()):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        rng = random.Random(f"line-mutations:{path.name}")
+        for _ in range(LINE_MUTATIONS_PER_FILE):
+            outcome = parse_outcome("\n".join(mutate_lines(rng, lines)), path.name)
+            kinds.add(outcome[0])
+            digest.update(repr(outcome).encode() + b"\n")
+    assert kinds == {"ok", "ParseError", "ValidationError"}
+    assert digest.hexdigest() == LINE_MUTATION_OUTCOMES
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_a_file_with_other_line_ends_loads_the_same(tmp_path, newline):
+    """load_algebra reads a file's bytes as UTF-8 and splits its lines on any
+    line end, so CRLF or CR files load like the LF file, and an error names
+    the same line."""
+    text = (data_dir() / "mu08").read_text(encoding="utf-8")
+    path = tmp_path / "mu08"
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    assert load_algebra(path) == load_algebra(data_dir() / "mu08")
+    path.write_bytes(text.replace("\n", newline).replace("g 2 4 =", "g 2 4 " + newline, 1)
+                     .encode("utf-8"))
+    line = next(n for n, raw in enumerate(text.splitlines(), 1) if raw.startswith("g 2 4"))
+    with pytest.raises(ValidationError) as caught:
+        load_algebra(path)
+    assert str(caught.value) == f"mu08:{line}: expected 'key = value'"
 
 
 def test_data_directory_is_bundled():
