@@ -8,17 +8,21 @@ changes no span, kernel or reduced row echelon form: the common denominator
 of a specialization is cleared once, when it is built.  A specialization is
 stored once, as one antisymmetrized table of its nonzero int constants
 (:class:`RationalAlgebra`), built in one pass over the nonzero entries of
-the symbolic bracket.  Every linear system and spanning set below is built
-from that table as the sparse int rows ``{column: int}`` that the kernel of
+the symbolic bracket, each entry's terms evaluated at (t, alpha) into one
+term map.  Every linear system and spanning set below is built from that
+table as the sparse int rows ``{column: int}`` that the kernel of
 :mod:`filicert.linalg` takes; a zero product is never one of them.
 Ranks can drop at unsampled special parameter values, so reports always
 carry the sampled points alongside the verdicts.
 
+A series starts at V_1, the span of its table's values (each product of two
+basis vectors is one); for the lower central and the derived series that is
+[g,g], spanned once per specialization (:attr:`RationalAlgebra.derived_basis`).
 Series computations stop at the first repeated dimension; monotonicity of
 the lower central and derived series guarantees stabilization within the
 dimension of the algebra.  A profile therefore either ends in 0 (nilpotent
 or solvable) or repeats its final nonzero value once as the stabilization
-witness.
+witness; a perfect algebra stops at V_1.
 
 An algebra is characteristically nilpotent when every derivation is
 nilpotent (Dixmier-Lister).  By Engel's theorem that holds iff the flag
@@ -40,6 +44,7 @@ from typing import Mapping
 from .errors import ValidationError
 from .lie import Cochain2
 from .linalg import RationalMatrix, span_basis
+from .scalar import Scalar
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -61,21 +66,20 @@ class RationalAlgebra:
         """Specialize a symbolic bracket at rational parameter values, then
         multiply it by the lcm of its denominators: every structure constant
         becomes an int, and no invariant here changes.  One pass over the
-        nonzero entries of ``mu``; no specialized cochain is built."""
+        nonzero entries of ``mu``, each evaluated into one term map
+        (:meth:`Scalar.specialized_terms`); no specialized cochain is built."""
         constants = {}
         for key, column in mu.entries.items():
             nonzero = []
             for k, entry in enumerate(column):
                 if not entry._terms:
                     continue
-                if t is not None:
-                    entry = entry.eval_t(t)
-                if alpha is not None:
-                    entry = entry.eval_alpha(alpha)
-                if not entry.is_constant():
-                    raise ValidationError(
-                        f"entry {key} still symbolic after specialization: {entry}")
-                if value := entry.constant_value():
+                terms = entry.specialized_terms(t, alpha)
+                value = terms.pop((0, 0), 0)
+                if any(terms.values()):
+                    raise ValidationError(f"entry {key} still symbolic after specialization: "
+                                          f"{Scalar({**terms, (0, 0): value})}")
+                if value:
                     nonzero.append((k, value))
             if nonzero:
                 constants[key] = nonzero
@@ -94,15 +98,21 @@ class RationalAlgebra:
         :attr:`filicert.lie.Cochain2.table`."""
         return _derivation_basis(self)
 
+    @cached_property
+    def derived_basis(self) -> tuple[dict[int, int], ...]:
+        """A basis of [g,g], the span of the table's values (each pair once),
+        where both series start; cached like :attr:`derivations`."""
+        return tuple(span_basis(dict(c) for (a, b), c in self.table.items() if a < b))
 
-def _series(dim: int, table, left, pairs) -> SeriesProfile:
-    """Dimensions of V_0 = Q^dim, V_1, ... with V_{m+1} the span of u.v over
-    (u, v) in pairs(left, V_m), until stabilization, on sparse int vectors;
-    the product is bilinear, table[a, b] the nonzero entries ((k, value),
-    ...) of e_a.e_b, and only the nonempty products are spanned."""
-    current = [{i: 1} for i in range(dim)]
-    dims = [dim]
-    while True:
+
+def _series(dim: int, table, left, pairs, first) -> SeriesProfile:
+    """Dimensions of V_0 = Q^dim, V_1, ... until stabilization, on sparse
+    int vectors: V_1 has the basis ``first``, the span of the table's values,
+    and V_{m+1} is the span of the nonempty products u.v over (u, v) in
+    pairs(left, V_m), table[a, b] the nonzero entries of e_a.e_b."""
+    current = first
+    dims = [dim, len(first)]
+    while dims[-1] and dims[-1] != dims[-2]:
         products = []
         for u, v in pairs(left, current):
             out: dict[int, int] = {}
@@ -114,20 +124,19 @@ def _series(dim: int, table, left, pairs) -> SeriesProfile:
                 products.append(out)
         current = span_basis(products)
         dims.append(len(current))
-        if dims[-1] == 0 or dims[-1] == dims[-2]:
-            return tuple(dims)
+    return tuple(dims)
 
 
 def lower_central_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [g,[g,g]], ... until stabilization."""
     return _series(algebra.dim, algebra.table, [{a: 1} for a in range(algebra.dim)],
-                   product)
+                   product, algebra.derived_basis)
 
 
 def derived_series(algebra: RationalAlgebra) -> SeriesProfile:
     """Dimensions of g, [g,g], [[g,g],[g,g]], ... until stabilization."""
     return _series(algebra.dim, algebra.table, (),
-                   lambda _, current: combinations(current, 2))
+                   lambda _, current: combinations(current, 2), algebra.derived_basis)
 
 
 def filiform_profile(dim: int) -> SeriesProfile:
@@ -192,13 +201,14 @@ def is_characteristically_nilpotent(algebra: RationalAlgebra) -> bool:
 
     By Engel's theorem this holds iff the flag V, Der.V, Der.(Der.V), ...
     reaches 0.  The flag is a decreasing series: each step spans the images
-    of the current vectors under the basis derivations, the product e_d.e_c
-    being column c of derivation d.  For a nilpotent algebra of dimension
-    >= 2 it is the same as "Der is nilpotent" (Leger-Togo); on a
-    non-nilpotent algebra both are false.
+    of the current vectors under the basis derivations, from the span of
+    the action's values, e_d.e_c being column c of derivation d.  For a
+    nilpotent algebra of dimension >= 2 it is the same as "Der is nilpotent"
+    (Leger-Togo); on a non-nilpotent algebra both are false.
     """
     n = algebra.dim
     der_dim, der_basis = derivation_algebra(algebra)
     action = {(d, c): column for d, matrix in enumerate(der_basis) for c in range(n)
               if (column := tuple((r, row[c]) for r, row in enumerate(matrix) if row[c]))}
-    return _series(n, action, [{d: 1} for d in range(der_dim)], product)[-1] == 0
+    return _series(n, action, [{d: 1} for d in range(der_dim)], product,
+                   span_basis(map(dict, action.values())))[-1] == 0

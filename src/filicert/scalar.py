@@ -26,9 +26,9 @@ A sum of many products is best accumulated in one bare term map:
 copy per product, and :func:`from_terms` turns it into a Scalar once.  Until
 then the map may hold zero coefficients where terms cancelled.
 
-Rationals are substituted one symbol at a time: the value at (t, a) is
-``s.eval_t(t).eval_alpha(a).constant_value()``, and ``eval_t(0)`` raises
-:class:`ZeroSpecialization` on a pole.
+Rationals are substituted for t, alpha or both in one pass over the terms
+(:meth:`Scalar.specialized_terms`, one term map keyed by the exponents
+left), and substituting t = 0 raises :class:`ZeroSpecialization` on a pole.
 
 Scalars are immutable values: an operation returns a canonical scalar that
 may share an operand's term map, and nothing mutates a term map once a
@@ -325,26 +325,35 @@ class Scalar:
 
     # -- evaluation --------------------------------------------------------
 
+    def specialized_terms(self, t=None, alpha=None) -> Terms:
+        """The terms with rationals substituted for t and alpha (a symbol
+        given None stays symbolic), summed in one bare term map keyed by the
+        exponents left; a sum that cancels stays in it as 0.  Raises
+        :class:`ZeroSpecialization` on a pole at t = 0."""
+        if t is not None:
+            t = _exact(t)
+            if t == 0 and self.has_negative_t_exponent():
+                raise ZeroSpecialization(f"pole at t = 0 in {self}")
+        if alpha is not None:
+            alpha = _exact(alpha)
+        terms: Terms = {}
+        for (e_t, e_alpha), coeff in self._terms.items():
+            if t is not None:
+                coeff = coeff * t ** e_t if e_t >= 0 else Fraction(coeff, t ** -e_t)
+                e_t = 0
+            if alpha is not None:
+                coeff *= alpha ** e_alpha
+                e_alpha = 0
+            terms[e_t, e_alpha] = terms.get((e_t, e_alpha), 0) + coeff
+        return terms
+
     def eval_t(self, t_value: int | Fraction) -> "Scalar":
         """Substitute a rational for t, keeping alpha symbolic."""
-        t_value = _exact(t_value)
-        if t_value == 0 and self.has_negative_t_exponent():
-            raise ZeroSpecialization(f"pole at t = 0 in {self}")
-        terms: dict[tuple[int, int], int | Fraction] = {}
-        for (e_t, e_alpha), coeff in self._terms.items():
-            key = (0, e_alpha)
-            power = t_value ** e_t if e_t >= 0 else Fraction(1) / t_value ** -e_t
-            terms[key] = terms.get(key, 0) + coeff * power
-        return Scalar(terms)
+        return Scalar(self.specialized_terms(t=t_value))
 
     def eval_alpha(self, alpha_value: int | Fraction) -> "Scalar":
         """Substitute a rational for alpha, keeping t symbolic."""
-        alpha_value = _exact(alpha_value)
-        terms: dict[tuple[int, int], int | Fraction] = {}
-        for (e_t, e_alpha), coeff in self._terms.items():
-            key = (e_t, 0)
-            terms[key] = terms.get(key, 0) + coeff * alpha_value ** e_alpha
-        return Scalar(terms)
+        return Scalar(self.specialized_terms(alpha=alpha_value))
 
     def invert_t(self) -> "Scalar":
         """The substitution t -> 1/t (negate every t-exponent)."""

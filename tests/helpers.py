@@ -477,15 +477,21 @@ def eval_alpha(mu: Cochain2, alpha_value) -> Cochain2:
 
 
 def reference_constants(mu: Cochain2, t=None, alpha=None) -> dict:
-    """The plain Fraction structure constants of a specialization, unscaled:
-    the oracle table for the int tables of `RationalAlgebra.from_structure`."""
-    specialized = mu
-    if t is not None:
-        specialized = specialized.eval_t(t)
-    if alpha is not None:
-        specialized = eval_alpha(specialized, alpha)
-    return {key: tuple(entry.constant_value() for entry in column)
-            for key, column in specialized.entries.items()}
+    """The plain Fraction structure constants of a specialization, unscaled,
+    each entry substituted in `ReferenceScalar`'s Fraction arithmetic and its
+    all-zero columns dropped: the oracle for the int tables of
+    `RationalAlgebra.from_structure`."""
+    def value(entry: Scalar) -> Fraction:
+        reference = ReferenceScalar.of(entry)
+        if t is not None:
+            reference = reference.eval_t(t)
+        if alpha is not None:
+            reference = reference.eval_alpha(alpha)
+        assert set(reference.terms) <= {(0, 0)}, f"still symbolic: {reference}"
+        return reference.terms.get((0, 0), Fraction(0))
+
+    return {key: values for key, column in mu.entries.items()
+            if any(values := tuple(map(value, column)))}
 
 
 def reference_algebra(mu: Cochain2, t=None, alpha=None) -> RationalAlgebra:

@@ -309,10 +309,13 @@ def test_parsed_coefficients_are_canonical(corrected):
 
 
 def test_minus_signs_go_into_literals_and_symbols(monkeypatch):
-    """A minus sign is folded into the literal or symbol it stands before,
-    through parentheses, so that -p/q and -(p/q) build one Fraction and no
-    Fraction arithmetic: parsing the bundled catalog negates no Fraction.
-    A power keeps its sign outside."""
+    """The parser keeps int numerators over a common denominator, and a
+    product's unary minus signs negate the numerators of the finished
+    product, through parentheses; a Fraction is built once per non-integral
+    coefficient, in lowest terms, when the line's value is read off, so
+    -p/q and -(p/q) build one Fraction and no Fraction arithmetic: parsing
+    the bundled catalog negates no Fraction.  A power keeps its sign
+    outside."""
     built, ops = [], []
     monkeypatch.setattr(fc.dataio, "Fraction", lambda *args: built.append(args) or Fraction(*args))
     for name in ("__neg__", "__mul__", "__rmul__"):

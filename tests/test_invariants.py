@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 import pytest
 
 from conftest import abelian
-from filicert import RationalAlgebra, Scalar, ScalarMatrix, ValidationError, invariants
+from filicert import (T, ZERO, RationalAlgebra, Scalar, ScalarMatrix, StructureConstants,
+                      ValidationError, ZeroSpecialization, invariants)
 from filicert.cli import main
 from filicert.cli import DEFAULT_ALPHA_SAMPLES
 from filicert.invariants import (center_dim, derivation_algebra,
@@ -19,7 +21,8 @@ from filicert.invariants import (center_dim, derivation_algebra,
 
 from helpers import (base_change, counted_eliminations, counted_rows, der_is_nilpotent,
                      derivation_identity_holds, map_entries, matmul, rand_fraction,
-                     reference_algebra, reference_center_dim, reference_constants,
+                     rand_nonzero_fraction, rand_scalar, reference_algebra,
+                     reference_center_dim, reference_constants,
                      reference_derived_series, reference_lower_central_series,
                      scalar_matrix)
 
@@ -56,6 +59,44 @@ def test_deformed_family_is_solvable(tables):
 
 def test_derived_series_of_nilpotent_entry(tables):
     assert derived_series(rational(tables["mu02"].mu)) == (8, 6, 1, 0)
+
+
+def sl2() -> StructureConstants:
+    """e, f, h = b_1, b_2, b_3 with [e,f] = h, [h,e] = 2e, [h,f] = -2f."""
+    def column(*values):
+        return tuple(map(Scalar.from_rational, values))
+    return StructureConstants(3, {(1, 2): column(0, 0, 1), (1, 3): column(-2, 0, 0),
+                                  (2, 3): column(0, 2, 0)}, frozenset(), "sl2")
+
+
+def test_a_perfect_algebra_stops_at_its_first_step():
+    """sl2 = [sl2, sl2], so both series stop at V_1, the span of the table's
+    values; ad h is not nilpotent, so sl2 is not characteristically
+    nilpotent."""
+    algebra, oracle = rational(sl2()), reference_algebra(sl2())
+    assert lower_central_series(algebra) == (3, 3) == reference_lower_central_series(oracle)
+    assert derived_series(algebra) == (3, 3) == reference_derived_series(oracle)
+    assert not is_characteristically_nilpotent(algebra)
+
+
+def test_the_series_of_the_line():
+    algebra, oracle = rational(abelian(1)), reference_algebra(abelian(1))
+    assert lower_central_series(algebra) == (1, 0) == reference_lower_central_series(oracle)
+    assert derived_series(algebra) == (1, 0) == reference_derived_series(oracle)
+
+
+def test_g_g_is_spanned_once_per_specialization(tables, monkeypatch):
+    """Both series start from one cached basis of [g,g], which, like Der,
+    lives outside the dataclass fields: the lower central series spans [g,g]
+    and each later step, the derived series only its later steps."""
+    algebra, twin = (rational(tables["mu06"].mu, alpha=2) for _ in range(2))
+    before = repr(algebra)
+    rows = counted_rows(monkeypatch)
+    lcs, ds = lower_central_series(algebra), derived_series(algebra)
+    assert len(rows) == (len(lcs) - 1) + (len(ds) - 2)
+    assert "derived_basis" in vars(algebra) and "derived_basis" not in vars(twin)
+    assert algebra == twin and repr(algebra) == repr(twin) == before
+    assert (lcs, ds) == (lower_central_series(twin), derived_series(twin))
 
 
 # -- filiform profile --------------------------------------------------------------
@@ -162,13 +203,17 @@ def test_the_invariant_suite_makes_few_eliminations(tables, monkeypatch, capsys)
 
 
 def test_the_invariant_suite_hands_the_kernel_few_rows(monkeypatch, capsys):
-    """Only the nonzero products u.v are spanned: whole-catalog invariants
-    handed `linalg._rref` 34,279 rows when the zero products were spanned
-    too, 21,576 of them empty."""
+    """Only the nonzero products u.v are spanned, and every series starts at
+    V_1, the span of its table's values, with [g,g] spanned once per
+    specialization: whole-catalog invariants handed `linalg._rref` 34,279
+    rows when the zero products were spanned too (21,576 of them empty), and
+    12,703 rows in 882 calls when each series formed its first step's
+    products; now 10,135 rows in 778 calls."""
     rows = counted_rows(monkeypatch)
     assert main(["invariants"]) == 1
     assert "char-nilpotent" in capsys.readouterr().out
-    assert sum(rows) <= 13000
+    assert sum(rows) <= 10500
+    assert len(rows) <= 800
 
 
 def test_the_der_basis_is_a_cache_outside_the_fields(tables):
@@ -334,3 +379,44 @@ def test_deformed_family_flags(tables):
 def test_specialization_requires_all_parameters(tables):
     with pytest.raises(ValidationError):
         rational(tables["mu06"].mu)  # alpha left symbolic
+
+
+def test_a_pole_at_t_zero_is_a_zero_specialization():
+    entry = Scalar({(1, 0): 2, (-1, 0): 1})
+    mu = StructureConstants(3, {(1, 2): (ZERO, ZERO, entry)}, frozenset({"t"}), "pole")
+    with pytest.raises(ZeroSpecialization, match=r"^pole at t = 0 in 2\*t \+ t\^-1$"):
+        rational(mu, t=0)
+
+
+@pytest.mark.parametrize("t, alpha, left", [
+    (2, None, "2*alpha^2 + 2*alpha"),
+    (None, 1, "t + 3/2 + t^-1"),
+    (None, None, "t*alpha + 2*alpha^2 - 1/2 + t^-1")])
+def test_an_entry_left_symbolic_is_named_as_it_is_left(t, alpha, left):
+    """What is left of the entry is named canonically: at t = 2 its constant
+    terms cancel and are dropped."""
+    entry = Scalar({(1, 1): 1, (0, 2): 2, (0, 0): Fraction(-1, 2), (-1, 0): 1})
+    mu = StructureConstants(3, {(1, 3): (ZERO, entry, ZERO)}, frozenset({"t", "alpha"}))
+    with pytest.raises(ValidationError) as info:
+        rational(mu, t=t, alpha=alpha)
+    assert str(info.value) == f"entry (1, 3) still symbolic after specialization: {left}"
+
+
+def test_random_specializations_equal_the_fraction_oracle():
+    """Random brackets with Fraction coefficients and negative t-exponents,
+    some entries t - t0 that vanish at the sampled t = t0, specialized at
+    Fraction t and alpha: the table is the Fraction oracle's."""
+    rng = random.Random(2024)
+    for _ in range(300):
+        dim = rng.randint(1, 5)
+        t, alpha = rand_nonzero_fraction(rng), rand_fraction(rng)
+        vanishing = T - Scalar.from_rational(t)
+
+        def entry():
+            roll = rng.random()
+            return ZERO if roll < 0.4 else vanishing if roll < 0.55 else rand_scalar(rng)
+
+        entries = {pair: tuple(entry() for _ in range(dim))
+                   for pair in combinations(range(1, dim + 1), 2) if rng.random() < 0.8}
+        mu = StructureConstants(dim, entries, frozenset({"t", "alpha"}))
+        assert rational(mu, t=t, alpha=alpha) == reference_algebra(mu, t, alpha), mu
