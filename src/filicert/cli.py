@@ -95,8 +95,10 @@ def _resolve_names(corpus: dict[str, AlgebraFile], requested: list[str],
         if name not in corpus:
             raise UsageError(f"unknown algebra {name!r}")
         alg = corpus[name]
-        if alg.brackets is None or alg.deformation is None:
+        if alg.brackets is None:
             raise UsageError(f"{name} is inert metadata (no bracket block)")
+        if alg.deformation is None:
+            raise UsageError(f"{name} has no deformation block")
         if need_certificate and alg.certificate is None:
             raise UsageError(f"{name} has no certificate block")
     return names
@@ -252,8 +254,9 @@ def counterexample_lines(corpus: dict[str, AlgebraFile], corrected: bool,
     valid = all(verdicts.values())
     weight_zero = column_is_zero(checked.phi.bracket(1, 2))
 
-    lines = ["counterexample: mu17 with derivation diag(0, 1, 1, 1, 1, 1, 1) "
-             "on the ideal <Y2..Y8>",
+    diagonal = ", ".join(str(row[k]) for k, row in enumerate(spec.derivation.rows))
+    lines = [f"counterexample: mu17 with derivation diag({diagonal}) on the ideal "
+             f"<Y{min(spec.ideal.indices)}..Y{max(spec.ideal.indices)}>",
              f"deformation valid: {'yes' if valid else 'no'}; "
              "degeneration certificate: none shipped; non-existence: asserted, unverified"]
     lines.extend(f"  {label}: {'pass' if ok else 'fail'}" for label, ok in verdicts.items())

@@ -32,19 +32,19 @@ evaluates (*) for L*g, M*mu_1 and the family scaled by M only, and
 multiplies its right-hand side g(family(e_i, e_j)) by L inside the kernel.
 Every residual is then exactly M*L^2 times the true one, so zero-ness is
 unchanged, and only the nonzero ones are divided back.  M*mu_1 and
-M*family are built once per deformation and kept on mu_t, in one scaling
-pass: mu_t is scaled by M, and M*mu_1 and M*mu_{1/t} are read off the
-scaled copy; a certificate only scales g.  Each residual component is
-accumulated in one term map, one product at a time, and made a Scalar once.
-The cell solver reads its offsets (M*L^2 times the true ones) and its slopes
-(M*L times) off the same scaled objects, so it solves for L times the cell
-and divides by L once.
+M*family are built once per deformation and kept on its
+:class:`CheckedDeformation`, in one scaling pass: mu_t is scaled by M, and
+M*mu_1 and M*mu_{1/t} are read off the scaled copy; a certificate only scales
+g.  Each residual component is accumulated in one term map, one product at a
+time, and made a Scalar once.  The cell solver reads its offsets (M*L^2
+times the true ones) and its slopes (M*L times) off the same scaled objects,
+so it solves for L times the cell and divides by L once.
 
 The limit stage checks that mu_t has no t-pole and that, on every pair
 either stores, the t^0 terms of each entry of mu_t are the terms of mu's
 entry.  The spectrum stage compares the coefficient tuple of the
 characteristic polynomial of g's block on the ideal with that of
-prod_i (x - t^(d_i)), which depends on D only: it is built once per
+prod_i (x - t^(d_i)), which depends on D only: it too is built once per
 deformation and kept on its :class:`CheckedDeformation`.
 
 mu_t = mu + t*mu_D and the cochains derived from it (specializations,
@@ -181,57 +181,45 @@ class VerificationReport:
         return [name for name, stage in self.stages.items() if not stage.ok]
 
 
-def verify_degeneration(mu_t: StructureConstants, g: ScalarMatrix, reciprocal: bool = False,
-                        *, det: Scalar | None = None) -> VerificationReport:
+def verify_degeneration(mu_t: StructureConstants, g: ScalarMatrix,
+                        reciprocal: bool = False) -> VerificationReport:
     """Check the degeneration identity (*) on all basis pairs, symbolically.
 
     Fills the ``eq1`` and ``unit-det`` stages of the report: every residual
     column mu_1(g e_i, g e_j) - g(mu_t(e_i, e_j)) must vanish identically in
     t (and alpha, when present), and det(g) must be a Laurent unit.  With
-    ``reciprocal=True`` the right-hand side uses mu_{1/t}.  A caller that
-    already knows det(g) passes it as ``det``; otherwise it is computed.
+    ``reciprocal=True`` the right-hand side uses mu_{1/t}.  The cleared family
+    and det(g) are built for this call alone.
     """
     if g.n != mu_t.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
     report = VerificationReport(mu_t.name)
-    failures = [Failure(pair, residual) for pair, residual
-                in _eq1_residuals(mu_t, g, reciprocal) if not column_is_zero(residual)]
-    note = "certificate parametrized by 1/t" if reciprocal else ""
-    report.stages["eq1"] = StageResult(not failures, tuple(failures), note)
-    report.stages["unit-det"] = _unit_det_stage(g, det)
+    report.stages["eq1"] = _eq1_stage(_clear_family(mu_t, reciprocal), g, reciprocal)
+    report.stages["unit-det"] = _unit_det_stage(g.det())
     return report
 
 
-def _unit_det_stage(g: ScalarMatrix, det: Scalar | None = None) -> StageResult:
-    if det is None:
-        det = g.det()
+def _eq1_stage(cleared, g: ScalarMatrix, reciprocal: bool) -> StageResult:
+    failures = [Failure(pair, residual) for pair, residual in _eq1_residuals(cleared, g)
+                if not column_is_zero(residual)]
+    note = "certificate parametrized by 1/t" if reciprocal else ""
+    return StageResult(not failures, tuple(failures), note)
+
+
+def _unit_det_stage(det: Scalar) -> StageResult:
     if det.is_unit_monomial():
         return StageResult(True, note=f"det = {det}")
     return StageResult(False, (Failure((), None, f"det = {det}"),),
                        "determinant is not a single term c*t^k")
 
 
-def _cleared_family(mu_t: StructureConstants, reciprocal: bool):
+def _clear_family(mu_t: StructureConstants, reciprocal: bool):
     """(M, M*mu_1, M*family) with M the lcm of the coefficient denominators of
     mu_t, which is that of mu_{1/t} too, and family = mu_t, or mu_{1/t} for a
     reciprocal certificate.  mu_1's coefficients are sums of mu_t's, so both
-    scaled objects have int coefficients.  Built on the first call and kept on
-    mu_t, so every certificate of a deformation reuses it."""
-    # in the instance dict, outside the dataclass fields like table, so == and
-    # repr of mu_t are unchanged
-    cache = vars(mu_t).setdefault("_cleared_families", {})
-    if reciprocal not in cache:
-        cache[reciprocal] = _clear_family(mu_t, reciprocal)
-    return cache[reciprocal]
-
-
-def _clear_family(mu_t: StructureConstants, reciprocal: bool):
-    """The value of :func:`_cleared_family`, built anew: mu_t is scaled by M
-    once, and M*mu_1 and M*mu_{1/t} are read off the scaled copy.  Every
-    object is a copy even for M = 1: held in mu_t's own dict, mu_t itself
-    would make a reference cycle that outlives the command."""
+    scaled objects have int coefficients; for M = 1 mu_t is not copied."""
     scale = mu_t.denominator()
-    scaled = mu_t.scaled(scale)
+    scaled = mu_t if scale == 1 else mu_t.scaled(scale)
     return scale, scaled.eval_t(1), scaled.invert_t() if reciprocal else scaled
 
 
@@ -263,14 +251,14 @@ def _residual_columns(mu1: StructureConstants, family: StructureConstants,
         yield (i, j), tuple(from_terms(t) if t else ZERO for t in terms)
 
 
-def _eq1_residuals(mu_t: StructureConstants, g: ScalarMatrix, reciprocal: bool):
-    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs;
-    the family is mu_t, or mu_{1/t} for a reciprocal certificate.
+def _eq1_residuals(cleared, g: ScalarMatrix):
+    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs,
+    from the cleared family (M, M*mu_1, M*family) of :func:`_clear_family`.
 
     Computed on M*mu_1, M*family and L*g with factor L, where each residual is
     M*L^2 times the true one, and divided back.
     """
-    scale_mu, mu1, family = _cleared_family(mu_t, reciprocal)
+    scale_mu, mu1, family = cleared
     scale_g, g = _cleared_certificate(g)
     back = Fraction(1, scale_mu * scale_g ** 2)
     for pair, residual in _residual_columns(mu1, family, g, scale_g):
@@ -326,25 +314,17 @@ def _spectrum_target(derivation: ScalarMatrix) -> tuple[Scalar, ...]:
     return target
 
 
-def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec,
-                         derivation: ScalarMatrix, *,
-                         block_poly: tuple[Scalar, ...] | None = None,
-                         target: tuple[Scalar, ...] | None = None) -> bool:
+def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec, derivation: ScalarMatrix) -> bool:
     """Check that g acts on the ideal block with eigenvalues t^(d_i).
 
-    The ideal's coordinate subspace must be invariant under g (otherwise
-    :class:`NotInvariant`); the characteristic polynomial of the restricted
-    block is then compared, coefficient by coefficient, against
-    prod_i (x - t^(d_i)) with d_i the diagonal entries of the derivation,
-    which must be integers (otherwise :class:`InvalidSpec`).  A caller that
-    has already checked the invariance and computed that polynomial passes
-    its coefficient tuple as ``block_poly``, and one that holds the product
-    passes it as ``target``.
+    The derivation must be diagonal with integer entries d_i (otherwise
+    :class:`InvalidSpec`) and the ideal's coordinate subspace invariant under
+    g (otherwise :class:`NotInvariant`); the characteristic polynomial of the
+    restricted block is then compared, coefficient by coefficient, against
+    prod_i (x - t^(d_i)).
     """
-    if not derivation.is_diagonal():
-        raise InvalidSpec("derivation is not diagonal")
-    actual = _ideal_block(g, ideal).char_poly() if block_poly is None else block_poly
-    return actual == (_spectrum_target(derivation) if target is None else target)
+    target = _spectrum_target(derivation)
+    return _ideal_block(g, ideal).char_poly() == target
 
 
 @dataclass(frozen=True)
@@ -363,6 +343,12 @@ class CheckedDeformation(DeformationSpec):
         spectrum stage expects of every certificate; built on first use and
         kept, like :attr:`Cochain2.table`."""
         return _spectrum_target(self.derivation)
+
+    @cached_property
+    def cleared_family(self):
+        """(M, M*mu_1, M*family) of :func:`_clear_family` in this deformation's
+        direction, which eq1 reads for every certificate; built on first use."""
+        return _clear_family(self.mu_t, self.reciprocal)
 
 
 def check_deformation(mu: StructureConstants, ideal: SubspaceSpec, outside_index: int,
@@ -409,48 +395,43 @@ def check_deformation(mu: StructureConstants, ideal: SubspaceSpec, outside_index
 def run_certificate_checks(name: str, deformation: CheckedDeformation,
                            g: ScalarMatrix) -> VerificationReport:
     """The report on certificate g of a checked deformation: its stages and
-    eq1, unit-det and spectrum, in the order of STAGES.  A g that does not
-    preserve the ideal, or a non-integral eigenvalue of D, fails spectrum; a
-    D that is not diagonal, which fails the derivation stage, skips it.
+    eq1, unit-det and spectrum, in the order of STAGES, each computed once:
+    eq1 on the deformation's cleared family, spectrum against its target.  A
+    g that does not preserve the ideal, or a non-integral eigenvalue of D,
+    fails spectrum; a D that is not diagonal, which fails the derivation
+    stage, skips it.
 
-    One Berkowitz run serves both ``unit-det`` and ``spectrum``.  When g maps
-    the codimension-1 ideal into itself, g is block triangular with the
-    diagonal blocks B (on the ideal) and g_xx (x the complement index), so
-    det g = g_xx * det B = g_xx * (-1)^(n-1) * chi_B(0), read off the block
-    characteristic polynomial chi_B that spectrum compares.  Only other g,
-    or a spec without a valid complement, have their full determinant computed.
-    A g whose size is not the algebra's dimension is refused first, with
-    :class:`DimensionMismatch`.
+    One Berkowitz run, on g's block B on the ideal, serves both ``unit-det``
+    and ``spectrum``: when g maps a codimension-1 ideal into itself, row x of
+    g (x the one index outside the ideal) is zero but for g_xx, so
+    det g = g_xx * det B = g_xx * (-1)^(n-1) * chi_B(0).  Any other g has
+    its full determinant computed.  A g whose size is not the algebra's
+    dimension is refused first, with :class:`DimensionMismatch`.
     """
     if g.n != deformation.base.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
     report = VerificationReport(name, dict(deformation.stages))
-    ideal, x = deformation.ideal, deformation.outside_index
     try:
-        block_poly = _ideal_block(g, ideal).char_poly()
-    except NotInvariant:
-        block_poly = None
-
-    if deformation.mu_t is None:
-        report.stages["unit-det"] = _unit_det_stage(g)
+        block_poly = _ideal_block(g, deformation.ideal).char_poly()
+    except NotInvariant as exc:
+        block_poly, leaves = None, str(exc)
+    outside = [k for k in range(g.n) if k + 1 not in deformation.ideal]
+    if block_poly is None or len(outside) != 1:
+        det = g.det()
     else:
-        det = None
-        if block_poly is not None and len(ideal) == g.n - 1:
-            det = g.rows[x - 1][x - 1] * block_poly[0]
-            if g.n % 2 == 0:
-                det = -det
-        report.stages.update(verify_degeneration(deformation.mu_t, g, deformation.reciprocal,
-                                                 det=det).stages)
+        det = g.rows[outside[0]][outside[0]] * (block_poly[0] if g.n % 2 else -block_poly[0])
+    if deformation.mu_t is not None:
+        report.stages["eq1"] = _eq1_stage(deformation.cleared_family, g, deformation.reciprocal)
+    report.stages["unit-det"] = _unit_det_stage(det)
 
-    spectrum = StageResult(False, note="skipped: derivation stage failed")
-    if deformation.derivation.is_diagonal():
+    if not deformation.derivation.is_diagonal():
+        spectrum = StageResult(False, note="skipped: derivation stage failed")
+    elif block_poly is None:
+        spectrum = StageResult(False, (Failure((), None, leaves),))
+    else:
         try:
-            # a g that does not preserve the ideal (no block_poly) fails inside
-            # block_spectrum_check before any target is needed
-            target = None if block_poly is None else deformation.spectrum_target
-            spectrum = StageResult(block_spectrum_check(g, ideal, deformation.derivation,
-                                                        block_poly=block_poly, target=target))
-        except (NotInvariant, InvalidSpec) as exc:
+            spectrum = StageResult(block_poly == deformation.spectrum_target)
+        except InvalidSpec as exc:
             spectrum = StageResult(False, (Failure((), None, str(exc)),))
     report.stages["spectrum"] = spectrum
 
@@ -488,7 +469,7 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     spec = DeformationSpec(mu, ideal, outside_index, derivation)
     if unbuilt := _first_failure(spec, _BUILD_CHECKS):
         raise InvalidSpec(unbuilt[1])
-    _, mu1, family = _cleared_family(deform(mu, _build_cocycle(spec)), reciprocal)
+    _, mu1, family = _clear_family(deform(mu, _build_cocycle(spec)), reciprocal)
     rows = [list(r) for r in g.rows]
     rows[row - 1][col - 1] = ZERO
     # on the cleared objects, offsets are M*L^2 and slopes M*L times the true ones

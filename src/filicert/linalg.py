@@ -12,11 +12,11 @@ in one ``{(e_t, e_alpha): coefficient}`` map over the nonzero products only
 (:func:`filicert.scalar.add_product`) and made a Scalar once.  A Toeplitz
 column ends early, at the first zero work vector or at once for a zero row
 part, since every later entry is then zero; for a lower triangular matrix
-each column is just 1, -a.  The ``unit-det`` stage of the certificate
-check takes det g from one Berkowitz run on g's block on the ideal, which the
-``spectrum`` stage needs anyway (see
-:func:`filicert.deformation.run_certificate_checks`); it calls
-:meth:`ScalarMatrix.det` only for a g that does not preserve its ideal.
+each column is just 1, -a.  :func:`filicert.deformation.run_certificate_checks`
+takes det g for ``unit-det`` from the Berkowitz run on g's block on the ideal
+that ``spectrum`` needs anyway, and calls :meth:`ScalarMatrix.det` only for a
+g that does not preserve its ideal; ``verify_degeneration``, which checks a
+certificate alone, always does.
 :meth:`ScalarMatrix.apply` adds v_m times column m for the nonzero v_m only,
 from the nonzero entries of each column, cached on first use outside the
 dataclass fields; it forms the dense product's nonzero products in the same

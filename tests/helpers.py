@@ -28,7 +28,7 @@ from filicert.scalar import ALPHA, ONE, T, ZERO, as_scalar
 
 def load_bench_module(monkeypatch, name: str):
     """The module ``bench/<name>.py``, loaded from its file without writing
-    bytecode next to it (the tier-1 suite collects only ``tests/``)."""
+    bytecode next to it."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)

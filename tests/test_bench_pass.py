@@ -1,9 +1,11 @@
 """One pass of each benchmark workload gets every answer right.
 
-The tier-1 suite collects only ``tests/``, so a change that makes the
-benchmark's answers wrong (a wrong verdict, a drifted stdout) would otherwise
-show only in a benchmark run.  Each workload's inputs are built at a fixed
-seed with ``bench/workloads.make_inputs`` and checked after one
+The benchmark's own tests (``bench/test_bench.py``, which the tier-1 suite
+also collects) check its harness on a few commands, not each workload's
+whole pass, so a change that makes the benchmark's answers wrong (a wrong
+verdict, a drifted stdout) would otherwise show only in a benchmark run.
+Each workload's inputs are built at a fixed seed with
+``bench/workloads.make_inputs`` and checked after one
 ``bench/worker.one_pass`` with the benchmark's own ``check_pass``.
 """
 

@@ -71,6 +71,19 @@ def test_verify_inert_metadata_is_an_input_error(capsys):
     assert "inert" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "invariants"])
+def test_a_table_without_a_deformation_block_is_named_as_such(capsys, tmp_path, command):
+    """A table with brackets and a certificate but no [deformation] block is
+    not inert metadata: the message names the block that is missing."""
+    from filicert.dataio import data_dir
+
+    text = (data_dir() / "mu17").read_text(encoding="utf-8")
+    head, _, rest = text.partition("[deformation]")
+    (tmp_path / "mu17").write_text(head + rest[rest.index("[certificate]"):], encoding="utf-8")
+    assert run(capsys, command, "mu17", "--data", str(tmp_path)) == \
+        (2, "", "error: mu17 has no deformation block\n")
+
+
 def test_verify_machine_format(capsys):
     code, out, _ = run(capsys, "verify", "mu15", "--format", "machine")
     assert code == 0
@@ -168,6 +181,19 @@ def test_counterexample_statement(capsys):
             "non-existence: asserted, unverified") in out
     assert "mu_D(Y1, Y2) = 0: yes" in out
     assert "solvable=yes nilpotent=no" in out
+
+
+def test_counterexample_names_the_derivation_and_ideal_it_checks(capsys, tmp_path):
+    """On a 4-dimensional mu17 the counterexample checks diag(0, 1, 1) on
+    <Y2..Y4>, and its header says so."""
+    (tmp_path / "mu17").write_text(
+        "[algebra]\nname = mu17\ndim = 4\nparams =\n\n"
+        "[brackets]\nbracket 1 2 = Y3\nbracket 1 3 = Y4\n", encoding="utf-8")
+    code, out, err = run(capsys, "counterexample", "--data", str(tmp_path))
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "counterexample: mu17 with derivation diag(0, 1, 1) on the ideal <Y2..Y4>"
+    assert lines[-1] == "  base algebra: lcs=(4,2,1,0) filiform=yes"
 
 
 # -- report -----------------------------------------------------------------------------

@@ -17,9 +17,9 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       verify_degeneration)
 from filicert.dataio import parse_scalar
 from filicert.deformation import (STAGES, _clear_family, _cleared_certificate,
-                                  _cleared_family, _eq1_residuals, _spectrum_target,
-                                  _unit_det_stage, check_deformation,
-                                  run_certificate_checks, solve_certificate_cell)
+                                  _eq1_residuals, _spectrum_target, _unit_det_stage,
+                                  check_deformation, run_certificate_checks,
+                                  solve_certificate_cell)
 from filicert.lie import Cochain2, basis_column, column_is_zero
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, T, ZERO, Scalar
@@ -190,7 +190,7 @@ def test_eq1_residuals_expand_like_sympy(corpus):
             mu1 = {pair: value(*pair, 1) for pair in combinations(range(1, dim + 1), 2)}
             mu_t = check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
                                      ScalarMatrix.diagonal(block.diagonal)).mu_t
-            for (i, j), residual in _eq1_residuals(mu_t, g, reciprocal):
+            for (i, j), residual in _eq1_residuals(_clear_family(mu_t, reciprocal), g):
                 rhs = value(i, j, family_t)
                 for k in range(dim):
                     expected = -sum((G[k][m] * rhs[m] for m in range(dim)), sympy.Integer(0))
@@ -241,7 +241,7 @@ def test_eq1_residuals_match_the_unscaled_oracle(corpus):
     on the objects as they are."""
     nonzero = 0
     for label, mu_t, reciprocal, g in eq1_cases(corpus):
-        residuals = list(_eq1_residuals(mu_t, g, reciprocal))
+        residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal), g))
         assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal)), label
         nonzero += sum(not column_is_zero(residual) for _, residual in residuals)
     assert nonzero > len(RESIDUAL_CORRUPTIONS)
@@ -257,7 +257,7 @@ def test_cleared_certificates_have_int_coefficients(corpus):
     fractions, cases = 0, eq1_cases(corpus)
     for label, mu_t, reciprocal, g in cases:
         mu1, family = mu_t.eval_t(1), mu_t.invert_t() if reciprocal else mu_t
-        _, mu1_c, family_c = _cleared_family(mu_t, reciprocal)
+        _, mu1_c, family_c = _clear_family(mu_t, reciprocal)
         _, g_c = _cleared_certificate(g)
         originals = coefficients([*g.rows, *mu1.entries.values(), *family.entries.values()])
         fractions += any(type(c) is not int for c in originals)
@@ -287,7 +287,7 @@ def eq1_inputs(draw):
 @given(eq1_inputs())
 def test_eq1_kernel_matches_the_oracle_on_random_inputs(inputs):
     mu_t, reciprocal, g = inputs
-    residuals = list(_eq1_residuals(mu_t, g, reciprocal))
+    residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal), g))
     assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal))
     assert all(c for _, residual in residuals for s in residual for c in s._terms.values())
 
@@ -313,20 +313,30 @@ def test_the_family_of_random_cochains_is_cleared_as_the_oracle(inputs):
 
 
 def test_cleared_family_is_built_once_per_deformation_and_direction(tables, monkeypatch):
-    """verify_degeneration reuses the cleared family kept on mu_t for every
-    certificate, in each direction; the cell solver builds its own per call."""
+    """A CheckedDeformation clears its mu_t once, in its own direction, for
+    every certificate run against it; verify_degeneration and the cell
+    solver, which hold no deformation, clear a family on each call."""
     import filicert.deformation as deformation
 
     built, clear_family = [], deformation._clear_family
     monkeypatch.setattr(deformation, "_clear_family",
                         lambda *args: built.append(args) or clear_family(*args))
     data = tables["mu17"]
+    for reciprocal in (False, True):
+        checked = check_deformation(data.mu, data.ideal, 1, data.derivation, reciprocal)
+        for _ in range(3):
+            run_certificate_checks("mu17", checked, data.g)
+        assert built == [(checked.mu_t, reciprocal)]
+        built.clear()
     mu_t = deform(data.mu, data.phi)
-    for reciprocal in (False, True, False, True):
+    for reciprocal in (False, True, False):
         verify_degeneration(mu_t, data.g, reciprocal)
-    assert [reciprocal for _, reciprocal in built] == [False, True]
-    solve_certificate_cell(data.mu, data.ideal, 1, data.derivation, data.g, (7, 3))
-    assert len(built) == 3 and built[-1][0] is not mu_t
+    assert built == [(mu_t, False), (mu_t, True), (mu_t, False)]
+    built.clear()
+    for _ in range(2):
+        solve_certificate_cell(data.mu, data.ideal, 1, data.derivation, data.g, (7, 3))
+    assert len(built) == 2 and built[0][0] is not built[1][0]
+
 
 def test_full_pipeline_stage_order(tables):
     data = tables["mu15"]
@@ -520,7 +530,7 @@ def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypat
     for name, corrected, h in certificate_cases(corpus):
         alg = corpus[name]
         block = alg.deformation
-        expected = _unit_det_stage(h)
+        expected = _unit_det_stage(h.det())
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ScalarMatrix, "det", counted_det)
@@ -533,6 +543,64 @@ def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypat
         assert report.stages["unit-det"] == expected, (name, str(h))
         preserves = all(h.rows[block.outside - 1][k - 1].is_zero() for k in block.ideal)
         assert len(calls) == (0 if preserves else 1), (name, str(h))
+
+
+def test_the_det_rule_reads_the_complement_off_the_ideal(tables):
+    """With X = 2 inside the ideal <Y2..Y8>, mu_t is not built, yet g still
+    preserves the ideal: det g = g_11 * det B, 1 being the one index outside
+    the ideal, whatever X is.  g_11 times t makes the two rules differ: g_22 *
+    det B would give t^29."""
+    data = tables["mu17"]
+    g = with_cell(data.g, 1, 1, data.g.rows[0][0] * T)
+    deformation = check_deformation(data.mu, data.ideal, 2, data.derivation)
+    assert deformation.mu_t is None
+    report = run_certificate_checks("mu17", deformation, g)
+    assert report.stages["unit-det"] == _unit_det_stage(g.det())
+    assert report.stages["unit-det"].note == "det = t^30"
+
+
+@pytest.mark.parametrize("leaves", [False, True], ids=["preserves", "leaves"])
+def test_one_block_and_one_berkowitz_run_per_certificate(tables, monkeypatch, leaves):
+    """run_certificate_checks takes g's block on the ideal once and runs
+    Berkowitz once for unit-det and spectrum together: on the block of a g
+    that preserves its ideal, and on g itself for one whose (1, 2) entry maps
+    Y2 outside the ideal, which fails spectrum with that reason."""
+    import filicert.deformation as deformation
+    import filicert.linalg as linalg
+
+    data = tables["mu17"]
+    g = with_cell(data.g, 1, 2, ONE) if leaves else data.g
+    checked = check_deformation(data.mu, data.ideal, 1, data.derivation)
+    calls = []
+    with monkeypatch.context() as patch:
+        for module, name in ((deformation, "_ideal_block"), (linalg, "_berkowitz")):
+            original = getattr(module, name)
+            patch.setattr(module, name, lambda *args, name=name, original=original:
+                          calls.append(name) or original(*args))
+        report = run_certificate_checks("mu17", checked, g)
+    assert sorted(calls) == ["_berkowitz", "_ideal_block"]
+    assert report.stages["unit-det"] == _unit_det_stage(g.det())
+    reason = "entry (1, 2) maps the ideal outside itself"
+    assert report.stages["spectrum"] == (
+        fc.StageResult(False, (fc.Failure((), None, reason),)) if leaves else fc.StageResult(True))
+
+
+def test_a_certificate_check_leaves_no_reference_cycle(tables):
+    """Every object a certificate check makes is freed when its report is:
+    the check keeps no caught exception, whose traceback would hold the
+    check's frame and so everything the frame holds until a collection."""
+    import gc
+
+    data = tables["mu17"]
+    checked = check_deformation(data.mu, data.ideal, 1, data.derivation)
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (data.g, with_cell(data.g, 1, 2, ONE)):
+            run_certificate_checks("mu17", checked, g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- the spectrum of the ideal block -------------------------------------------------
@@ -562,11 +630,17 @@ def test_spectrum_with_repeated_zero_or_negative_exponents(exponents, triangular
     """g = 1 + diag(t^(d_1), ..., t^(d_n)) on the ideal <e_2, ..., e_(n+1)>,
     with t above the diagonal of the block when triangular, passes against
     D = diag(d); with one exponent of g raised by 1 it fails.  Each verdict
-    agrees with comparing the block's char_poly with poly_from_roots."""
+    agrees with comparing the block's char_poly with poly_from_roots, and so
+    does the spectrum stage of run_certificate_checks on the abelian algebra
+    of dimension n + 1, whose ideal <e_2, ..., e_(n+1)> D derives."""
     n = len(exponents)
     ideal = SubspaceSpec(tuple(range(2, n + 2)))
     derivation = ScalarMatrix.diagonal(exponents)
     expected = poly_from_roots(T ** d for d in exponents)
+    abelian = fc.StructureConstants(n + 1, {}, frozenset())
+    deformation = check_deformation(abelian, ideal, 1, derivation)
+    assert all(stage.ok for stage in deformation.stages.values())
+    assert deformation.spectrum_target == expected
     for changed in range(-1, n):  # -1: no exponent changed
         diagonal = [ONE] + [T ** (d + (k == changed)) for k, d in enumerate(exponents)]
         g = ScalarMatrix(tuple(tuple(diagonal[i] if i == j else T if triangular and 0 < i < j
@@ -575,9 +649,8 @@ def test_spectrum_with_repeated_zero_or_negative_exponents(exponents, triangular
         passes = changed == -1
         assert (block_poly == expected) is passes
         assert block_spectrum_check(g, ideal, derivation) is passes
-        assert block_spectrum_check(g, ideal, derivation, block_poly=block_poly) is passes
-        assert block_spectrum_check(g, ideal, derivation, block_poly=block_poly,
-                                    target=_spectrum_target(derivation)) is passes
+        report = run_certificate_checks("abelian", deformation, g)
+        assert report.stages["spectrum"] == fc.StageResult(passes)
 
 
 def test_a_non_constant_eigenvalue_fails_the_spectrum_stage(tables):

@@ -1,8 +1,10 @@
 """Every name the benchmark's tracer wraps still exists in filicert.
 
-The tier-1 suite collects only ``tests/``, so a rename that breaks
-``bench/tracing.py`` would otherwise show only in a benchmark run.  The
-tracer module is loaded from its file without writing bytecode next to it.
+A rename that breaks ``bench/tracing.py`` also fails ``bench/test_bench.py``
+(which the tier-1 suite collects too), with an AttributeError from inside
+the tracer; this test names the missing attribute, and checks that each
+traced method is the class's own.  The tracer module is loaded from its
+file without writing bytecode next to it.
 """
 
 from __future__ import annotations
