@@ -25,10 +25,10 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
+from ._record import Record
 from .dataio import (AlgebraFile, MAX_DIGITS, VERIFIED_NAMES, certificate_matrix,
                      compact, load_corpus, structure_constants)
 from .deformation import (DeformationSpec, VerificationReport, check_deformation,
@@ -171,13 +171,10 @@ def render_verify_machine(reports: list[VerificationReport]) -> list[str]:
 # -- invariants --------------------------------------------------------------
 
 
-@dataclass
-class InvariantRecord:
-    algebra: str
-    stage: str
-    label: str       # sample coordinates, e.g. "alpha=2" or "t=1;alpha=2"
-    ok: bool
-    detail: str
+class InvariantRecord(Record):
+    def __init__(self, algebra: str, stage: str, label: str, ok: bool, detail: str):
+        self.algebra, self.stage, self.ok, self.detail = algebra, stage, ok, detail
+        self.label = label  # the sample coordinates, e.g. "alpha=2" or "t=1;alpha=2"
 
 
 def invariant_records(alg: AlgebraFile, corrected: bool, alpha_samples: tuple[Fraction, ...],

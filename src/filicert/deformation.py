@@ -59,10 +59,10 @@ certificates; nothing is kept across commands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import FrozenRecord, Record
 from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
                      NotInvariant)
 from .lie import (Cochain2, StructureConstants, SubspaceSpec, column_is_zero,
@@ -74,14 +74,13 @@ STAGES = ("jacobi", "ideal", "derivation", "cocycle", "bracket",
           "eq1", "unit-det", "limit", "spectrum")
 
 
-@dataclass(frozen=True)
-class DeformationSpec:
+class DeformationSpec(FrozenRecord):
     """The data (mu, h, X, D) defining the cocycle mu_D."""
 
-    base: StructureConstants
-    ideal: SubspaceSpec
-    outside_index: int
-    derivation: ScalarMatrix
+    def __init__(self, base: StructureConstants, ideal: SubspaceSpec, outside_index: int,
+                 derivation: ScalarMatrix):
+        self.__dict__.update(base=base, ideal=ideal, outside_index=outside_index,
+                             derivation=derivation)
 
 
 # The checks (stage, reason, holds) of a spec s, in order: each may rely on
@@ -150,28 +149,23 @@ def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
                                        f"{mu.name}_t" if mu.name else "mu_t")
 
 
-@dataclass
-class Failure:
+class Failure(Record):
     """A localized nonzero residual."""
 
-    indices: tuple[int, ...]
-    residual: Column | None = None
-    note: str = ""
+    def __init__(self, indices: tuple[int, ...], residual: Column | None = None, note: str = ""):
+        self.indices, self.residual, self.note = indices, residual, note
 
 
-@dataclass
-class StageResult:
-    ok: bool
-    failures: tuple[Failure, ...] = ()
-    note: str = ""
+class StageResult(Record):
+    def __init__(self, ok: bool, failures: tuple[Failure, ...] = (), note: str = ""):
+        self.ok, self.failures, self.note = ok, failures, note
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(Record):
     """Per-stage verdicts for one algebra; passes iff every stage passes."""
 
-    algebra: str
-    stages: dict[str, StageResult] = field(default_factory=dict)
+    def __init__(self, algebra: str, stages: dict[str, StageResult] | None = None):
+        self.algebra, self.stages = algebra, {} if stages is None else stages
 
     @property
     def passed(self) -> bool:
@@ -327,15 +321,16 @@ def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec, derivation: Scala
     return _ideal_block(g, ideal).char_poly() == target
 
 
-@dataclass(frozen=True)
 class CheckedDeformation(DeformationSpec):
     """A specification with its stages that need no certificate, and phi = mu_D
     and mu_t they build (None without a valid X and a D of the ideal's size)."""
 
-    reciprocal: bool = False
-    stages: dict[str, StageResult] = field(default_factory=dict)
-    phi: Cochain2 | None = None
-    mu_t: StructureConstants | None = None
+    def __init__(self, base: StructureConstants, ideal: SubspaceSpec, outside_index: int,
+                 derivation: ScalarMatrix, reciprocal: bool = False, stages: dict | None = None,
+                 phi: Cochain2 | None = None, mu_t: StructureConstants | None = None):
+        super().__init__(base, ideal, outside_index, derivation)
+        self.__dict__.update(reciprocal=reciprocal, stages={} if stages is None else stages,
+                             phi=phi, mu_t=mu_t)
 
     @cached_property
     def spectrum_target(self) -> tuple[Scalar, ...]:

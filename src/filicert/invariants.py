@@ -35,12 +35,12 @@ is abelian but its identity derivation is not nilpotent.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
 from math import lcm
 from typing import Mapping
 
+from ._record import FrozenRecord
 from .errors import ValidationError
 from .lie import Cochain2
 from .linalg import RationalMatrix, span_basis
@@ -51,15 +51,14 @@ Matrix = tuple[tuple[int, ...], ...]
 SeriesProfile = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RationalAlgebra:
+class RationalAlgebra(FrozenRecord):
     """A rational bracket scaled to int structure constants: ``table`` maps
     (a, b) and (b, a) to the nonzero entries ((k, value), ...) of [b_a, b_b],
     0-based, the (b, a) values negated."""
 
-    dim: int
-    table: Mapping[tuple[int, int], tuple[tuple[int, int], ...]]
-    name: str = ""
+    def __init__(self, dim: int, table: Mapping[tuple[int, int], tuple[tuple[int, int], ...]],
+                 name: str = ""):
+        self.__dict__.update(dim=dim, table=table, name=name)
 
     @classmethod
     def from_structure(cls, mu: Cochain2, t=None, alpha=None) -> "RationalAlgebra":
@@ -94,7 +93,7 @@ class RationalAlgebra:
     @cached_property
     def derivations(self) -> tuple[Matrix, ...]:
         """The basis of Der that :func:`derivation_algebra` returns, computed
-        on first use and cached outside the dataclass fields, like
+        on first use and cached outside the record's fields, like
         :attr:`filicert.lie.Cochain2.table`."""
         return _derivation_basis(self)
 

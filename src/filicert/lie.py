@@ -14,7 +14,8 @@ random vectors is ever needed for verification.
 The contractions (bracket_eval, Jacobi, derivations) read one sparse table
 per cochain, :attr:`Cochain2.table`: (i, j) and (j, i) map to the nonzero
 entries of the column, negated for (j, i).  It is built on first use and
-cached outside the dataclass fields, so == and repr are unchanged.
+cached in ``__dict__`` outside the record's fields, so == and repr are
+unchanged.
 bracket_eval and is_derivation visit every coordinate or basis pair but form
 exactly the nonzero products of the dense contraction, so every value is the
 dense one.
@@ -30,13 +31,13 @@ constants, not the C(n, 3) triples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Iterable, Mapping
 
+from ._record import FrozenRecord
 from .errors import DimensionMismatch, ValidationError
 from .linalg import ScalarMatrix
 from .scalar import T, ZERO, Scalar, as_scalar
@@ -57,17 +58,15 @@ def column_is_zero(column: Column) -> bool:
     return not any(x._terms for x in column)
 
 
-@dataclass(frozen=True)
-class SubspaceSpec:
+class SubspaceSpec(FrozenRecord):
     """Coordinate subspace spanned by the listed basis indices (1-based)."""
 
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.indices)) != len(self.indices):
+    def __init__(self, indices: tuple[int, ...]):
+        if len(set(indices)) != len(indices):
             raise ValidationError("subspace indices must be distinct")
-        if any(i < 1 for i in self.indices):
+        if any(i < 1 for i in indices):
             raise ValidationError("subspace indices must be positive")
+        self.__dict__["indices"] = indices
 
     def __contains__(self, index: int) -> bool:
         return index in self.indices
@@ -76,32 +75,27 @@ class SubspaceSpec:
         return len(self.indices)
 
 
-@dataclass(frozen=True)
-class Cochain2:
+class Cochain2(FrozenRecord):
     """Antisymmetric bilinear map given by columns on basis pairs i < j."""
 
-    dim: int
-    entries: Mapping[tuple[int, int], Column]
-    params: frozenset[str] = frozenset()
-    name: str = ""
-
-    def __post_init__(self):
+    def __init__(self, dim: int, entries: Mapping[tuple[int, int], Column],
+                 params: frozenset[str] = frozenset(), name: str = ""):
         clean: dict[tuple[int, int], Column] = {}
-        for (i, j), column in self.entries.items():
-            if not (1 <= i < j <= self.dim):
+        for (i, j), column in entries.items():
+            if not (1 <= i < j <= dim):
                 raise ValidationError(f"bracket indices ({i}, {j}) out of range")
-            if len(column) != self.dim:
+            if len(column) != dim:
                 raise DimensionMismatch(f"column for ({i}, {j}) has wrong length")
             nonzero = [s for s in column if s._terms]
             if not nonzero:
                 continue
             used = frozenset().union(*(s.symbols() for s in nonzero))
-            if not used <= self.params:
+            if not used <= params:
                 raise ValidationError(
                     f"entry ({i}, {j}) uses undeclared parameter(s) "
-                    f"{{{', '.join(map(repr, sorted(used - self.params)))}}}")
+                    f"{{{', '.join(map(repr, sorted(used - params)))}}}")
             clean[(i, j)] = tuple(column)
-        object.__setattr__(self, "entries", clean)
+        self.__dict__.update(dim=dim, entries=clean, params=params, name=name)
 
     @cached_property
     def table(self) -> dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]:
@@ -162,8 +156,7 @@ class Cochain2:
                  params: frozenset[str], name: str) -> "Cochain2":
         """A cochain whose entries are derived from valid cochains, so are in
         range, of length dim and in the declared params: not validated again,
-        only its all-zero columns dropped, as :meth:`__post_init__` drops
-        them."""
+        only its all-zero columns dropped, as :meth:`__init__` drops them."""
         result = object.__new__(cls)
         result.__dict__.update(
             dim=dim, params=params, name=name,
@@ -214,16 +207,16 @@ class StructureConstants(Cochain2):
 Triple = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(FrozenRecord):
     """Jacobi residuals of mu + t*phi, with failing triples localized.
 
     ``failures``: (triple, residual) wherever J(mu + t*phi) is nonzero;
     ``terms``: (triple, (J(mu), dphi, J(phi))) wherever one of them is.
     """
 
-    failures: tuple[tuple[Triple, Column], ...] = ()
-    terms: tuple[tuple[Triple, tuple[Column, ...]], ...] = ()
+    def __init__(self, failures: tuple[tuple[Triple, Column], ...] = (),
+                 terms: tuple[tuple[Triple, tuple[Column, ...]], ...] = ()):
+        self.__dict__.update(failures=failures, terms=terms)
 
     @property
     def ok(self) -> bool:

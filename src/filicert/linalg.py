@@ -19,7 +19,7 @@ g that does not preserve its ideal; ``verify_degeneration``, which checks a
 certificate alone, always does.
 :meth:`ScalarMatrix.apply` adds v_m times column m for the nonzero v_m only,
 from the nonzero entries of each column, cached on first use outside the
-dataclass fields; it forms the dense product's nonzero products in the same
+record's fields; it forms the dense product's nonzero products in the same
 order, so its values are the dense ones.
 
 :class:`RationalMatrix` and :func:`span_basis` compute nullspaces and row
@@ -35,12 +35,12 @@ sparse rows for row spaces, int tuples for nullspaces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
+from ._record import FrozenRecord
 from .errors import DimensionMismatch
 from .scalar import ONE, ZERO, Scalar, Terms, add_product, as_scalar, from_terms
 
@@ -96,16 +96,14 @@ def _berkowitz(rows: Sequence[Sequence[Scalar]]) -> list[Scalar]:
     return vec
 
 
-@dataclass(frozen=True)
-class ScalarMatrix:
+class ScalarMatrix(FrozenRecord):
     """Square matrix of Scalars."""
 
-    rows: tuple[tuple[Scalar, ...], ...]
-
-    def __post_init__(self):
-        n = len(self.rows)
-        if any(len(row) != n for row in self.rows):
+    def __init__(self, rows: tuple[tuple[Scalar, ...], ...]):
+        n = len(rows)
+        if any(len(row) != n for row in rows):
             raise DimensionMismatch("matrix must be square")
+        self.__dict__["rows"] = rows
 
     @classmethod
     def identity(cls, n: int) -> "ScalarMatrix":
@@ -252,17 +250,14 @@ def _rref(rows: Iterable[Mapping[int, int]]) -> dict[int, dict[int, int]]:
     return pivots
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class RationalMatrix(FrozenRecord):
     """Rectangular matrix over Q as sparse int rows {column: int}, each row
     read up to a nonzero factor, with its column count."""
 
-    rows: tuple[Mapping[int, int], ...]
-    n_cols: int
-
-    def __post_init__(self):
-        if any(c < 0 or c >= self.n_cols for row in self.rows for c in row):
-            raise DimensionMismatch(f"column index outside range({self.n_cols})")
+    def __init__(self, rows: tuple[Mapping[int, int], ...], n_cols: int):
+        if any(c < 0 or c >= n_cols for row in rows for c in row):
+            raise DimensionMismatch(f"column index outside range({n_cols})")
+        self.__dict__.update(rows=rows, n_cols=n_cols)
 
     @property
     def n_rows(self) -> int:

@@ -47,6 +47,19 @@ _Coercible = Union["Scalar", int, Fraction]
 _RATIONAL_ZERO = Fraction(0)  # Fractions are immutable, so one zero serves all
 
 
+def _decimal(value: int | Fraction) -> str:
+    """str() of a nonnegative int or Fraction, exact at any size: an int past
+    the interpreter's int-to-str digit limit is rendered in two halves."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, Fraction):
+            return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+        half = value.bit_length() * 3 // 20  # about half its digits: log10(2) ~ 0.3
+        high, low = divmod(value, 10 ** half)
+        return _decimal(high) + _decimal(low).zfill(half)
+
+
 def _exact(value) -> int | Fraction:
     """A rational as a coefficient: an int when it is integral (a bool
     becomes an int), otherwise a Fraction."""
@@ -373,7 +386,7 @@ class Scalar:
                 factors.append("alpha" if e_alpha == 1 else f"alpha^{e_alpha}")
             magnitude = abs(coeff)
             if not factors or magnitude != 1:
-                factors.insert(0, str(magnitude))
+                factors.insert(0, _decimal(magnitude))
             body = "*".join(factors)
             if not chunks:
                 chunks.append(f"-{body}" if coeff < 0 else body)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import random
 import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from dataclasses import dataclass
 from itertools import combinations
@@ -35,6 +36,18 @@ def load_bench_module(monkeypatch, name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@contextmanager
+def int_max_str_digits(limit: int):
+    """The interpreter's int-to-str digit limit set to ``limit`` (0: none)
+    for the block, and restored after it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def rand_fraction(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:

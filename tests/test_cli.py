@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from filicert import certificate_matrix
 from filicert.cli import build_parser, main
+
+from helpers import int_max_str_digits
 
 MACHINE_LINE = re.compile(
     r"^algebra=\S+ stage=\S+ verdict=(pass|fail) detail=\S.*$")
@@ -691,6 +694,31 @@ def test_overlong_digit_runs_are_an_input_error(capsys, tmp_path, table, prefix,
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_determinant_past_the_int_to_str_limit_is_rendered_exactly(capsys, tmp_path):
+    """mu06 with one more term N*t^(k+1), N = 2^4000 + 1, in each of its
+    certificate's cells t^k at (1, 1) .. (4, 4): det g has coefficients of
+    more digits than the interpreter converts to str by default, and verify
+    renders them in full, in both formats, instead of failing with a
+    traceback."""
+    from filicert.dataio import compact, data_dir, load_algebra
+
+    text = (data_dir() / "mu06").read_text(encoding="utf-8")
+    for cell, k in (("g 1 1 = t", 1), ("g 2 2 = t", 1), ("g 3 3 = t^3", 3), ("g 4 4 = t^4", 4)):
+        assert f"\n{cell}\n" in text
+        text = text.replace(f"\n{cell}\n", f"\n{cell}+{2 ** 4000 + 1}*t^{k + 1}\n", 1)
+    (tmp_path / "mu06").write_text(text, encoding="utf-8")
+    with int_max_str_digits(0):
+        expected = str(certificate_matrix(load_algebra(tmp_path / "mu06")).det())
+    assert max(len(digits) for digits in re.findall(r"\d+", expected)) > 4300
+    code, out, err = run(capsys, "verify", "mu06", "--data", str(tmp_path))
+    assert (code, err) == (1, "")
+    assert f"  unit-det: (): det = {expected}" in out.splitlines()
+    code, out, err = run(capsys, "verify", "mu06", "--data", str(tmp_path), "--format", "machine")
+    assert (code, err) == (1, "")
+    assert (f"algebra=mu06 stage=unit-det verdict=fail detail=indices=;residual=det="
+            f"{compact(expected)}") in out.splitlines()
 
 
 # -- the exit-code contract under single-line mutations of the catalog -----------

@@ -80,6 +80,27 @@ def test_certify_stdout_matches_the_pinned_digest(capsys, command):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINS["certify"][command]
 
 
+@pytest.mark.parametrize("command, code", [("verify --all", 1),  # the mu08 misprint
+                                           ("verify --all --errata corrected", 0)])
+def test_the_cli_starts_and_verifies_on_the_standard_library_alone(tmp_path, command, code):
+    """``import filicert.cli``, then the command, each in a fresh interpreter
+    with no site module (-S) and src alone on the path besides the standard
+    library: the same exit code and the pinned stdout."""
+    src = str(ROOT / "src")
+    python = [sys.executable, "-I", "-S", "-B", "-c"]
+    started = subprocess.run(python + [f"import sys; sys.path.insert(0, {src!r}); "
+                                       "import filicert.cli"],
+                             cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (started.returncode, started.stdout, started.stderr) == (0, "", "")
+    verified = subprocess.run(python + [f"import sys; sys.path.insert(0, {src!r}); "
+                                        "from filicert.cli import main; "
+                                        f"sys.exit(main({command.split()!r}))"],
+                              cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert (verified.returncode, verified.stderr) == (code, "")
+    assert hashlib.sha256(verified.stdout.encode("utf-8")).hexdigest() == \
+        PINS["certify"][command]
+
+
 @pytest.mark.parametrize("command", sorted(PINS["invariants"]))
 def test_invariants_stdout_matches_the_pinned_digest(capsys, command):
     main(command.split())

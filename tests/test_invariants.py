@@ -87,7 +87,7 @@ def test_the_series_of_the_line():
 
 def test_g_g_is_spanned_once_per_specialization(tables, monkeypatch):
     """Both series start from one cached basis of [g,g], which, like Der,
-    lives outside the dataclass fields: the lower central series spans [g,g]
+    lives outside the record's fields: the lower central series spans [g,g]
     and each later step, the derived series only its later steps."""
     algebra, twin = (rational(tables["mu06"].mu, alpha=2) for _ in range(2))
     before = repr(algebra)

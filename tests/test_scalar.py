@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from filicert import Scalar, ZeroSpecialization
 from filicert.scalar import ALPHA, ONE, T, ZERO, add_product, from_terms
 
-from helpers import ReferenceScalar, rand_scalar, value_at
+from helpers import ReferenceScalar, int_max_str_digits, rand_scalar, value_at
 
 fractions_st = st.fractions(min_value=-8, max_value=8, max_denominator=6)
 keys_st = st.tuples(st.integers(-3, 5), st.integers(0, 2))
@@ -326,6 +326,24 @@ def test_bool_coefficients_are_stored_as_ints():
     for scalar in (Scalar({(1, 0): True}), Scalar.term(True, 2), Scalar.from_rational(True)):
         assert [type(c) for _, c in scalar.iter_terms()] == [int]
     assert Scalar({(0, 0): False}).is_zero()
+
+
+# -- coefficients of any size ---------------------------------------------------------
+
+HUGE = 2 ** 20000 + 1  # 6,021 digits, more than the default int-to-str limit of 4,300
+
+
+@pytest.mark.parametrize("limit", [4300, 640])  # the default and the least limit
+@pytest.mark.parametrize("coeff", [HUGE, -HUGE, Fraction(1, HUGE), Fraction(-HUGE, 3),
+                                   10 ** 640, 10 ** 4300 - 1],
+                         ids=["huge", "-huge", "1/huge", "-huge/3", "10^640", "10^4300-1"])
+def test_coefficients_past_the_int_to_str_limit_render_exactly(coeff, limit):
+    """A numerator or denominator longer than the limit renders in full, the
+    digits that str gives with no limit, and one within it as before."""
+    with int_max_str_digits(0):
+        expected = f"{'-' if coeff < 0 else ''}{abs(coeff)}*t^2*alpha + 1"
+    with int_max_str_digits(limit):
+        assert str(Scalar.term(coeff, 2, 1) + 1) == expected
 
 
 # -- accumulating sums of products in one term map ------------------------------------
