@@ -18,7 +18,9 @@ cached in ``__dict__`` outside the record's fields, so == and repr are
 unchanged.
 bracket_eval and is_derivation visit every coordinate or basis pair but form
 exactly the nonzero products of the dense contraction, so every value is the
-dense one.
+dense one.  No check of a deformation calls is_derivation or restrict: its
+derivation stage reads a diagonal D as a grading of the ideal, in one pass
+over the nonzero structure constants (see :mod:`filicert.deformation`).
 
 The Jacobi residual of a linear deformation mu + t*phi expands as
 J(mu) + t*dphi + t^2*J(phi): the Jacobi identity of mu, the cocycle

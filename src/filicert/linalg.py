@@ -167,13 +167,15 @@ class ScalarMatrix(FrozenRecord):
 
         Division-free: only ring additions and multiplications are used, on
         the int coefficients of L*A, L = :meth:`denominator`; the coefficient
-        of x^k is then divided by L^(n-k).
+        of x^k is then divided by L^(n-k).  For L = 1 the entries are taken
+        as they are, with no scaling pass.
         """
         scale = self.denominator()
+        if scale == 1:
+            return tuple(reversed(_berkowitz(self.rows)))
         vec = _berkowitz([[s.scaled(scale) if s._terms else s for s in row]
                           for row in self.rows])
-        if scale != 1:
-            vec = [c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]
+        vec = [c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]
         return tuple(reversed(vec))
 
     def det(self) -> Scalar:

@@ -10,8 +10,9 @@ coefficient is zero, so structural equality of the term maps is exact
 equality of scalars (an integral Fraction equals, and hashes like, its int).
 Integral coefficients are stored as ints where they enter: the constructor
 (and so the catalog parser, which builds each parsed Scalar with it once),
-exact quotients, unit inverses, powers of a monomial, substitutions and
-scaling by a constant; the ring operations do no normalization.  Every
+exact quotients, unit inverses, powers of a monomial, substitutions (but
+:meth:`Scalar.eval_t` returns a scalar with no t term as it is) and scaling
+by a constant; the ring operations do no normalization.  Every
 division goes through ``Fraction``, because ``int / int`` and ``int ** -k``
 are floats.
 
@@ -361,7 +362,10 @@ class Scalar:
         return terms
 
     def eval_t(self, t_value: int | Fraction) -> "Scalar":
-        """Substitute a rational for t, keeping alpha symbolic."""
+        """Substitute a rational for t, keeping alpha symbolic; a scalar
+        with no t term is returned as it is."""
+        if not any(e_t for e_t, _ in self._terms):
+            return self
         return Scalar(self.specialized_terms(t=t_value))
 
     def eval_alpha(self, alpha_value: int | Fraction) -> "Scalar":

@@ -874,6 +874,36 @@ def reference_clear_family(mu_t: Cochain2, reciprocal: bool):
     return scale, mu_t.eval_t(1).scaled(scale), family.scaled(scale)
 
 
+def reference_build_cocycle(spec) -> Cochain2:
+    """mu_D column by column over every entry of D, validated by the Cochain2
+    constructor: the oracle for deformation._build_cocycle, which reads D's
+    nonzero entries only."""
+    dim, order, x = spec.base.dim, sorted(spec.ideal.indices), spec.outside_index
+    params = spec.base.params
+    for row in spec.derivation.rows:
+        for entry in row:
+            params = params | entry.symbols()
+    entries = {}
+    for col_pos, z in enumerate(order):
+        image = [ZERO] * dim
+        for row_pos, target in enumerate(order):
+            image[target - 1] = spec.derivation.rows[row_pos][col_pos]
+        if x < z:
+            entries[(x, z)] = tuple(image)
+        else:
+            entries[(z, x)] = tuple(-s for s in image)
+    return Cochain2(dim, entries, params, f"{spec.base.name}_D")
+
+
+def reference_deform(mu: Cochain2, phi: Cochain2) -> StructureConstants:
+    """mu + T*phi with Scalar ring products on every pair either stores: the
+    oracle for deformation.deform, which shifts t-exponents instead."""
+    entries = {key: tuple(a + T * b for a, b in zip(mu.bracket(*key), phi.bracket(*key)))
+               for key in set(mu.entries) | set(phi.entries)}
+    return StructureConstants(mu.dim, entries, mu.params | phi.params | {"t"},
+                              f"{mu.name}_t" if mu.name else "mu_t")
+
+
 def reference_solve_cell(mu, ideal, outside_index, derivation, g: ScalarMatrix,
                          cell: tuple[int, int], reciprocal: bool = False) -> Scalar:
     """One certificate entry from two full evaluations of the residuals, at

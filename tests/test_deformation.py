@@ -16,17 +16,20 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       counterexample_spec, deform, go_cocycle, limit_check,
                       verify_degeneration)
 from filicert.dataio import parse_scalar
-from filicert.deformation import (STAGES, _clear_family, _cleared_certificate,
-                                  _eq1_residuals, _spectrum_target, _unit_det_stage,
+from filicert.deformation import (STAGES, _block_char_poly, _build_cocycle, _clear_family,
+                                  _cleared_certificate, _eq1_residuals, _grades,
+                                  _ideal_block, _spectrum_target, _unit_det_stage,
                                   check_deformation, run_certificate_checks,
                                   solve_certificate_cell)
-from filicert.lie import Cochain2, basis_column, column_is_zero
+from filicert.lie import Cochain2, StructureConstants, basis_column, column_is_zero, restrict
 from filicert.linalg import ScalarMatrix
 from filicert.scalar import ALPHA, ONE, T, ZERO, Scalar
 
 from helpers import (base_change, cochains, entries_equal, map_entries, matrices,
-                     poly_from_roots, reciprocal_certificate, reference_clear_family,
-                     reference_eq1_residuals, reference_solve_cell, scalar_matrix, value_at)
+                     nonzero_scalars, poly_from_roots, reciprocal_certificate,
+                     reference_build_cocycle, reference_char_poly, reference_clear_family,
+                     reference_deform, reference_eq1_residuals, reference_is_derivation,
+                     reference_solve_cell, scalar_matrix, value_at)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
@@ -105,6 +108,157 @@ def test_go_cocycle_raises_exactly_where_check_deformation_fails(tables, ideal, 
     assert checked.stages[stage].note == reason
 
 
+@pytest.mark.parametrize("ideal", [range(2, 10), range(3, 10)], ids=["codimension-0", "shifted"])
+def test_an_ideal_index_out_of_range_fails_the_ideal_stage(tables, ideal):
+    """An ideal index past the dimension is reported, not an IndexError from
+    building mu_D or restricting mu, before the codimension is looked at."""
+    data = tables["mu17"]
+    ideal = SubspaceSpec(tuple(ideal))
+    derivation = ScalarMatrix.diagonal(range(len(ideal)))
+    checked = check_deformation(data.mu, ideal, 1, derivation)
+    assert checked.stages["ideal"].note == "ideal index out of range"
+    assert checked.phi is None
+    for stage in ("derivation", "cocycle", "bracket", "limit"):
+        assert not checked.stages[stage].ok
+    with pytest.raises(InvalidSpec, match="^ideal index out of range$"):
+        go_cocycle(DeformationSpec(data.mu, ideal, 1, derivation))
+
+
+# -- the derivation stage: a diagonal D grades the ideal ------------------------------
+
+scalars_or_zero = st.one_of(st.just(ZERO), nonzero_scalars)
+
+
+@st.composite
+def diagonals_near(draw, weights: list[Scalar]) -> ScalarMatrix:
+    """A diagonal D near the grading `weights`: scaled by a rational or by
+    alpha, or negated (gradings all), with one entry perturbed, one value
+    repeated on every entry, or arbitrary Scalars (t-poles among them)."""
+    n = len(weights)
+    kind = draw(st.sampled_from(("scaled", "alpha", "negated", "perturbed", "repeated",
+                                 "arbitrary")))
+    if kind in ("scaled", "alpha"):
+        factor = (Scalar.from_rational(draw(st.fractions(-3, 3, max_denominator=4)))
+                  if kind == "scaled" else ALPHA + draw(st.integers(-2, 2)))
+        entries = [w * factor for w in weights]
+    elif kind == "negated":
+        entries = [-w for w in weights]
+    elif kind == "perturbed":
+        entries = list(weights)
+        entries[draw(st.integers(0, n - 1))] += draw(nonzero_scalars)
+    elif kind == "repeated":
+        entries = [draw(scalars_or_zero)] * n
+    else:
+        entries = draw(st.lists(scalars_or_zero, min_size=n, max_size=n))
+    return ScalarMatrix.diagonal(entries)
+
+
+def weights_of(data) -> list[Scalar]:
+    return [row[k] for k, row in enumerate(data.derivation.rows)]
+
+
+def test_every_catalog_d_grades_its_ideal(corpus):
+    """Both errata modes: every bundled D passes, and the identity, which
+    doubles no weight, does not."""
+    for name in fc.VERIFIED_NAMES:
+        for corrected in (False, True):
+            mu = fc.structure_constants(corpus[name], corrected=corrected)
+            block = corpus[name].deformation
+            ideal = SubspaceSpec(block.ideal)
+            for derivation, expected in ((ScalarMatrix.diagonal(block.diagonal), True),
+                                         (ScalarMatrix.identity(len(ideal)), False)):
+                spec = DeformationSpec(mu, ideal, block.outside, derivation)
+                assert _grades(spec) is expected, (name, corrected)
+                assert reference_is_derivation(restrict(mu, ideal), derivation) is expected
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_the_grading_check_is_the_derivation_identity(tables, data):
+    """d_i + d_j = d_k on every nonzero c_ij^k inside the ideal exactly when
+    D[x,y] = [Dx,y] + [x,Dy] holds on the restriction, checked densely by
+    the oracle; on every catalog table, alpha-dependent ones among them."""
+    table = tables[data.draw(st.sampled_from(sorted(tables)))]
+    derivation = data.draw(diagonals_near(weights_of(table)))
+    spec = DeformationSpec(table.mu, table.ideal, table.outside, derivation)
+    assert _grades(spec) == reference_is_derivation(restrict(table.mu, table.ideal),
+                                                     derivation)
+
+
+def test_the_derivation_verdict_is_the_cocycle_verdict(corpus):
+    """On (X, b_i, b_j) the t-linear Jacobi coefficient of mu + t*mu_D is
+    [Db_i,b_j] + [b_i,Db_j] - D[b_i,b_j], and it vanishes on triples inside
+    h, so once the ideal stage passes, mu_D is a cocycle exactly when D is a
+    derivation of h: every catalog deformation in both errata modes, and
+    the counterexample."""
+    checked = []
+    for name in fc.VERIFIED_NAMES:
+        for corrected in (False, True):
+            mu = fc.structure_constants(corpus[name], corrected=corrected)
+            block = corpus[name].deformation
+            checked.append(check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
+                                             ScalarMatrix.diagonal(block.diagonal)))
+    spec = counterexample_spec(fc.structure_constants(corpus["mu17"], corrected=False))
+    checked.append(check_deformation(spec.base, spec.ideal, spec.outside_index,
+                                     spec.derivation))
+    for deformation in checked:
+        assert deformation.stages["ideal"].ok
+        assert deformation.stages["derivation"].ok == deformation.stages["cocycle"].ok
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_the_derivation_and_cocycle_verdicts_agree_off_the_grading(tables, data):
+    """The same on diagonals near each catalog grading, where most fail."""
+    table = tables[data.draw(st.sampled_from(sorted(tables)))]
+    derivation = data.draw(diagonals_near(weights_of(table)))
+    checked = check_deformation(table.mu, table.ideal, table.outside, derivation)
+    assert checked.stages["derivation"].ok == checked.stages["cocycle"].ok
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_check_deformation_fails_stages_and_never_raises(tables, data):
+    """Any D of the ideal's size, diagonal or not, with arbitrary Scalar
+    entries: the derivation stage is the oracle's verdict on a diagonal D,
+    and the limit stage fails exactly for a t-pole in D; one of order 2 or
+    more puts a pole in mu_t, which limit_check raises on, and is noted."""
+    table = tables[data.draw(st.sampled_from(sorted(tables)))]
+    n = len(table.ideal)
+    derivation = data.draw(st.one_of(
+        matrices(n), st.lists(scalars_or_zero, min_size=n, max_size=n).map(
+            ScalarMatrix.diagonal)))
+    checked = check_deformation(table.mu, table.ideal, table.outside, derivation,
+                                data.draw(st.booleans()))
+    assert set(checked.stages) == set(STAGES) - {"eq1", "unit-det", "spectrum"}
+    assert checked.stages["ideal"].ok
+    assert all(failure.note == "bracket of the deformed family"
+               for failure in checked.stages["jacobi"].failures)
+    assert checked.stages["derivation"].ok == (
+        derivation.is_diagonal()
+        and reference_is_derivation(restrict(table.mu, table.ideal), derivation))
+    exponents = [e_t for row in derivation.rows for s in row for e_t, _ in s._terms]
+    assert checked.stages["limit"].ok == (min(exponents, default=0) >= 0)
+    if min(exponents, default=0) < -1:
+        assert "has a pole at t = 0" in checked.stages["limit"].note
+    assert checked.phi == reference_build_cocycle(checked)
+
+
+def test_a_t_pole_in_d_fails_the_limit_stage(corpus):
+    """D = t^-2 I on mu06's ideal puts t^-1 into mu_t: the limit stage fails
+    with the message limit_check raises, and check_deformation raises
+    nothing."""
+    alg = corpus["mu06"]
+    mu = fc.structure_constants(alg, corrected=True)
+    derivation = ScalarMatrix.diagonal([Scalar.t_power(-2)] * 7)
+    checked = check_deformation(mu, SubspaceSpec(alg.deformation.ideal),
+                                alg.deformation.outside, derivation)
+    with pytest.raises(NegativeExponent) as info:
+        limit_check(checked.mu_t, mu)
+    assert checked.stages["limit"] == fc.StageResult(False, note=str(info.value))
+    assert str(info.value).startswith("entry (1, 2) of the family has a pole at t = 0")
+
+
 # -- the linear deformation -----------------------------------------------------
 
 def test_deform_with_zero_cochain_is_identity(tables):
@@ -116,6 +270,44 @@ def test_deform_with_zero_cochain_is_identity(tables):
 def test_deform_recovers_base_at_zero(tables):
     for data in tables.values():
         assert entries_equal(data.mu_t.eval_t(0), data.mu)
+
+
+def test_the_builders_match_the_scalar_product_oracles(tables):
+    """mu_D from D's nonzero entries and mu + t*mu_D by exponent shifts equal
+    the oracles' column-by-column and T * b constructions on every table,
+    and mu_t keeps mu's columns, and mu_1 their entries, where mu_D is zero."""
+    for data in tables.values():
+        spec = DeformationSpec(data.mu, data.ideal, data.outside, data.derivation)
+        phi = _build_cocycle(spec)
+        assert phi == reference_build_cocycle(spec)
+        mu_t = deform(data.mu, phi)
+        assert mu_t == reference_deform(data.mu, phi)
+        mu1 = mu_t.eval_t(1)
+        for key, column in data.mu.entries.items():
+            if key not in phi.entries:
+                assert mu_t.entries[key] is column
+                assert all(a is b for a, b in zip(mu1.entries[key], column))
+
+
+@settings(max_examples=120)
+@given(st.data(), st.integers(2, 6))
+def test_the_builders_match_the_oracles_on_random_inputs(data, dim):
+    """Any X and ideal that mu_D can be built on, with a diagonal or dense
+    D of Scalars (alpha, t-poles, Fractions), on random cochains."""
+    mu = StructureConstants(dim, data.draw(cochains(dim)).entries, frozenset({"t", "alpha"}))
+    outside = data.draw(st.integers(1, dim))
+    others = [k for k in range(1, dim + 1) if k != outside]
+    ideal = tuple(data.draw(st.permutations(others))[:data.draw(st.integers(1, dim - 1))])
+    n = len(ideal)
+    derivation = data.draw(st.one_of(
+        matrices(n), st.lists(scalars_or_zero, min_size=n, max_size=n).map(
+            ScalarMatrix.diagonal)))
+    spec = DeformationSpec(mu, SubspaceSpec(ideal), outside, derivation)
+    phi = _build_cocycle(spec)
+    assert phi == reference_build_cocycle(spec)
+    mu_t = deform(mu, phi)
+    assert mu_t == reference_deform(mu, phi)
+    assert all(c for column in mu_t.entries.values() for s in column for c in s._terms.values())
 
 
 def test_deformed_entry_mixes_bracket_and_weight(tables):
@@ -190,7 +382,8 @@ def test_eq1_residuals_expand_like_sympy(corpus):
             mu1 = {pair: value(*pair, 1) for pair in combinations(range(1, dim + 1), 2)}
             mu_t = check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
                                      ScalarMatrix.diagonal(block.diagonal)).mu_t
-            for (i, j), residual in _eq1_residuals(_clear_family(mu_t, reciprocal), g):
+            for (i, j), residual in _eq1_residuals(_clear_family(mu_t, reciprocal),
+                                                   _cleared_certificate(g)):
                 rhs = value(i, j, family_t)
                 for k in range(dim):
                     expected = -sum((G[k][m] * rhs[m] for m in range(dim)), sympy.Integer(0))
@@ -241,7 +434,8 @@ def test_eq1_residuals_match_the_unscaled_oracle(corpus):
     on the objects as they are."""
     nonzero = 0
     for label, mu_t, reciprocal, g in eq1_cases(corpus):
-        residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal), g))
+        residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal),
+                                        _cleared_certificate(g)))
         assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal)), label
         nonzero += sum(not column_is_zero(residual) for _, residual in residuals)
     assert nonzero > len(RESIDUAL_CORRUPTIONS)
@@ -287,7 +481,7 @@ def eq1_inputs(draw):
 @given(eq1_inputs())
 def test_eq1_kernel_matches_the_oracle_on_random_inputs(inputs):
     mu_t, reciprocal, g = inputs
-    residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal), g))
+    residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal), _cleared_certificate(g)))
     assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal))
     assert all(c for _, residual in residuals for s in residual for c in s._terms.values())
 
@@ -585,6 +779,35 @@ def test_one_block_and_one_berkowitz_run_per_certificate(tables, monkeypatch, le
         fc.StageResult(False, (fc.Failure((), None, reason),)) if leaves else fc.StageResult(True))
 
 
+def test_the_block_polynomial_is_taken_on_the_cleared_certificate(corpus, monkeypatch):
+    """run_certificate_checks scales g to integers once, for eq1 and for the
+    block on the ideal: Berkowitz runs on the block of L*g, which char_poly
+    takes as it is, and the coefficients are divided back by L^(m-k).  A g
+    that leaves its ideal has its own determinant computed instead."""
+    blocks = []
+    char_poly = ScalarMatrix.char_poly
+    fractional = 0
+    for name, corrected, g in certificate_cases(corpus):
+        mu = fc.structure_constants(corpus[name], corrected=corrected)
+        block = corpus[name].deformation
+        ideal = SubspaceSpec(block.ideal)
+        checked = check_deformation(mu, ideal, block.outside,
+                                    ScalarMatrix.diagonal(block.diagonal))
+        try:
+            expected = reference_char_poly(_ideal_block(g, ideal))
+        except NotInvariant:
+            continue
+        assert _block_char_poly(_cleared_certificate(g), ideal) == expected, name
+        blocks.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ScalarMatrix, "char_poly",
+                          lambda self: blocks.append(self) or char_poly(self))
+            run_certificate_checks(name, checked, g)
+        assert [b.denominator() for b in blocks] == [1], name
+        fractional += g.denominator() > 1
+    assert fractional
+
+
 def test_a_certificate_check_leaves_no_reference_cycle(tables):
     """Every object a certificate check makes is freed when its report is:
     the check keeps no caught exception, whose traceback would hold the
@@ -667,6 +890,15 @@ def test_a_non_constant_eigenvalue_fails_the_spectrum_stage(tables):
     assert report.stages["spectrum"] == fc.StageResult(False, (fc.Failure((), None, reason),))
     with pytest.raises(InvalidSpec, match=f"^{reason}$"):
         block_spectrum_check(data.g, data.ideal, derivation)
+
+
+@given(st.lists(st.integers(-6, 6), max_size=8))
+def test_the_spectrum_target_expands_like_vieta(exponents):
+    """prod (x - t^(d_i)) on term maps against Vieta's elementary symmetric
+    sums, with repeated, zero and opposite exponents whose terms cancel."""
+    target = _spectrum_target(ScalarMatrix.diagonal(exponents))
+    assert target == poly_from_roots([Scalar.t_power(d) for d in exponents])
+    assert all(c for s in target for c in s._terms.values())
 
 
 def test_the_spectrum_target_is_the_product_of_its_factors():

@@ -202,6 +202,17 @@ def test_berkowitz_runs_on_int_coefficients(tables, monkeypatch):
                for row in rows for s in row for c in s._terms.values())
 
 
+def test_char_poly_takes_int_entries_as_they_are(monkeypatch):
+    """With L = 1 there is no scaling pass: Berkowitz reads the rows of the
+    matrix itself."""
+    inputs = []
+    berkowitz = linalg._berkowitz
+    monkeypatch.setattr(linalg, "_berkowitz", lambda rows: inputs.append(rows) or berkowitz(rows))
+    m = scalar_matrix([[1, T], [3 * T ** -2, 5]])
+    assert m.char_poly() == reference_char_poly(m)
+    assert len(inputs) == 1 and inputs[0] is m.rows
+
+
 def test_cayley_hamilton_on_random_rational_matrices():
     rng = random.Random(17)
     for _ in range(40):

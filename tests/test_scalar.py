@@ -79,6 +79,18 @@ def test_specialize_pole_raises():
         value_at(Scalar.t_power(-1), 0)
 
 
+@given(scalars_st, fractions_st)
+def test_eval_t_returns_a_scalar_with_no_t_term_as_it_is(s, value):
+    """The substitution equals the one-pass specialization (t = 0 on a pole
+    raises in both); a scalar with no t term, the zero scalar among them, is
+    the result itself, also at t = 0."""
+    t_free = Scalar({key: c for key, c in s._terms.items() if not key[0]})
+    if value or not s.has_negative_t_exponent():
+        assert s.eval_t(value) == Scalar(s.specialized_terms(t=value))
+    assert t_free.eval_t(value) is t_free
+    assert t_free == Scalar(t_free.specialized_terms(t=value))
+
+
 def test_eval_t_keeps_alpha_symbolic():
     s = T * ALPHA + T ** 2
     assert s.eval_t(2) == ALPHA * 2 + 4
