@@ -29,8 +29,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._record import Record
-from .dataio import (AlgebraFile, MAX_DIGITS, VERIFIED_NAMES, certificate_matrix,
-                     compact, load_corpus, structure_constants)
+from .dataio import (AlgebraFile, MAX_DIGITS, VERIFIED_NAMES, apply_errata,
+                     certificate_matrix, compact, load_corpus, structure_constants)
 from .deformation import (DeformationSpec, VerificationReport, check_deformation,
                           counterexample_spec, deform, go_cocycle,
                           run_certificate_checks)
@@ -111,9 +111,10 @@ def _joined(values) -> str:
 
 def verify_algebra(alg: AlgebraFile, corrected: bool, checked: dict) -> VerificationReport:
     """Run the full pipeline for one catalog entry.  Its deformation is
-    checked only if `checked`, keyed by content, does not hold it yet."""
-    mu = structure_constants(alg, corrected=corrected)
-    g = certificate_matrix(alg, corrected=corrected)
+    checked only if `checked`, keyed by content, does not hold it yet.  The
+    errata are applied once, for the bracket and the certificate."""
+    source = apply_errata(alg) if corrected else alg
+    mu, g = structure_constants(source), certificate_matrix(source)
     block, reciprocal = alg.deformation, alg.certificate_parameter == "1/t"
     key = (mu.dim, frozenset(mu.entries.items()), mu.params, block, reciprocal)
     if key not in checked:

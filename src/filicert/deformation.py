@@ -44,23 +44,21 @@ Every residual is then exactly M*L^2 times the true one, so zero-ness is
 unchanged, and only the nonzero ones are divided back.  M*mu_1 and
 M*family are built once per deformation and kept on its
 :class:`CheckedDeformation`, in one scaling pass: mu_t is scaled by M, and
-M*mu_1 and M*mu_{1/t} are read off the scaled copy; a certificate only scales
-g, once: the spectrum stage takes g's block on the ideal from L*g too, and
-divides the coefficient of x^k of its characteristic polynomial, L^(m-k)
-times the block's own for m the block size, back.  Each residual component
-is accumulated in one term map, one product at a time, and made a Scalar
-once.  The cell solver reads its offsets (M*L^2 times the true ones) and its
-slopes (M*L times) off the same scaled objects, so it solves for L times the
-cell and divides by L once.
+M*mu_1 and M*mu_{1/t} are read off the scaled copy; a certificate scales
+only g, once.  Each residual component is accumulated in one term map, one
+product at a time, and made a Scalar once.  The cell solver reads its
+offsets (M*L^2 times the true ones) and its slopes (M*L times) off the same
+scaled objects, so it solves for L times the cell and divides by L once.
 
 The limit stage checks that mu_t has no t-pole and that, on every pair
 either stores, the t^0 terms of each entry of mu_t are the terms of mu's
 entry; a D entry with a pole of order 2 or more puts a t-pole into mu_t,
-which fails the stage with :func:`limit_check`'s message.  The spectrum
-stage compares the coefficient tuple of the characteristic polynomial of g's
-block on the ideal with that of prod_i (x - t^(d_i)), which depends on D
-only: it too is built once per deformation, one factor at a time on bare
-term maps, and kept on its :class:`CheckedDeformation`.
+which fails the stage with :func:`limit_check`'s message.  ``unit-det`` and
+``spectrum`` read g's block B on the ideal as its factors: a root b_kk per
+singleton component of its pattern, the characteristic polynomial of each
+cyclic one (:meth:`ScalarMatrix.char_factors`).  det g = g_xx * det B, and
+each root cancels one t^(d_i) of the multiset that D gives, kept on its
+:class:`CheckedDeformation`; only a cyclic component expands a product.
 
 mu_D, read off D once the checks that building it needs pass, mu_t = mu +
 t*mu_D and the cochains derived from it (specializations, scaled copies) are
@@ -75,6 +73,7 @@ certificates; nothing is kept across commands.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 
@@ -83,7 +82,7 @@ from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
                      NotInvariant)
 from .lie import (Cochain2, StructureConstants, SubspaceSpec, column_is_zero, is_ideal,
                   jacobi_check)
-from .linalg import Column, ScalarMatrix
+from .linalg import Column, ScalarMatrix, expand, factors_det
 from .scalar import ONE, ZERO, Scalar, Terms, add_product, from_terms
 
 STAGES = ("jacobi", "ideal", "derivation", "cocycle", "bracket",
@@ -338,43 +337,32 @@ def _ideal_block(g: ScalarMatrix, ideal: SubspaceSpec) -> ScalarMatrix:
     return g.submatrix(inside, inside)
 
 
-def _block_char_poly(certificate, ideal: SubspaceSpec) -> tuple[Scalar, ...]:
-    """The characteristic polynomial of g's block B on the ideal, from the
-    cleared certificate (L, L*g): Berkowitz runs on L*B, whose int entries
-    char_poly does not scale again, and its coefficient of x^k, which is
-    L^(m-k) times that of B for m the block size, is divided back."""
-    scale, cleared = certificate
-    poly = _ideal_block(cleared, ideal).char_poly()
-    if scale == 1:
-        return poly
-    m = len(poly) - 1
-    return tuple(c.scaled(Fraction(1, scale ** (m - k))) if c._terms else c
-                 for k, c in enumerate(poly))
-
-
-def _spectrum_target(derivation: ScalarMatrix) -> tuple[Scalar, ...]:
-    """The coefficient tuple of prod_i (x - t^(d_i)), d_i the diagonal
-    entries of the derivation, expanded one factor at a time on bare term
-    maps; raises :class:`InvalidSpec` for a derivation that is not diagonal
-    or has an eigenvalue that is not an integer."""
+def _spectrum_target(derivation: ScalarMatrix) -> Counter:
+    """The multiset of the t^(d_i), d_i the diagonal entries of D; raises
+    :class:`InvalidSpec` for a derivation that is not diagonal or has an
+    eigenvalue that is not an integer."""
     if not derivation.is_diagonal():
         raise InvalidSpec("derivation is not diagonal")
-    target: list[Terms] = [{(0, 0): 1}]
+    target = Counter()
     for k, row in enumerate(derivation.rows):
         if not row[k].is_constant() or (value := row[k].constant_value()).denominator != 1:
             raise InvalidSpec("derivation eigenvalues must be integers")
-        d = int(value)
-        # (x - t^d) * p: the coefficient of x^j becomes p[j-1] - t^d p[j]
-        product: list[Terms] = [{}, *(dict(p) for p in target)]
-        for terms, p in zip(product, target):
-            for (e_t, e_alpha), coeff in p.items():
-                key = (e_t + d, e_alpha)
-                if new := terms.get(key, 0) - coeff:
-                    terms[key] = new
-                else:
-                    del terms[key]
-        target = product
-    return tuple(from_terms(p) for p in target)
+        target[Scalar.t_power(int(value))] += 1
+    return target
+
+
+def _spectrum_holds(roots, polys, target: Counter) -> bool:
+    """True iff prod (x - r) * prod p, from :meth:`ScalarMatrix.char_factors`,
+    is prod (x - s) over the multiset `target`: each root r cancels one s,
+    and the cyclic components' polynomials multiply to the product over the
+    s left, expanded only if there is one."""
+    left = Counter(target)
+    for root in roots:
+        if not left[root]:
+            return False
+        left[root] -= 1
+    rest = list(left.elements())
+    return expand((), polys) == expand(rest) if polys else not rest
 
 
 def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec, derivation: ScalarMatrix) -> bool:
@@ -383,11 +371,11 @@ def block_spectrum_check(g: ScalarMatrix, ideal: SubspaceSpec, derivation: Scala
     The derivation must be diagonal with integer entries d_i (otherwise
     :class:`InvalidSpec`) and the ideal's coordinate subspace invariant under
     g (otherwise :class:`NotInvariant`); the characteristic polynomial of the
-    restricted block is then compared, coefficient by coefficient, against
-    prod_i (x - t^(d_i)).
+    restricted block is then compared with prod_i (x - t^(d_i)) by
+    :func:`_spectrum_holds`.
     """
     target = _spectrum_target(derivation)
-    return _ideal_block(g, ideal).char_poly() == target
+    return _spectrum_holds(*_ideal_block(g, ideal).char_factors(), target)
 
 
 class CheckedDeformation(DeformationSpec):
@@ -402,10 +390,9 @@ class CheckedDeformation(DeformationSpec):
                              phi=phi, mu_t=mu_t)
 
     @cached_property
-    def spectrum_target(self) -> tuple[Scalar, ...]:
-        """prod_i (x - t^(d_i)), the block characteristic polynomial that the
-        spectrum stage expects of every certificate; built on first use and
-        kept, like :attr:`Cochain2.table`."""
+    def spectrum_target(self) -> Counter:
+        """The multiset of the t^(d_i), the roots that spectrum expects of
+        every certificate's block; built on first use and kept."""
         return _spectrum_target(self.derivation)
 
     @cached_property
@@ -468,38 +455,43 @@ def run_certificate_checks(name: str, deformation: CheckedDeformation,
     fails spectrum; a D that is not diagonal, which fails the derivation
     stage, skips it.
 
-    One Berkowitz run, on g's block B on the ideal, serves both ``unit-det``
-    and ``spectrum``: when g maps a codimension-1 ideal into itself, row x of
-    g (x the one index outside the ideal) is zero but for g_xx, so
-    det g = g_xx * det B = g_xx * (-1)^(n-1) * chi_B(0).  Any other g has
-    its full determinant computed.  A g whose size is not the algebra's
-    dimension is refused first, with :class:`DimensionMismatch`.
+    The factors of g's block B on the ideal serve both ``unit-det`` and
+    ``spectrum``: when g maps a codimension-1 ideal into itself, row x of g
+    (x the one index outside the ideal) is zero but for g_xx, so
+    det g = g_xx * det B.  Cancelling roots is exact: R = Q[alpha][t, 1/t] is
+    a UFD and x - r is prime in R[x].  Any other g, or an ideal with an index
+    past the dimension, which skips spectrum, has det g computed in full.  A
+    g whose size is not the algebra's dimension is refused first, with
+    :class:`DimensionMismatch`.
     """
     if g.n != deformation.base.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
     report = VerificationReport(name, dict(deformation.stages))
-    certificate = _cleared_certificate(g)
-    try:
-        block_poly = _block_char_poly(certificate, deformation.ideal)
-    except NotInvariant as exc:
-        block_poly, leaves = None, str(exc)
+    factors = None
+    if in_range := max(deformation.ideal.indices, default=0) <= g.n:
+        try:
+            factors = _ideal_block(g, deformation.ideal).char_factors()
+        except NotInvariant as exc:
+            leaves = str(exc)
     outside = [k for k in range(g.n) if k + 1 not in deformation.ideal]
-    if block_poly is None or len(outside) != 1:
+    if factors is None or len(outside) != 1:
         det = g.det()
     else:
-        det = g.rows[outside[0]][outside[0]] * (block_poly[0] if g.n % 2 else -block_poly[0])
+        det = g.rows[outside[0]][outside[0]] * factors_det(*factors)
     if deformation.mu_t is not None:
-        report.stages["eq1"] = _eq1_stage(deformation.cleared_family, certificate,
+        report.stages["eq1"] = _eq1_stage(deformation.cleared_family, _cleared_certificate(g),
                                           deformation.reciprocal)
     report.stages["unit-det"] = _unit_det_stage(det)
 
-    if not deformation.derivation.is_diagonal():
+    if not in_range:
+        spectrum = StageResult(False, note="skipped: ideal stage failed")
+    elif not deformation.derivation.is_diagonal():
         spectrum = StageResult(False, note="skipped: derivation stage failed")
-    elif block_poly is None:
+    elif factors is None:
         spectrum = StageResult(False, (Failure((), None, leaves),))
     else:
         try:
-            spectrum = StageResult(block_poly == deformation.spectrum_target)
+            spectrum = StageResult(_spectrum_holds(*factors, deformation.spectrum_target))
         except InvalidSpec as exc:
             spectrum = StageResult(False, (Failure((), None, str(exc)),))
     report.stages["spectrum"] = spectrum

@@ -1,22 +1,19 @@
 """Exact matrix algebra over Scalars and over rationals.
 
-Determinants and characteristic polynomials of :class:`ScalarMatrix` use the
-Berkowitz algorithm, which is division-free and therefore valid over the
-Laurent ring Q[alpha][t, 1/t]; a characteristic polynomial is the tuple of
-its n + 1 coefficients, that of x^k at index k.  Berkowitz runs on L*A, with
-L the lcm of the coefficient denominators of A, so on int coefficients; since
-chi_{L*A}(x) = L^n chi_A(x/L), the coefficient of x^k is L^(n-k) times that
-of chi_A, and is divided back.  It works on term maps: each entry of a
-Toeplitz column and each coefficient of the running product is accumulated
-in one ``{(e_t, e_alpha): coefficient}`` map over the nonzero products only
-(:func:`filicert.scalar.add_product`) and made a Scalar once.  A Toeplitz
-column ends early, at the first zero work vector or at once for a zero row
-part, since every later entry is then zero; for a lower triangular matrix
-each column is just 1, -a.  :func:`filicert.deformation.run_certificate_checks`
-takes det g for ``unit-det`` from the Berkowitz run on g's block on the ideal
-that ``spectrum`` needs anyway, and calls :meth:`ScalarMatrix.det` only for a
-g that does not preserve its ideal; ``verify_degeneration``, which checks a
-certificate alone, always does.
+Determinants and characteristic polynomials of :class:`ScalarMatrix` are
+division-free, so valid over the Laurent ring Q[alpha][t, 1/t]; a
+characteristic polynomial is the tuple of its n + 1 coefficients, that of x^k
+at index k.  det(x*I - A) is the product of its factors over the strongly
+connected components of the pattern of A's nonzero off-diagonal entries,
+which make A block triangular in topological order: x - a_kk for a
+singleton component k, and for a cyclic component C the Berkowitz algorithm,
+run on L*C with L the lcm of its coefficient denominators, so on int
+coefficients; chi_{L*C}(x) = L^m chi_C(x/L), so the coefficient of x^k is
+divided back by L^(m-k).  A matrix triangular up to a permutation runs no
+Berkowitz.  Berkowitz, like :func:`expand`, accumulates each coefficient in
+one ``{(e_t, e_alpha): coefficient}`` map over the nonzero products only
+(:func:`filicert.scalar.add_product`) and makes a Scalar once; a Toeplitz
+column ends at the first zero work vector or at once for a zero row part.
 :meth:`ScalarMatrix.apply` adds v_m times column m for the nonzero v_m only,
 from the nonzero entries of each column, cached on first use outside the
 record's fields; it forms the dense product's nonzero products in the same
@@ -37,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping, Sequence
 
 from ._record import FrozenRecord
@@ -94,6 +91,42 @@ def _berkowitz(rows: Sequence[Sequence[Scalar]]) -> list[Scalar]:
                         add_product(coefficients[k], _MINUS_ONE, c, v)
         vec = [from_terms(terms) for terms in coefficients]
     return vec
+
+
+def _cyclic_components(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, ...]]:
+    """The strongly connected components of more than one index of the
+    pattern i -> j of the nonzero off-diagonal a_ij, each sorted: reach[i],
+    the bit set of the indices i reaches, is closed by Warshall's algorithm,
+    and a cyclic i, one that reaches itself, lies with those that reach i."""
+    n = len(rows)
+    reach = [sum(1 << j for j, x in enumerate(row) if x._terms and j != i)
+             for i, row in enumerate(rows)]
+    for k in range(n):
+        for i in range(n):
+            if reach[i] >> k & 1:
+                reach[i] |= reach[k]
+    cyclic = [i for i in range(n) if reach[i] >> i & 1]
+    return list(dict.fromkeys(tuple(j for j in cyclic if reach[i] >> j & 1 and reach[j] >> i & 1)
+                              for i in cyclic))
+
+
+def expand(roots: Iterable[Scalar], polys: Iterable[Sequence[Scalar]] = ()) -> tuple[Scalar, ...]:
+    """The coefficients of prod_r (x - r) * prod p, that of x^k at index k,
+    each accumulated in one term map per factor."""
+    product = [ONE]
+    for factor in [*((-r, ONE) for r in roots), *polys]:
+        terms: list[Terms] = [{} for _ in range(len(product) + len(factor) - 1)]
+        for i, p in enumerate(product):
+            for j, q in enumerate(factor):
+                add_product(terms[i + j], ONE, p, q)
+        product = [from_terms(t) for t in terms]
+    return tuple(product)
+
+
+def factors_det(roots: Iterable[Scalar], polys: Iterable[Sequence[Scalar]]) -> Scalar:
+    """det A from :meth:`ScalarMatrix.char_factors`: the roots times each
+    cyclic component's determinant (-1)^m p[0]."""
+    return prod((p[0] if len(p) % 2 else -p[0] for p in polys), start=prod(roots, start=ONE))
 
 
 class ScalarMatrix(FrozenRecord):
@@ -161,27 +194,29 @@ class ScalarMatrix(FrozenRecord):
         return lcm(*(coeff.denominator for row in self.rows for entry in row
                      for coeff in entry._terms.values()))
 
-    def char_poly(self) -> tuple[Scalar, ...]:
-        """Monic characteristic polynomial det(x*I - A), by Berkowitz; the
-        coefficient of x^k is at index k, so the last one is ONE.
+    def char_factors(self) -> tuple[list[Scalar], list[tuple[Scalar, ...]]]:
+        """(roots, polys) with det(x*I - A) = prod (x - r) * prod p: a root
+        a_kk per singleton component, and the characteristic polynomial of
+        each cyclic component (:func:`_cyclic_components`)."""
+        cyclic = _cyclic_components(self.rows)
+        inside = set().union(*cyclic)
+        roots = [row[k] for k, row in enumerate(self.rows) if k not in inside]
+        polys = []
+        for component in cyclic:
+            block = self if len(component) == self.n else self.submatrix(component, component)
+            scale = block.denominator()
+            vec = _berkowitz(block.rows if scale == 1 else block.scaled(scale).rows)
+            polys.append(tuple(c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec))[::-1])
+        return roots, polys
 
-        Division-free: only ring additions and multiplications are used, on
-        the int coefficients of L*A, L = :meth:`denominator`; the coefficient
-        of x^k is then divided by L^(n-k).  For L = 1 the entries are taken
-        as they are, with no scaling pass.
-        """
-        scale = self.denominator()
-        if scale == 1:
-            return tuple(reversed(_berkowitz(self.rows)))
-        vec = _berkowitz([[s.scaled(scale) if s._terms else s for s in row]
-                          for row in self.rows])
-        vec = [c.scaled(Fraction(1, scale ** i)) for i, c in enumerate(vec)]
-        return tuple(reversed(vec))
+    def char_poly(self) -> tuple[Scalar, ...]:
+        """Monic det(x*I - A), the product of :meth:`char_factors`; the
+        coefficient of x^k is at index k, so the last one is ONE."""
+        return expand(*self.char_factors())
 
     def det(self) -> Scalar:
         """Exact determinant, division-free."""
-        constant = self.char_poly()[0]
-        return constant if self.n % 2 == 0 else -constant
+        return factors_det(*self.char_factors())
 
     def __str__(self):
         return "\n".join("[" + ", ".join(str(x) for x in row) + "]" for row in self.rows)

@@ -741,6 +741,38 @@ nonzero_scalars = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(0, 2
     .filter(lambda s: not s.is_zero())
 
 
+@st.composite
+def patterned_matrices(draw, n: int, diagonal: Sequence[Scalar] | None = None,
+                       shapes=("acyclic", "mirrored", "cycle", "any")) -> ScalarMatrix:
+    """Sparse n x n ScalarMatrices whose off-diagonal pattern is acyclic (up
+    to 2n cells, triangular under a drawn permutation), or that pattern with
+    one cell mirrored or a drawn cycle added, or any sparse pattern, as
+    `shapes` allows.  The
+    diagonal is the one given, or drawn with repeated, zero and
+    non-monomial entries; entries have int, Fraction and alpha
+    coefficients."""
+    if diagonal is None:
+        diagonal = draw(st.lists(st.one_of(st.sampled_from([ZERO, ONE, T, T ** 2, T + 1]),
+                                           nonzero_scalars), min_size=n, max_size=n))
+    cells = {}
+    if n > 1:
+        position = {k: p for p, k in enumerate(draw(st.permutations(range(n))))}
+        pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+        cells = draw(st.dictionaries(st.sampled_from(pairs), nonzero_scalars, max_size=2 * n))
+        shape = draw(st.sampled_from(shapes))
+        if shape != "any":
+            cells = {(i, j): x for (i, j), x in cells.items() if position[i] < position[j]}
+        if shape == "mirrored" and cells:
+            i, j = draw(st.sampled_from(sorted(cells)))
+            cells[(j, i)] = draw(nonzero_scalars)
+        if shape == "cycle":
+            loop = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True))
+            for i, j in zip(loop, loop[1:] + loop[:1]):
+                cells[(i, j)] = draw(nonzero_scalars)
+    return ScalarMatrix(tuple(tuple(diagonal[i] if i == j else cells.get((i, j), ZERO)
+                                    for j in range(n)) for i in range(n)))
+
+
 def sparse_columns(dim: int):
     """Columns of length dim with up to three nonzero entries; the zero
     column among them."""
@@ -852,6 +884,31 @@ def reference_char_poly(matrix: ScalarMatrix) -> tuple[Scalar, ...]:
                    ZERO)
                for i in range(r + 1)]
     return tuple(reversed(vec))
+
+
+def reference_cyclic_components(matrix: ScalarMatrix) -> list[tuple[int, ...]]:
+    """The strongly connected components of more than one index of the
+    pattern i -> j of the nonzero off-diagonal entries, each sorted, in the
+    order of their least index: the indices that i reaches and that reach i,
+    by a depth-first search from every index.  The oracle for
+    linalg._cyclic_components."""
+    rows, n = matrix.rows, matrix.n
+    reach = []
+    for i in range(n):
+        seen, todo = set(), [i]
+        while todo:
+            k = todo.pop()
+            for j, entry in enumerate(rows[k]):
+                if j != k and not entry.is_zero() and j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    components = []
+    for i in range(n):
+        component = tuple(j for j in range(n) if j in reach[i] and i in reach[j])
+        if i in reach[i] and component not in components:
+            components.append(component)
+    return components
 
 
 def reference_eq1_residuals(mu1: Cochain2, family: Cochain2, g: ScalarMatrix):

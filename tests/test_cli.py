@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from filicert import certificate_matrix
+from filicert import VERIFIED_NAMES, certificate_matrix
 from filicert.cli import build_parser, main
 
 from helpers import int_max_str_digits
@@ -386,10 +386,30 @@ def test_verify_clears_each_family_once_per_distinct_deformation(
 
 def test_verify_builds_each_spectrum_target_once_per_distinct_deformation(
         capsys, tmp_path, corpus, monkeypatch):
-    """The same for prod (x - t^(d_i)), which the spectrum stage compares
-    with the block characteristic polynomial of every certificate."""
+    """The same for the multiset of the t^(d_i), against which the spectrum
+    stage cancels the roots of every certificate's block.  No command
+    expands a product of factors: every bundled block is triangular up to a
+    permutation, so no cyclic component is left to compare."""
     assert builds_per_command(capsys, tmp_path, corpus, monkeypatch,
                               "_spectrum_target") == [6, 10, 0, 0]
+    assert builds_per_command(capsys, tmp_path, corpus, monkeypatch, "expand") == [0, 0, 0, 0]
+
+
+def test_verify_applies_the_errata_once_per_algebra(capsys, monkeypatch):
+    """In corrected mode verify applies each algebra's errata once, for its
+    bracket and its certificate together."""
+    import filicert.cli
+    import filicert.dataio
+
+    applied, apply_errata = [], filicert.dataio.apply_errata
+    for module in (filicert.cli, filicert.dataio):
+        monkeypatch.setattr(module, "apply_errata",
+                            lambda alg: applied.append(alg.name) or apply_errata(alg))
+    assert run(capsys, "verify", "--all", "--errata", "corrected")[0] == 0
+    assert sorted(applied) == sorted(VERIFIED_NAMES)
+    applied.clear()
+    assert run(capsys, "verify", "--all")[0] == 1
+    assert applied == []
 
 
 @pytest.mark.parametrize("argv", [("verify", "--all"), ("invariants", "mu06", "--alpha", "2"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,20 +17,21 @@ from filicert import (DeformationSpec, InvalidSpec, NegativeExponent,
                       counterexample_spec, deform, go_cocycle, limit_check,
                       verify_degeneration)
 from filicert.dataio import parse_scalar
-from filicert.deformation import (STAGES, _block_char_poly, _build_cocycle, _clear_family,
+from filicert.deformation import (STAGES, _build_cocycle, _clear_family,
                                   _cleared_certificate, _eq1_residuals, _grades,
                                   _ideal_block, _spectrum_target, _unit_det_stage,
                                   check_deformation, run_certificate_checks,
                                   solve_certificate_cell)
 from filicert.lie import Cochain2, StructureConstants, basis_column, column_is_zero, restrict
-from filicert.linalg import ScalarMatrix
+from filicert import linalg
+from filicert.linalg import ScalarMatrix, expand
 from filicert.scalar import ALPHA, ONE, T, ZERO, Scalar
 
-from helpers import (base_change, cochains, entries_equal, map_entries, matrices,
-                     nonzero_scalars, poly_from_roots, reciprocal_certificate,
+from helpers import (base_change, cochains, entries_equal, map_entries, matmul, matrices,
+                     nonzero_scalars, patterned_matrices, poly_from_roots, reciprocal_certificate,
                      reference_build_cocycle, reference_char_poly, reference_clear_family,
-                     reference_deform, reference_eq1_residuals, reference_is_derivation,
-                     reference_solve_cell, scalar_matrix, value_at)
+                     reference_cyclic_components, reference_deform, reference_eq1_residuals,
+                     reference_is_derivation, reference_solve_cell, scalar_matrix, value_at)
 from test_end_to_end import RESIDUAL_CORRUPTIONS
 
 
@@ -711,11 +713,23 @@ def certificate_cases(corpus):
             yield name, True, h
 
 
+def is_cleared_cyclic_component(rows) -> bool:
+    """True iff the square matrix with these rows has int coefficients only
+    and a strongly connected pattern of more than one index."""
+    m = ScalarMatrix(tuple(map(tuple, rows)))
+    return reference_cyclic_components(m) == [tuple(range(m.n))] and \
+        all(type(c) is int for row in rows for s in row for c in s._terms.values())
+
+
 def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypatch):
     """The unit-det stage equals the one computed from ScalarMatrix.det;
-    det runs only where g does not map the ideal into itself."""
-    calls = []
+    det runs only where g does not map the ideal into itself.  The factors
+    of the block run no Berkowitz, since every bundled block is triangular
+    up to a permutation and the corruptions of row x leave the block as it
+    is; a full det runs it on cyclic components of int entries only."""
+    calls, inputs = [], []
     full_det = ScalarMatrix.det
+    berkowitz = linalg._berkowitz
 
     def counted_det(matrix):
         calls.append(matrix)
@@ -726,8 +740,11 @@ def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypat
         block = alg.deformation
         expected = _unit_det_stage(h.det())
         calls.clear()
+        inputs.clear()
         with monkeypatch.context() as patch:
             patch.setattr(ScalarMatrix, "det", counted_det)
+            patch.setattr(linalg, "_berkowitz",
+                          lambda rows: inputs.append(rows) or berkowitz(rows))
             deformation = check_deformation(
                 fc.structure_constants(alg, corrected=corrected),
                 SubspaceSpec(block.ideal), block.outside,
@@ -737,6 +754,9 @@ def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypat
         assert report.stages["unit-det"] == expected, (name, str(h))
         preserves = all(h.rows[block.outside - 1][k - 1].is_zero() for k in block.ideal)
         assert len(calls) == (0 if preserves else 1), (name, str(h))
+        if preserves:
+            assert not inputs, (name, str(h))
+        assert all(is_cleared_cyclic_component(rows) for rows in inputs), (name, str(h))
 
 
 def test_the_det_rule_reads_the_complement_off_the_ideal(tables):
@@ -753,65 +773,103 @@ def test_the_det_rule_reads_the_complement_off_the_ideal(tables):
     assert report.stages["unit-det"].note == "det = t^30"
 
 
-@pytest.mark.parametrize("leaves", [False, True], ids=["preserves", "leaves"])
-def test_one_block_and_one_berkowitz_run_per_certificate(tables, monkeypatch, leaves):
+def test_an_ideal_past_the_dimension_skips_spectrum(tables):
+    """An ideal with an index past the dimension fails the ideal stage of
+    check_deformation; run_certificate_checks then skips spectrum and takes
+    unit-det from det g, where it read g's block off indices past g."""
+    data = tables["mu17"]
+    checked = check_deformation(data.mu, SubspaceSpec(tuple(range(2, 10))), 1,
+                                ScalarMatrix.diagonal(range(8)))
+    assert checked.stages["ideal"] == fc.StageResult(
+        False, (fc.Failure(tuple(range(2, 10)), None, "subspace is not a codimension-1 ideal"),),
+        "ideal index out of range")
+    report = run_certificate_checks("mu17", checked, data.g)
+    assert report.stages["spectrum"] == fc.StageResult(False, note="skipped: ideal stage failed")
+    assert report.stages["unit-det"] == _unit_det_stage(data.g.det())
+    assert report.stages["unit-det"].note == "det = t^29"
+    assert report.failing_stages() == ["ideal", "derivation", "cocycle", "bracket", "eq1",
+                                       "limit", "spectrum"]
+
+
+@pytest.mark.parametrize("case", ["preserves", "leaves", "cyclic"])
+def test_one_block_and_one_berkowitz_run_per_cyclic_component(tables, monkeypatch, case):
     """run_certificate_checks takes g's block on the ideal once and runs
-    Berkowitz once for unit-det and spectrum together: on the block of a g
-    that preserves its ideal, and on g itself for one whose (1, 2) entry maps
-    Y2 outside the ideal, which fails spectrum with that reason."""
+    Berkowitz once per cyclic component of it, for unit-det and spectrum
+    together: never for mu17's certificate, whose block is triangular, nor
+    for one whose (1, 2) entry maps Y2 outside the ideal, which fails
+    spectrum with that reason (g itself is triangular too), and once, on
+    the component {Y3, Y8} cleared of its denominators, for one with t/3
+    at (3, 8), closing a cycle with the entry at (8, 3)."""
     import filicert.deformation as deformation
-    import filicert.linalg as linalg
 
     data = tables["mu17"]
-    g = with_cell(data.g, 1, 2, ONE) if leaves else data.g
+    g = {"preserves": data.g, "leaves": with_cell(data.g, 1, 2, ONE),
+         "cyclic": with_cell(data.g, 3, 8, Fraction(1, 3) * T)}[case]
     checked = check_deformation(data.mu, data.ideal, 1, data.derivation)
     calls = []
     with monkeypatch.context() as patch:
         for module, name in ((deformation, "_ideal_block"), (linalg, "_berkowitz")):
             original = getattr(module, name)
             patch.setattr(module, name, lambda *args, name=name, original=original:
-                          calls.append(name) or original(*args))
+                          calls.append((name, args)) or original(*args))
         report = run_certificate_checks("mu17", checked, g)
-    assert sorted(calls) == ["_berkowitz", "_ideal_block"]
+    assert [name for name, _ in calls] == ["_ideal_block"] + ["_berkowitz"] * (case == "cyclic")
+    if case == "cyclic":
+        component = g.submatrix([2, 7], [2, 7])
+        assert calls[1][1] == (component.scaled(component.denominator()).rows,)
     assert report.stages["unit-det"] == _unit_det_stage(g.det())
     reason = "entry (1, 2) maps the ideal outside itself"
-    assert report.stages["spectrum"] == (
-        fc.StageResult(False, (fc.Failure((), None, reason),)) if leaves else fc.StageResult(True))
+    block = g.submatrix(range(1, 8), range(1, 8))
+    spectrum = (fc.StageResult(False, (fc.Failure((), None, reason),)) if case == "leaves" else
+                fc.StageResult(reference_char_poly(block) == poly_from_roots(
+                    T ** d for d in range(1, 8))))
+    assert report.stages["spectrum"] == spectrum
+    assert spectrum.ok is (case == "preserves")
 
 
-def test_the_block_polynomial_is_taken_on_the_cleared_certificate(corpus, monkeypatch):
-    """run_certificate_checks scales g to integers once, for eq1 and for the
-    block on the ideal: Berkowitz runs on the block of L*g, which char_poly
-    takes as it is, and the coefficients are divided back by L^(m-k).  A g
-    that leaves its ideal has its own determinant computed instead."""
-    blocks = []
-    char_poly = ScalarMatrix.char_poly
+def test_berkowitz_sees_only_cleared_cyclic_components(corpus, monkeypatch):
+    """Every matrix Berkowitz sees in a certificate check is a cyclic
+    component of g's block on the ideal, with int entries: none for the
+    bundled certificates and the corruptions of row x that keep the ideal,
+    and one for each bundled certificate with a Fraction entry closing a
+    cycle inside the block, whose component then has denominators to clear.
+    The factors multiply out to the block's characteristic polynomial."""
+    inputs = []
+    berkowitz = linalg._berkowitz
     fractional = 0
     for name, corrected, g in certificate_cases(corpus):
-        mu = fc.structure_constants(corpus[name], corrected=corrected)
         block = corpus[name].deformation
         ideal = SubspaceSpec(block.ideal)
-        checked = check_deformation(mu, ideal, block.outside,
-                                    ScalarMatrix.diagonal(block.diagonal))
-        try:
-            expected = reference_char_poly(_ideal_block(g, ideal))
-        except NotInvariant:
-            continue
-        assert _block_char_poly(_cleared_certificate(g), ideal) == expected, name
-        blocks.clear()
-        with monkeypatch.context() as patch:
-            patch.setattr(ScalarMatrix, "char_poly",
-                          lambda self: blocks.append(self) or char_poly(self))
-            run_certificate_checks(name, checked, g)
-        assert [b.denominator() for b in blocks] == [1], name
-        fractional += g.denominator() > 1
+        inside = [k - 1 for k in block.ideal]
+        i, j = next((i, j) for i in inside for j in inside
+                    if i != j and not g.rows[i][j].is_zero())
+        checked = check_deformation(fc.structure_constants(corpus[name], corrected=corrected),
+                                    ideal, block.outside, ScalarMatrix.diagonal(block.diagonal))
+        for h in (g, with_cell(g, j + 1, i + 1, Fraction(1, 3) * T)):
+            try:
+                expected = reference_char_poly(_ideal_block(h, ideal))
+            except NotInvariant:
+                continue
+            assert expand(*_ideal_block(h, ideal).char_factors()) == expected, name
+            inputs.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_berkowitz",
+                              lambda rows: inputs.append(rows) or berkowitz(rows))
+                run_certificate_checks(name, checked, h)
+            assert len(inputs) == (h is not g), name
+            assert all(is_cleared_cyclic_component(rows) for rows in inputs), name
+            block_h = _ideal_block(h, ideal)
+            fractional += any(block_h.submatrix(c, c).denominator() > 1
+                              for c in reference_cyclic_components(block_h))
     assert fractional
 
 
 def test_a_certificate_check_leaves_no_reference_cycle(tables):
     """Every object a certificate check makes is freed when its report is:
     the check keeps no caught exception, whose traceback would hold the
-    check's frame and so everything the frame holds until a collection."""
+    check's frame and so everything the frame holds until a collection.
+    Checked for a triangular block, a g that leaves its ideal, a block with
+    a cyclic component, and an ideal with an index past the dimension."""
     import gc
 
     data = tables["mu17"]
@@ -819,8 +877,12 @@ def test_a_certificate_check_leaves_no_reference_cycle(tables):
     gc.collect()
     gc.disable()
     try:
-        for g in (data.g, with_cell(data.g, 1, 2, ONE)):
+        cyclic = with_cell(data.g, 3, 8, Fraction(1, 3) * T)
+        for g in (data.g, with_cell(data.g, 1, 2, ONE), cyclic):
             run_certificate_checks("mu17", checked, g)
+        beyond = check_deformation(data.mu, SubspaceSpec(tuple(range(2, 10))), 1,
+                                   ScalarMatrix.diagonal(range(8)))
+        run_certificate_checks("mu17", beyond, data.g)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -863,7 +925,7 @@ def test_spectrum_with_repeated_zero_or_negative_exponents(exponents, triangular
     abelian = fc.StructureConstants(n + 1, {}, frozenset())
     deformation = check_deformation(abelian, ideal, 1, derivation)
     assert all(stage.ok for stage in deformation.stages.values())
-    assert deformation.spectrum_target == expected
+    assert deformation.spectrum_target == Counter(T ** d for d in exponents)
     for changed in range(-1, n):  # -1: no exponent changed
         diagonal = [ONE] + [T ** (d + (k == changed)) for k, d in enumerate(exponents)]
         g = ScalarMatrix(tuple(tuple(diagonal[i] if i == j else T if triangular and 0 < i < j
@@ -894,24 +956,139 @@ def test_a_non_constant_eigenvalue_fails_the_spectrum_stage(tables):
 
 @given(st.lists(st.integers(-6, 6), max_size=8))
 def test_the_spectrum_target_expands_like_vieta(exponents):
-    """prod (x - t^(d_i)) on term maps against Vieta's elementary symmetric
-    sums, with repeated, zero and opposite exponents whose terms cancel."""
-    target = _spectrum_target(ScalarMatrix.diagonal(exponents))
+    """prod (x - t^(d_i)) over the target multiset, expanded on term maps,
+    against Vieta's elementary symmetric sums, with repeated, zero and
+    opposite exponents whose terms cancel."""
+    target = expand(_spectrum_target(ScalarMatrix.diagonal(exponents)).elements())
     assert target == poly_from_roots([Scalar.t_power(d) for d in exponents])
     assert all(c for s in target for c in s._terms.values())
 
 
 def test_the_spectrum_target_is_the_product_of_its_factors():
-    """prod (x - t^(d_i)) from D's diagonal, Vieta's formulas as the oracle;
-    a non-diagonal D, a Fraction or a t on the diagonal is refused."""
+    """The multiset of the t^(d_i) from D's diagonal, expanded, with Vieta's
+    formulas as the oracle; a non-diagonal D, a Fraction or a t on the
+    diagonal is refused."""
     for exponents in [(), (0,), (2, 3, 4, 5, 6, 7, 10), (-2, 0, 0, 5), (1, -1, 1)]:
-        assert _spectrum_target(ScalarMatrix.diagonal(exponents)) == \
-            poly_from_roots(T ** d for d in exponents)
+        target = _spectrum_target(ScalarMatrix.diagonal(exponents))
+        assert target == Counter(T ** d for d in exponents)
+        assert expand(target.elements()) == poly_from_roots(T ** d for d in exponents)
     with pytest.raises(InvalidSpec, match="^derivation is not diagonal$"):
         _spectrum_target(scalar_matrix([[1, 1], [0, 2]]))
     for value in (Fraction(1, 2), T, T + 1, ALPHA):
         with pytest.raises(InvalidSpec, match="^derivation eigenvalues must be integers$"):
             _spectrum_target(ScalarMatrix.diagonal([1, value]))
+
+
+def test_every_bundled_ideal_block_has_singleton_components_only(corpus):
+    """Each certificate's block on its ideal, in both errata modes, is
+    triangular up to a permutation, so unit-det and spectrum run no
+    Berkowitz on the catalog; a table that breaks this is named."""
+    for name in fc.VERIFIED_NAMES:
+        for mode in ("verbatim", "corrected"):
+            g = fc.certificate_matrix(corpus[name], corrected=mode == "corrected")
+            block = _ideal_block(g, SubspaceSpec(corpus[name].deformation.ideal))
+            assert linalg._cyclic_components(block.rows) == [], \
+                f"{name} ({mode}): its ideal block has a cyclic component"
+
+
+def embedded(block: ScalarMatrix) -> ScalarMatrix:
+    """1 (+) block: a certificate of the abelian algebra of dimension n + 1
+    that preserves the ideal <e_2, ..., e_(n+1)> and acts on it by block."""
+    n = block.n
+    return ScalarMatrix(((ONE,) + (ZERO,) * n,) + tuple((ZERO,) + row for row in block.rows))
+
+
+def spectrum_stage(block: ScalarMatrix, exponents) -> fc.StageResult:
+    """The spectrum stage of run_certificate_checks for 1 (+) block against
+    D = diag(exponents) on the abelian algebra, whose ideal D derives."""
+    n = block.n
+    deformation = check_deformation(fc.StructureConstants(n + 1, {}, frozenset()),
+                                    SubspaceSpec(tuple(range(2, n + 2))), 1,
+                                    ScalarMatrix.diagonal(exponents))
+    return run_certificate_checks("abelian", deformation, embedded(block)).stages["spectrum"]
+
+
+def spectrum_checks(block: ScalarMatrix, exponents) -> tuple[bool, fc.StageResult]:
+    """block_spectrum_check of 1 (+) block against diag(exponents), and the
+    spectrum stage."""
+    stage = spectrum_stage(block, exponents)
+    ideal = SubspaceSpec(tuple(range(2, block.n + 2)))
+    return block_spectrum_check(embedded(block), ideal, ScalarMatrix.diagonal(exponents)), stage
+
+
+@st.composite
+def spectrum_cases(draw):
+    """(block, exponents): a block with diagonal t^(d_i) and an acyclic
+    pattern, conjugated by I + c e_ij for a nonzero entry at (j, i), which
+    keeps the characteristic polynomial and in general closes a cycle
+    through i and j; or one with up to two diagonal entries perturbed and
+    any pattern, conjugated or not."""
+    n = draw(st.integers(1, 8))
+    exponents = draw(st.lists(st.integers(-2, 3), min_size=n, max_size=n))
+    diagonal = [T ** d for d in exponents]
+    conjugated = draw(st.booleans())
+    if not conjugated:
+        for k in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            d = exponents[k]
+            diagonal[k] = draw(st.sampled_from([T ** (d + 1), T ** d + 1, 2 * T ** d,
+                                                ALPHA * T ** d, T ** exponents[0]]))
+    block = draw(patterned_matrices(n, diagonal, ("acyclic",) if conjugated else
+                                    ("acyclic", "mirrored", "cycle", "any")))
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j and block.rows[i][j]]
+    if cells and (conjugated or draw(st.booleans())):
+        j, i = draw(st.sampled_from(cells))
+        c = draw(st.sampled_from([ONE, -ONE, Fraction(1, 2) * ONE, ALPHA, T]))
+        block = matmul(matmul(with_cell(ScalarMatrix.identity(n), i + 1, j + 1, c), block),
+                       with_cell(ScalarMatrix.identity(n), i + 1, j + 1, -c))
+    return block, exponents
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectrum_cases())
+def test_the_factor_wise_spectrum_verdict_matches_the_oracle(case):
+    """Cancelling each root of the block against one t^(d_i) and comparing
+    the cyclic components with the roots left gives the verdict of comparing
+    the block's full characteristic polynomial with prod (x - t^(d_i)), in
+    block_spectrum_check and in the spectrum stage; unit-det is det g."""
+    block, exponents = case
+    expected = reference_char_poly(block) == poly_from_roots(T ** d for d in exponents)
+    assert spectrum_checks(block, exponents) == (expected, fc.StageResult(expected))
+
+
+def test_matching_roots_do_not_pass_a_cyclic_component_that_differs(monkeypatch):
+    """Roots t and t^2 cancel two factors of prod (x - t^(d_i)) for
+    d = (1, 2, 3, 4); the cyclic component, diag(t^3, t^4) conjugated by
+    [[1, 1], [1, 2]], passes against the expansion of the roots left, which
+    is built only then, and fails with one entry changed.  A non-integral
+    eigenvalue keeps its reason."""
+    import filicert.deformation as deformation
+
+    u, v = T ** 3, T ** 4
+    rows = [[T, ONE, T, ZERO], [ZERO, T ** 2, ZERO, ONE],
+            [ZERO, ZERO, 2 * u - v, v - u], [ZERO, ZERO, 2 * u - 2 * v, 2 * v - u]]
+    cyclic = scalar_matrix(rows)
+    assert reference_cyclic_components(cyclic) == [(2, 3)]
+    assert reference_char_poly(cyclic) == poly_from_roots([T, T ** 2, u, v])
+    rows[2][3] = v - u + 1
+    differs = scalar_matrix(rows)
+    expansions = []
+    monkeypatch.setattr(deformation, "expand",
+                        lambda *args: expansions.append(args) or expand(*args))
+    assert spectrum_checks(cyclic, (1, 2, 3, 4)) == (True, fc.StageResult(True))
+    assert len(expansions) == 4
+    assert spectrum_checks(differs, (1, 2, 3, 4)) == (False, fc.StageResult(False))
+    assert spectrum_checks(cyclic, (1, 2, 4, 4)) == (False, fc.StageResult(False))
+    assert len(expansions) == 12
+    triangular = scalar_matrix([[T, ONE], [ZERO, T ** 2]])
+    assert spectrum_checks(triangular, (2, 1)) == (True, fc.StageResult(True))
+    assert len(expansions) == 12
+    reason = "derivation eigenvalues must be integers"
+    exponents = (1, 2, Fraction(7, 2), 4)
+    assert spectrum_stage(cyclic, exponents) == \
+        fc.StageResult(False, (fc.Failure((), None, reason),))
+    with pytest.raises(InvalidSpec, match=f"^{reason}$"):
+        block_spectrum_check(embedded(cyclic), SubspaceSpec((2, 3, 4, 5)),
+                             ScalarMatrix.diagonal(exponents))
 
 
 def test_spectrum_requires_invariant_ideal():

@@ -14,14 +14,15 @@ from hypothesis import strategies as st
 from filicert import DimensionMismatch, NotAUnit, RationalMatrix, ScalarMatrix, Scalar
 from filicert import linalg
 from filicert.linalg import span_basis
-from filicert.scalar import ONE, T, ZERO
+from filicert.scalar import ALPHA, ONE, T, ZERO, as_scalar
 
 from helpers import (counted_eliminations, dense, dense_apply, eval_poly_at_matrix,
                      inverse_unit, laplace_det,
-                     matmul, matrices, nonzero_scalars, poly_from_roots, primitive, rand_scalar,
+                     matmul, matrices, nonzero_scalars, patterned_matrices, poly_from_roots,
+                     primitive, rand_scalar,
                      rand_scalar_matrix, rand_unit_triangular, rank, rational_matrix,
-                     reference_char_poly, reference_nullspace, reference_rref, scalar_matrix,
-                     sparse, vectors)
+                     reference_char_poly, reference_cyclic_components, reference_nullspace,
+                     reference_rref, scalar_matrix, sparse, vectors)
 
 
 def basis_column(n, i):
@@ -179,10 +180,21 @@ def test_char_poly_matches_the_berkowitz_run_on_unscaled_entries(data, n):
     assert all(c for s in poly for c in s._terms.values())
 
 
+def with_a_cycle(m: ScalarMatrix, value) -> ScalarMatrix:
+    """m with `value` mirrored onto the first nonzero cell above its
+    diagonal, or below it, closing a cycle of the pattern through it."""
+    i, j = next((i, j) for lower in (False, True) for i in range(m.n) for j in range(m.n)
+                if (i > j if lower else i < j) and not m.rows[i][j].is_zero())
+    return _with_cells(m, {(j, i): as_scalar(value)})
+
+
 def test_berkowitz_runs_on_int_coefficients(tables, monkeypatch):
     """Every coefficient of the Berkowitz input inside char_poly is an int,
     also for the certificates' Fraction entries: an integral Fraction would
-    keep the cost of Fraction arithmetic."""
+    keep the cost of Fraction arithmetic.  Berkowitz runs once per cyclic
+    component, so never on a certificate, which is triangular up to a
+    permutation, and once on each certificate with a cycle closed by a
+    Fraction entry."""
     inputs = []
     berkowitz = linalg._berkowitz
 
@@ -191,12 +203,16 @@ def test_berkowitz_runs_on_int_coefficients(tables, monkeypatch):
         return berkowitz(rows)
 
     monkeypatch.setattr(linalg, "_berkowitz", recorded)
-    matrices_seen = [data.g for data in tables.values()]
+    certificates = [data.g for data in tables.values()]
+    matrices_seen = certificates + [with_a_cycle(g, Fraction(1, 3) * T) for g in certificates]
     matrices_seen += [scalar_matrix([[Fraction(1, 2), Fraction(3, 8)], [T, 5]])]
     for m in matrices_seen:
         assert m.char_poly() == reference_char_poly(m)
-    assert len(inputs) == len(matrices_seen)
-    assert any(type(c) is not int for m in matrices_seen
+    components = [[m.submatrix(c, c) for c in reference_cyclic_components(m)]
+                  for m in matrices_seen]
+    assert [len(c) for c in components] == [0] * len(certificates) + [1] * (len(certificates) + 1)
+    assert len(inputs) == sum(map(len, components))
+    assert any(type(c) is not int for blocks in components for m in blocks
                for row in m.rows for s in row for c in s._terms.values())
     assert all(type(c) is int for rows in inputs
                for row in rows for s in row for c in s._terms.values())
@@ -211,6 +227,44 @@ def test_char_poly_takes_int_entries_as_they_are(monkeypatch):
     m = scalar_matrix([[1, T], [3 * T ** -2, 5]])
     assert m.char_poly() == reference_char_poly(m)
     assert len(inputs) == 1 and inputs[0] is m.rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 8))
+def test_component_wise_char_poly_and_det_match_the_oracle(data, n):
+    """char_poly and det, products over the components of the off-diagonal
+    pattern, against dense Berkowitz on the whole matrix; the cyclic
+    components against a depth-first search, the roots against the
+    diagonal entries of the other indices.  Acyclic and cyclic patterns,
+    repeated, zero and non-monomial diagonal entries, Fraction and alpha
+    coefficients."""
+    m = data.draw(patterned_matrices(n))
+    expected = reference_char_poly(m)
+    assert m.char_poly() == expected
+    assert m.det() == (-1) ** n * expected[0]
+    cyclic = linalg._cyclic_components(m.rows)
+    assert cyclic == reference_cyclic_components(m)
+    inside = {k for component in cyclic for k in component}
+    roots, polys = m.char_factors()
+    assert roots == [m.rows[k][k] for k in range(n) if k not in inside]
+    assert polys == [reference_char_poly(m.submatrix(c, c)) for c in cyclic]
+
+
+def test_a_cycle_runs_berkowitz_on_its_component_only(monkeypatch):
+    """Upper triangular but for a 2-cycle between indices 1 and 2: the
+    factors are x - 3, x - t and the component's polynomial, whose entries
+    are cleared of their denominator 2 for Berkowitz alone."""
+    inputs = []
+    berkowitz = linalg._berkowitz
+    monkeypatch.setattr(linalg, "_berkowitz", lambda rows: inputs.append(rows) or berkowitz(rows))
+    half = Fraction(1, 2)
+    m = scalar_matrix([[3, 1, T, 0], [0, T, half, ALPHA], [0, T ** -1, 1, 5], [0, 0, 0, T]])
+    roots, polys = m.char_factors()
+    assert roots == [3, T]
+    assert polys == [(T - half * T ** -1, -ONE - T, ONE)]
+    assert inputs == [((2 * T, ONE), (2 * T ** -1, 2 * ONE))]
+    assert m.char_poly() == reference_char_poly(m)
+    assert m.det() == 3 * T * (T - half * T ** -1)
 
 
 def test_cayley_hamilton_on_random_rational_matrices():
