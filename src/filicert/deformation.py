@@ -41,14 +41,15 @@ and of phi = mu_D, so also those of mu_1 and of mu_{1/t}), the kernel
 evaluates (*) for L*g, M*mu_1 and the family scaled by M only, and
 multiplies its right-hand side g(family(e_i, e_j)) by L inside the kernel.
 Every residual is then exactly M*L^2 times the true one, so zero-ness is
-unchanged, and only the nonzero ones are divided back.  M*mu_1 and
-M*family are built once per deformation and kept on its
-:class:`CheckedDeformation`, in one scaling pass: mu_t is scaled by M, and
-M*mu_1 and M*mu_{1/t} are read off the scaled copy; a certificate scales
-only g, once.  Each residual component is accumulated in one term map, one
-product at a time, and made a Scalar once.  The cell solver reads its
-offsets (M*L^2 times the true ones) and its slopes (M*L times) off the same
-scaled objects, so it solves for L times the cell and divides by L once.
+unchanged.  M*mu_1 and M*family are built once per deformation and kept on
+its :class:`CheckedDeformation`, in one scaling pass: mu_t is scaled by M,
+and M*mu_1 and M*mu_{1/t} are read off the scaled copy; a certificate scales
+only g, once.  The residuals are sparse: a component gets a term map only
+when a product reaches it, is made a Scalar once, and only the nonzero
+components of the pairs that have one are yielded and divided back.  The
+cell solver reads its offsets (M*L^2 times the true ones) off one such
+pass, and its slopes (M*L times) off one row of M*mu_1's table, so it
+solves for L times the cell and divides by L once.
 
 The limit stage checks that mu_t has no t-pole and that, on every pair
 either stores, the t^0 terms of each entry of mu_t are the terms of mu's
@@ -80,8 +81,7 @@ from functools import cached_property
 from ._record import FrozenRecord, Record
 from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
                      NotInvariant)
-from .lie import (Cochain2, StructureConstants, SubspaceSpec, column_is_zero, is_ideal,
-                  jacobi_check)
+from .lie import Cochain2, StructureConstants, SubspaceSpec, is_ideal, jacobi_check
 from .linalg import Column, ScalarMatrix, expand, factors_det
 from .scalar import ONE, ZERO, Scalar, Terms, add_product, from_terms
 
@@ -240,8 +240,8 @@ def verify_degeneration(mu_t: StructureConstants, g: ScalarMatrix,
 
 
 def _eq1_stage(cleared, certificate, reciprocal: bool) -> StageResult:
-    failures = [Failure(pair, residual) for pair, residual in _eq1_residuals(cleared, certificate)
-                if not column_is_zero(residual)]
+    failures = [Failure(pair, tuple(residual.get(k, ZERO) for k in range(certificate[1].n)))
+                for pair, residual in _eq1_residuals(cleared, certificate)]
     note = "certificate parametrized by 1/t" if reciprocal else ""
     return StageResult(not failures, tuple(failures), note)
 
@@ -269,41 +269,52 @@ def _cleared_certificate(g: ScalarMatrix) -> tuple[int, ScalarMatrix]:
     return scale, g if scale == 1 else g.scaled(scale)
 
 
+def _nonzero(terms: dict[int, Terms]) -> dict[int, Scalar]:
+    """The Scalars of per-component term maps that do not cancel, in
+    increasing component."""
+    return {k: s for k in sorted(terms) if (s := from_terms(terms[k]))._terms}
+
+
 def _residual_columns(mu1: StructureConstants, family: StructureConstants,
                       g: ScalarMatrix, factor: int):
-    """(pair, mu_1(g e_i, g e_j) - factor * g(family(e_i, e_j))) on all basis
-    pairs.  Each component is accumulated in one term map, from the products
-    x_a y_b mu_1(e_a, e_b)[k] of x = g e_i and y = g e_j and the products
-    -factor family(e_i, e_j)[m] g[k, m], and made a Scalar once."""
+    """(pair, {k: residual component}) for each basis pair i < j, in order,
+    whose residual mu_1(g e_i, g e_j) - factor * g(family(e_i, e_j)) is not
+    zero, with its nonzero components only, 0-based k ascending.  A
+    component's term map is opened when the first of the products
+    x_a y_b mu_1(e_a, e_b)[k] of x = g e_i and y = g e_j, or
+    -factor family(e_i, e_j)[m] g[k, m], reaches it, and made a Scalar once."""
     table, columns = mu1.table, g.nonzero_columns
     minus_factor = Scalar.from_rational(-factor)
     for i, j in family.pairs():
-        terms = [{} for _ in range(g.n)]
+        terms: dict[int, Terms] = {}
         x, y = columns[i - 1], columns[j - 1]
         for a, xa in x:
             for b, yb in y:
                 for k, c in table.get((a + 1, b + 1), ()):
-                    add_product(terms[k], c, xa, yb)
+                    add_product(terms.setdefault(k, {}), c, xa, yb)
         for m, f in enumerate(family.entries.get((i, j), ())):
             if f._terms:
                 for k, gkm in columns[m]:
-                    add_product(terms[k], minus_factor, f, gkm)
-        yield (i, j), tuple(from_terms(t) if t else ZERO for t in terms)
+                    add_product(terms.setdefault(k, {}), minus_factor, f, gkm)
+        if residual := _nonzero(terms):
+            yield (i, j), residual
 
 
 def _eq1_residuals(cleared, certificate):
-    """(pair, mu_1(g e_i, g e_j) - g(family(e_i, e_j))) on all basis pairs,
-    from the cleared family (M, M*mu_1, M*family) of :func:`_clear_family`
-    and the cleared certificate (L, L*g) of :func:`_cleared_certificate`.
+    """(pair, {k: residual component}) of mu_1(g e_i, g e_j) -
+    g(family(e_i, e_j)) for the pairs and components where it is not zero,
+    as :func:`_residual_columns` yields them, from the cleared family
+    (M, M*mu_1, M*family) of :func:`_clear_family` and the cleared
+    certificate (L, L*g) of :func:`_cleared_certificate`.
 
     Computed on M*mu_1, M*family and L*g with factor L, where each residual is
-    M*L^2 times the true one, and divided back.
+    M*L^2 times the true one; only the components received are divided back.
     """
     scale_mu, mu1, family = cleared
     scale_g, g = certificate
     back = Fraction(1, scale_mu * scale_g ** 2)
     for pair, residual in _residual_columns(mu1, family, g, scale_g):
-        yield pair, tuple(s.scaled(back) if s._terms else s for s in residual)
+        yield pair, {k: s.scaled(back) for k, s in residual.items()}
 
 
 def limit_check(mu_t: StructureConstants, mu: StructureConstants) -> bool:
@@ -515,12 +526,15 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
             - family(e_i, e_j)[col] e_row
 
     with family = mu_t (mu_{1/t} if ``reciprocal``); x^2 would need
-    i == j == col.  The unique common solution is returned,
-    found by exact division.  Raises :class:`InvalidSpec` if the equations
-    are inconsistent or leave the cell unconstrained, i.e. if a single-cell
-    correction cannot exist, or if mu_D cannot be built (see _BUILD_CHECKS);
-    a cell outside g is refused before that, and a g whose size is not mu's
-    dimension first of all, with :class:`DimensionMismatch`.
+    i == j == col.  mu_1(e_row, g_0 e_m) = sum_b g_0[b, m] mu_1(e_row, e_b)
+    is read off row ``row`` of mu_1's table.  Each pair's components where
+    the slope or the offset is nonzero are visited in increasing k, and the
+    unique common solution is returned, found by exact division.  Raises
+    :class:`InvalidSpec` if the equations are inconsistent or leave the cell
+    unconstrained, i.e. if a single-cell correction cannot exist, or if mu_D
+    cannot be built (see _BUILD_CHECKS); a cell outside g is refused before
+    that, and a g whose size is not mu's dimension first of all, with
+    :class:`DimensionMismatch`.
     """
     if g.n != mu.dim:
         raise DimensionMismatch("dimensions of brackets and matrix differ")
@@ -535,21 +549,27 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     rows[row - 1][col - 1] = ZERO
     # on the cleared objects, offsets are M*L^2 and slopes M*L times the true ones
     scale_g, g0 = _cleared_certificate(ScalarMatrix(tuple(map(tuple, rows))))
-    e_row = tuple(ONE if k == row - 1 else ZERO for k in range(g.n))
-    # mu_1(e_row, g_0 e_m) for every basis index m other than col
-    cross = {m: mu1.bracket_eval(e_row, g0.column(m - 1))
-             for m in range(1, g.n + 1) if m != col}
+    table, columns = mu1.table, g0.nonzero_columns
+    # mu_1(e_row, g_0 e_m) = sum_b g_0[b, m] mu_1(e_row, e_b), for every m other than col
+    cross = {}
+    for m in range(1, g.n + 1):
+        if m != col:
+            terms: dict[int, Terms] = {}
+            for b, gbm in columns[m - 1]:
+                for k, c in table.get((row, b + 1), ()):
+                    add_product(terms.setdefault(k, {}), ONE, gbm, c)
+            cross[m] = _nonzero(terms)
+    residuals = dict(_residual_columns(mu1, family, g0, scale_g))
     solution = None
-    for (i, j), offsets in _residual_columns(mu1, family, g0, scale_g):
-        if i == col:
-            slopes = list(cross[j])
-        elif j == col:
-            slopes = [-s for s in cross[i]]
-        else:
-            slopes = [ZERO] * g.n
-        slopes[row - 1] -= family.bracket(i, j)[col - 1].scaled(scale_g)
-        for k, (offset, slope) in enumerate(zip(offsets, slopes), start=1):
-            key = (i, j, k)
+    for i, j in family.pairs():
+        slopes = (dict(cross[j]) if i == col else
+                  {k: -s for k, s in cross[i].items()} if j == col else {})
+        if (f := family.bracket(i, j)[col - 1])._terms:
+            slopes[row - 1] = slopes.get(row - 1, ZERO) - f.scaled(scale_g)
+        offsets = residuals.get((i, j), {})
+        for k in sorted(slopes.keys() | offsets.keys()):
+            offset, slope = offsets.get(k, ZERO), slopes.get(k, ZERO)
+            key = (i, j, k + 1)
             if not slope._terms:
                 if offset._terms:
                     raise InvalidSpec(

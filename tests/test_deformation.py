@@ -353,7 +353,8 @@ def test_eq1_residuals_expand_like_sympy(corpus):
     certified table in both errata modes, from the loaded brackets, the
     diagonal D and the certificate alone (mu_D, mu_t, mu_1 and the family
     mu_t, or mu_{1/t}, are rebuilt in sympy), and gets each component of
-    _eq1_residuals; verbatim mu08 has exactly three nonzero components."""
+    _eq1_residuals on every pair, 0 where the kernel omits the pair or the
+    component; verbatim mu08 has exactly three nonzero components."""
     sympy = pytest.importorskip("sympy")
     t, alpha = sympy.symbols("t alpha")
 
@@ -384,8 +385,10 @@ def test_eq1_residuals_expand_like_sympy(corpus):
             mu1 = {pair: value(*pair, 1) for pair in combinations(range(1, dim + 1), 2)}
             mu_t = check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
                                      ScalarMatrix.diagonal(block.diagonal)).mu_t
-            for (i, j), residual in _eq1_residuals(_clear_family(mu_t, reciprocal),
-                                                   _cleared_certificate(g)):
+            residuals = dict(_eq1_residuals(_clear_family(mu_t, reciprocal),
+                                            _cleared_certificate(g)))
+            for i, j in combinations(range(1, dim + 1), 2):
+                residual = residuals.get((i, j), {})
                 rhs = value(i, j, family_t)
                 for k in range(dim):
                     expected = -sum((G[k][m] * rhs[m] for m in range(dim)), sympy.Integer(0))
@@ -394,7 +397,7 @@ def test_eq1_residuals_expand_like_sympy(corpus):
                             expected += (G[a - 1][i - 1] * G[b - 1][j - 1]
                                          - G[b - 1][i - 1] * G[a - 1][j - 1]) * column[k]
                     expected = sympy.expand(expected)
-                    assert sympy.expand(expected - as_sympy(residual[k])) == 0, \
+                    assert sympy.expand(expected - as_sympy(residual.get(k, ZERO))) == 0, \
                         (name, corrected, (i, j, k + 1))
                     if expected != 0:
                         nonzero.setdefault((name, corrected), []).append((i, j, k + 1))
@@ -430,16 +433,32 @@ def oracle_eq1_residuals(mu_t, g, reciprocal):
     return reference_eq1_residuals(mu_t.eval_t(1), mu_t.invert_t() if reciprocal else mu_t, g)
 
 
+def assert_sparse_oracle(residuals, mu_t, g, reciprocal, label=None):
+    """The kernel yields exactly the oracle's nonzero pairs, in order, each
+    with the oracle's nonzero components in increasing k and no zero Scalar;
+    every pair it omits is zero in the oracle."""
+    oracle = list(oracle_eq1_residuals(mu_t, g, reciprocal))
+    assert [pair for pair, _ in residuals] == [
+        pair for pair, column in oracle if not column_is_zero(column)], label
+    yielded = dict(residuals)
+    for pair, column in oracle:
+        sparse_column = yielded.get(pair, {})
+        assert list(sparse_column) == sorted(sparse_column), (label, pair)
+        assert all(s._terms for s in sparse_column.values()), (label, pair)
+        assert tuple(sparse_column.get(k, ZERO) for k in range(len(column))) == column, \
+            (label, pair)
+
+
 def test_eq1_residuals_match_the_unscaled_oracle(corpus):
     """The eq1 kernel runs on M*mu_1, M*family and L*g, with the g(family)
     term times L, and divides the nonzero residuals by M*L^2; the oracle runs
-    on the objects as they are."""
+    on the objects as they are, on every pair."""
     nonzero = 0
     for label, mu_t, reciprocal, g in eq1_cases(corpus):
         residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal),
                                         _cleared_certificate(g)))
-        assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal)), label
-        nonzero += sum(not column_is_zero(residual) for _, residual in residuals)
+        assert_sparse_oracle(residuals, mu_t, g, reciprocal, label)
+        nonzero += len(residuals)
     assert nonzero > len(RESIDUAL_CORRUPTIONS)
 
 
@@ -484,8 +503,9 @@ def eq1_inputs(draw):
 def test_eq1_kernel_matches_the_oracle_on_random_inputs(inputs):
     mu_t, reciprocal, g = inputs
     residuals = list(_eq1_residuals(_clear_family(mu_t, reciprocal), _cleared_certificate(g)))
-    assert residuals == list(oracle_eq1_residuals(mu_t, g, reciprocal))
-    assert all(c for _, residual in residuals for s in residual for c in s._terms.values())
+    assert_sparse_oracle(residuals, mu_t, g, reciprocal)
+    assert all(c for _, residual in residuals for s in residual.values()
+               for c in s._terms.values())
 
 
 def test_the_family_is_cleared_in_one_scaling_pass_as_the_oracle(corpus):
@@ -1228,3 +1248,41 @@ def test_slope_solve_agrees_with_two_evaluations(tables):
     assert seen.count("value") == 8 * len(tables)
     for fragment in ("is unconstrained", "does not involve cell", "are inconsistent"):
         assert any(fragment in outcome for outcome in seen), fragment
+
+
+def test_a_slope_with_an_alpha_factor_leaves_no_laurent_solution(tables):
+    """mu06 with g[5, 1] raised by 1, solved at cell (4, 2): component
+    (1, 2, 4) gives the candidate 0, then (1, 2, 6) has the alpha-free offset
+    -t and the slope -(alpha + 2)*t, which does not divide it in
+    Q[alpha][t, 1/t].  The slope solve and the two-evaluation oracle agree."""
+    data = tables["mu06"]
+    corrupted = with_cells(data.g, {(5, 1): data.g.rows[4][0] + ONE})
+    message = "residual at (1, 2, 6) has no Laurent solution"
+    assert solve_outcomes(data, corrupted, (4, 2)) == [("InvalidSpec", message)] * 2
+
+
+def test_a_solve_is_one_residual_pass_and_no_bracket_eval(tables, monkeypatch):
+    """The offsets come from one _residual_columns pass and the slopes from
+    rows of mu_1's table: no Cochain2.bracket_eval, on a solved cell, a
+    refused one and the bundled mu08 correction."""
+    import filicert.deformation as deformation
+
+    passes, evaluations = [], []
+    residual_columns = deformation._residual_columns
+    monkeypatch.setattr(deformation, "_residual_columns",
+                        lambda *args: passes.append(args) or residual_columns(*args))
+    bracket_eval = Cochain2.bracket_eval
+    monkeypatch.setattr(Cochain2, "bracket_eval",
+                        lambda *args: evaluations.append(args) or bracket_eval(*args))
+    mu17, mu08 = tables["mu17"], tables["mu08"]
+    unfixable = with_cells(mu17.g, {(7, 3): ZERO, (8, 3): ZERO})
+    for data, g, cell in ((mu17, mu17.g, (7, 3)), (mu17, unfixable, (7, 3)),
+                          (mu08, with_cells(mu08.g, {(2, 4): -mu08.g.rows[1][3]}), (2, 4))):
+        passes.clear()
+        try:
+            solve_certificate_cell(data.mu, data.ideal, data.outside, data.derivation, g, cell,
+                                   reciprocal=data.reciprocal)
+        except InvalidSpec:
+            assert g is unfixable
+        assert len(passes) == 1, cell
+    assert evaluations == []
