@@ -4,12 +4,12 @@ The bundled mu08 table is transcribed verbatim from its source, and verbatim
 it fails the degeneration identity in exactly three residual components.
 Because each residual is affine in any single matrix entry, the failing
 cells overdetermine the fix; solving the residual equations recovers the
-corrected entry, which is bundled as an erratum and applied only on request.
+corrected entry, which is bundled as an erratum and applied by apply_errata.
 Run me with:  python demos/03_localize_and_correct.py
 """
 
-from filicert import (ScalarMatrix, SubspaceSpec, certificate_matrix, deform,
-                      go_cocycle, DeformationSpec, load_corpus,
+from filicert import (ScalarMatrix, SubspaceSpec, apply_errata, certificate_matrix,
+                      deform, go_cocycle, DeformationSpec, load_corpus,
                       structure_constants, verify_degeneration)
 from filicert.deformation import solve_certificate_cell
 
@@ -22,7 +22,7 @@ derivation = ScalarMatrix.diagonal(block.diagonal)
 mu_t = deform(mu, go_cocycle(DeformationSpec(mu, ideal, block.outside, derivation)))
 
 print("verbatim transcription:")
-g = certificate_matrix(alg, corrected=False)
+g = certificate_matrix(alg)
 report = verify_degeneration(mu_t, g, reciprocal=True)
 for failure in report.stages["eq1"].failures:
     for k, value in enumerate(failure.residual, 1):
@@ -40,7 +40,7 @@ erratum = alg.errata[0]
 print(f"  entry = {erratum.target}")
 print(f"  corrected = {erratum.corrected}")
 
-g_fixed = certificate_matrix(alg, corrected=True)
+g_fixed = certificate_matrix(apply_errata(alg))
 report = verify_degeneration(mu_t, g_fixed, reciprocal=True)
 print("\ncorrected transcription: eq1",
       "pass" if report.stages["eq1"].ok else "FAIL")

@@ -1,13 +1,14 @@
 """Batch driver: verify the catalog, run the invariant suite, emit reports.
 
 One driver serves every command.  `main` parses the arguments and rejects
-bad usage; `_run` loads the catalog once, resolves the names and builds the
-sections that `SECTIONS` gives the command: the certificate section
-(`verify_algebra` over the names, each distinct deformation checked once)
-and the invariant section (`invariant_records` per name), each rendered in
-the chosen format.  A command that prints both (`report`) heads each with a
-``==`` line in text format.  `counterexample` has its own producer,
-`counterexample_lines`.
+bad usage; `_run` loads the catalog once, resolves the names and reads each
+table once, in the chosen errata variant, into the file and its bracket.  It
+hands them to the sections that `SECTIONS` gives the command: the
+certificate section (`verify_algebra` over the names, each distinct
+deformation checked once) and the invariant section (`invariant_records` per
+name), each rendered in the chosen format.  A command that prints both
+(`report`) heads each with a ``==`` line in text format.  `counterexample`
+has its own producer, `counterexample_lines`.
 
 Exit codes are a function of report content only: 0 when everything asserted
 holds, 1 on any verification failure, 2 on input or usage errors.  Output is
@@ -29,8 +30,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from ._record import Record
-from .dataio import (AlgebraFile, MAX_DIGITS, VERIFIED_NAMES, apply_errata,
-                     certificate_matrix, compact, load_corpus, structure_constants)
+from .dataio import (AlgebraFile, DeformationBlock, MAX_DIGITS, VERIFIED_NAMES,
+                     apply_errata, certificate_matrix, compact, load_corpus,
+                     structure_constants)
 from .deformation import (DeformationSpec, VerificationReport, check_deformation,
                           counterexample_spec, deform, go_cocycle,
                           run_certificate_checks)
@@ -38,7 +40,7 @@ from .errors import FilicertError, InvalidSpec
 from .invariants import (RationalAlgebra, center_dim, derivation_algebra,
                          derived_series, filiform_profile,
                          is_characteristically_nilpotent, lower_central_series)
-from .lie import SubspaceSpec, column_is_zero
+from .lie import StructureConstants, SubspaceSpec, column_is_zero
 from .linalg import ScalarMatrix
 
 DEFAULT_ALPHA_SAMPLES = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
@@ -109,18 +111,20 @@ def _joined(values) -> str:
     return ",".join(str(value) for value in values)
 
 
-def verify_algebra(alg: AlgebraFile, corrected: bool, checked: dict) -> VerificationReport:
-    """Run the full pipeline for one catalog entry.  Its deformation is
-    checked only if `checked`, keyed by content, does not hold it yet.  The
-    errata are applied once, for the bracket and the certificate."""
-    source = apply_errata(alg) if corrected else alg
-    mu, g = structure_constants(source), certificate_matrix(source)
+def _deformation(block: DeformationBlock) -> tuple[SubspaceSpec, int, ScalarMatrix]:
+    """A [deformation] block as the ideal, the outside index and D."""
+    return SubspaceSpec(block.ideal), block.outside, ScalarMatrix.diagonal(block.diagonal)
+
+
+def verify_algebra(alg: AlgebraFile, mu: StructureConstants, checked: dict) -> VerificationReport:
+    """Run the full pipeline for one catalog entry and its bracket `mu`.  Its
+    deformation is checked only if `checked`, keyed by content, does not
+    hold it yet."""
     block, reciprocal = alg.deformation, alg.certificate_parameter == "1/t"
     key = (mu.dim, frozenset(mu.entries.items()), mu.params, block, reciprocal)
     if key not in checked:
-        checked[key] = check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
-                                         ScalarMatrix.diagonal(block.diagonal), reciprocal)
-    return run_certificate_checks(alg.name, checked[key], g)
+        checked[key] = check_deformation(mu, *_deformation(block), reciprocal)
+    return run_certificate_checks(alg.name, checked[key], certificate_matrix(alg))
 
 
 def _failure_details(failure) -> list[tuple]:
@@ -178,16 +182,13 @@ class InvariantRecord(Record):
         self.label = label  # the sample coordinates, e.g. "alpha=2" or "t=1;alpha=2"
 
 
-def invariant_records(alg: AlgebraFile, corrected: bool, alpha_samples: tuple[Fraction, ...],
+def invariant_records(alg: AlgebraFile, mu: StructureConstants,
+                      alpha_samples: tuple[Fraction, ...],
                       t_samples: tuple[Fraction, ...]) -> list[InvariantRecord]:
-    """The invariant verdicts of one entry: five per alpha sample (alpha
-    only if the entry declares it), and two more for each t sample of the
-    deformed family mu_t."""
-    mu = structure_constants(alg, corrected=corrected)
-    block = alg.deformation
-    spec = DeformationSpec(mu, SubspaceSpec(block.ideal), block.outside,
-                           ScalarMatrix.diagonal(block.diagonal))
-    mu_t = deform(mu, go_cocycle(spec))
+    """The invariant verdicts of one entry and its bracket `mu`: five per
+    alpha sample (alpha only if the entry declares it), and two more for
+    each t sample of the deformed family mu_t."""
+    mu_t = deform(mu, go_cocycle(DeformationSpec(mu, *_deformation(alg.deformation))))
     rows = []  # (stage, label, ok, detail)
     for alpha in alpha_samples if "alpha" in alg.params else (None,):
         base_label = "alpha=-" if alpha is None else f"alpha={alpha}"
@@ -237,11 +238,9 @@ def render_invariants_machine(records: list[InvariantRecord]) -> list[str]:
 # -- counterexample ----------------------------------------------------------
 
 
-def counterexample_lines(corpus: dict[str, AlgebraFile], corrected: bool,
+def counterexample_lines(mu: StructureConstants,
                          t_samples: tuple[Fraction, ...]) -> tuple[list[str], bool]:
-    if "mu17" not in corpus:
-        raise UsageError("unknown algebra 'mu17'")
-    mu = structure_constants(corpus["mu17"], corrected=corrected)
+    """The lines on mu17's bracket `mu`, and whether its deformation is valid."""
     spec = counterexample_spec(mu)
     checked = check_deformation(mu, spec.ideal, spec.outside_index, spec.derivation)
     for stage in ("ideal", "derivation"):
@@ -278,24 +277,32 @@ def _run(args: argparse.Namespace) -> int:
     """Load the catalog once, build and render what the command prints, write
     it to stdout or to --output; the exit code."""
     corpus = load_corpus(args.data)
-    corrected = args.errata == "corrected"
+
+    def read(name: str) -> tuple[AlgebraFile, StructureConstants]:
+        """A table in the chosen errata variant, and its bracket."""
+        alg = apply_errata(corpus[name]) if args.errata == "corrected" else corpus[name]
+        return alg, structure_constants(alg)
+
     t_samples = tuple(args.t or DEFAULT_T_SAMPLES)
     if args.command == "counterexample":
-        lines, ok = counterexample_lines(corpus, corrected, t_samples)
+        if "mu17" not in corpus:
+            raise UsageError("unknown algebra 'mu17'")
+        lines, ok = counterexample_lines(read("mu17")[1], t_samples)
     else:
         certificates, invariants = SECTIONS[args.command]
         names = _resolve_names(corpus, args.names, need_certificate=certificates)
+        tables = [read(name) for name in names]
         machine = args.report_format == "machine"
         sections, ok = [], True
         if certificates:
             checked: dict = {}
-            reports = [verify_algebra(corpus[name], corrected, checked) for name in names]
+            reports = [verify_algebra(alg, mu, checked) for alg, mu in tables]
             ok = all(r.passed for r in reports)
             sections.append((render_verify_machine if machine else render_verify_text)(reports))
         if invariants:
             alpha_samples = tuple(args.alpha or DEFAULT_ALPHA_SAMPLES)
-            groups = [(name, invariant_records(corpus[name], corrected, alpha_samples,
-                                               t_samples)) for name in names]
+            groups = [(alg.name, invariant_records(alg, mu, alpha_samples, t_samples))
+                      for alg, mu in tables]
             records = [r for _, group in groups for r in group]
             ok = ok and all(r.ok for r in records)
             sections.append(render_invariants_machine(records) if machine else

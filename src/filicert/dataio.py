@@ -62,13 +62,14 @@ on anything but a bare ``t`` counts before any error inside its base;
 parentheses do not matter, so ``(t)^-1`` is bare and ``(1*t)^-1`` is not.
 Parentheses nested more than ``MAX_NESTING`` deep are a syntax error.
 
-Loading validates every structural invariant; errata are stored but applied
-only when the corrected variant is requested explicitly.  An error in an
-evaluated text starts with ``<file>:<line>:`` like a structural one, and the
-column of a syntax error counts from the start of that line.  Within one
-load_corpus call each distinct text is parsed once: every file that repeats
-it under the same parameters, basis prefix and dim shares the result, which
-no later call sees.  A failing text is parsed again, so it fails at its line.
+Loading validates every structural invariant and reads each value with its
+line.  Errata are stored; `apply_errata` returns the corrected variant, read
+like the verbatim one.  An error in an evaluated text starts with
+``<file>:<line>:`` like a structural one, and the column of a syntax error
+counts from the start of that line.  Within one load_corpus call each
+distinct text is parsed once: every file that repeats it under the same
+parameters, basis prefix and dim shares the result, which no later call
+sees.  A failing text is parsed again, so it fails at its line.
 """
 
 from __future__ import annotations
@@ -547,17 +548,16 @@ class AlgebraFile:
 
 def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     """Parse and fully validate one algebra definition."""
-    header: dict[str, str] = {}
-    basis_rows: dict[int, str] = {}
-    deformation_rows: dict[str, str] = {}
-    certificate_parameter = "t"
+    # every value is kept as (value, line number)
+    header: dict[str, tuple[str, int]] = {}
+    basis_rows: dict[int, tuple[str, int]] = {}
+    deformation_rows: dict[str, tuple[str, int]] = {}
+    parameter: tuple[str, int] | None = None
     # "i j"-keyed sections: section -> the key's leading word, and its cells
-    # (i, j) -> (value, line number)
     words = {"brackets": "bracket", "certificate": "g", "derivation": "d"}
     cells: dict[str, dict[tuple[int, int], tuple[str, int]]] = {
         word: {} for word in words.values()}
-    errata_groups: list[dict[str, str]] = []
-    line_of: dict = {}
+    errata_groups: list[dict[str, tuple[str, int]]] = []
 
     section = word = None
     seen_sections = set()
@@ -586,31 +586,27 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
                 raise ValidationError(f"{source}:{line_number}: unknown header key {key!r}")
             if key in header:
                 raise ValidationError(f"{source}:{line_number}: duplicate header key {key!r}")
-            header[key] = value
-            line_of[("algebra", key)] = line_number
+            header[key] = value, line_number
         elif section == "basis-change":
             if not (key.startswith("Y") and _is_digits(key[1:])):
                 raise ValidationError(f"{source}:{line_number}: expected 'Y<i> = ...'")
             index = int(key[1:])
             if index in basis_rows:
                 raise ValidationError(f"{source}:{line_number}: duplicate row for {key}")
-            basis_rows[index] = value
-            line_of[("basis", index)] = line_number
+            basis_rows[index] = value, line_number
         elif section == "deformation":
             if key not in ("ideal", "outside", "D"):
                 raise ValidationError(f"{source}:{line_number}: unknown deformation key {key!r}")
             if key in deformation_rows:
                 raise ValidationError(f"{source}:{line_number}: duplicate key {key!r}")
-            deformation_rows[key] = value
-            line_of[("deformation", key)] = line_number
+            deformation_rows[key] = value, line_number
         elif section == "certificate" and key == "parameter":
-            if ("certificate", "parameter") in line_of:
+            if parameter is not None:
                 raise ValidationError(f"{source}:{line_number}: duplicate key 'parameter'")
             if value not in ("t", "1/t"):
                 raise ValidationError(
                     f"{source}:{line_number}: parameter must be 't' or '1/t'")
-            certificate_parameter = value
-            line_of[("certificate", "parameter")] = line_number
+            parameter = value, line_number
         elif word is not None:
             parts = key.split()
             if len(parts) != 3 or parts[0] != word:
@@ -629,18 +625,14 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
             if key not in ("entry", "original", "corrected", "note"):
                 raise ValidationError(f"{source}:{line_number}: unknown errata key {key!r}")
             if key == "entry":
-                errata_groups.append({"entry": value})
-            else:
-                if not errata_groups:
-                    raise ValidationError(
-                        f"{source}:{line_number}: {key!r} before any 'entry'")
-                if key in errata_groups[-1]:
-                    raise ValidationError(f"{source}:{line_number}: duplicate {key!r}")
-                errata_groups[-1][key] = value
-            line_of[("errata", len(errata_groups), key)] = line_number
+                errata_groups.append({})
+            elif not errata_groups:
+                raise ValidationError(f"{source}:{line_number}: {key!r} before any 'entry'")
+            elif key in errata_groups[-1]:
+                raise ValidationError(f"{source}:{line_number}: duplicate {key!r}")
+            errata_groups[-1][key] = value, line_number
 
-    def fail(key, message):
-        line = line_of.get(key, 0)
+    def fail(line, message):
         return ValidationError(f"{source}:{line}: {message}")
 
     def evaluate(finish, value, params, prefix, line, skip=0):
@@ -663,16 +655,17 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     for required in ("name", "dim"):
         if required not in header:
             raise ValidationError(f"{source}: missing header key {required!r}")
-    name = header["name"]
+    name = header["name"][0]
     if not name:
         raise ValidationError(f"{source}: empty algebra name")
-    dim_text = header["dim"]
+    dim_text, line = header["dim"]
     if not (dim_text.isdecimal() and len(dim_text) <= 4 and 1 <= int(dim_text) <= MAX_DIM):
-        raise fail(("algebra", "dim"), f"dim must be an integer from 1 to {MAX_DIM}")
+        raise fail(line, f"dim must be an integer from 1 to {MAX_DIM}")
     dim = int(dim_text)
-    params = tuple(header.get("params", "").split())
+    params_text, line = header.get("params", ("", 0))
+    params = tuple(params_text.split())
     if not set(params) <= {"alpha"}:
-        raise fail(("algebra", "params"), "params may only declare 'alpha'")
+        raise fail(line, "params may only declare 'alpha'")
     # what brackets and certificate cells may use; the other values use nothing
     declared = frozenset(params)
     with_t = declared | {"t"}
@@ -681,11 +674,10 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
     basis_change = None
     if "basis-change" in seen_sections:
         basis_change = {}
-        for index, value in basis_rows.items():
+        for index, (value, line) in basis_rows.items():
             if not 1 <= index <= dim:
-                raise fail(("basis", index), f"basis index Y{index} out of range")
-            basis_change[index] = evaluate(_to_rationals, value, _NO_PARAMS, "X",
-                                           line_of[("basis", index)])
+                raise fail(line, f"basis index Y{index} out of range")
+            basis_change[index] = evaluate(_to_rationals, value, _NO_PARAMS, "X", line)
 
     # -- brackets ----------------------------------------------------------
     brackets = None
@@ -703,26 +695,26 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
         for required in ("ideal", "outside", "D"):
             if required not in deformation_rows:
                 raise ValidationError(f"{source}: missing deformation key {required!r}")
-        ideal_parts = deformation_rows["ideal"].split()
+        ideal_text, line = deformation_rows["ideal"]
+        ideal_parts = ideal_text.split()
         if not ideal_parts or not all(_is_digits(p) for p in ideal_parts):
-            raise fail(("deformation", "ideal"), "ideal must list basis indices")
+            raise fail(line, "ideal must list basis indices")
         ideal = tuple(int(p) for p in ideal_parts)
         if len(set(ideal)) != len(ideal) or not all(1 <= k <= dim for k in ideal):
-            raise fail(("deformation", "ideal"), "ideal indices must be distinct and in range")
-        outside_text = deformation_rows["outside"]
+            raise fail(line, "ideal indices must be distinct and in range")
+        outside_text, line = deformation_rows["outside"]
         if not _is_digits(outside_text) or not 1 <= int(outside_text) <= dim:
-            raise fail(("deformation", "outside"), "outside must be a basis index")
+            raise fail(line, "outside must be a basis index")
         outside = int(outside_text)
         if outside in ideal:
-            raise fail(("deformation", "outside"),
-                       f"outside = {outside} lies inside the ideal "
-                       f"({' '.join(str(k) for k in ideal)})")
-        diag_line = line_of[("deformation", "D")]
-        diagonal = tuple(evaluate(_to_scalar, p.group(), _NO_PARAMS, None, diag_line,
+            raise fail(line, f"outside = {outside} lies inside the ideal "
+                             f"({' '.join(str(k) for k in ideal)})")
+        diagonal_text, line = deformation_rows["D"]
+        diagonal = tuple(evaluate(_to_scalar, p.group(), _NO_PARAMS, None, line,
                                   p.start()).constant_value()
-                         for p in re.finditer(r"\S+", deformation_rows["D"]))
+                         for p in re.finditer(r"\S+", diagonal_text))
         if len(diagonal) != len(ideal):
-            raise fail(("deformation", "D"), "D must list one rational per ideal index")
+            raise fail(line, "D must list one rational per ideal index")
         deformation = DeformationBlock(ideal, outside, diagonal)
 
     def square_cells(word, what):
@@ -743,30 +735,29 @@ def parse_algebra(text: str, source: str = "<string>") -> AlgebraFile:
 
     # -- errata --------------------------------------------------------------
     errata = []
-    for number, group in enumerate(errata_groups, start=1):
-        target = group["entry"]
+    for group in errata_groups:
+        target, line = group["entry"]
         parts = target.split()
         if not (len(parts) == 3 and parts[0] in ("g", "bracket")
                 and all(_is_digits(p) and 1 <= int(p) <= dim for p in parts[1:])):
-            raise fail(("errata", number, "entry"), f"bad errata target {target!r}")
+            raise fail(line, f"bad errata target {target!r}")
         kind, block = (("brackets", brackets) if parts[0] == "bracket"
                        else ("certificate", certificate))
         if block is None:
-            raise fail(("errata", number, "entry"), f"erratum for {target!r} but no {kind}")
-        corrected = group.get("corrected")
+            raise fail(line, f"erratum for {target!r} but no {kind}")
+        corrected, line = group.get("corrected", (None, 0))
         if corrected is not None:
-            line = line_of[("errata", number, "corrected")]
             if parts[0] == "bracket":
                 evaluate(_to_column, corrected, declared, "Y", line)
             else:
                 evaluate(_to_scalar, corrected, with_t, None, line)
-        errata.append(Erratum(target, group.get("original"), corrected,
-                              group.get("note", "")))
+        errata.append(Erratum(target, group.get("original", (None,))[0], corrected,
+                              group.get("note", ("",))[0]))
 
     return AlgebraFile(name=name, dim=dim, params=params,
                        basis_change=basis_change, brackets=brackets,
                        deformation=deformation, certificate=certificate,
-                       certificate_parameter=certificate_parameter,
+                       certificate_parameter=parameter[0] if parameter else "t",
                        derivation_meta=derivation_meta, errata=tuple(errata))
 
 
@@ -854,22 +845,21 @@ def apply_errata(alg: AlgebraFile) -> AlgebraFile:
     return replace(alg, brackets=brackets, certificate=certificate)
 
 
-def structure_constants(alg: AlgebraFile, corrected: bool = False) -> StructureConstants:
-    """The bracket defined by the file (verbatim or corrected variant)."""
-    source = apply_errata(alg) if corrected else alg
-    if source.brackets is None:
+def structure_constants(alg: AlgebraFile) -> StructureConstants:
+    """The bracket defined by the file as it is; pass `apply_errata(alg)`
+    for the corrected variant."""
+    if alg.brackets is None:
         raise ValidationError(f"{alg.name} has no bracket block")
-    return StructureConstants(source.dim, dict(source.brackets),
-                              frozenset(source.params), source.name)
+    return StructureConstants(alg.dim, dict(alg.brackets), frozenset(alg.params), alg.name)
 
 
-def certificate_matrix(alg: AlgebraFile, corrected: bool = False) -> ScalarMatrix:
-    """The dense certificate matrix g_t defined by the file."""
-    source = apply_errata(alg) if corrected else alg
-    if source.certificate is None:
+def certificate_matrix(alg: AlgebraFile) -> ScalarMatrix:
+    """The dense certificate matrix g_t defined by the file as it is; pass
+    `apply_errata(alg)` for the corrected variant."""
+    if alg.certificate is None:
         raise ValidationError(f"{alg.name} has no certificate block")
-    rows = [[ZERO] * source.dim for _ in range(source.dim)]
-    for (i, j), value in source.certificate.items():
+    rows = [[ZERO] * alg.dim for _ in range(alg.dim)]
+    for (i, j), value in alg.certificate.items():
         rows[i - 1][j - 1] = value
     return ScalarMatrix(tuple(tuple(row) for row in rows))
 

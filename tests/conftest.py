@@ -40,8 +40,8 @@ def tables(corpus) -> dict[str, TableData]:
     out = {}
     for name in fc.VERIFIED_NAMES:
         alg = corpus[name]
-        mu = fc.structure_constants(alg, corrected=True)
-        g = fc.certificate_matrix(alg, corrected=True)
+        corrected = fc.apply_errata(alg)
+        mu, g = fc.structure_constants(corrected), fc.certificate_matrix(corrected)
         block = alg.deformation
         ideal = SubspaceSpec(block.ideal)
         derivation = ScalarMatrix.diagonal(block.diagonal)

@@ -58,7 +58,7 @@ def test_criterion_1_degeneration_certificates(corpus, tables):
     # verbatim: nine tables pass, the tenth localizes the misprint exactly
     misprints = {}
     for name, data in tables.items():
-        verbatim_g = fc.certificate_matrix(corpus[name], corrected=False)
+        verbatim_g = fc.certificate_matrix(corpus[name])
         report = fc.verify_degeneration(data.mu_t, verbatim_g,
                                         reciprocal=data.reciprocal)
         if not report.stages["eq1"].ok:

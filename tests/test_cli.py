@@ -396,20 +396,30 @@ def test_verify_builds_each_spectrum_target_once_per_distinct_deformation(
 
 
 def test_verify_applies_the_errata_once_per_algebra(capsys, monkeypatch):
-    """In corrected mode verify applies each algebra's errata once, for its
-    bracket and its certificate together."""
+    """Every command, verify among them, applies each table's errata once in
+    corrected mode and never in verbatim mode, and builds each table's
+    bracket once: report shares them between its two sections."""
     import filicert.cli
     import filicert.dataio
 
     applied, apply_errata = [], filicert.dataio.apply_errata
+    built, structure_constants = [], filicert.dataio.structure_constants
     for module in (filicert.cli, filicert.dataio):
         monkeypatch.setattr(module, "apply_errata",
                             lambda alg: applied.append(alg.name) or apply_errata(alg))
-    assert run(capsys, "verify", "--all", "--errata", "corrected")[0] == 0
-    assert sorted(applied) == sorted(VERIFIED_NAMES)
-    applied.clear()
-    assert run(capsys, "verify", "--all")[0] == 1
-    assert applied == []
+        monkeypatch.setattr(module, "structure_constants",
+                            lambda alg, *args, **kwargs: built.append(alg.name)
+                            or structure_constants(alg, *args, **kwargs))
+    for argv, names in ((("verify", "--all"), VERIFIED_NAMES), (("invariants",), VERIFIED_NAMES),
+                        (("report", "--all"), VERIFIED_NAMES), (("counterexample",), ("mu17",))):
+        for errata in ("verbatim", "corrected"):
+            applied.clear()
+            built.clear()
+            code, _, err = run(capsys, *argv, "--errata", errata)
+            assert code in (0, 1) and err == "", (argv, errata)
+            assert sorted(applied) == (sorted(names) if errata == "corrected" else []), \
+                (argv, errata)
+            assert sorted(built) == sorted(names), (argv, errata)
 
 
 @pytest.mark.parametrize("argv", [("verify", "--all"), ("invariants", "mu06", "--alpha", "2"),

@@ -525,16 +525,45 @@ bracket 1 2 = alpha*Y3
 
 
 @pytest.mark.parametrize("name, line, old, new, message", [
+    ("mu11", 6, "dim = 8", "dim = 17", "dim must be an integer from 1 to 16"),
     ("mu11", 7, "params =", "params = beta", "params may only declare 'alpha'"),
+    ("mu11", 7, "params =", "name = mu11", "duplicate header key 'name'"),
+    ("mu11", 17, "Y8 = X2", "Y9 = X2", "basis index Y9 out of range"),
+    ("mu11", 17, "Y8 = X2", "Y2 = X2", "duplicate row for Y2"),
+    ("mu11", 32, "ideal = 2 3 4 5 6 7 8", "ideal = 2 3 x", "ideal must list basis indices"),
+    ("mu11", 32, "ideal = 2 3 4 5 6 7 8", "ideal = 2 3 4 5 6 7 7",
+     "ideal indices must be distinct and in range"),
+    ("mu11", 33, "outside = 1", "outside = 9", "outside must be a basis index"),
+    ("mu11", 33, "outside = 1", "outside = 2",
+     "outside = 2 lies inside the ideal (2 3 4 5 6 7 8)"),
+    ("mu11", 34, "D = 1 2 3 4 5 6 7", "D = 1 2 3", "D must list one rational per ideal index"),
+    ("mu11", 35, "", "D = 1", "duplicate key 'D'"),
     ("mu08", 70, "entry = g 2 4", "entry = g 2 99", "bad errata target 'g 2 99'"),
+    ("mu10", 59, "entry = g 5 2", "note = -", "'note' before any 'entry'"),
 ])
 def test_header_and_errata_errors_name_their_line(name, line, old, new, message):
+    """A one-line edit of a bundled file is rejected with its file, the
+    edited line and the message.  A duplicate 'note' is on a later line than
+    its edit (test_a_second_note_names_its_line), and an erratum whose block
+    is missing needs more than one line taken out
+    (test_an_erratum_for_a_block_the_file_lacks_is_a_load_error)."""
     lines = (data_dir() / name).read_text(encoding="utf-8").splitlines()
     assert lines[line - 1] == old
     lines[line - 1] = new
     with pytest.raises(ValidationError) as caught:
         parse_algebra("\n".join(lines), source=name)
     assert str(caught.value) == f"{name}:{line}: {message}"
+
+
+def test_a_second_note_names_its_line():
+    """mu10's erratum ends in a note on line 61; a note on line 60 makes it
+    the second one."""
+    lines = (data_dir() / "mu10").read_text(encoding="utf-8").splitlines()
+    assert lines[59] == "original = p{5}" and lines[60].startswith("note = ")
+    lines[59] = "note = -"
+    with pytest.raises(ValidationError) as caught:
+        parse_algebra("\n".join(lines), source="mu10")
+    assert str(caught.value) == "mu10:61: duplicate 'note'"
 
 
 @pytest.mark.parametrize("new, message", [
@@ -569,8 +598,8 @@ def test_missing_directory_rejected(tmp_path):
 
 def test_correction_applies_only_on_request(corpus):
     alg = corpus["mu08"]
-    verbatim = fc.certificate_matrix(alg, corrected=False)
-    corrected = fc.certificate_matrix(alg, corrected=True)
+    verbatim = fc.certificate_matrix(alg)
+    corrected = fc.certificate_matrix(fc.apply_errata(alg))
     assert verbatim.rows[1][3] == -corrected.rows[1][3]
     changed = [
         (i, j)

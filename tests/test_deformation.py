@@ -163,8 +163,8 @@ def test_every_catalog_d_grades_its_ideal(corpus):
     """Both errata modes: every bundled D passes, and the identity, which
     doubles no weight, does not."""
     for name in fc.VERIFIED_NAMES:
-        for corrected in (False, True):
-            mu = fc.structure_constants(corpus[name], corrected=corrected)
+        for corrected, variant in ((False, corpus[name]), (True, fc.apply_errata(corpus[name]))):
+            mu = fc.structure_constants(variant)
             block = corpus[name].deformation
             ideal = SubspaceSpec(block.ideal)
             for derivation, expected in ((ScalarMatrix.diagonal(block.diagonal), True),
@@ -195,12 +195,12 @@ def test_the_derivation_verdict_is_the_cocycle_verdict(corpus):
     the counterexample."""
     checked = []
     for name in fc.VERIFIED_NAMES:
-        for corrected in (False, True):
-            mu = fc.structure_constants(corpus[name], corrected=corrected)
+        for variant in (corpus[name], fc.apply_errata(corpus[name])):
+            mu = fc.structure_constants(variant)
             block = corpus[name].deformation
             checked.append(check_deformation(mu, SubspaceSpec(block.ideal), block.outside,
                                              ScalarMatrix.diagonal(block.diagonal)))
-    spec = counterexample_spec(fc.structure_constants(corpus["mu17"], corrected=False))
+    spec = counterexample_spec(fc.structure_constants(corpus["mu17"]))
     checked.append(check_deformation(spec.base, spec.ideal, spec.outside_index,
                                      spec.derivation))
     for deformation in checked:
@@ -251,7 +251,7 @@ def test_a_t_pole_in_d_fails_the_limit_stage(corpus):
     with the message limit_check raises, and check_deformation raises
     nothing."""
     alg = corpus["mu06"]
-    mu = fc.structure_constants(alg, corrected=True)
+    mu = fc.structure_constants(fc.apply_errata(alg))
     derivation = ScalarMatrix.diagonal([Scalar.t_power(-2)] * 7)
     checked = check_deformation(mu, SubspaceSpec(alg.deformation.ideal),
                                 alg.deformation.outside, derivation)
@@ -366,9 +366,8 @@ def test_eq1_residuals_expand_like_sympy(corpus):
     for name in fc.VERIFIED_NAMES:
         alg = corpus[name]
         block, reciprocal = alg.deformation, alg.certificate_parameter == "1/t"
-        for corrected in (False, True):
-            mu = fc.structure_constants(alg, corrected=corrected)
-            g = fc.certificate_matrix(alg, corrected=corrected)
+        for corrected, variant in ((False, alg), (True, fc.apply_errata(alg))):
+            mu, g = fc.structure_constants(variant), fc.certificate_matrix(variant)
             dim = mu.dim
             G = [[as_sympy(x) for x in row] for row in g.rows]
             weight = dict(zip(sorted(block.ideal), block.diagonal))
@@ -410,12 +409,12 @@ def eq1_cases(corpus):
     the single-cell corruptions of the residual-rendering pin, and mu11 with
     the non-integral D = diag(1/2, 2, ..., 7), whose phi has denominators."""
     def case(name, corrected, diagonal=None, cell=None):
-        alg = corpus[name]
+        alg = fc.apply_errata(corpus[name]) if corrected else corpus[name]
         block = alg.deformation
         mu_t = check_deformation(
-            fc.structure_constants(alg, corrected=corrected), SubspaceSpec(block.ideal),
+            fc.structure_constants(alg), SubspaceSpec(block.ideal),
             block.outside, ScalarMatrix.diagonal(diagonal or block.diagonal)).mu_t
-        g = fc.certificate_matrix(alg, corrected=corrected)
+        g = fc.certificate_matrix(alg)
         if cell:
             row, col, offset = cell
             g = with_cells(g, {(row, col): g.rows[row - 1][col - 1]
@@ -726,9 +725,10 @@ def certificate_cases(corpus):
     """(table, errata mode, certificate): the bundled ones in both modes, and
     the outside-row corruptions of the corrected ones."""
     for name in fc.VERIFIED_NAMES:
-        for corrected in (False, True):
-            yield name, corrected, fc.certificate_matrix(corpus[name], corrected=corrected)
-        g = fc.certificate_matrix(corpus[name], corrected=True)
+        corrected = fc.apply_errata(corpus[name])
+        yield name, False, fc.certificate_matrix(corpus[name])
+        yield name, True, fc.certificate_matrix(corrected)
+        g = fc.certificate_matrix(corrected)
         for h in outside_row_corruptions(g, corpus[name].deformation.outside):
             yield name, True, h
 
@@ -766,7 +766,7 @@ def test_unit_det_from_the_block_polynomial_is_the_determinant(corpus, monkeypat
             patch.setattr(linalg, "_berkowitz",
                           lambda rows: inputs.append(rows) or berkowitz(rows))
             deformation = check_deformation(
-                fc.structure_constants(alg, corrected=corrected),
+                fc.structure_constants(fc.apply_errata(alg) if corrected else alg),
                 SubspaceSpec(block.ideal), block.outside,
                 ScalarMatrix.diagonal(block.diagonal),
                 reciprocal=alg.certificate_parameter == "1/t")
@@ -863,8 +863,9 @@ def test_berkowitz_sees_only_cleared_cyclic_components(corpus, monkeypatch):
         inside = [k - 1 for k in block.ideal]
         i, j = next((i, j) for i in inside for j in inside
                     if i != j and not g.rows[i][j].is_zero())
-        checked = check_deformation(fc.structure_constants(corpus[name], corrected=corrected),
-                                    ideal, block.outside, ScalarMatrix.diagonal(block.diagonal))
+        variant = fc.apply_errata(corpus[name]) if corrected else corpus[name]
+        checked = check_deformation(fc.structure_constants(variant), ideal, block.outside,
+                                    ScalarMatrix.diagonal(block.diagonal))
         for h in (g, with_cell(g, j + 1, i + 1, Fraction(1, 3) * T)):
             try:
                 expected = reference_char_poly(_ideal_block(h, ideal))
@@ -1005,7 +1006,8 @@ def test_every_bundled_ideal_block_has_singleton_components_only(corpus):
     Berkowitz on the catalog; a table that breaks this is named."""
     for name in fc.VERIFIED_NAMES:
         for mode in ("verbatim", "corrected"):
-            g = fc.certificate_matrix(corpus[name], corrected=mode == "corrected")
+            g = fc.certificate_matrix(
+                fc.apply_errata(corpus[name]) if mode == "corrected" else corpus[name])
             block = _ideal_block(g, SubspaceSpec(corpus[name].deformation.ideal))
             assert linalg._cyclic_components(block.rows) == [], \
                 f"{name} ({mode}): its ideal block has a cyclic component"
@@ -1129,7 +1131,7 @@ def test_solver_reproduces_known_good_cell(tables):
 def test_solver_derives_the_bundled_correction(corpus, tables):
     alg = corpus["mu08"]
     data = tables["mu08"]
-    verbatim_g = fc.certificate_matrix(alg, corrected=False)
+    verbatim_g = fc.certificate_matrix(alg)
     derived = solve_certificate_cell(data.mu, data.ideal, 1, data.derivation,
                                      verbatim_g, (2, 4), reciprocal=True)
     assert derived == data.g.rows[1][3]

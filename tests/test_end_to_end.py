@@ -165,7 +165,7 @@ def der_bases_digest(corpus) -> str:
     digest = hashlib.sha256()
     for name in VERIFIED_NAMES:
         alg = corpus[name]
-        mu = structure_constants(alg, corrected=True)
+        mu = structure_constants(apply_errata(alg))
         for alpha in DEFAULT_ALPHA_SAMPLES if "alpha" in alg.params else (None,):
             dim, basis = derivation_algebra(RationalAlgebra.from_structure(mu, alpha=alpha))
             matrices = ";".join(" ".join(str(x) for row in matrix for x in row)
