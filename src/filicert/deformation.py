@@ -15,10 +15,11 @@ A diagonal derivation D = diag(d_i) of h is a Z-grading of h, and the last
 check reads it as one, in one pass over mu's nonzero structure constants
 (so no stage calls :func:`filicert.lie.is_derivation`).  mu_D is read off
 D's nonzero entries, and mu + t*mu_D adds t*mu_D to mu by shifting
-t-exponents on the pairs that mu_D reaches, with no Scalar products; mu_1
-rewrites only those pairs too, since a scalar with no t term is its own
-value at t = 1.  So the work per deformation is linear in the nonzero
-structure constants and in D's diagonal.
+t-exponents on the pairs that mu_D reaches, with no Scalar products
+(:func:`filicert.scalar.plus_t_times`); mu_1 rewrites only those pairs too,
+since a scalar with no t term is its own value at t = 1.  So the work per
+deformation is linear in the nonzero structure constants and in D's
+diagonal.
 
 A degeneration certificate for that deformation is a matrix family g_t with
 
@@ -44,12 +45,15 @@ Every residual is then exactly M*L^2 times the true one, so zero-ness is
 unchanged.  M*mu_1 and M*family are built once per deformation and kept on
 its :class:`CheckedDeformation`, in one scaling pass: mu_t is scaled by M,
 and M*mu_1 and M*mu_{1/t} are read off the scaled copy; a certificate scales
-only g, once.  The residuals are sparse: a component gets a term map only
-when a product reaches it, is made a Scalar once, and only the nonzero
-components of the pairs that have one are yielded and divided back.  The
-cell solver reads its offsets (M*L^2 times the true ones) off one such
-pass, and its slopes (M*L times) off one row of M*mu_1's table, so it
-solves for L times the cell and divides by L once.
+only g, once.  The residuals are sparse: mu_1(g e_i, g e_j) is summed by
+:func:`filicert.lie.add_bracket` over the nonzero entries of g's columns, a
+component gets a term map only when a product reaches it, is made a Scalar
+once, and only the nonzero components of the pairs that have one are
+yielded and divided back.  The cell solver reads its offsets (M*L^2 times
+the true ones) off one such pass, and its slopes (M*L times),
+mu_1(e_row, g_0 e_m), off one row of M*mu_1's table by the same
+add_bracket with x = e_row, so it solves for L times the cell and divides
+by L once.
 
 The limit stage checks that mu_t has no t-pole and that, on every pair
 either stores, the t^0 terms of each entry of mu_t are the terms of mu's
@@ -81,9 +85,10 @@ from functools import cached_property
 from ._record import FrozenRecord, Record
 from .errors import (DimensionMismatch, InvalidSpec, NegativeExponent,
                      NotInvariant)
-from .lie import Cochain2, StructureConstants, SubspaceSpec, is_ideal, jacobi_check
+from .lie import (Cochain2, StructureConstants, SubspaceSpec, add_bracket, is_ideal,
+                  jacobi_check)
 from .linalg import Column, ScalarMatrix, expand, factors_det
-from .scalar import ONE, ZERO, Scalar, Terms, add_product, from_terms
+from .scalar import ONE, ZERO, Scalar, Terms, add_product, from_terms, plus_t_times
 
 STAGES = ("jacobi", "ideal", "derivation", "cocycle", "bracket",
           "eq1", "unit-det", "limit", "spectrum")
@@ -171,15 +176,6 @@ def _build_cocycle(spec: DeformationSpec) -> Cochain2:
     return Cochain2._derived(dim, entries, spec.base.params | used, f"{spec.base.name}_D")
 
 
-def _plus_t_times(a: Scalar, b: Scalar) -> Scalar:
-    """a + t*b, with t*b formed by shifting the t-exponents of b's terms."""
-    terms = dict(a._terms)
-    for (e_t, e_alpha), coeff in b._terms.items():
-        key = (e_t + 1, e_alpha)
-        terms[key] = terms.get(key, 0) + coeff
-    return from_terms(terms)
-
-
 def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
     """The linear deformation mu + t*phi (exactly mu again at t = 0): mu's
     columns, with t*phi added on the pairs that phi reaches."""
@@ -188,8 +184,7 @@ def deform(mu: StructureConstants, phi: Cochain2) -> StructureConstants:
     entries = dict(mu.entries)
     for key, column in phi.entries.items():
         base = entries.get(key) or (ZERO,) * mu.dim
-        entries[key] = tuple(_plus_t_times(a, b) if b._terms else a
-                             for a, b in zip(base, column))
+        entries[key] = tuple(map(plus_t_times, base, column))
     return StructureConstants._derived(mu.dim, entries, mu.params | phi.params | {"t"},
                                        f"{mu.name}_t" if mu.name else "mu_t")
 
@@ -287,11 +282,7 @@ def _residual_columns(mu1: StructureConstants, family: StructureConstants,
     minus_factor = Scalar.from_rational(-factor)
     for i, j in family.pairs():
         terms: dict[int, Terms] = {}
-        x, y = columns[i - 1], columns[j - 1]
-        for a, xa in x:
-            for b, yb in y:
-                for k, c in table.get((a + 1, b + 1), ()):
-                    add_product(terms.setdefault(k, {}), c, xa, yb)
+        add_bracket(terms, table, columns[i - 1], columns[j - 1])
         for m, f in enumerate(family.entries.get((i, j), ())):
             if f._terms:
                 for k, gkm in columns[m]:
@@ -555,9 +546,7 @@ def solve_certificate_cell(mu: StructureConstants, ideal: SubspaceSpec,
     for m in range(1, g.n + 1):
         if m != col:
             terms: dict[int, Terms] = {}
-            for b, gbm in columns[m - 1]:
-                for k, c in table.get((row, b + 1), ()):
-                    add_product(terms.setdefault(k, {}), ONE, gbm, c)
+            add_bracket(terms, table, ((row - 1, ONE),), columns[m - 1])
             cross[m] = _nonzero(terms)
     residuals = dict(_residual_columns(mu1, family, g0, scale_g))
     solution = None

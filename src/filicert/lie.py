@@ -16,19 +16,24 @@ per cochain, :attr:`Cochain2.table`: (i, j) and (j, i) map to the nonzero
 entries of the column, negated for (j, i).  It is built on first use and
 cached in ``__dict__`` outside the record's fields, so == and repr are
 unchanged.
-bracket_eval and is_derivation visit every coordinate or basis pair but form
-exactly the nonzero products of the dense contraction, so every value is the
-dense one.  No check of a deformation calls is_derivation or restrict: its
-derivation stage reads a diagonal D as a grading of the ideal, in one pass
-over the nonzero structure constants (see :mod:`filicert.deformation`).
+The contraction sum_ab x_a y_b c_ab^k of two coordinate columns is written
+once, :func:`add_bracket`: it forms exactly the nonzero products of the
+dense contraction, from the nonzero coordinates and the table, into one term
+map per component (:func:`filicert.scalar.add_product`).  bracket_eval is
+one such sum, and so are the eq1 residuals and the cell solver's slopes in
+:mod:`filicert.deformation`.  is_derivation visits every basis pair but
+also forms only the nonzero products.  No check of a deformation calls
+is_derivation or restrict: its derivation stage reads a diagonal D as a
+grading of the ideal, in one pass over the nonzero structure constants.
 
 The Jacobi residual of a linear deformation mu + t*phi expands as
 J(mu) + t*dphi + t^2*J(phi): the Jacobi identity of mu, the cocycle
 condition on phi and the Jacobi identity of phi are the t^0, t^1 and t^2
 coefficients of one expansion, which :func:`jacobi_check` computes in one
-contraction of the structure constants.  It enumerates only the triples
-that some nonzero product reaches, so its cost follows the nonzero structure
-constants, not the C(n, 3) triples.
+contraction of the structure constants, one term map per (degree,
+component), and assembles into the residual by shifting t-exponents.  It
+enumerates only the triples that some nonzero product reaches, so its cost
+follows the nonzero structure constants, not the C(n, 3) triples.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from typing import Iterable, Mapping
 from ._record import FrozenRecord
 from .errors import DimensionMismatch, ValidationError
 from .linalg import ScalarMatrix
-from .scalar import T, ZERO, Scalar, as_scalar
+from .scalar import ONE, ZERO, Scalar, Terms, add_product, as_scalar, from_terms, plus_t_times
 
 Column = tuple[Scalar, ...]
 
@@ -58,6 +63,18 @@ def basis_column(dim: int, index: int) -> Column:
 
 def column_is_zero(column: Column) -> bool:
     return not any(x._terms for x in column)
+
+
+def add_bracket(terms: dict[int, Terms], table, x, y) -> None:
+    """terms[k] += x_a y_b c_ab^k, in place, over the nonzero coordinates
+    (a, x_a) of x and (b, y_b) of y (0-based a, b) and the nonzero entries
+    (k, c_ab^k) of a bracket's :attr:`Cochain2.table`.  Component k's term
+    map is opened when the first product reaches it, and may hold zero
+    coefficients until :func:`filicert.scalar.from_terms` reads it."""
+    for a, xa in x:
+        for b, yb in y:
+            for k, c in table.get((a + 1, b + 1), ()):
+                add_product(terms.setdefault(k, {}), c, xa, yb)
 
 
 class SubspaceSpec(FrozenRecord):
@@ -120,34 +137,14 @@ class Cochain2(FrozenRecord):
         return tuple(out)
 
     def bracket_eval(self, x: Column, y: Column) -> Column:
-        """Bilinear evaluation on arbitrary coordinate columns.
-
-        The coefficient x_a y_b - x_b y_a of each stored pair a < b is
-        gathered from the nonzero coordinates, then added times its column.
-        """
+        """Bilinear evaluation on arbitrary coordinate columns, summed by
+        :func:`add_bracket` over their nonzero coordinates."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatch("vector length does not match the bracket dimension")
-        table = self.table
-        y_nonzero = [(b, yb) for b, yb in enumerate(y, start=1) if yb._terms]
-        coeffs: dict[tuple[int, int], Scalar] = {}
-        for a, xa in enumerate(x, start=1):
-            if not xa._terms:
-                continue
-            for b, yb in y_nonzero:
-                if (a, b) not in table:
-                    continue
-                # a ascends, so x_a y_b (a < b) comes before x_b y_a
-                if a < b:
-                    coeffs[(a, b)] = xa * yb
-                else:
-                    old = coeffs.get((b, a))
-                    coeffs[(b, a)] = -(xa * yb) if old is None else old - xa * yb
-        out = list(zero_column(self.dim))
-        for pair, coeff in coeffs.items():
-            if coeff._terms:
-                for k, s in table[pair]:
-                    out[k] = out[k] + coeff * s
-        return tuple(out)
+        x, y = ([(a, s) for a, s in enumerate(v) if s._terms] for v in (x, y))
+        terms: dict[int, Terms] = {}
+        add_bracket(terms, self.table, x, y)
+        return tuple(from_terms(terms[k]) if k in terms else ZERO for k in range(self.dim))
 
     def pairs(self) -> Iterable[tuple[int, int]]:
         """All basis pairs i < j of the underlying space."""
@@ -167,9 +164,10 @@ class Cochain2(FrozenRecord):
         return result
 
     def _substitute(self, func, params: frozenset[str]) -> "Cochain2":
-        """A substitution into every nonzero entry; zeros stay zero, and a
-        column that vanishes is dropped.  The result is not validated again:
-        ``params`` may only lose the substituted symbol."""
+        """A substitution (or a scaling by a nonzero rational) into every
+        nonzero entry; zeros stay zero, and a column that vanishes is dropped.
+        The result is not validated again: ``params`` may only lose the
+        substituted symbol."""
         return self._derived(self.dim, {key: tuple(func(s) if s._terms else s for s in column)
                                         for key, column in self.entries.items()},
                              params, self.name)
@@ -186,15 +184,8 @@ class Cochain2(FrozenRecord):
                      for s in column for coeff in s._terms.values()))
 
     def scaled(self, factor: int | Fraction) -> "Cochain2":
-        """factor times this cochain, for a nonzero rational factor.
-
-        The result, a valid cochain times a nonzero constant, is not
-        validated again (see :meth:`_derived`).
-        """
-        return self._derived(self.dim, {key: tuple(s.scaled(factor) if s._terms else s
-                                                   for s in column)
-                                        for key, column in self.entries.items()},
-                             self.params, self.name)
+        """factor times this cochain, for a nonzero rational factor."""
+        return self._substitute(lambda s: s.scaled(factor), self.params)
 
 
 class StructureConstants(Cochain2):
@@ -256,7 +247,8 @@ def jacobi_check(mu: Cochain2, phi: Cochain2 | None = None) -> JacobiReport:
         for (m, r), entries in table.items():
             by_first.setdefault(m, []).append((r, entries))
         rows.append(by_first)
-    totals: dict[Triple, list[list[Scalar]]] = {}
+    # triple -> {(t-degree, component n): term map}
+    totals: dict[Triple, dict[tuple[int, int], Terms]] = {}
     for d_b, b in enumerate(tables):
         for (p, q), column in b.items():
             for m, coeff in column:
@@ -270,19 +262,20 @@ def jacobi_check(mu: Cochain2, phi: Cochain2 | None = None) -> JacobiReport:
                             triple = (r, p, q)
                         else:
                             continue
-                        if triple not in totals:
-                            totals[triple] = [[ZERO] * mu.dim for _ in range(3)]
-                        total = totals[triple][d_a + d_b]
+                        total = totals.setdefault(triple, {})
                         for n, s in entries:
-                            total[n] = total[n] + coeff * s
+                            add_product(total.setdefault((d_a + d_b, n), {}), ONE, coeff, s)
     failures = []
     terms = []
     for triple in sorted(totals):
-        columns = tuple(tuple(total) for total in totals[triple])
+        columns = [[ZERO] * mu.dim for _ in range(3)]
+        for (d, n), total in totals[triple].items():
+            columns[d][n] = from_terms(total)
+        columns = tuple(map(tuple, columns))
         if all(column_is_zero(column) for column in columns):
             continue
         terms.append((triple, columns))
-        residual = tuple(a + T * (b + T * c) for a, b, c in zip(*columns))
+        residual = tuple(plus_t_times(a, plus_t_times(b, c)) for a, b, c in zip(*columns))
         if not column_is_zero(residual):
             failures.append((triple, residual))
     return JacobiReport(tuple(failures), tuple(terms))

@@ -16,16 +16,16 @@ by a constant; the ring operations do no normalization.  Every
 division goes through ``Fraction``, because ``int / int`` and ``int ** -k``
 are floats.
 
-The certificate contractions multiply and subtract mostly zeros, so the ring
-operations short-circuit the zero scalar: a product with zero is ``ZERO``,
-and adding or subtracting zero returns the other operand (or its negation)
-without copying it.  A term new to an accumulated sum stores its
-coefficient as it is, with no addition to 0.
-
-A sum of many products is best accumulated in one bare term map:
-:func:`add_product` adds factor*a*b to it in place, with no Scalar and no
-copy per product, and :func:`from_terms` turns it into a Scalar once.  Until
-then the map may hold zero coefficients where terms cancelled.
+Laurent terms are multiplied in one place, :func:`add_product`, which adds
+factor*a*b to a bare term map in place, with no Scalar and no copy per
+product; :func:`from_terms` turns the map into a Scalar once.  Until then
+the map may hold zero coefficients where terms cancelled.  A sum of many
+products (a Jacobi coefficient, a bracket contraction, a Berkowitz entry) is
+accumulated in one such map, ``*`` is one call into a fresh map, and ``-``
+adds the negation.  ``+`` returns the other operand, without copying it,
+when one is zero, and a term new to the sum stores its coefficient as it
+is.  :func:`plus_t_times` forms a + t*b by shifting t-exponents, with no
+product.
 
 Rationals are substituted for t, alpha or both in one pass over the terms
 (:meth:`Scalar.specialized_terms`, one term map keyed by the exponents
@@ -197,53 +197,21 @@ class Scalar:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not rhs._terms:
-            return self
-        if not self._terms:
-            return -rhs
-        terms = dict(self._terms)
-        for key, coeff in rhs._terms.items():
-            old = terms.get(key)
-            if old is None:
-                terms[key] = -coeff
-                continue
-            new = old - coeff
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
-        result = Scalar.__new__(Scalar)
-        result._terms = terms
-        return result
+        return self + -rhs
 
     def __rsub__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs - self
+        return rhs + -self
 
     def __mul__(self, other):
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if not (self._terms and rhs._terms):
-            return ZERO
-        terms: dict[tuple[int, int], int | Fraction] = {}
-        for (a_t, a_alpha), a_coeff in self._terms.items():
-            for (b_t, b_alpha), b_coeff in rhs._terms.items():
-                key = (a_t + b_t, a_alpha + b_alpha)
-                old = terms.get(key)
-                if old is None:
-                    terms[key] = a_coeff * b_coeff
-                    continue
-                new = old + a_coeff * b_coeff
-                if new:
-                    terms[key] = new
-                else:
-                    del terms[key]
-        result = Scalar.__new__(Scalar)
-        result._terms = terms
-        return result
+        terms: Terms = {}
+        add_product(terms, ONE, self, rhs)
+        return from_terms(terms)
 
     __rmul__ = __mul__
 
@@ -296,7 +264,11 @@ class Scalar:
         return bool(self._terms)
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # a constant equals its value, so it hashes like it (ZERO like 0)
+        terms = self._terms
+        if len(terms) > 1 or terms and (0, 0) not in terms:
+            return hash(frozenset(terms.items()))
+        return hash(terms.get((0, 0), 0))
 
     # -- unit inversion and exact division ---------------------------------
 
@@ -430,6 +402,18 @@ def from_terms(terms: Terms) -> Scalar:
     result = Scalar.__new__(Scalar)
     result._terms = {key: coeff for key, coeff in terms.items() if coeff}
     return result
+
+
+def plus_t_times(a: Scalar, b: Scalar) -> Scalar:
+    """a + t*b, with t*b formed by shifting the t-exponents of b's terms;
+    a itself when b is zero."""
+    if not b._terms:
+        return a
+    terms = dict(a._terms)
+    for (e_t, e_alpha), coeff in b._terms.items():
+        key = (e_t + 1, e_alpha)
+        terms[key] = terms.get(key, 0) + coeff
+    return from_terms(terms)
 
 
 def as_scalar(value: _Coercible) -> Scalar:

@@ -135,6 +135,15 @@ def test_normalization_is_idempotent():
         assert all(coeff != 0 for _, coeff in again.iter_terms())
 
 
+@given(st.one_of(st.integers(-8, 8), fractions_st))
+def test_a_constant_hashes_like_the_value_it_equals(value):
+    """A constant scalar equals its value, so it finds it, and is found by
+    it, in a set or a dict; ZERO is 0."""
+    for scalar, rational in ((Scalar.from_rational(value), value), (ZERO, 0)):
+        assert scalar == rational and hash(scalar) == hash(rational)
+        assert rational in {scalar} and scalar in {rational}
+
+
 @given(scalars_st, scalars_st)
 def test_operations_return_canonical_form(a, b):
     for result in (a + b, a - b, a * b):
@@ -364,19 +373,21 @@ def test_coefficients_past_the_int_to_str_limit_render_exactly(coeff, limit):
        st.booleans())
 def test_accumulated_products_agree_with_the_ring_operations(products, cancel):
     """add_product adds factor*a*b in place and from_terms makes the sum a
-    canonical Scalar, equal to the sum of the products by Scalar * and +,
-    with no zero term; with every product added again negated, the sum is
-    ZERO.  The operands are never changed."""
+    canonical Scalar, equal to the sum of the products by the ring
+    operations of the Fraction-only reference (Scalar * is add_product
+    itself), with no zero term; with every product added again negated, the
+    sum is ZERO.  The operands are never changed."""
     before = [tuple(map(snapshot, product)) for product in products]
-    terms, expected = {}, ZERO
+    terms, expected = {}, ReferenceScalar({})
     for factor, a, b in products:
         add_product(terms, factor, a, b)
-        expected = expected + factor * a * b
+        expected = expected + (ReferenceScalar.of(factor) * ReferenceScalar.of(a)
+                               * ReferenceScalar.of(b))
     if cancel:
         for factor, a, b in products:
             add_product(terms, -factor, a, b)
-        expected = ZERO
+        expected = ReferenceScalar({})
     total = from_terms(terms)
-    assert total == expected
+    assert_matches(total, expected)
     assert all(total._terms.values())
     assert [tuple(map(snapshot, product)) for product in products] == before
